@@ -1,258 +1,118 @@
-"""Hot enumeration kernels: batched quadratic residue symbol sums.
+"""Batched quadratic residue symbols over a sweep of monic polynomials.
 
-The L-function and moment suites evaluate tens of millions of residue
-symbols (f/g) while f sweeps all monic polynomials of a given degree. Two
-interchangeable backends provide the sweep:
-
-* a numba ``@njit`` kernel running the Euclidean-reciprocity symbol on
-  int64 coefficient arrays (default when numba imports cleanly);
-* a pure-numpy path that factors g once and reduces the whole batch of
-  f's modulo each prime with uniform vectorized long division, then looks
-  residues up in per-prime character tables.
-
-Set MDSLAB_NO_NUMBA=1 to force the numpy path. The two backends double as
-independent routes through the symbol (Euclid vs factorization) and are
-cross-checked in the test suite. ``benchmarks/bench_accel.py`` compares
-their throughput.
+The L-function and moment suites evaluate many residue symbols (f/g) while
+f runs over all monic polynomials of one degree. The sweep factors g once,
+reduces the whole batch of f's modulo each prime with uniform vectorized
+long division, and looks the residues up in per-prime character tables.
+This is the factorization route through the symbol; the tests check it
+against the Euclidean-reciprocity route ``Fq.residue_symbol``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .fqpoly import Fq, Poly, degree
 
-_ENV_DISABLED = os.environ.get("MDSLAB_NO_NUMBA", "") not in ("", "0")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an expected dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# per-prime character tables, keyed by (q, p)
+_char_tables: dict[tuple[int, Poly], np.ndarray] = {}
+# coefficient rows of every monic polynomial of degree d, keyed by (q, d)
+_monic_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
-USING_NUMBA = HAVE_NUMBA and not _ENV_DISABLED
-
-
-@njit(cache=True)
-def _symbol_euclid_kernel(q, f, df, g, dg, legendre, work):
-    """(f/g) for coefficient arrays, g monic of degree dg >= 0."""
-    val = 1
-    # copy operands into work rows so callers keep their buffers
-    a = work[0]
-    b = work[1]
-    for i in range(df + 1):
-        a[i] = f[i]
-    da = df
-    for i in range(dg + 1):
-        b[i] = g[i]
-    db = dg
-    while True:
-        if db == 0:
-            return val
-        # a mod b (b monic)
-        for i in range(da, db - 1, -1):
-            c = a[i] % q
-            if c != 0:
-                for j in range(db + 1):
-                    a[i - db + j] = (a[i - db + j] - c * b[j]) % q
-        dr = db - 1
-        while dr >= 0 and a[dr] % q == 0:
-            dr -= 1
-        if dr < 0:
-            return 0
-        if dr == 0:
-            if db % 2 == 1:
-                val *= legendre[a[0] % q]
-            return val
-        u = a[dr] % q
-        if u != 1:
-            if db % 2 == 1:
-                val *= legendre[u]
-            uinv = 1
-            for t in range(1, q):
-                if (u * t) % q == 1:
-                    uinv = t
-                    break
-            for i in range(dr + 1):
-                a[i] = (a[i] * uinv) % q
-        # swap: (r/b) = (b/r) by reciprocity
-        for i in range(max(da, db) + 1):
-            tmp = a[i] if i <= dr else 0
-            a[i] = b[i] if i <= db else 0
-            b[i] = tmp
-        da, db = db, dr
-
-
-@njit(cache=True)
-def _sums_by_degree_kernel(q, g, dg, dmax, legendre):
-    """sums[d] = sum over monic f of degree d of (f/g)."""
-    sums = np.zeros(dmax + 1, dtype=np.int64)
-    size = max(dmax, dg) + 2
-    f = np.zeros(size, dtype=np.int64)
-    work = np.zeros((2, 2 * size), dtype=np.int64)
-    for d in range(dmax + 1):
-        for i in range(size):
-            f[i] = 0
-        f[d] = 1
-        total = 0
-        count = q**d
-        for _ in range(count):
-            total += _symbol_euclid_kernel(q, f, d, g, dg, legendre, work)
-            # odometer over the d low coefficients
-            k = 0
-            while k < d:
-                f[k] += 1
-                if f[k] < q:
-                    break
-                f[k] = 0
-                k += 1
-        sums[d] = total
-    return sums
-
-
-@njit(cache=True)
-def _symbols_of_degree_kernel(q, g, dg, d, legendre):
-    """vals[i] = (f_i/g) with f_i the i-th monic of degree d, lex order."""
-    count = q**d
-    vals = np.zeros(count, dtype=np.int64)
-    size = max(d, dg) + 2
-    f = np.zeros(size, dtype=np.int64)
-    f[d] = 1
-    work = np.zeros((2, 2 * size), dtype=np.int64)
-    for idx in range(count):
-        vals[idx] = _symbol_euclid_kernel(q, f, d, g, dg, legendre, work)
-        k = 0
-        while k < d:
-            f[k] += 1
-            if f[k] < q:
-                break
-            f[k] = 0
-            k += 1
-    return vals
-
-
-class _NumpyBackend:
-    """Factorization-route batch symbols, vectorized over the f sweep."""
-
-    def __init__(self):
-        self._char_tables: dict[tuple[int, Poly], np.ndarray] = {}
-        self._monic_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def _char_table(self, fq: Fq, p: Poly) -> np.ndarray:
-        # chi_p over all residues mod p, indexed base-q by coefficients.
-        # The squares of the residue field are exactly {r^2 : r != 0}, so one
-        # multiplication per residue marks them; the rest are non-squares.
-        key = (fq.q, p)
-        table = self._char_tables.get(key)
-        if table is not None:
-            return table
-        dp = degree(p)
-        q = fq.q
-        size = q**dp
-        idx = np.arange(size)
-        residues = np.empty((size, dp), dtype=np.int64)
-        for k in range(dp):
-            residues[:, k] = (idx // q**k) % q
-        squares = np.zeros((size, 2 * dp - 1), dtype=np.int64)
-        for i in range(dp):
-            for j in range(dp):
-                squares[:, i + j] += residues[:, i] * residues[:, j]
-        squares %= q
-        rem = self._mod_batch(q, squares, p)
-        sidx = np.zeros(size, dtype=np.int64)
-        for k in range(dp):
-            sidx += rem[:, k] * q**k
-        table = np.full(size, -1, dtype=np.int64)
-        table[sidx[1:]] = 1
-        table[0] = 0
-        self._char_tables[key] = table
+def _char_table(fq: Fq, p: Poly) -> np.ndarray:
+    # chi_p over all residues mod p, indexed base-q by coefficients.
+    # The squares of the residue field are exactly {r^2 : r != 0}, so one
+    # multiplication per residue marks them; the rest are non-squares.
+    key = (fq.q, p)
+    table = _char_tables.get(key)
+    if table is not None:
         return table
-
-    def _all_monic(self, q: int, d: int) -> np.ndarray:
-        # rows = coefficient vectors (ascending), lex order over low coeffs
-        cached = self._monic_cache.get((q, d))
-        if cached is not None:
-            return cached
-        count = q**d
-        mat = np.ones((count, d + 1), dtype=np.int64)
-        idx = np.arange(count)
-        for k in range(d):
-            mat[:, k] = (idx // q**k) % q
-        self._monic_cache[(q, d)] = mat
-        return mat
-
-    @staticmethod
-    def _mod_batch(q: int, rows: np.ndarray, p: Poly) -> np.ndarray:
-        # rows all share one degree, so long division is uniform per column.
-        dp = len(p) - 1
-        r = rows.copy()
-        if r.shape[1] < dp:
-            pad = np.zeros((r.shape[0], dp - r.shape[1]), dtype=np.int64)
-            r = np.concatenate([r, pad], axis=1)
-        pv = np.asarray(p, dtype=np.int64)
-        for i in range(r.shape[1] - 1, dp - 1, -1):
-            c = r[:, i].copy()
-            r[:, i - dp : i + 1] = (r[:, i - dp : i + 1] - c[:, None] * pv[None, :]) % q
-        return r[:, :dp]
-
-    def symbols_of_degree(self, fq: Fq, g: Poly, d: int) -> np.ndarray:
-        if g == (1,):
-            return np.ones(fq.q**d, dtype=np.int64)
-        rows = self._all_monic(fq.q, d)
-        vals = np.ones(rows.shape[0], dtype=np.int64)
-        fac, _ = fq.factor(g)
-        for p, e in fac:
-            res = self._mod_batch(fq.q, rows, p)
-            dp = degree(p)
-            idx = np.zeros(rows.shape[0], dtype=np.int64)
-            for k in range(dp):
-                idx += res[:, k] * fq.q**k
-            chi = self._char_table(fq, p)[idx]
-            if e % 2:
-                vals *= chi
-            else:
-                vals *= (chi != 0).astype(np.int64)  # even mult only kills gcd > 1
-        return vals
-
-    def sums_by_degree(self, fq: Fq, g: Poly, dmax: int) -> np.ndarray:
-        return np.array(
-            [int(self.symbols_of_degree(fq, g, d).sum()) for d in range(dmax + 1)],
-            dtype=np.int64,
-        )
+    dp = degree(p)
+    q = fq.q
+    size = q**dp
+    idx = np.arange(size)
+    residues = np.empty((size, dp), dtype=np.int64)
+    for k in range(dp):
+        residues[:, k] = (idx // q**k) % q
+    squares = np.zeros((size, 2 * dp - 1), dtype=np.int64)
+    for i in range(dp):
+        for j in range(dp):
+            squares[:, i + j] += residues[:, i] * residues[:, j]
+    squares %= q
+    rem = _mod_batch(q, squares, p)
+    sidx = np.zeros(size, dtype=np.int64)
+    for k in range(dp):
+        sidx += rem[:, k] * q**k
+    table = np.full(size, -1, dtype=np.int64)
+    table[sidx[1:]] = 1
+    table[0] = 0
+    _char_tables[key] = table
+    return table
 
 
-_numpy_backend = _NumpyBackend()
+def _all_monic(q: int, d: int) -> np.ndarray:
+    # rows = coefficient vectors (ascending), lex order over low coeffs
+    cached = _monic_cache.get((q, d))
+    if cached is not None:
+        return cached
+    count = q**d
+    mat = np.ones((count, d + 1), dtype=np.int64)
+    idx = np.arange(count)
+    for k in range(d):
+        mat[:, k] = (idx // q**k) % q
+    _monic_cache[(q, d)] = mat
+    return mat
 
 
-def symbol_sums_by_degree(fq: Fq, g: Poly, dmax: int) -> np.ndarray:
-    """sums[d] = sum over monic f, deg f = d, of (f/g), for d = 0..dmax."""
-    if USING_NUMBA:
-        garr = np.asarray(g, dtype=np.int64)
-        leg = np.asarray(fq.legendre, dtype=np.int64)
-        return _sums_by_degree_kernel(fq.q, garr, degree(g), dmax, leg)
-    return _numpy_backend.sums_by_degree(fq, g, dmax)
+def _mod_batch(q: int, rows: np.ndarray, p: Poly) -> np.ndarray:
+    # rows all share one degree, so long division is uniform per column.
+    dp = len(p) - 1
+    r = rows.copy()
+    if r.shape[1] < dp:
+        pad = np.zeros((r.shape[0], dp - r.shape[1]), dtype=np.int64)
+        r = np.concatenate([r, pad], axis=1)
+    pv = np.asarray(p, dtype=np.int64)
+    for i in range(r.shape[1] - 1, dp - 1, -1):
+        c = r[:, i].copy()
+        r[:, i - dp : i + 1] = (r[:, i - dp : i + 1] - c[:, None] * pv[None, :]) % q
+    return r[:, :dp]
+
+
+def _symbols(fq: Fq, g: Poly, d: int) -> np.ndarray:
+    if g == (1,):
+        return np.ones(fq.q**d, dtype=np.int64)
+    rows = _all_monic(fq.q, d)
+    vals = np.ones(rows.shape[0], dtype=np.int64)
+    fac, _ = fq.factor(g)
+    for p, e in fac:
+        res = _mod_batch(fq.q, rows, p)
+        dp = degree(p)
+        idx = np.zeros(rows.shape[0], dtype=np.int64)
+        for k in range(dp):
+            idx += res[:, k] * fq.q**k
+        chi = _char_table(fq, p)[idx]
+        if e % 2:
+            vals *= chi
+        else:
+            vals *= (chi != 0).astype(np.int64)  # even mult only kills gcd > 1
+    return vals
 
 
 def symbols_of_degree(fq: Fq, g: Poly, d: int) -> np.ndarray:
     """All (f/g) for monic f of degree d, in lexicographic f order."""
-    if USING_NUMBA:
-        garr = np.asarray(g, dtype=np.int64)
-        leg = np.asarray(fq.legendre, dtype=np.int64)
-        return _symbols_of_degree_kernel(fq.q, garr, degree(g), d, leg)
-    return _numpy_backend.symbols_of_degree(fq, g, d)
+    return _symbols(fq, g, d)
+
+
+def symbol_sums_by_degree(fq: Fq, g: Poly, dmax: int) -> np.ndarray:
+    """sums[d] = sum over monic f, deg f = d, of (f/g), for d = 0..dmax."""
+    # the private name: perfbench/spans.py times each public call, so one
+    # sweep stays one span
+    return np.array(
+        [int(_symbols(fq, g, d).sum()) for d in range(dmax + 1)], dtype=np.int64
+    )
 
 
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    """Name of the symbol-sweep implementation; there is only one."""
+    return "numpy"

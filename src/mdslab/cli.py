@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .fqpoly import SUPPORTED_Q, field
@@ -26,17 +24,6 @@ from .reducer import (
 )
 
 SUITES = ("axioms", "fe", "residue", "partitions", "all")
-
-
-def _thread_count() -> int:
-    env = os.environ.get("MDSLAB_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise SystemExit(2)
-        return max(1, cap)
-    return min(4, os.cpu_count() or 1)
 
 
 def _pipeline_seed(n: int, bound: int):
@@ -297,8 +284,7 @@ def cmd_verify(args) -> int:
             out["witness"] = result["witness"]
         return out
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(run, checks))
+    results = [run(entry) for entry in checks]
 
     report = {
         "meta": {"n": args.n, "q0": args.q, "D": args.trunc, "version": __version__},

@@ -2,8 +2,9 @@
 
 Polynomials are immutable coefficient tuples, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple. All operations live
-on the :class:`Fq` context object, which caches monic enumeration, prime
-tables and factorizations for the small degrees this library works at.
+on the :class:`Fq` context object, which caches prime tables,
+factorizations and residue symbols for the small degrees this library
+works at.
 
 The quadratic residue symbol comes in two independent implementations:
 a factorization-based oracle (Euler's criterion prime by prime) and a fast
@@ -153,10 +154,6 @@ class Fq:
         for low in itertools.product(range(self.q), repeat=d):
             yield low + (1,)
 
-    def monic_upto(self, d: int) -> Iterator[Poly]:
-        for k in range(d + 1):
-            yield from self.monic_enum(k)
-
     @functools.lru_cache(maxsize=None)
     def _primes_of_degree(self, d: int) -> tuple[Poly, ...]:
         # Sieve by trial division against all lower-degree primes.
@@ -173,12 +170,6 @@ class Fq:
                 if not self.mod(f, p):
                     return False
         return True
-
-    def primes_upto(self, d: int) -> list[Poly]:
-        out: list[Poly] = []
-        for k in range(1, d + 1):
-            out.extend(self._primes_of_degree(k))
-        return out
 
     # -- factorization -----------------------------------------------------
 

@@ -16,11 +16,6 @@ from .reducer import DiagonalSeed, local_weight_value, reduce_coeff
 BUDGET = 10**8
 
 
-def _weight_cache(fq: Fq, seed: DiagonalSeed) -> dict:
-    caches = seed.__dict__.setdefault("_weight_caches", {})
-    return caches.setdefault(fq.q, {})
-
-
 def _prime_support(fq: Fq, polys: tuple) -> dict:
     n1 = len(polys)
     support: dict[tuple, list[int]] = {}
@@ -42,7 +37,7 @@ def H_global(fq: Fq, polys: tuple, seed: DiagonalSeed) -> int:
     """
     n1 = len(polys)
     support = _prime_support(fq, polys)
-    cache = _weight_cache(fq, seed)
+    cache = seed._weight_caches.setdefault(fq.q, {})
     value = 1
     primes = sorted(support)
     vecs = []

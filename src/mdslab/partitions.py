@@ -177,8 +177,6 @@ def enumerate_reduction_chains(n: int, a: int, simplified: bool = True):
             extend(rows + [nxt])
 
     extend([start])
-    if not simplified:
-        return chains
     return chains
 
 

@@ -33,6 +33,8 @@ class DiagonalSeed:
     values: list[QLaurent]
     name: str = "seed"
     _memo: dict[tuple[int, IndexTuple], QLaurent] = field(default_factory=dict, repr=False)
+    # global-weight caches per field size q, filled by mdslab.globalweights
+    _weight_caches: dict[int, dict] = field(default_factory=dict, repr=False, compare=False)
 
     def diagonal(self, a: int) -> QLaurent:
         if a >= len(self.values):

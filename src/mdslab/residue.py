@@ -236,7 +236,6 @@ def check_pipeline_consistency(n: int, bound: int) -> dict:
 def check_factor_pairing(n: int, bound: int) -> dict:
     """The residue factor multiset is invariant under beta -> 1 - beta."""
     fl = build_R(n, bound)
-    # restrict to factors whose partner is also inside the degree window
     report = {"check": "factor_pairing", "n": n, "D": bound, "status": "pass"}
     if fl.beta_reflected() != fl:
         for (alpha, beta), gamma in fl.items():

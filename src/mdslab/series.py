@@ -254,17 +254,12 @@ def split_flat_natural_sharp(
 def pairing_completion(flat: FactorList) -> FactorList:
     """Add the beta |-> 1 - beta partner of every factor (all beta <= 0)."""
     out = FactorList()
-    for (alpha, beta), gamma in fl_items_checked(flat):
-        out.add(alpha, beta, gamma)
-        out.add(alpha, 4 - beta, gamma)
-    return out
-
-
-def fl_items_checked(flat: FactorList):
     for (alpha, beta), gamma in flat.items():
         if beta > 0:
             raise ValueError("pairing completion expects beta <= 0 input")
-        yield (alpha, beta), gamma
+        out.add(alpha, beta, gamma)
+        out.add(alpha, 4 - beta, gamma)
+    return out
 
 
 def build_delta(n: int, bound: int) -> FactorList:

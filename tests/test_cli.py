@@ -100,14 +100,27 @@ def test_usage_errors(capsys):
         main(["verify", "--suite", "bogus"])
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MDSLAB_THREADS", "1")
-    code, out = run_cli(
-        ["verify", "--n", "2", "--suite", "partitions", "--bound", "3", "--trunc", "3"],
-        tmp_path,
-    )
-    assert code == 0
-    assert all(c["status"] == "pass" for c in json.loads(out.read_text())["checks"])
+def test_raising_check_fails_alone(tmp_path, monkeypatch):
+    argv = ["verify", "--n", "2", "--suite", "partitions", "--bound", "3", "--trunc", "3"]
+    _, out = run_cli(argv, tmp_path, "clean")
+    clean = json.loads(out.read_text())["checks"]
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    # partition_gf, the first check of the suite, is the only caller
+    monkeypatch.setattr("mdslab.partitions.partition_product_gf", boom)
+    code, out = run_cli(argv, tmp_path, "raised")
+    assert code == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["name"], c["params"]) for c in checks] == [
+        (c["name"], c["params"]) for c in clean
+    ]
+    assert checks[0]["name"] == "partition_gf"
+    assert checks[0]["status"] == "fail"
+    assert checks[0]["witness"] == "RuntimeError: boom"
+    assert len(checks) > 1
+    assert all(c["status"] == "pass" for c in checks[1:])
 
 
 def test_stdout_output():
