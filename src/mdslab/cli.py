@@ -140,9 +140,8 @@ def _suite_fe(args, seed):
 
 def _suite_residue(args, seed):
     from . import residue as res
-    from .fqpoly import field as _field
 
-    fq = _field(args.q)
+    fq = field(args.q)
     n = args.n
     checks = [
         (
@@ -179,10 +178,8 @@ def _suite_residue(args, seed):
     )
 
     def h_route():
-        from .reducer import tuples_with_sum_at_most as tsa
-
         k = res.n_even_vars(n)
-        for avec in tsa(k, min(args.bound, 3)):
+        for avec in tuples_with_sum_at_most(k, min(args.bound, 3)):
             a = res.residue_coeff_H_route(fq, n, avec, seed)
             b = res.residue_coeff_engine_scaled(fq, n, avec, seed)
             if a != b:
@@ -260,18 +257,12 @@ def _suite_partitions(args, seed):
     return checks
 
 
-def cmd_verify(args) -> int:
-    seed = _pipeline_seed(args.n, max(args.bound, args.trunc))
-    builders = {
-        "axioms": _suite_axioms,
-        "fe": _suite_fe,
-        "residue": _suite_residue,
-        "partitions": _suite_partitions,
-    }
-    names = list(builders) if args.suite == "all" else [args.suite]
-    checks = []
-    for name in names:
-        checks.extend(builders[name](args, seed))
+def _run_and_report(args, checks, strict: bool = False) -> int:
+    """Run (name, params, fn) checks in order and write the JSON report.
+
+    Returns the exit code: 1 if a check failed (with ``strict``, if any
+    check did not pass), else 0.
+    """
 
     def run(entry):
         name, params, fn = entry
@@ -291,11 +282,26 @@ def cmd_verify(args) -> int:
         "checks": results,
     }
     _write(args.out, json.dumps(report, indent=2) + "\n")
-    if args.strict:
+    if strict:
         failed = any(c["status"] != "pass" for c in results)
     else:
         failed = any(c["status"] == "fail" for c in results)
     return 1 if failed else 0
+
+
+def cmd_verify(args) -> int:
+    seed = _pipeline_seed(args.n, max(args.bound, args.trunc))
+    builders = {
+        "axioms": _suite_axioms,
+        "fe": _suite_fe,
+        "residue": _suite_residue,
+        "partitions": _suite_partitions,
+    }
+    names = list(builders) if args.suite == "all" else [args.suite]
+    checks = []
+    for name in names:
+        checks.extend(builders[name](args, seed))
+    return _run_and_report(args, checks, strict=args.strict)
 
 
 def cmd_moments(args) -> int:
@@ -305,35 +311,32 @@ def cmd_moments(args) -> int:
         print("moments: the identity is specific to n=3", file=sys.stderr)
         return 2
     fq = field(args.q)
-    r = moment_identity_check(fq, args.trunc)
-    report = {
-        "meta": {"n": args.n, "q0": args.q, "D": args.trunc, "version": __version__},
-        "checks": [
-            {
-                "name": "moment_identity",
-                "params": {"dmax": args.trunc},
-                "status": r["status"],
-                **({"witness": r["witness"]} if "witness" in r else {}),
-            }
-        ],
-    }
-    _write(args.out, json.dumps(report, indent=2) + "\n")
-    return 0 if r["status"] == "pass" else 1
+    check = (
+        "moment_identity",
+        {"dmax": args.trunc},
+        lambda: moment_identity_check(fq, args.trunc),
+    )
+    return _run_and_report(args, [check])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mdslab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("coeffs", cmd_coeffs), ("verify", cmd_verify), ("moments", cmd_moments)):
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--q", type=int, default=5)
-        p.add_argument("--bound", type=int, default=4, help="degree bound for tables")
-        p.add_argument("--trunc", type=int, default=6, help="truncation D for series checks")
-        p.add_argument("--suite", choices=SUITES, default="all")
-        p.add_argument("--out", default=None)
-        p.add_argument("--strict", action="store_true")
+    coeffs = sub.add_parser("coeffs")
+    verify = sub.add_parser("verify")
+    moments = sub.add_parser("moments")
+    # each subcommand registers only the options it reads
+    for p, fn in ((coeffs, cmd_coeffs), (verify, cmd_verify), (moments, cmd_moments)):
         p.set_defaults(fn=fn)
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--out", default=None)
+    for p in (verify, moments):
+        p.add_argument("--q", type=int, default=5)
+        p.add_argument("--trunc", type=int, default=6, help="truncation D for series checks")
+    for p in (coeffs, verify):
+        p.add_argument("--bound", type=int, default=4, help="degree bound for tables")
+    verify.add_argument("--suite", choices=SUITES, default="all")
+    verify.add_argument("--strict", action="store_true")
     return parser
 
 
@@ -342,10 +345,10 @@ def main(argv=None) -> int:
     if args.n < 2:
         print("n must be at least 2", file=sys.stderr)
         return 2
-    if args.q not in SUPPORTED_Q:
+    if "q" in vars(args) and args.q not in SUPPORTED_Q:
         print(f"unsupported q={args.q}; choose from {sorted(SUPPORTED_Q)}", file=sys.stderr)
         return 2
-    if args.trunc < args.bound and args.command == "verify":
+    if args.command == "verify" and args.trunc < args.bound:
         print("--trunc must be at least --bound", file=sys.stderr)
         return 2
     return args.fn(args)

@@ -53,6 +53,7 @@ class Fq:
         ]
         self._factor_cache: dict[Poly, tuple[tuple[tuple[Poly, int], ...], int]] = {}
         self._symbol_cache: dict[tuple[Poly, Poly], int] = {}
+        self._prime_cache: dict[int, tuple[Poly, ...]] = {}
 
     def __repr__(self) -> str:
         return f"Fq({self.q})"
@@ -154,14 +155,15 @@ class Fq:
         for low in itertools.product(range(self.q), repeat=d):
             yield low + (1,)
 
-    @functools.lru_cache(maxsize=None)
     def _primes_of_degree(self, d: int) -> tuple[Poly, ...]:
-        # Sieve by trial division against all lower-degree primes.
-        out = []
-        for f in self.monic_enum(d):
-            if d == 1 or self._is_irreducible(f):
-                out.append(f)
-        return tuple(out)
+        primes = self._prime_cache.get(d)
+        if primes is None:
+            # Sieve by trial division against all lower-degree primes.
+            primes = tuple(
+                f for f in self.monic_enum(d) if d == 1 or self._is_irreducible(f)
+            )
+            self._prime_cache[d] = primes
+        return primes
 
     def _is_irreducible(self, f: Poly) -> bool:
         d = degree(f)
@@ -192,18 +194,16 @@ class Fq:
             if 2 * d > degree(rem):
                 fac[rem] = fac.get(rem, 0) + 1
                 break
-            progressed = True
-            while progressed and degree(rem) > 0:
-                progressed = False
-                for p in self._primes_of_degree(d):
+            # rem has no prime factor of degree < d, so dividing out each
+            # prime of degree d once leaves none of degree <= d.
+            for p in self._primes_of_degree(d):
+                quo, r = self.divmod(rem, p)
+                while not r:
+                    fac[p] = fac.get(p, 0) + 1
+                    rem = quo
+                    if degree(rem) == 0:
+                        break
                     quo, r = self.divmod(rem, p)
-                    while not r:
-                        fac[p] = fac.get(p, 0) + 1
-                        rem = quo
-                        progressed = True
-                        if degree(rem) == 0:
-                            break
-                        quo, r = self.divmod(rem, p)
             d += 1
         result = (tuple(sorted(fac.items())), unit)
         self._factor_cache[f] = result
@@ -223,10 +223,6 @@ class Fq:
     def is_squarefree(self, f: Poly) -> bool:
         fac, _ = self.factor(f)
         return all(e == 1 for _, e in fac)
-
-    def is_square(self, f: Poly) -> bool:
-        fac, _ = self.factor(f)
-        return all(e % 2 == 0 for _, e in fac)
 
     # -- quadratic residue symbol -----------------------------------------
 
@@ -281,11 +277,6 @@ class Fq:
             if degree(g) % 2:
                 val *= self.legendre[u]
             f, g = g, r_monic
-
-    def zeta_coeff(self, d: int) -> int:
-        """Coefficient of x^d in (1 - qx)^{-1}: the number of monic polys."""
-        return self.q ** d
-
 
 SUPPORTED_Q = frozenset({5, 13, 17, 29})
 

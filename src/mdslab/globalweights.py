@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .fqpoly import Fq, ONE, degree, is_monic
-from .reducer import DiagonalSeed, local_weight_value, reduce_coeff
+from .fqpoly import Fq, degree, is_monic
+from .reducer import DiagonalSeed, local_weight_value
 
 BUDGET = 10**8
 

@@ -35,6 +35,20 @@ def l_poly(fq: Fq, g) -> list[int]:
     return [int(s) for s in sums[:dg]]
 
 
+def _divide_trivial_zero(coeffs) -> list[Fraction] | None:
+    """Coefficients of L(x) / (1 - x), or None when x = 1 is not a root.
+
+    The quotient's coefficients are the prefix sums of L's; the remainder
+    is their total, L(1).
+    """
+    quo = []
+    acc = Fraction(0)
+    for c in coeffs:
+        acc += c
+        quo.append(acc)
+    return None if quo.pop() != 0 else quo
+
+
 def check_l_fe(fq: Fq, g) -> dict:
     """Functional equation of L(x, chi_g), exact over the rationals.
 
@@ -57,12 +71,8 @@ def check_l_fe(fq: Fq, g) -> dict:
                 report["witness"] = f"coefficient {k}: {lhs} != {rhs}"
                 return report
     else:
-        quo = []
-        acc = Fraction(0)
-        for c in coeffs:
-            acc += c
-            quo.append(acc)
-        if quo.pop() != 0:
+        quo = _divide_trivial_zero(coeffs)
+        if quo is None:
             report["status"] = "fail"
             report["witness"] = "missing trivial zero at x = 1"
             return report
@@ -84,20 +94,14 @@ def check_rh(fq: Fq, g, tol: float = 1e-6) -> dict:
     """
     g = tuple(g)
     dg = degree(g)
-    coeffs = [Fraction(c) for c in l_poly(fq, g)]
+    coeffs = l_poly(fq, g)
     report = {"check": "rh", "q": fq.q, "g": list(g), "status": "pass"}
     if dg % 2 == 0:
-        # exact division by (1 - x); remainder must vanish
-        quo = []
-        acc = Fraction(0)
-        for c in coeffs:
-            acc += c
-            quo.append(acc)
-        if quo.pop() != 0:
+        coeffs = _divide_trivial_zero(coeffs)
+        if coeffs is None:
             report["status"] = "fail"
             report["witness"] = "no trivial zero at x = 1"
             return report
-        coeffs = quo
     if len(coeffs) <= 1:
         return report
     poly = np.array([float(c) for c in reversed(coeffs)])
@@ -120,36 +124,29 @@ def divisor_count(fq: Fq, f) -> int:
     return out
 
 
-def moment_identity_check(fq: Fq, dmax: int, b0max: int | None = None, b2max: int | None = None) -> dict:
+def moment_identity_check(fq: Fq, dmax: int) -> dict:
     """Cubic-moment identity between two independent summation routes.
 
     Route A: the four-fold sum over monic (f_0, f_1, f_2, f_3), grouping
     the characters of g = f_1 f_3 degree by degree in f_0 and f_2.
     Route B: sum over monic f of sigma_0(f) times the same character sums.
     Both accumulate integer arrays indexed by (deg f_1 f_3, deg f_0,
-    deg f_2); the identity demands exact equality.
+    deg f_2), each degree 0..dmax; the identity demands exact equality.
     """
-    if b0max is None:
-        b0max = dmax
-    if b2max is None:
-        b2max = dmax
-    bmax = max(b0max, b2max)
-    shape = (dmax + 1, b0max + 1, b2max + 1)
+    shape = (dmax + 1,) * 3
     side_a = np.zeros(shape, dtype=np.int64)
     for d1 in range(dmax + 1):
         for f1 in fq.monic_enum(d1):
             for d3 in range(dmax + 1 - d1):
                 for f3 in fq.monic_enum(d3):
                     g = fq.mul(f1, f3)
-                    sums = accel.symbol_sums_by_degree(fq, g, bmax)
-                    side_a[d1 + d3] += np.outer(sums[: b0max + 1], sums[: b2max + 1])
+                    sums = accel.symbol_sums_by_degree(fq, g, dmax)
+                    side_a[d1 + d3] += np.outer(sums, sums)
     side_b = np.zeros(shape, dtype=np.int64)
     for d in range(dmax + 1):
         for f in fq.monic_enum(d):
-            sums = accel.symbol_sums_by_degree(fq, f, bmax)
-            side_b[d] += divisor_count(fq, f) * np.outer(
-                sums[: b0max + 1], sums[: b2max + 1]
-            )
+            sums = accel.symbol_sums_by_degree(fq, f, dmax)
+            side_b[d] += divisor_count(fq, f) * np.outer(sums, sums)
     report = {
         "check": "moment_identity",
         "q": fq.q,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 
-from .qlaurent import QLaurent
 from .series import FactorList, MultiSeries, expand_factors
 
 Partition = tuple[int, ...]

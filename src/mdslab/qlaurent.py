@@ -73,9 +73,6 @@ class QLaurent:
                 out[e] = out.get(e, 0) + c1 * c2
         return QLaurent(out)
 
-    def scale(self, c: int) -> "QLaurent":
-        return QLaurent({e: c * v for e, v in self.terms.items()})
-
     def shift(self, quarters: int) -> "QLaurent":
         """Multiply by q^(quarters/4)."""
         return QLaurent({e + quarters: c for e, c in self.terms.items()})
@@ -87,17 +84,9 @@ class QLaurent:
             raise ValueError("zero element has no minimal exponent")
         return min(self.terms)
 
-    def max_quarters(self) -> int:
-        if not self.terms:
-            raise ValueError("zero element has no maximal exponent")
-        return max(self.terms)
-
     def is_integer_poly(self) -> bool:
         """True iff all exponents are nonnegative whole powers of q."""
         return all(e >= 0 and e % 4 == 0 for e in self.terms)
-
-    def is_half_integer_poly(self) -> bool:
-        return all(e >= 0 and e % 2 == 0 for e in self.terms)
 
     def constant_coeff(self) -> int:
         return self.terms.get(0, 0)

@@ -10,7 +10,6 @@ a seed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .qlaurent import QL_ONE, QL_ZERO, QLaurent
@@ -167,14 +166,6 @@ def tuples_with_sum_at_most(n1: int, total: int):
     yield from rec([], total, n1)
 
 
-def boundary_coeffs(n: int, degree: int, seed: DiagonalSeed) -> dict[IndexTuple, QLaurent]:
-    """Table of all c_t with entry sum <= degree, deterministic order."""
-    return {
-        t: reduce_coeff(t, seed)
-        for t in tuples_with_sum_at_most(n + 1, degree)
-    }
-
-
 def compute_P(n: int, max_degree: int) -> list[QLaurent]:
     """Coefficients p_a, a = 0..max_degree, of the universal diagonal ratio.
 
@@ -207,7 +198,7 @@ def local_weight(p_deg: int, t: IndexTuple, seed: DiagonalSeed) -> QLaurent:
     h = c.subst_q_power(-1).shift(4 * sum(t))
     if not h.terms:
         return h
-    if h.min_quarters() < 0 or any(e % 4 for e in h.terms):
+    if not h.is_integer_poly():
         raise ValueError(f"local-to-global violation at {t}: H = {h!r}")
     return h
 

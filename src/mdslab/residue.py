@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fqpoly import Fq
-from .qlaurent import QL_ONE, QL_ZERO, QLaurent
+from .qlaurent import QL_ONE, QLaurent
 from .reducer import DiagonalSeed, compute_P, reduce_coeff
 from .series import (
     FactorList,
@@ -127,8 +127,6 @@ def factor_multiplicity(n: int, alpha: tuple[int, ...], beta: int) -> int:
 class PipelineResult:
     n: int
     max_degree: int
-    p_coeffs: list[QLaurent]
-    r_diag: list[QLaurent]
     seed: DiagonalSeed
     log: list[str]
 
@@ -153,7 +151,6 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
     fl = build_R(n, max_degree * k)
     r_full = expand_factors(fl, k, max_degree * k)
     r_diag_series = r_full.diag_part()
-    r_diag = r_diag_series.single_var_coeffs(max_degree)
     p_coeffs = compute_P(n, max_degree)
     p_series = MultiSeries(1, max_degree, {(a,): c for a, c in enumerate(p_coeffs)})
     z_scaled = r_diag_series.mul(p_series.inverse())
@@ -174,8 +171,6 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
     result = PipelineResult(
         n=n,
         max_degree=max_degree,
-        p_coeffs=p_coeffs,
-        r_diag=r_diag,
         seed=DiagonalSeed(diag, name=f"pipeline-n{n}"),
         log=log,
     )

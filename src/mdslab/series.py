@@ -8,7 +8,6 @@ like the :class:`~mdslab.qlaurent.QLaurent` exponents.
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 from .qlaurent import QL_ONE, QL_ZERO, QLaurent
@@ -59,23 +58,6 @@ class MultiSeries:
         n = len(self.terms)
         return f"MultiSeries(nvars={self.nvars}, bound={self.bound}, {n} terms)"
 
-    def add(self, other: "MultiSeries") -> "MultiSeries":
-        self._check_compat(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, QL_ZERO) + c
-        return MultiSeries(self.nvars, self.bound, out)
-
-    def sub(self, other: "MultiSeries") -> "MultiSeries":
-        self._check_compat(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, QL_ZERO) - c
-        return MultiSeries(self.nvars, self.bound, out)
-
-    def scale(self, c: QLaurent) -> "MultiSeries":
-        return MultiSeries(self.nvars, self.bound, {e: v * c for e, v in self.terms.items()})
-
     def _check_compat(self, other: "MultiSeries") -> None:
         if self.nvars != other.nvars or self.bound != other.bound:
             raise ValueError("series shape mismatch (nvars/bound)")
@@ -124,12 +106,6 @@ class MultiSeries:
                 out[(e[0] if e else 0,)] = c
         return MultiSeries(1, self.bound // max(1, self.nvars), out)
 
-    def single_var_coeffs(self, upto: int | None = None) -> list[QLaurent]:
-        if self.nvars != 1:
-            raise ValueError("not a single-variable series")
-        hi = self.bound if upto is None else upto
-        return [self.terms.get((d,), QL_ZERO) for d in range(hi + 1)]
-
 
 class FactorList:
     """Merged multiset of (alpha, beta, gamma): product of (1-q^b x^a)^(-g).
@@ -164,9 +140,6 @@ class FactorList:
 
     def __repr__(self) -> str:
         return f"FactorList({len(self.factors)} merged factors)"
-
-    def copy(self) -> "FactorList":
-        return FactorList(dict(self.factors))
 
     def restrict(self, predicate) -> "FactorList":
         return FactorList({k: g for k, g in self.factors.items() if predicate(*k)})
@@ -229,9 +202,7 @@ def factorize_product_form(s: MultiSeries) -> FactorList:
     return found
 
 
-def split_flat_natural_sharp(
-    fl: FactorList, strict: bool = True
-) -> tuple[FactorList, FactorList, FactorList]:
+def split_flat_natural_sharp(fl: FactorList) -> tuple[FactorList, FactorList, FactorList]:
     """Partition factors by beta <= 0 (flat), beta = 1/2 (natural),
     beta >= 1 (sharp). Anything else is an anomaly."""
     flat, natural, sharp = FactorList(), FactorList(), FactorList()
@@ -246,8 +217,7 @@ def split_flat_natural_sharp(
         else:
             anomalies.append((alpha, beta, gamma))
     if anomalies:
-        if strict:
-            raise ValueError(f"factors with beta strictly between 0 and 1: {anomalies}")
+        raise ValueError(f"factors with beta strictly between 0 and 1: {anomalies}")
     return flat, natural, sharp
 
 
@@ -260,29 +230,3 @@ def pairing_completion(flat: FactorList) -> FactorList:
         out.add(alpha, beta, gamma)
         out.add(alpha, 4 - beta, gamma)
     return out
-
-
-def build_delta(n: int, bound: int) -> FactorList:
-    """Factor list of the deformed Weyl denominator for the (n+1)-cycle.
-
-    Factors (1 - q * (q x_0^2 ... q x_n^2)^m * (q x_i^2 ... q x_j^2)) over
-    cyclic windows i..j (all residues mod n+1, full cycle excluded), each
-    with multiplicity -1, cut at total degree <= bound.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    fl = FactorList()
-    nv = n + 1
-    m = 0
-    while 2 * m * nv + 2 <= bound:
-        for i in range(nv):
-            for length in range(1, nv):  # window lengths 1..n, no full cycle
-                if 2 * m * nv + 2 * length > bound:
-                    break
-                alpha = [2 * m] * nv
-                for k in range(length):
-                    alpha[(i + k) % nv] += 2
-                beta = 4 * (1 + m * nv + length)
-                fl.add(tuple(alpha), beta, -1)
-        m += 1
-    return fl

@@ -92,6 +92,29 @@ def test_moments_wrong_n(tmp_path, capsys):
     assert main(["moments", "--n", "2", "--trunc", "1"]) == 2
 
 
+def test_raising_moment_check_fails(tmp_path, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("mdslab.lfunctions.moment_identity_check", boom)
+    code, out = run_cli(["moments", "--n", "3", "--trunc", "1"], tmp_path)
+    assert code == 1
+    [check] = json.loads(out.read_text())["checks"]
+    assert check["name"] == "moment_identity"
+    assert check["status"] == "fail"
+    assert check["witness"] == "RuntimeError: boom"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["coeffs", "--q", "5"], ["moments", "--bound", "4"], ["moments", "--strict"]],
+)
+def test_options_a_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_usage_errors(capsys):
     assert main(["verify", "--n", "1"]) == 2
     assert main(["verify", "--q", "7"]) == 2

@@ -77,12 +77,6 @@ def test_moment_identity_small(f5):
     assert report["status"] == "pass", report
 
 
-def test_moment_identity_rectangular(f5):
-    # asymmetric windows in the two outer degrees
-    report = moment_identity_check(f5, 2, b0max=3, b2max=1)
-    assert report["status"] == "pass", report
-
-
 def test_moment_identity_other_field():
     report = moment_identity_check(field(13), 1)
     assert report["status"] == "pass", report

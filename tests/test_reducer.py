@@ -4,7 +4,6 @@ from mdslab.qlaurent import QL_ONE, QL_ZERO, QLaurent
 from mdslab.reducer import (
     DiagonalSeed,
     SeedExhausted,
-    boundary_coeffs,
     check_diagonal_determination,
     check_dominance,
     check_lambda_fe,
@@ -154,9 +153,3 @@ def test_diagonal_determination():
     )
     report = check_diagonal_determination(2, s1, s2, 6)
     assert report["status"] == "pass", report
-
-
-def test_boundary_coeffs_table(unit):
-    table = boundary_coeffs(2, 3, unit)
-    assert table[(0, 0, 0)] == QL_ONE
-    assert len(table) == len(list(tuples_with_sum_at_most(3, 3)))

@@ -5,7 +5,6 @@ from mdslab.qlaurent import QL_ONE, QLaurent
 from mdslab.series import (
     FactorList,
     MultiSeries,
-    build_delta,
     expand_factors,
     factorize_product_form,
     pairing_completion,
@@ -98,8 +97,6 @@ def test_split_strict_rejects_odd_beta():
     fl.add((1,), 1, 1)
     with pytest.raises(ValueError):
         split_flat_natural_sharp(fl)
-    flat, natural, sharp = split_flat_natural_sharp(fl, strict=False)
-    assert not len(flat) and not len(natural) and not len(sharp)
 
 
 def test_merge_and_cancel():
@@ -116,17 +113,3 @@ def test_beta_reflection_involution():
     fl.add((1, 2), 0, 3)
     fl.add((2, 2), 4, 1)
     assert fl.beta_reflected().beta_reflected() == fl
-
-
-def test_delta_smallest_factors():
-    # the first shell: windows of length 1..n around the cycle at m = 0
-    fl = build_delta(2, 2)
-    assert fl.factors == {
-        ((2, 0, 0), 8): -1,
-        ((0, 2, 0), 8): -1,
-        ((0, 0, 2), 8): -1,
-    }
-    # the next shell brings in the length-two windows with a higher q-power
-    fl4 = build_delta(2, 4)
-    assert fl4.factors[((2, 2, 0), 12)] == -1
-    assert ((2, 2, 2), 16) not in fl4.factors  # full cycle excluded
