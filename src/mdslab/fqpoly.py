@@ -195,8 +195,11 @@ class Fq:
                 fac[rem] = fac.get(rem, 0) + 1
                 break
             # rem has no prime factor of degree < d, so dividing out each
-            # prime of degree d once leaves none of degree <= d.
+            # prime of degree d once leaves none of degree <= d; and once
+            # deg rem < 2d, rem is itself prime, which the check above records.
             for p in self._primes_of_degree(d):
+                if 2 * d > degree(rem):
+                    break
                 quo, r = self.divmod(rem, p)
                 while not r:
                     fac[p] = fac.get(p, 0) + 1
@@ -204,7 +207,8 @@ class Fq:
                     if degree(rem) == 0:
                         break
                     quo, r = self.divmod(rem, p)
-            d += 1
+            else:
+                d += 1
         result = (tuple(sorted(fac.items())), unit)
         self._factor_cache[f] = result
         return result

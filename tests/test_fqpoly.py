@@ -66,6 +66,18 @@ def test_irreducible_counts(f5):
         assert total == 5**d
 
 
+@pytest.mark.parametrize("q, dmax", [(5, 4), (13, 2)])
+def test_primes_match_sympy(q, dmax):
+    # independent oracle for the prime tables: sympy's irreducibility test
+    fq = field(q)
+    x = symbols("x")
+    for d in range(1, dmax + 1):
+        want = {
+            f for f in fq.monic_enum(d) if Poly(f[::-1], x, modulus=q).is_irreducible
+        }
+        assert set(fq._primes_of_degree(d)) == want, d
+
+
 def test_factor_roundtrip(f5):
     for f in f5.monic_enum(3):
         fac, unit = f5.factor(f)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mdslab import accel, globalweights
 from mdslab.fqpoly import ONE, field
 from mdslab.globalweights import (
     H_global,
@@ -28,6 +29,11 @@ def seed3():
 @pytest.fixture(scope="module")
 def seed2():
     return run_pipeline(2, 12).seed
+
+
+@pytest.fixture(scope="module")
+def seed4():
+    return run_pipeline(4, 8).seed
 
 
 def test_unit_tuple(f5, seed3):
@@ -118,3 +124,97 @@ def test_l_series_H_xbound_guard(f5, seed3):
     t = f5.poly([0, 1])
     with pytest.raises(ValueError, match="xbound"):
         l_series_H(f5, (t, ONE, t, ONE), 1, 1, seed3)
+
+
+def test_l_series_H_xbound_guard_before_work(f5, seed3, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("swept before checking xbound")
+
+    monkeypatch.setattr(globalweights, "H_global", boom)
+    monkeypatch.setattr(accel, "symbol_sums_by_degree", boom)
+    t = f5.poly([0, 1])
+    with pytest.raises(ValueError, match="xbound"):
+        l_series_H(f5, (t, ONE, t, ONE), 1, 1, seed3)  # s = 2 needs xbound 3
+    with pytest.raises(ValueError, match="xbound"):
+        l_series_H(f5, (t, ONE, fq_sq(f5, t), ONE), 1, 1, seed3)  # s = 3 needs 2
+
+
+def brute_slice(fq, fixed, i, xbound, seed):
+    # the oracle for the coprime split: H summed over every monic f_i
+    return [
+        sum(H_global(fq, fixed[:i] + (f,) + fixed[i + 1 :], seed) for f in fq.monic_enum(d))
+        for d in range(xbound + 1)
+    ]
+
+
+def min_xbound(fixed, i):
+    n1 = len(fixed)
+    s = len(fixed[i - 1]) + len(fixed[(i + 1) % n1]) - 2
+    return s - 1 if s % 2 else s + 1
+
+
+def assert_slices_match_brute(fq, cases, seed):
+    for fixed, i in cases:
+        xbound = min_xbound(fixed, i)
+        got = l_series_H(fq, fixed, i, xbound, seed)["coeffs"]
+        assert got == brute_slice(fq, fixed, i, xbound, seed), (fixed, i)
+
+
+def test_l_series_H_matches_brute_on_verify_slices(f5, seed2, seed3, seed4):
+    # the slices the verify suite checks: (f0, 1, f2, 1, ...) in slot 1
+    pairs = [
+        (f0, f2)
+        for s in range(3)
+        for d0 in range(s + 1)
+        for f0 in f5.monic_enum(d0)
+        for f2 in f5.monic_enum(s - d0)
+    ]
+    for n, seed in ((2, seed2), (3, seed3), (4, seed4)):
+        cases = [((f0, ONE, f2) + (ONE,) * (n - 2), 1) for f0, f2 in pairs]
+        assert_slices_match_brute(f5, cases, seed)
+
+
+def random_cases(fq, rng, count, max_deg):
+    by_deg = [list(fq.monic_enum(d)) for d in range(max_deg + 1)]
+    cases = []
+    for _ in range(count):
+        # a degree first, so that low-degree entries (and shared primes) are common
+        fixed = tuple(rng.choice(by_deg[rng.randrange(max_deg + 1)]) for _ in range(4))
+        cases.append((fixed, rng.randrange(4)))
+    return cases
+
+
+def test_l_series_H_matches_brute_on_random_tuples(f5, seed3):
+    # squares, shared primes and primes in the slot opposite i all occur
+    assert_slices_match_brute(f5, random_cases(f5, random.Random(11), 120, 2), seed3)
+
+
+def test_l_series_H_matches_brute_other_field(seed3):
+    f13 = field(13)
+    assert_slices_match_brute(f13, random_cases(f13, random.Random(5), 25, 1), seed3)
+
+
+def test_coprime_twist_identity(f5, seed3):
+    # H(fixed with f_s f_c) = H(fixed with f_s) (f_c / f_{i-1} f_{i+1}) for
+    # f_s smooth over the primes of the fixed entries and f_c coprime to
+    # them; checked for every i, every fixed entries of degree <= 1, and
+    # every such f_s and f_c of degree <= 2
+    small = [f for d in (0, 1) for f in f5.monic_enum(d)]
+    cands = [f for d in (0, 1, 2) for f in f5.monic_enum(d)]
+    primes = {f: {p for p, _ in f5.factor(f)[0]} for f in cands}
+    checked = 0
+    for i in range(4):
+        for others in itertools.product(small, repeat=3):
+            fixed = others[:i] + (ONE,) + others[i:]
+            support = set().union(*(primes[f] for f in others))
+            g = f5.mul(fixed[i - 1], fixed[(i + 1) % 4])
+            smooth = [f for f in cands if primes[f] <= support]
+            coprime = [f for f in cands if primes[f].isdisjoint(support)]
+            for f_s in smooth:
+                base = H_global(f5, fixed[:i] + (f_s,) + fixed[i + 1 :], seed3)
+                for f_c in coprime:
+                    fs = fixed[:i] + (f5.mul(f_s, f_c),) + fixed[i + 1 :]
+                    want = base * f5.residue_symbol(f_c, g)
+                    assert H_global(f5, fs, seed3) == want, (fixed, i, f_s, f_c)
+                    checked += 1
+    assert checked > 10_000
