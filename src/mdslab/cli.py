@@ -305,10 +305,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    from .lfunctions import moment_identity_check
+    from .lfunctions import check_moment_cost, moment_identity_check
 
     if args.n != 3:
         print("moments: the identity is specific to n=3", file=sys.stderr)
+        return 2
+    try:
+        check_moment_cost(args.q, args.trunc)
+    except ValueError as exc:
+        print(f"moments: {exc}", file=sys.stderr)
         return 2
     fq = field(args.q)
     check = (

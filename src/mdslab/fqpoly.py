@@ -54,6 +54,10 @@ class Fq:
         self._factor_cache: dict[Poly, tuple[tuple[tuple[Poly, int], ...], int]] = {}
         self._symbol_cache: dict[tuple[Poly, Poly], int] = {}
         self._prime_cache: dict[int, tuple[Poly, ...]] = {}
+        # accel's per-prime (T table, chi table, character row), oldest first,
+        # and the bytes of their arrays
+        self._char_rows: dict[Poly, tuple] = {}
+        self._char_bytes = 0
 
     def __repr__(self) -> str:
         return f"Fq({self.q})"

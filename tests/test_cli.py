@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -90,6 +91,16 @@ def test_moments(tmp_path):
 
 def test_moments_wrong_n(tmp_path, capsys):
     assert main(["moments", "--n", "2", "--trunc", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "q, trunc, estimate", [("5", "6", "3.0e+09"), ("29", "3", "3.2e+09")]
+)
+def test_oversized_moments_exit_2(q, trunc, estimate, capsys):
+    start = time.perf_counter()
+    assert main(["moments", "--n", "3", "--q", q, "--trunc", trunc]) == 2
+    assert time.perf_counter() - start < 1
+    assert f"evaluates {estimate} residue symbols" in capsys.readouterr().err
 
 
 def test_raising_moment_check_fails(tmp_path, monkeypatch):

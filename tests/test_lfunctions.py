@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
-from mdslab.fqpoly import field
+from mdslab.fqpoly import Fq, field
 from mdslab.lfunctions import (
     check_l_fe,
+    check_moment_cost,
     check_rh,
     divisor_count,
     l_poly,
@@ -80,3 +83,57 @@ def test_moment_identity_small(f5):
 def test_moment_identity_other_field():
     report = moment_identity_check(field(13), 1)
     assert report["status"] == "pass", report
+
+
+def first_irreducible(fq, candidates):
+    # _is_irreducible, not _primes_of_degree: at q=29 the degree-5 sieve
+    # alone takes minutes
+    return next(f for f in candidates if fq._is_irreducible(f))
+
+
+def degree5_modulus(fq, shape):
+    if shape == "five linear primes":
+        g = (1,)
+        for a in range(1, 6):
+            g = fq.mul(g, (a, 1))
+        return g
+    quad = first_irreducible(fq, fq.monic_enum(2))
+    cubic = first_irreducible(fq, fq.monic_enum(3))
+    return fq.mul(quad, cubic)
+
+
+@pytest.mark.parametrize("shape", ["five linear primes", "quadratic x cubic"])
+def test_l_fe_q29_degree5(shape):
+    # a private context: its 2 * 29^5-entry rows are freed after the test
+    fq = Fq(29)
+    g = degree5_modulus(fq, shape)
+    start = time.perf_counter()
+    report = check_l_fe(fq, g)
+    assert time.perf_counter() - start < 2
+    assert report["status"] == "pass", report
+
+
+def test_l_fe_q29_irreducible_quintic():
+    # the prime's own tables have 29^5 entries
+    fq = Fq(29)
+    g = first_irreducible(fq, ((c, 1, 0, 0, 0, 1) for c in range(1, 29)))
+    assert check_l_fe(fq, g)["status"] == "pass"
+
+
+def test_oversized_l_poly_is_refused():
+    fq = field(29)
+    g = (1,)
+    for a in range(1, 8):
+        g = fq.mul(g, (a, 1))
+    with pytest.raises(ValueError, match="bytes"):
+        l_poly(fq, g)
+
+
+def test_moment_cost_limit():
+    # the symbol counts of q=5 dmax=5 (1.0e8) and q=17 dmax=3 (1.4e8) pass
+    check_moment_cost(5, 5)
+    check_moment_cost(17, 3)
+    with pytest.raises(ValueError, match="3.0e"):
+        check_moment_cost(5, 6)
+    with pytest.raises(ValueError, match="3.2e"):
+        moment_identity_check(field(29), 3)
