@@ -26,10 +26,11 @@ from .reducer import (
 SUITES = ("axioms", "fe", "residue", "partitions", "all")
 
 
-def _pipeline_seed(n: int, bound: int):
+def _pipeline(n: int, bound: int):
+    """The run's one residue pipeline: its seed and P serve every check."""
     from .residue import run_pipeline
 
-    return run_pipeline(n, max(bound, 4) + 2).seed
+    return run_pipeline(n, max(bound, 4) + 2)
 
 
 def _write(out_path: str | None, text: str) -> None:
@@ -41,7 +42,7 @@ def _write(out_path: str | None, text: str) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    seed = _pipeline_seed(args.n, args.bound)
+    seed = _pipeline(args.n, args.bound).seed
     rows = []
     for t in tuples_with_sum_at_most(args.n + 1, args.bound):
         rows.append(list(t) + [reduce_coeff(t, seed).serialize()])
@@ -59,9 +60,10 @@ def cmd_coeffs(args) -> int:
 # -- verification suites ---------------------------------------------------
 
 
-def _suite_axioms(args, seed):
+def _suite_axioms(args, pipe):
     from .globalweights import global_coeff_sum
 
+    seed = pipe.seed
     fq = field(args.q)
     checks = []
     for t in tuples_with_sum_at_most(args.n + 1, args.bound):
@@ -90,11 +92,12 @@ def _suite_axioms(args, seed):
     return checks
 
 
-def _suite_fe(args, seed):
+def _suite_fe(args, pipe):
     from .globalweights import l_series_H
     from .reducer import DiagonalSeed
     from .qlaurent import QLaurent, QL_ONE
 
+    seed = pipe.seed
     fq = field(args.q)
     checks = []
     for fixed in tuples_with_sum_at_most(args.n + 1, args.bound):
@@ -138,16 +141,17 @@ def _suite_fe(args, seed):
     return checks
 
 
-def _suite_residue(args, seed):
+def _suite_residue(args, pipe):
     from . import residue as res
 
+    seed = pipe.seed
     fq = field(args.q)
     n = args.n
     checks = [
         (
             "pipeline_consistency",
             {"D": args.bound},
-            lambda: res.check_pipeline_consistency(n, args.bound),
+            lambda: res.check_pipeline_consistency(n, args.bound, seed),
         ),
         ("factor_pairing", {"D": 2 * args.bound}, lambda: res.check_factor_pairing(n, 2 * args.bound)),
     ]
@@ -174,7 +178,7 @@ def _suite_residue(args, seed):
                 )
             )
     checks.append(
-        ("reconstruct_R1", {"D": args.bound}, lambda: res.reconstruct_R1(n, args.bound))
+        ("reconstruct_R1", {"D": args.bound}, lambda: res.reconstruct_R1(n, args.bound, pipe.p))
     )
 
     def h_route():
@@ -190,13 +194,13 @@ def _suite_residue(args, seed):
     return checks
 
 
-def _suite_partitions(args, seed):
+def _suite_partitions(args, pipe):
     import itertools
 
     from . import partitions as pa
-    from .reducer import compute_P
 
     n = args.n
+    P = pipe.p
     checks = []
 
     def lemma_routes():
@@ -226,7 +230,6 @@ def _suite_partitions(args, seed):
     if n % 2:
 
         def chains():
-            P = compute_P(n, min(amax, 3))
             prod = pa.p_lowest_term_product_route(n, min(amax, 3))
             for a in range(min(amax, 3) + 1):
                 counts = {
@@ -243,7 +246,6 @@ def _suite_partitions(args, seed):
     else:
 
         def evenness():
-            P = compute_P(n, amax)
             prod = pa.p_lowest_term_product_route(n, amax)
             for a in range(amax + 1):
                 if a % 2 and P[a]:
@@ -290,7 +292,7 @@ def _run_and_report(args, checks, strict: bool = False) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _pipeline_seed(args.n, max(args.bound, args.trunc))
+    pipe = _pipeline(args.n, max(args.bound, args.trunc))
     builders = {
         "axioms": _suite_axioms,
         "fe": _suite_fe,
@@ -300,7 +302,7 @@ def cmd_verify(args) -> int:
     names = list(builders) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        checks.extend(builders[name](args, seed))
+        checks.extend(builders[name](args, pipe))
     return _run_and_report(args, checks, strict=args.strict)
 
 

@@ -73,34 +73,6 @@ def H_global(fq: Fq, polys: tuple, seed: DiagonalSeed) -> int:
     return value
 
 
-def H_global_pairwise(fq: Fq, polys: tuple, seed: DiagonalSeed, order=None) -> int:
-    """Independent route: peel one prime block at a time with the literal
-    two-block gluing rule H(FG) = H(F) H(G) prod (F_i/G_{i+1})(G_i/F_{i+1}).
-
-    ``order`` fixes the peeling order of the prime support; the result must
-    not depend on it.
-    """
-    n1 = len(polys)
-    support = _prime_support(fq, polys)
-    primes = sorted(support) if order is None else list(order)
-    if not primes:
-        return 1
-    p = primes[0]
-    block = tuple(fq.pow(p, support[p][i]) for i in range(n1))
-    rest = tuple(
-        fq.divmod(f, fq.pow(p, support[p][i]))[0] for i, f in enumerate(polys)
-    )
-    twist = 1
-    for i in range(n1):
-        j = (i + 1) % n1
-        twist *= fq.residue_symbol(block[i], rest[j])
-        twist *= fq.residue_symbol(rest[i], block[j])
-    if twist == 0:
-        return 0
-    w = local_weight_value(len(p) - 1, fq.q, tuple(support[p]), seed)
-    return w * twist * H_global_pairwise(fq, rest, seed, order=primes[1:])
-
-
 def _check_budget(q0: int, total: int, n1: int) -> None:
     cost = n1 * q0**total
     if cost > BUDGET:
@@ -122,26 +94,6 @@ def global_coeff_sum(fq: Fq, t: tuple[int, ...], seed: DiagonalSeed) -> int:
     t = tuple(t)
     _check_budget(fq.q, sum(t), len(t))
     return sum(H_global(fq, fs, seed) for fs in _monic_tuples(fq, t))
-
-
-def naive_coeff(fq: Fq, t: tuple[int, ...]) -> int:
-    """Uncorrected coefficient: plain cyclic product of residue symbols.
-
-    Differs from the axiomatic coefficient as soon as square factors
-    contribute; kept as a reference point, not an identity.
-    """
-    t = tuple(t)
-    n1 = len(t)
-    _check_budget(fq.q, sum(t), n1)
-    total = 0
-    for fs in _monic_tuples(fq, t):
-        prod = 1
-        for i in range(n1):
-            prod *= fq.residue_symbol(fs[i], fs[(i + 1) % n1])
-            if prod == 0:
-                break
-        total += prod
-    return total
 
 
 def _smooth_polys(fq: Fq, primes, bound: int) -> list[Poly]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .series import FactorList, MultiSeries, expand_factors
+from .series import FactorList, MultiSeries, expand_diagonal, expand_factors
 
 Partition = tuple[int, ...]
 
@@ -282,5 +282,5 @@ def p_lowest_term_product_route(n: int, amax: int) -> list[int]:
 
     k = n_even_vars(n)
     fl = build_R(n, amax * k).restrict(lambda alpha, beta: beta == 0)
-    diag = expand_factors(fl, k, amax * k).diag_part()
+    diag = expand_diagonal(fl, k, amax)
     return [series_int_coeff(diag, (d,)) for d in range(amax + 1)]

@@ -128,32 +128,6 @@ def reduce_coeff(t: IndexTuple, seed: DiagonalSeed) -> QLaurent:
     return memo[key]
 
 
-def check_recurrences_everywhere(t: IndexTuple, seed: DiagonalSeed) -> bool:
-    """Both recurrences hold at every position, not just the reduction one."""
-    t = tuple(t)
-    n1 = len(t)
-    c = reduce_coeff(t, seed)
-    for i in range(n1):
-        s = t[i - 1] + t[(i + 1) % n1]
-        ai = t[i]
-
-        def with_i(val: int) -> IndexTuple:
-            return t[:i] + (val,) + t[i + 1 :]
-
-        def at(val: int) -> QLaurent:
-            return reduce_coeff(with_i(val), seed) if val >= 0 else QL_ZERO
-
-        if s % 2:
-            rhs = at(s - 1 - ai).shift(4 * (ai - (s - 1) // 2))
-        else:
-            rhs = at(ai - 1).shift(4) + (at(s - ai) - at(s - ai - 1).shift(4)).shift(
-                4 * (ai - s // 2)
-            )
-        if c != rhs:
-            return False
-    return True
-
-
 def tuples_with_sum_at_most(n1: int, total: int):
     """All nonnegative (a_0..a_{n1-1}) with sum <= total, lexicographic."""
     def rec(prefix, remaining, slots):

@@ -20,6 +20,7 @@ from .reducer import DiagonalSeed, compute_P, reduce_coeff
 from .series import (
     FactorList,
     MultiSeries,
+    expand_diagonal,
     expand_factors,
     factorize_product_form,
     pairing_completion,
@@ -100,9 +101,6 @@ def build_R(n: int, bound: int) -> FactorList:
     return fl
 
 
-_MULT_CACHE: dict[tuple[int, int], FactorList] = {}
-
-
 def factor_multiplicity(n: int, alpha: tuple[int, ...], beta: int) -> int:
     """Multiplicity of (alpha, beta) in the full infinite residue product.
 
@@ -111,13 +109,7 @@ def factor_multiplicity(n: int, alpha: tuple[int, ...], beta: int) -> int:
     """
     if any(a < 0 for a in alpha) or all(a == 0 for a in alpha):
         return 0
-    d = sum(alpha)
-    key = (n, d)
-    fl = _MULT_CACHE.get(key)
-    if fl is None:
-        fl = build_R(n, d)
-        _MULT_CACHE[key] = fl
-    return fl.factors.get((alpha, beta), 0)
+    return build_R(n, sum(alpha)).factors.get((alpha, beta), 0)
 
 
 # -- diagonal pipeline -----------------------------------------------------
@@ -128,10 +120,17 @@ class PipelineResult:
     n: int
     max_degree: int
     seed: DiagonalSeed
-    log: list[str]
+    p: list[QLaurent]  # p_0..p_max_degree of the universal diagonal ratio P
 
 
 _PIPELINE_CACHE: dict[tuple[int, int], PipelineResult] = {}
+
+
+def _p_series(p: list[QLaurent], max_degree: int) -> MultiSeries:
+    """P as a one-variable series to degree max_degree."""
+    if len(p) <= max_degree:
+        raise ValueError(f"P holds coefficients up to {len(p) - 1} < D={max_degree}")
+    return MultiSeries(1, max_degree, {(a,): c for a, c in enumerate(p)})
 
 
 def run_pipeline(n: int, max_degree: int) -> PipelineResult:
@@ -140,20 +139,19 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
     R_diag(x) = P(x) * Z_diag(q^{-(n+1)/2} x), so dividing the diagonal of
     the expanded product by P recovers the diagonal coefficients. Each
     recovered coefficient beyond the constant must be divisible by q and
-    land in Z[q]; violations abort the pipeline.
+    land in Z[q]; violations abort the pipeline. The diagonal is read from
+    the box [0, max_degree]^k of the product. The result carries P, so a
+    run derives both once; the seed and P of a smaller degree are prefixes
+    of these (pinned in the tests).
     """
     key = (n, max_degree)
     cached = _PIPELINE_CACHE.get(key)
     if cached is not None:
         return cached
     k = n_even_vars(n)
-    log: list[str] = []
-    fl = build_R(n, max_degree * k)
-    r_full = expand_factors(fl, k, max_degree * k)
-    r_diag_series = r_full.diag_part()
-    p_coeffs = compute_P(n, max_degree)
-    p_series = MultiSeries(1, max_degree, {(a,): c for a, c in enumerate(p_coeffs)})
-    z_scaled = r_diag_series.mul(p_series.inverse())
+    r_diag = expand_diagonal(build_R(n, max_degree * k), k, max_degree)
+    p = compute_P(n, max_degree)
+    z_scaled = r_diag.mul(_p_series(p, max_degree).inverse())
     if z_scaled.coeff((0,)) != QL_ONE:
         raise ValueError("pipeline: constant diagonal term is not 1")
     diag: list[QLaurent] = []
@@ -167,12 +165,11 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
         if n % 2 == 0 and a % 2 and recovered:
             raise ValueError(f"even-series violation at a={a}")
         diag.append(recovered)
-        log.append(f"c_diag[{a}] = {recovered!r}")
     result = PipelineResult(
         n=n,
         max_degree=max_degree,
         seed=DiagonalSeed(diag, name=f"pipeline-n{n}"),
-        log=log,
+        p=p,
     )
     _PIPELINE_CACHE[key] = result
     return result
@@ -206,21 +203,24 @@ def residue_coeff_from_c(n: int, avec: tuple[int, ...], seed: DiagonalSeed) -> Q
     return c.shift(3 * (avec[0] + avec[-1]) - 8 * total)
 
 
-def check_pipeline_consistency(n: int, bound: int) -> dict:
+def check_pipeline_consistency(n: int, bound: int, seed: DiagonalSeed) -> dict:
     """Product-expansion coefficients equal the engine route everywhere.
 
     This is the computational content of existence/uniqueness: the factor
     product and the axiom engine independently produce the same residue.
+    ``seed`` is the pipeline seed, with diagonal values up to at least
+    ``bound``.
     """
     from .reducer import tuples_with_sum_at_most
 
+    if len(seed.values) <= bound:
+        raise ValueError(f"seed holds diagonals up to {len(seed.values) - 1} < D={bound}")
     k = n_even_vars(n)
-    pipe = run_pipeline(n, bound)
     expanded = expand_factors(build_R(n, bound), k, bound)
     report = {"check": "pipeline_consistency", "n": n, "D": bound, "status": "pass"}
     for avec in tuples_with_sum_at_most(k, bound):
         want = expanded.coeff(avec)
-        got = residue_coeff_from_c(n, avec, pipe.seed)
+        got = residue_coeff_from_c(n, avec, seed)
         if want != got:
             report["status"] = "fail"
             report["witness"] = f"avec={avec}: product {want!r} vs engine {got!r}"
@@ -524,22 +524,20 @@ def check_neven_fe(n: int, which: str, bound: int) -> dict:
 # -- flat-part reconstruction ----------------------------------------------
 
 
-def reconstruct_R1(n: int, bound: int) -> dict:
+def reconstruct_R1(n: int, bound: int, p: list[QLaurent]) -> dict:
     """Recover the diagonal factors from P and the off-diagonal product.
 
     (P * R_{0,diag}^{-1})^flat, completed under beta -> 1-beta pairing,
     must reproduce the diagonal sub-multiset of the explicit product.
     Factors are trusted up to degree bound/2 (truncation aliasing guard).
+    ``p`` holds the coefficients of P up to at least degree ``bound``, as
+    :attr:`PipelineResult.p` does.
     """
     k = n_even_vars(n)
     trust = bound // 2
     fl = build_R(n, bound * k)
-    r0 = fl.off_diagonal_part()
-    r0_expanded = expand_factors(r0, k, bound * k)
-    r0_diag = r0_expanded.diag_part()
-    p_coeffs = compute_P(n, bound)
-    p_series = MultiSeries(1, bound, {(a,): c for a, c in enumerate(p_coeffs)})
-    b = p_series.mul(r0_diag.inverse())
+    r0_diag = expand_diagonal(fl.off_diagonal_part(), k, bound)
+    b = _p_series(p, bound).mul(r0_diag.inverse())
     form = factorize_product_form(b)
     flat, natural, sharp = split_flat_natural_sharp(form.degree_cut(trust))
     report = {"check": "reconstruct_R1", "n": n, "D": bound, "status": "pass"}

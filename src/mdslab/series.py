@@ -3,7 +3,10 @@
 A :class:`MultiSeries` is truncated by total degree. A :class:`FactorList`
 is a merged multiset of triples (alpha, beta, gamma) standing for the
 product of (1 - q^beta x^alpha)^(-gamma); beta is stored in quarter units
-like the :class:`~mdslab.qlaurent.QLaurent` exponents.
+like the :class:`~mdslab.qlaurent.QLaurent` exponents. A product is
+expanded either by total degree (:func:`expand_factors`) or on the box
+[0, D]^k, which is all its diagonal up to x^D needs
+(:func:`expand_diagonal`).
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ class MultiSeries:
             for e, c in terms.items():
                 if sum(e) <= bound and c:
                     self.terms[e] = c
-
-    @staticmethod
-    def one(nvars: int, bound: int) -> "MultiSeries":
-        return MultiSeries(nvars, bound, {(0,) * nvars: QL_ONE})
 
     def coeff(self, exp: ExpVec) -> QLaurent:
         return self.terms.get(tuple(exp), QL_ZERO)
@@ -98,14 +97,6 @@ class MultiSeries:
                     inv[e] = -acc
         return MultiSeries(self.nvars, self.bound, inv)
 
-    def diag_part(self) -> "MultiSeries":
-        """Single-variable series of the all-equal-exponent terms."""
-        out: dict[ExpVec, QLaurent] = {}
-        for e, c in self.terms.items():
-            if len(set(e)) <= 1:
-                out[(e[0] if e else 0,)] = c
-        return MultiSeries(1, self.bound // max(1, self.nvars), out)
-
 
 class FactorList:
     """Merged multiset of (alpha, beta, gamma): product of (1-q^b x^a)^(-g).
@@ -158,29 +149,55 @@ class FactorList:
         return FactorList({(a, 4 - b): g for (a, b), g in self.factors.items()})
 
 
-def expand_factors(fl: FactorList, nvars: int, bound: int) -> MultiSeries:
-    """Exact expansion of the product, truncated at total degree <= bound."""
-    out = MultiSeries.one(nvars, bound)
+def _expand(fl: FactorList, nvars: int, keep) -> dict[ExpVec, QLaurent]:
+    """Terms of the product at the exponents e with keep(e).
+
+    keep must hold on a downward-closed set. Every factor exponent is
+    nonnegative (checked), so a dropped term never contributes to a kept
+    one, and the truncated product is exact.
+    """
+    terms: dict[ExpVec, QLaurent] = {(0,) * nvars: QL_ONE}
     for (alpha, beta), gamma in fl.items():
         if len(alpha) != nvars:
             raise ValueError("factor arity mismatch")
-        adeg = sum(alpha)
-        if adeg <= 0:
-            raise ValueError("factor with nonpositive total degree")
-        if adeg > bound:
-            continue
-        terms: dict[ExpVec, QLaurent] = {}
-        kmax = bound // adeg
-        for k in range(kmax + 1):
-            if gamma > 0:
-                c = comb(gamma - 1 + k, k)
-            else:
-                if k > -gamma:
-                    continue
-                c = (-1) ** k * comb(-gamma, k)
-            terms[tuple(k * a for a in alpha)] = QLaurent.q_power(k * beta, c)
-        out = out.mul(MultiSeries(nvars, bound, terms))
-    return out
+        if min(alpha) < 0 or not any(alpha):
+            raise ValueError(f"factor exponent {alpha} is not nonnegative and nonzero")
+        # the k-th term of (1 - q^beta x^alpha)^(-gamma), k >= 1
+        powers = []
+        k = 1
+        while gamma > 0 or k <= -gamma:
+            e = tuple(k * a for a in alpha)
+            if not keep(e):
+                break
+            c = comb(gamma - 1 + k, k) if gamma > 0 else (-1) ** k * comb(-gamma, k)
+            powers.append((e, QLaurent.q_power(k * beta, c)))
+            k += 1
+        out = dict(terms)
+        for e1, c1 in terms.items():
+            for e2, c2 in powers:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if not keep(e):
+                    break  # e1 + k alpha only grows with k
+                prod = c1 * c2
+                out[e] = out[e] + prod if e in out else prod
+        terms = {e: c for e, c in out.items() if c}
+    return terms
+
+
+def expand_factors(fl: FactorList, nvars: int, bound: int) -> MultiSeries:
+    """Exact expansion of the product, truncated at total degree <= bound."""
+    return MultiSeries(nvars, bound, _expand(fl, nvars, lambda e: sum(e) <= bound))
+
+
+def expand_diagonal(fl: FactorList, nvars: int, max_degree: int) -> MultiSeries:
+    """One-variable diagonal of the product: the coefficient of
+    (x_1 ... x_nvars)^a as x^a, a <= max_degree.
+
+    Only the box [0, max_degree]^nvars is expanded.
+    """
+    terms = _expand(fl, nvars, lambda e: max(e) <= max_degree)
+    diag = {(e[0],): c for e, c in terms.items() if len(set(e)) == 1}
+    return MultiSeries(1, max_degree, diag)
 
 
 def factorize_product_form(s: MultiSeries) -> FactorList:

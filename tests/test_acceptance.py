@@ -42,13 +42,14 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_residue_formula_n3():
-    r = check_pipeline_consistency(3, 8)
+    r = check_pipeline_consistency(3, 8, run_pipeline(3, 8).seed)
     report(1, r["status"] == "pass",
            "n=3 residue product matches engine coefficients, sum avec <= 8")
 
 
 def test_criterion_02_pipeline_other_ranks():
-    bad = [n for n in (2, 4, 5) if check_pipeline_consistency(n, 6)["status"] != "pass"]
+    bad = [n for n in (2, 4, 5)
+           if check_pipeline_consistency(n, 6, run_pipeline(n, 6).seed)["status"] != "pass"]
     report(2, not bad,
            "pipeline consistency for n=2,4,5 with sum avec <= 6" +
            (f" (failed: {bad})" if bad else ""))
@@ -192,7 +193,7 @@ def test_criterion_08_scalar_cocycle_fes():
 
 
 def test_criterion_09_r1_reconstruction():
-    bad = [n for n in (2, 3, 4, 5) if reconstruct_R1(n, 6)["status"] != "pass"]
+    bad = [n for n in (2, 3, 4, 5) if reconstruct_R1(n, 6, run_pipeline(n, 6).p)["status"] != "pass"]
     report(9, not bad,
            "flat-part reconstruction of diagonal factors to degree 6, n=2..5" +
            (f" (failed: {bad})" if bad else ""))

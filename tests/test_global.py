@@ -5,15 +5,37 @@ import pytest
 
 from mdslab import accel, globalweights
 from mdslab.fqpoly import ONE, field
-from mdslab.globalweights import (
-    H_global,
-    H_global_pairwise,
-    global_coeff_sum,
-    l_series_H,
-    naive_coeff,
-)
-from mdslab.reducer import reduce_coeff, tuples_with_sum_at_most
+from mdslab.globalweights import H_global, _prime_support, global_coeff_sum, l_series_H
+from mdslab.reducer import local_weight_value, reduce_coeff, tuples_with_sum_at_most
 from mdslab.residue import run_pipeline
+
+
+def H_global_pairwise(fq, polys, seed, order=None):
+    """Independent route: peel one prime block at a time with the literal
+    two-block gluing rule H(FG) = H(F) H(G) prod (F_i/G_{i+1})(G_i/F_{i+1}).
+
+    ``order`` fixes the peeling order of the prime support; the result must
+    not depend on it.
+    """
+    n1 = len(polys)
+    support = _prime_support(fq, polys)
+    primes = sorted(support) if order is None else list(order)
+    if not primes:
+        return 1
+    p = primes[0]
+    block = tuple(fq.pow(p, support[p][i]) for i in range(n1))
+    rest = tuple(
+        fq.divmod(f, fq.pow(p, support[p][i]))[0] for i, f in enumerate(polys)
+    )
+    twist = 1
+    for i in range(n1):
+        j = (i + 1) % n1
+        twist *= fq.residue_symbol(block[i], rest[j])
+        twist *= fq.residue_symbol(rest[i], block[j])
+    if twist == 0:
+        return 0
+    w = local_weight_value(len(p) - 1, fq.q, tuple(support[p]), seed)
+    return w * twist * H_global_pairwise(fq, rest, seed, order=primes[1:])
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +90,6 @@ def test_pairwise_route_and_order_independence(f5, seed3):
     for _ in range(60):
         fs = tuple(rng.choice(polys) for _ in range(4))
         ref = H_global(f5, fs, seed3)
-        from mdslab.globalweights import _prime_support
-
         primes = sorted(_prime_support(f5, fs))
         assert H_global_pairwise(f5, fs, seed3) == ref
         for _ in range(3):
@@ -92,12 +112,8 @@ def test_budget_guard(f5, seed3):
         global_coeff_sum(f5, (4, 4, 4, 4), seed3)
 
 
-def test_naive_coeff_differs_from_global(f5, seed2):
-    # the plain symbol product has no square corrections; both routes agree
-    # on squarefree-dominated indices and split where squares contribute
-    t = (1, 1, 0)
-    assert naive_coeff(f5, t) == global_coeff_sum(f5, t, seed2)
-    assert naive_coeff(f5, (2, 2, 0)) == 100
+def test_global_coeff_sum_pinned_value(f5, seed2):
+    # a square-carrying index, pinned at q = 5
     assert global_coeff_sum(f5, (2, 2, 0), seed2) == 125
 
 

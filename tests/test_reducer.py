@@ -7,13 +7,35 @@ from mdslab.reducer import (
     check_diagonal_determination,
     check_dominance,
     check_lambda_fe,
-    check_recurrences_everywhere,
     compute_P,
     local_weight,
     local_weight_value,
     reduce_coeff,
     tuples_with_sum_at_most,
 )
+
+
+def check_recurrences_everywhere(t, seed):
+    """Both recurrences hold at every position, not just the reduction one."""
+    t = tuple(t)
+    n1 = len(t)
+    c = reduce_coeff(t, seed)
+    for i in range(n1):
+        s = t[i - 1] + t[(i + 1) % n1]
+        ai = t[i]
+
+        def at(val):
+            return reduce_coeff(t[:i] + (val,) + t[i + 1 :], seed) if val >= 0 else QL_ZERO
+
+        if s % 2:
+            rhs = at(s - 1 - ai).shift(4 * (ai - (s - 1) // 2))
+        else:
+            rhs = at(ai - 1).shift(4) + (at(s - ai) - at(s - ai - 1).shift(4)).shift(
+                4 * (ai - s // 2)
+            )
+        if c != rhs:
+            return False
+    return True
 
 
 @pytest.fixture()

@@ -1,8 +1,9 @@
 import pytest
 
+from mdslab import cli, reducer, residue
 from mdslab.fqpoly import field
 from mdslab.qlaurent import QL_ONE
-from mdslab.reducer import tuples_with_sum_at_most
+from mdslab.reducer import compute_P, tuples_with_sum_at_most
 from mdslab.residue import (
     build_R,
     check_euler_substitution,
@@ -71,6 +72,48 @@ def test_pipeline_cache_identity():
     assert a is b
 
 
+# One pipeline per run serves every smaller degree: the seed and P of a
+# smaller D are prefixes of those of a larger one.
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_smaller_pipeline_is_a_prefix(n):
+    big = run_pipeline(n, 8)
+    assert big.p == compute_P(n, 8)
+    for D in (4, 6):
+        assert run_pipeline(n, D).seed.values == big.seed.values[: D + 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_smaller_P_is_a_prefix(n):
+    big = compute_P(n, 8)
+    for D in (3, 5, 6):
+        assert compute_P(n, D) == big[: D + 1]
+
+
+def test_short_seed_or_P_is_refused():
+    short = run_pipeline(3, 4)
+    with pytest.raises(ValueError, match="seed holds diagonals up to 4"):
+        check_pipeline_consistency(3, 6, short.seed)
+    with pytest.raises(ValueError, match="P holds coefficients up to 4"):
+        reconstruct_R1(3, 6, short.p)
+
+
+def test_verify_derives_one_pipeline_and_one_P(tmp_path, monkeypatch):
+    calls = []
+    real = reducer.compute_P
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reducer, "compute_P", counting)
+    monkeypatch.setattr(residue, "compute_P", counting)
+    monkeypatch.setattr(residue, "_PIPELINE_CACHE", {})
+    argv = ["verify", "--n", "3", "--q", "5", "--suite", "all", "--bound", "4", "--trunc", "6"]
+    assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert calls == [(3, 8)]
+    assert len(residue._PIPELINE_CACHE) == 1
+
+
 def test_residue_index_shapes():
     assert residue_index(3, (1, 2)) == (1, 3, 2, 3)
     assert residue_index(5, (1, 0, 2)) == (1, 1, 0, 2, 2, 3)
@@ -82,7 +125,7 @@ def test_residue_index_shapes():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pipeline_consistency(n):
-    report = check_pipeline_consistency(n, 6)
+    report = check_pipeline_consistency(n, 6, run_pipeline(n, 6).seed)
     assert report["status"] == "pass", report
 
 
@@ -146,5 +189,5 @@ def test_neven_fe_special_cases():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_reconstruct_R1(n):
-    report = reconstruct_R1(n, 6)
+    report = reconstruct_R1(n, 6, run_pipeline(n, 6).p)
     assert report["status"] == "pass", report

@@ -1,10 +1,14 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdslab.qlaurent import QL_ONE, QLaurent
+from mdslab.residue import build_R, n_even_vars
 from mdslab.series import (
     FactorList,
     MultiSeries,
+    expand_diagonal,
     expand_factors,
     factorize_product_form,
     pairing_completion,
@@ -34,7 +38,7 @@ def test_beta_carries_q_power():
 
 def test_mul_inverse_roundtrip():
     s = geometric(2, 6, (1, 1)).mul(geometric(2, 6, (1, 0), beta=2))
-    assert s.mul(s.inverse()) == MultiSeries.one(2, 6)
+    assert s.mul(s.inverse()) == MultiSeries(2, 6, {(0, 0): QL_ONE})
 
 
 def test_inverse_requires_unit_constant():
@@ -43,11 +47,11 @@ def test_inverse_requires_unit_constant():
         s.inverse()
 
 
-def test_diag_part():
+def test_expand_diagonal():
     fl = FactorList()
     fl.add((1, 1), 0, 1)
     fl.add((2, 0), 0, 1)
-    diag = expand_factors(fl, 2, 8).diag_part()
+    diag = expand_diagonal(fl, 2, 4)
     # only powers of x0 x1 survive
     assert diag.nvars == 1
     assert diag.coeff((1,)) == QL_ONE
@@ -55,18 +59,62 @@ def test_diag_part():
     assert diag.coeff((3,)) == expand_factors(fl, 2, 8).coeff((3, 3))
 
 
-factor_lists = st.lists(
-    st.tuples(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda a: any(a)),
-        st.sampled_from([0, 2, 4]),
-        st.integers(-2, 2).filter(bool),
-    ),
-    min_size=0,
-    max_size=4,
-)
+def product_by_mul(fl, nvars, bound):
+    """The product as a chain of general series multiplications, one
+    truncated geometric-type series per factor."""
+    out = MultiSeries(nvars, bound, {(0,) * nvars: QL_ONE})
+    for (alpha, beta), gamma in fl.items():
+        terms = {}
+        for k in range(bound // sum(alpha) + 1):
+            if gamma < 0 and k > -gamma:
+                break
+            c = comb(gamma - 1 + k, k) if gamma > 0 else (-1) ** k * comb(-gamma, k)
+            terms[tuple(k * a for a in alpha)] = QLaurent.q_power(k * beta, c)
+        out = out.mul(MultiSeries(nvars, bound, terms))
+    return out
 
 
-@given(factors=factor_lists)
+def diagonal_oracle(fl, nvars, max_degree):
+    """The diagonal read from the total-degree expansion to nvars * max_degree."""
+    full = expand_factors(fl, nvars, nvars * max_degree)
+    return [full.coeff((a,) * nvars) for a in range(max_degree + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_box_diagonal_matches_total_degree_diagonal(n):
+    k, D = n_even_vars(n), 6
+    fl = build_R(n, k * D)
+    diag = expand_diagonal(fl, k, D)
+    assert [diag.coeff((a,)) for a in range(D + 1)] == diagonal_oracle(fl, k, D)
+
+
+def factor_lists(nvars):
+    return st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 2)] * nvars).filter(any),
+            st.sampled_from([0, 2, 4]),
+            st.integers(-2, 2).filter(bool),
+        ),
+        min_size=0,
+        max_size=4,
+    )
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_expansions_match_product_by_mul_on_random_products(nvars, data):
+    fl = FactorList()
+    for alpha, beta, gamma in data.draw(factor_lists(nvars)):
+        fl.add(alpha, beta, gamma)
+    D = 4
+    assert expand_factors(fl, nvars, nvars * D) == product_by_mul(fl, nvars, nvars * D)
+    diag = expand_diagonal(fl, nvars, D)
+    assert diag.nvars == 1 and diag.bound == D
+    assert [diag.coeff((a,)) for a in range(D + 1)] == diagonal_oracle(fl, nvars, D)
+
+
+@given(factors=factor_lists(2))
 @settings(max_examples=50, deadline=None)
 def test_factorize_expand_roundtrip(factors):
     fl = FactorList()
@@ -97,6 +145,14 @@ def test_split_strict_rejects_odd_beta():
     fl.add((1,), 1, 1)
     with pytest.raises(ValueError):
         split_flat_natural_sharp(fl)
+
+
+def test_expansion_refuses_negative_exponents():
+    fl = FactorList({((-1, 2), 0): 1})
+    with pytest.raises(ValueError, match="not nonnegative"):
+        expand_diagonal(fl, 2, 4)
+    with pytest.raises(ValueError, match="not nonnegative"):
+        expand_factors(fl, 2, 4)
 
 
 def test_merge_and_cancel():
