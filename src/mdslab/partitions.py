@@ -65,24 +65,31 @@ def count_partition_tuples(n: int, sums: tuple[int, ...]) -> int:
     return count
 
 
-def count_partition_ntuples(n: int, sums: tuple[int, ...]) -> int:
-    """n-tuples of partitions with class sums taken along shifted cycles:
-    entry j of the i-th partition (both from zero) lands in class i + j mod n.
+def partition_ntuple_counts(n: int, bound: int) -> dict[tuple[int, ...], int]:
+    """Number of n-tuples of partitions per vector of class sums, for every
+    vector of total at most ``bound``.
+
+    Class sums are taken along shifted cycles: entry j of the i-th partition
+    (both from zero) lands in class i + j mod n. Every tuple is enumerated
+    once and binned by its sums; absent vectors count zero.
     """
-    sums = tuple(sums)
-    total = sum(sums)
-    per = [list(_iter_partitions_upto(total))] * n
-    count = 0
-    for combo in itertools.product(*per):
-        if sum(sum(p) for p in combo) != total:
-            continue
-        acc = [0] * n
-        for i, p in enumerate(combo):
+    counts: dict[tuple[int, ...], int] = {}
+    acc = [0] * n
+
+    def rec(i: int, budget: int) -> None:
+        if i == n:
+            key = tuple(acc)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        for p in _iter_partitions_upto(budget):
             for j, entry in enumerate(p):
                 acc[(i + j) % n] += entry
-        if tuple(acc) == sums:
-            count += 1
-    return count
+            rec(i + 1, budget - sum(p))
+            for j, entry in enumerate(p):
+                acc[(i + j) % n] -= entry
+
+    rec(0, bound)
+    return counts
 
 
 def _iter_partitions_upto(total: int):
@@ -108,7 +115,7 @@ def partition_product_gf(n: int, bound: int) -> MultiSeries:
 
 
 def partition_tuple_product_gf(n: int, bound: int) -> MultiSeries:
-    """Product-formula route for :func:`count_partition_ntuples`:
+    """Product-formula route for :func:`partition_ntuple_counts`:
     the same columns, started at every cyclic offset."""
     fl = FactorList()
     m = 0

@@ -2,10 +2,19 @@
 
 The coefficient c at index (a_0..a_n), indices cyclic mod n+1, satisfies one
 linear recurrence per position i depending on the parity of s = a_{i-1} +
-a_{i+1}. Repeatedly applying the recurrence at a position where a_i exceeds
-the average of its neighbors rewrites every coefficient as a Z[q^{1/4}]-
-combination of diagonal coefficients, which are free parameters supplied as
-a seed.
+a_{i+1}. Repeatedly applying the recurrence at the first position where
+a_i exceeds the average of its neighbors rewrites every coefficient as a
+Z[q^{1/4}]-combination of diagonal coefficients, which are free parameters
+supplied as a seed.
+
+Any position with 2*a_i > a_{i-1} + a_{i+1} would do. The series satisfies
+the recurrence of every position at once (one functional equation each),
+so every choice of position reaches the same value. The first one ends the
+scan soonest, and on the unit seed of ``compute_P`` it visits about a
+quarter of the tuples that the largest violation does. The checks do not
+assume that consistency: ``check_lambda_fe`` tests the recurrences at every
+position, and the tests compare against a reduction that always picks the
+largest violation.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ class DiagonalSeed:
 
     values: list[QLaurent]
     name: str = "seed"
-    _memo: dict[tuple[int, IndexTuple], QLaurent] = field(default_factory=dict, repr=False)
+    _memo: dict[IndexTuple, QLaurent] = field(default_factory=dict, repr=False)
     # global-weight caches per field size q, filled by mdslab.globalweights
     _weight_caches: dict[int, dict] = field(default_factory=dict, repr=False, compare=False)
 
@@ -46,86 +55,68 @@ class DiagonalSeed:
         return DiagonalSeed([QL_ONE] + [QL_ZERO] * length, name="unit")
 
 
-def _max_violation(t: IndexTuple) -> tuple[int, int]:
-    """Position maximizing 2*a_i - (a_{i-1} + a_{i+1}), ties to smallest i.
-
-    Returns (i, 2*a_i - s). On a cycle, if every 2*a_i <= s then the tuple
-    is constant, so a positive violation exists for non-diagonal tuples.
-    """
-    m = len(t)
-    best_i, best_v = 0, 2 * t[0] - t[-1] - t[1 % m]
-    for i in range(1, m):
-        v = 2 * t[i] - t[i - 1] - t[(i + 1) % m]
-        if v > best_v:
-            best_i, best_v = i, v
-    return best_i, best_v
-
-
 def reduce_coeff(t: IndexTuple, seed: DiagonalSeed) -> QLaurent:
-    """c_t as an exact element of Z[q^{1/4}], memoized per seed."""
+    """c_t as an exact element of Z[q^{1/4}], memoized per seed.
+
+    Reduces at the first position i with 2*a_i > a_{i-1} + a_{i+1}. Every
+    dependency differs from the node only in a smaller a_i, so the index sum
+    falls and the worklist ends on diagonals.
+    """
     t = tuple(t)
     if any(a < 0 for a in t):
         return QL_ZERO
-    n1 = len(t)
-    key = (n1, t)
     memo = seed._memo
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    if t in memo:
+        return memo[t]
+    m = len(t)
     # iterative worklist to avoid deep recursion on large index sums
     stack = [t]
     while stack:
         cur = stack[-1]
-        if (n1, cur) in memo:
+        if cur in memo:
             stack.pop()
             continue
-        if len(set(cur)) <= 1:
-            memo[(n1, cur)] = seed.diagonal(cur[0])
-            stack.pop()
-            continue
-        i, v = _max_violation(cur)
-        if v <= 0:
-            raise AssertionError(f"convexity violation at {cur}")
-        s = cur[i - 1] + cur[(i + 1) % n1]
-        ai = cur[i]
-
-        def with_i(val: int) -> IndexTuple:
-            return cur[:i] + (val,) + cur[i + 1 :]
-
-        if s % 2:
-            # c = q^{a_i - (s-1)/2} * c_{..., s-1-a_i, ...}
-            tgt = s - 1 - ai
-            if tgt < 0:
-                memo[(n1, cur)] = QL_ZERO
-                stack.pop()
-                continue
-            sub = memo.get((n1, with_i(tgt)))
-            if sub is None:
-                stack.append(with_i(tgt))
-                continue
-            memo[(n1, cur)] = sub.shift(4 * (ai - (s - 1) // 2))
-            stack.pop()
+        for i in range(m):
+            s = cur[i - 1] + cur[(i + 1) % m]
+            if 2 * cur[i] > s:
+                break
         else:
-            deps = [with_i(ai - 1), with_i(s - ai), with_i(s - ai - 1)]
-            vals = []
-            missing = False
-            for d in deps:
-                if any(x < 0 for x in d):
-                    vals.append(QL_ZERO)
-                    continue
-                sub = memo.get((n1, d))
-                if sub is None:
-                    stack.append(d)
-                    missing = True
-                else:
-                    vals.append(sub)
-            if missing:
-                continue
-            c1, c2, c3 = vals
-            out = c1.shift(4) + (c2 - c3.shift(4)).shift(4 * (ai - s // 2))
-            memo[(n1, cur)] = out
+            # 2*a_i <= s everywhere sums to equality on a cycle: cur is constant
+            memo[cur] = seed.diagonal(cur[0])
             stack.pop()
-    return memo[key]
+            continue
+        ai = cur[i]
+        head, tail = cur[:i], cur[i + 1 :]
+        # odd s:  c = q^{a_i-(s-1)/2} c_{s-1-a_i}
+        # even s: c = q c_{a_i-1} + q^{a_i-s/2} (c_{s-a_i} - q c_{s-a_i-1})
+        deps = (s - 1 - ai,) if s % 2 else (ai - 1, s - ai, s - ai - 1)
+        terms = []
+        for v in deps:
+            if v < 0:
+                terms.append({})
+                continue
+            d = head + (v,) + tail
+            c = memo.get(d)
+            if c is None:
+                stack.append(d)
+            else:
+                terms.append(c.terms)
+        if len(terms) < len(deps):
+            continue
+        stack.pop()
+        if s % 2:
+            k = 4 * (ai - (s - 1) // 2)
+            memo[cur] = QLaurent({e + k: c for e, c in terms[0].items()})
+            continue
+        k = 4 * (ai - s // 2)
+        t1, t2, t3 = terms
+        out = {e + 4: c for e, c in t1.items()}
+        for e, c in t2.items():
+            out[e + k] = out.get(e + k, 0) + c
+        for e, c in t3.items():
+            out[e + k + 4] = out.get(e + k + 4, 0) - c
+        memo[cur] = QLaurent(out)
+    return memo[t]
 
 
 def tuples_with_sum_at_most(n1: int, total: int):

@@ -69,6 +69,16 @@ def test_verify_all_suites_n3(tmp_path):
     assert {"dominance", "lambda_fe", "pipeline_consistency", "partition_gf"} <= names
 
 
+def test_residue_suite_n8(tmp_path):
+    argv = ["verify", "--n", "8", "--suite", "residue", "--bound", "4", "--trunc", "4"]
+    code, out = run_cli(argv, tmp_path)
+    assert code == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks
+    for check in checks:
+        assert check["status"] == "pass", check
+
+
 def test_strict_flags_special_cases(tmp_path):
     # n = 2 carries two unverified-special-case checks in the residue suite
     argv = ["verify", "--n", "2", "--suite", "residue", "--bound", "3", "--trunc", "3"]

@@ -3,20 +3,42 @@ import itertools
 import pytest
 
 from mdslab.partitions import (
+    _iter_partitions_upto,
     chain_to_deltas,
     conjugate,
-    count_partition_ntuples,
     count_partition_tuples,
     count_reduction_chains,
     deltas_to_chain,
     enumerate_reduction_chains,
     gamma_decomposition,
     p_lowest_term_product_route,
+    partition_ntuple_counts,
     partition_product_gf,
     partition_tuple_product_gf,
     series_int_coeff,
 )
 from mdslab.reducer import compute_P, tuples_with_sum_at_most
+
+
+def count_partition_ntuples(n, sums):
+    """Oracle for one vector of class sums: enumerate every n-tuple of
+    partitions up to its total and keep those whose sums match; entry j of
+    the i-th partition (both from zero) lands in class i + j mod n.
+    """
+    sums = tuple(sums)
+    total = sum(sums)
+    per = [list(_iter_partitions_upto(total))] * n
+    count = 0
+    for combo in itertools.product(*per):
+        if sum(sum(p) for p in combo) != total:
+            continue
+        acc = [0] * n
+        for i, p in enumerate(combo):
+            for j, entry in enumerate(p):
+                acc[(i + j) % n] += entry
+        if tuple(acc) == sums:
+            count += 1
+    return count
 
 
 def test_conjugate():
@@ -38,6 +60,14 @@ def test_partition_ntuple_count_vs_product(n, total):
     gf = partition_tuple_product_gf(n, total)
     for sums in tuples_with_sum_at_most(n, total):
         assert series_int_coeff(gf, sums) == count_partition_ntuples(n, sums), sums
+
+
+@pytest.mark.parametrize("n,total", [(1, 5), (2, 4), (3, 3), (4, 2)])
+def test_binned_ntuple_counts_match_oracle(n, total):
+    counts = partition_ntuple_counts(n, total)
+    assert all(sum(sums) <= total for sums in counts)
+    for sums in tuples_with_sum_at_most(n, total):
+        assert counts.get(sums, 0) == count_partition_ntuples(n, sums), sums
 
 
 def test_chain_triple_route_n3():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdslab.qlaurent import QL_ONE, QL_ZERO, QLaurent
 from mdslab.reducer import (
@@ -36,6 +37,98 @@ def check_recurrences_everywhere(t, seed):
         if c != rhs:
             return False
     return True
+
+
+def _max_violation(t):
+    """Position maximizing 2*a_i - (a_{i-1} + a_{i+1}), ties to smallest i.
+
+    Returns (i, 2*a_i - s). On a cycle, if every 2*a_i <= s then the tuple
+    is constant, so a positive violation exists for non-diagonal tuples.
+    """
+    m = len(t)
+    best_i, best_v = 0, 2 * t[0] - t[-1] - t[1 % m]
+    for i in range(1, m):
+        v = 2 * t[i] - t[i - 1] - t[(i + 1) % m]
+        if v > best_v:
+            best_i, best_v = i, v
+    return best_i, best_v
+
+
+def max_violation_reduce(t, seed, memo):
+    """Oracle: the reduction that always picks the largest violation.
+
+    It reaches the diagonals along other paths than ``reduce_coeff``, so
+    agreement tests that the recurrences are consistent across positions.
+    ``memo`` is the oracle's own table, keyed by index tuple.
+    """
+    t = tuple(t)
+    if any(a < 0 for a in t):
+        return QL_ZERO
+    n1 = len(t)
+    stack = [t]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+            continue
+        if len(set(cur)) <= 1:
+            memo[cur] = seed.diagonal(cur[0])
+            stack.pop()
+            continue
+        i, v = _max_violation(cur)
+        assert v > 0, f"convexity violation at {cur}"
+        s = cur[i - 1] + cur[(i + 1) % n1]
+        ai = cur[i]
+
+        def with_i(val):
+            return cur[:i] + (val,) + cur[i + 1 :]
+
+        if s % 2:
+            tgt = s - 1 - ai
+            if tgt < 0:
+                memo[cur] = QL_ZERO
+                stack.pop()
+                continue
+            sub = memo.get(with_i(tgt))
+            if sub is None:
+                stack.append(with_i(tgt))
+                continue
+            memo[cur] = sub.shift(4 * (ai - (s - 1) // 2))
+            stack.pop()
+        else:
+            vals = []
+            missing = False
+            for d in [with_i(ai - 1), with_i(s - ai), with_i(s - ai - 1)]:
+                if any(x < 0 for x in d):
+                    vals.append(QL_ZERO)
+                    continue
+                sub = memo.get(d)
+                if sub is None:
+                    stack.append(d)
+                    missing = True
+                else:
+                    vals.append(sub)
+            if missing:
+                continue
+            c1, c2, c3 = vals
+            memo[cur] = c1.shift(4) + (c2 - c3.shift(4)).shift(4 * (ai - s // 2))
+            stack.pop()
+    return memo[t]
+
+
+def unit_seed_of_compute_P(monkeypatch, n, max_degree):
+    """Run compute_P(n, max_degree) and return the unit seed it filled."""
+    seeds = []
+    make_unit = DiagonalSeed.unit
+
+    def recording_unit(length):
+        seeds.append(make_unit(length))
+        return seeds[-1]
+
+    monkeypatch.setattr(DiagonalSeed, "unit", staticmethod(recording_unit))
+    compute_P(n, max_degree)
+    (seed,) = seeds
+    return seed
 
 
 @pytest.fixture()
@@ -93,8 +186,6 @@ def test_recurrence_closure_everywhere(unit):
 def test_nondiagonal_always_reducible(unit):
     # terminal states are exactly the diagonals: every non-diagonal tuple
     # has a position where the reduction strictly applies
-    from mdslab.reducer import _max_violation
-
     for t in tuples_with_sum_at_most(4, 10):
         if len(set(t)) > 1:
             assert _max_violation(t)[1] > 0
@@ -175,3 +266,32 @@ def test_diagonal_determination():
     )
     report = check_diagonal_determination(2, s1, s2, 6)
     assert report["status"] == "pass", report
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_memo_matches_max_violation_oracle(monkeypatch, n):
+    seed = unit_seed_of_compute_P(monkeypatch, n, 8)
+    oracle = {}
+    for t, c in seed._memo.items():
+        assert c == max_violation_reduce(t, seed, oracle), t
+
+
+def test_first_violation_memo_size(monkeypatch):
+    # the largest-violation rule filled 137,167 entries here
+    seed = unit_seed_of_compute_P(monkeypatch, 6, 8)
+    assert len(seed._memo) <= 40_000
+
+
+small_laurent = st.dictionaries(
+    st.integers(-8, 8), st.integers(-3, 3), max_size=3
+).map(QLaurent)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_seed_matches_max_violation_oracle(data):
+    n1 = data.draw(st.integers(3, 6), label="n + 1")
+    seed = DiagonalSeed(data.draw(st.lists(small_laurent, min_size=8, max_size=8)))
+    oracle = {}
+    for t in tuples_with_sum_at_most(n1, 7):
+        assert reduce_coeff(t, seed) == max_violation_reduce(t, seed, oracle), t
