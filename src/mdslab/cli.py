@@ -133,7 +133,6 @@ def _suite_fe(args, pipe):
             fixed = (f0, one, f2) + (one,) * (args.n - 2)
             r = l_series_H(fq, fixed, 1, (len(f0) - 1) + (len(f2) - 1) + 1, seed)
             if r["status"] != "pass":
-                r.pop("coeffs", None)
                 return r
         return {"status": "pass"}
 
@@ -163,13 +162,12 @@ def _suite_residue(args, pipe):
                 lambda pdeg=pdeg: res.check_euler_substitution(n, pdeg, min(args.bound, 4), seed),
             )
         )
-    admissible = range(0, n + 1, 2) if n % 2 else range(2, n, 2)
-    for i in admissible:
+    for i in res.resfe_positions(n):
         checks.append(
             ("residue_fe", {"i": i, "D": args.trunc}, lambda i=i: res.check_resfe(n, i, args.trunc))
         )
     if n % 2 == 0:
-        for which in ("cycle-squared", "edge"):
+        for which in res.NEVEN_TRANSFORMS:
             checks.append(
                 (
                     f"neven_fe_{which}",
@@ -273,7 +271,7 @@ def _run_and_report(args, checks, strict: bool = False) -> int:
             result = fn()
         except Exception as exc:  # a crashed check is a failed check
             result = {"status": "fail", "witness": f"{type(exc).__name__}: {exc}"}
-        out = {"name": name, "params": params, "status": result.get("status", "fail")}
+        out = {"name": name, "params": params, "status": result["status"]}
         if "witness" in result:
             out["witness"] = result["witness"]
         return out

@@ -7,8 +7,10 @@ primes. Everything here is exact integer arithmetic at the ambient q.
 The one-variable slices of ``l_series_H`` do not sum H over every f: they
 split f into a part smooth over the fixed entries' primes, weighted by
 ``H_global``, and a coprime part, whose contribution is one residue
-character summed by the ``accel`` sweep. The brute sum over every f stays
-in the tests as the oracle for the split.
+character summed by the ``accel`` sweep (``_slice_coeffs``). The brute
+sum over every f stays in the tests as the oracle for the split.
+``l_series_H`` clears the pole of a slice and runs ``check_reversal`` on
+it, returning ``{"status", "witness"}``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from . import accel
 from .fqpoly import ONE, Fq, Poly, degree, is_monic
-from .reducer import DiagonalSeed, local_weight_value
+from .reducer import DiagonalSeed, local_weight_value, check_reversal
 
 BUDGET = 10**8
 
@@ -112,20 +114,33 @@ def _smooth_polys(fq: Fq, primes, bound: int) -> list[Poly]:
 def l_series_H(
     fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed
 ) -> dict:
-    """Single-variable slice sum_{f_i} H x^{deg f_i} with its exact
-    functional equation.
+    """Functional equation of the single-variable slice
+    L(x) = sum_{f_i} H x^{deg f_i}, read to degree xbound.
 
-    s = deg f_{i-1} + deg f_{i+1} (cyclic). Odd s: polynomial of degree
-    s - 1 with reversal c_k = q^{k-(s-1)/2} c_{s-1-k}. Even s: the cleared
-    numerator N(x) = (1 - qx) L(x) has degree at most s and satisfies
-    N_k = q^{k-s/2} N_{s-k}.
+    s = deg f_{i-1} + deg f_{i+1} (cyclic). Odd s: L is a polynomial of
+    degree s - 1 with the reversal of ``check_reversal``. Even s: the
+    cleared numerator (1 - qx) L(x) has degree s and the same reversal.
+    """
+    n1 = len(fixed)
+    s = degree(fixed[(i - 1) % n1]) + degree(fixed[(i + 1) % n1])
+    if xbound < (s - 1 if s % 2 else s + 1):
+        raise ValueError("xbound too small to see the functional equation")
+    coeffs = _slice_coeffs(fq, fixed, i, xbound, seed)
+    if s % 2 == 0:
+        coeffs = [c - fq.q * p for c, p in zip(coeffs, [0] + coeffs)]
+    q = Fraction(fq.q)
+    return check_reversal(coeffs, s - s % 2, lambda j: q**j)
 
-    The coefficients come from the coprime split. Let S be the primes of
-    the fixed entries f_j, j != i, and g = f_{i-1} f_{i+1}. Write
-    f = f_s f_c with f_s S-smooth and f_c coprime to S. Every prime of f_c
-    sits in slot i alone, so its local weight is 1, it twists trivially
-    with the other primes of f_c, and its twists with S multiply to
-    (f_c / g). Hence H(fixed with f) = H(fixed with f_s) (f_c / g), and
+
+def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed) -> list[int]:
+    """Coefficients 0..xbound of the slice sum_{f_i} H x^{deg f_i}.
+
+    They come from the coprime split. Let S be the primes of the fixed
+    entries f_j, j != i, and g = f_{i-1} f_{i+1}. Write f = f_s f_c with
+    f_s S-smooth and f_c coprime to S. Every prime of f_c sits in slot i
+    alone, so its local weight is 1, it twists trivially with the other
+    primes of f_c, and its twists with S multiply to (f_c / g). Hence
+    H(fixed with f) = H(fixed with f_s) (f_c / g), and
 
         c_d = sum over S-smooth f_s of H(fixed with f_s) T[d - deg f_s],
 
@@ -136,16 +151,12 @@ def l_series_H(
     f is the oracle in the tests.
     """
     n1 = len(fixed)
-    left, right = fixed[(i - 1) % n1], fixed[(i + 1) % n1]
-    s = degree(left) + degree(right)
-    if xbound < (s - 1 if s % 2 else s + 1):
-        raise ValueError("xbound too small to see the functional equation")
     support = _prime_support(fq, fixed[:i] + (ONE,) + fixed[i + 1 :])
     r = ONE
     for p, vec in support.items():
         if not vec[(i - 1) % n1] and not vec[(i + 1) % n1]:
             r = fq.mul(r, p)
-    g = fq.mul(left, right)
+    g = fq.mul(fixed[(i - 1) % n1], fixed[(i + 1) % n1])
     sums = accel.symbol_sums_by_degree(fq, fq.mul(g, fq.mul(r, r)), xbound).tolist()
     coeffs = [0] * (xbound + 1)
     for f_s in _smooth_polys(fq, support, xbound):
@@ -154,38 +165,4 @@ def l_series_H(
             e = degree(f_s)
             for d in range(e, xbound + 1):
                 coeffs[d] += h * sums[d - e]
-    q = Fraction(fq.q)
-    report = {
-        "check": "l_series_fe",
-        "q": fq.q,
-        "fixed": [list(f) for f in fixed],
-        "i": i,
-        "s": s,
-        "coeffs": coeffs,
-        "status": "pass",
-    }
-
-    def fail(msg: str) -> dict:
-        report["status"] = "fail"
-        report["witness"] = msg
-        return report
-
-    if s % 2:
-        for k in range(s, xbound + 1):
-            if coeffs[k]:
-                return fail(f"nonzero coefficient at degree {k} > s-1")
-        for k in range(s):
-            if Fraction(coeffs[k]) != q ** (k - (s - 1) // 2) * coeffs[s - 1 - k]:
-                return fail(f"odd reversal fails at degree {k}")
-    else:
-        ncoeffs = [
-            Fraction(coeffs[k]) - q * (coeffs[k - 1] if k else 0)
-            for k in range(xbound + 1)
-        ]
-        for k in range(s + 1, xbound + 1):
-            if ncoeffs[k]:
-                return fail(f"cleared numerator has degree {k} > s")
-        for k in range(s + 1):
-            if ncoeffs[k] != q ** (k - s // 2) * ncoeffs[s - k]:
-                return fail(f"even reversal fails at degree {k}")
-    return report
+    return coeffs

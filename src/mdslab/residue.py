@@ -6,11 +6,17 @@ module builds that product as a factor list, derives from it the diagonal
 seed that pins down the axiomatic series, and verifies the structural
 claims tying the product back to the recurrence engine: coefficient maps,
 Euler-product substitution, factor pairing, scalar-cocycle functional
-equations and the flat-part reconstruction of the diagonal factors.
+equations and the flat-part reconstruction of the diagonal factors. Each
+cocycle functional equation is one multiset identity read from one product
+table (``_check_factor_permutation``). Every check returns
+``{"status", "witness"}``, the witness only when it does not pass.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,17 +107,6 @@ def build_R(n: int, bound: int) -> FactorList:
     return fl
 
 
-def factor_multiplicity(n: int, alpha: tuple[int, ...], beta: int) -> int:
-    """Multiplicity of (alpha, beta) in the full infinite residue product.
-
-    Zero whenever alpha has a negative entry; otherwise the product built
-    out to total degree sum(alpha) already contains every such factor.
-    """
-    if any(a < 0 for a in alpha) or all(a == 0 for a in alpha):
-        return 0
-    return build_R(n, sum(alpha)).factors.get((alpha, beta), 0)
-
-
 # -- diagonal pipeline -----------------------------------------------------
 
 
@@ -175,22 +170,27 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
     return result
 
 
+def _layout(n: int, avec: tuple, join) -> list:
+    """The full index of the residue coefficient at avec, by slot.
+
+    The even slots carry avec; each odd slot joins its two neighbors with
+    ``join`` (cyclically for n odd): + on degrees, product on polynomials.
+    """
+    k = len(avec)
+    out = []
+    for j in range(k if n % 2 else k - 1):
+        out.append(avec[j])
+        out.append(join(avec[j], avec[(j + 1) % k]))
+    if n % 2 == 0:
+        out.append(avec[k - 1])
+    return out
+
+
 def residue_index(n: int, avec: tuple[int, ...]) -> tuple[int, ...]:
     """Full coefficient index realizing the residue coefficient at avec."""
-    k = n_even_vars(n)
-    if len(avec) != k:
+    if len(avec) != n_even_vars(n):
         raise ValueError("avec length mismatch")
-    out = []
-    if n % 2:
-        for j in range(k):
-            out.append(avec[j])
-            out.append(avec[j] + avec[(j + 1) % k])
-    else:
-        for j in range(k - 1):
-            out.append(avec[j])
-            out.append(avec[j] + avec[j + 1])
-        out.append(avec[k - 1])
-    return tuple(out)
+    return tuple(_layout(n, avec, operator.add))
 
 
 def residue_coeff_from_c(n: int, avec: tuple[int, ...], seed: DiagonalSeed) -> QLaurent:
@@ -217,28 +217,22 @@ def check_pipeline_consistency(n: int, bound: int, seed: DiagonalSeed) -> dict:
         raise ValueError(f"seed holds diagonals up to {len(seed.values) - 1} < D={bound}")
     k = n_even_vars(n)
     expanded = expand_factors(build_R(n, bound), k, bound)
-    report = {"check": "pipeline_consistency", "n": n, "D": bound, "status": "pass"}
     for avec in tuples_with_sum_at_most(k, bound):
         want = expanded.coeff(avec)
         got = residue_coeff_from_c(n, avec, seed)
         if want != got:
-            report["status"] = "fail"
-            report["witness"] = f"avec={avec}: product {want!r} vs engine {got!r}"
-            return report
-    return report
+            return {"status": "fail", "witness": f"avec={avec}: product {want!r} vs engine {got!r}"}
+    return {"status": "pass"}
 
 
 def check_factor_pairing(n: int, bound: int) -> dict:
     """The residue factor multiset is invariant under beta -> 1 - beta."""
     fl = build_R(n, bound)
-    report = {"check": "factor_pairing", "n": n, "D": bound, "status": "pass"}
     if fl.beta_reflected() != fl:
         for (alpha, beta), gamma in fl.items():
             if fl.factors.get((alpha, 4 - beta), 0) != gamma:
-                report["status"] = "fail"
-                report["witness"] = f"unpaired factor alpha={alpha}, beta={beta}/4"
-                return report
-    return report
+                return {"status": "fail", "witness": f"unpaired factor alpha={alpha}, beta={beta}/4"}
+    return {"status": "pass"}
 
 
 # -- H-route and Euler substitution ---------------------------------------
@@ -256,27 +250,11 @@ def residue_coeff_H_route(
     """
     from .globalweights import H_global
 
-    avec = tuple(avec)
-    k = n_even_vars(n)
     total = 0
-    tuples = [()]
-    for a in avec:
-        tuples = [t + (f,) for t in tuples for f in fq.monic_enum(a)]
-    for fs in tuples:
-        parts = [fq.squarefree_part(f) for f in fs]
-        if len(set(parts)) > 1:
+    for fs in itertools.product(*(fq.monic_enum(a) for a in avec)):
+        if len({fq.squarefree_part(f) for f in fs}) > 1:
             continue
-        full = []
-        if n % 2:
-            for j in range(k):
-                full.append(fs[j])
-                full.append(fq.mul(fs[j], fs[(j + 1) % k]))
-        else:
-            for j in range(k - 1):
-                full.append(fs[j])
-                full.append(fq.mul(fs[j], fs[j + 1]))
-            full.append(fs[k - 1])
-        total += H_global(fq, tuple(full), seed)
+        total += H_global(fq, tuple(_layout(n, fs, fq.mul)), seed)
     return Fraction(total)
 
 
@@ -302,7 +280,6 @@ def check_euler_substitution(n: int, p_deg: int, bound: int, seed: DiagonalSeed)
     from .reducer import local_weight, tuples_with_sum_at_most
 
     k = n_even_vars(n)
-    report = {"check": "euler_substitution", "n": n, "p_deg": p_deg, "D": bound, "status": "pass"}
     for avec in tuples_with_sum_at_most(k, bound):
         s = sum(avec)
         t = residue_index(n, avec)
@@ -314,10 +291,8 @@ def check_euler_substitution(n: int, p_deg: int, bound: int, seed: DiagonalSeed)
         lhs = h.subst_q_power(p_deg).shift(-p_deg * w_quarters)
         rhs = residue_coeff_from_c(n, avec, seed).subst_q_power(-p_deg)
         if lhs != rhs:
-            report["status"] = "fail"
-            report["witness"] = f"avec={avec}: local {lhs!r} vs substituted {rhs!r}"
-            return report
-    return report
+            return {"status": "fail", "witness": f"avec={avec}: local {lhs!r} vs substituted {rhs!r}"}
+    return {"status": "pass"}
 
 
 # -- scalar-cocycle functional equations ----------------------------------
@@ -358,99 +333,75 @@ def _check_factor_permutation(
     for the listed removed factors, which are traded for their negated
     counterparts (the scalar cocycle).
 
-    The image multiset of the full factor list must equal the list itself
-    minus one copy of each removed factor plus one factor at the negation
-    of each removed exponent vector. The map need not send each removed
-    factor to its own negation, so the identity is verified as a multiset
-    statement on a degree window, in both directions.
+    Let F be the factor multiset of the infinite product and G = F -
+    removed + (negated removed). The claim is M(F) = G. The map need not
+    send each removed factor to its own negation, so this is read as the
+    multiset identity F(a) = G(M a), and F(M^-1 a) = G(a) in the other
+    direction, at every factor of degree at most bound, every removed
+    factor and every preimage of a negated one. All multiplicities come
+    from one product built to the largest degree read; a vector with a
+    negative entry is simply absent from it.
     """
-    removed_set = set(removed)
-    negations = {(tuple(-a for a in alpha), beta) for alpha, beta in removed}
-    report = {"check": "factor_permutation", "n": n, "D": bound, "status": "pass"}
-
-    def fail(msg: str) -> dict:
-        report["status"] = "fail"
-        report["witness"] = msg
-        return report
-
     inverse = _invert_unimodular(matrix)
-    # factors whose images leave the product: exactly the preimages of the
-    # negated removed vectors, each with multiplicity one
-    leaving = set()
+    traded = Counter(removed)
+    traded.subtract((tuple(-a for a in alpha), beta) for alpha, beta in removed)
+    points = dict.fromkeys(build_R(n, bound).factors)
     for alpha, beta in removed:
-        if factor_multiplicity(n, alpha, beta) < 1:
-            return fail(f"expected cocycle factor missing: {(alpha, beta)}")
-        w = _apply_linear(inverse, tuple(-a for a in alpha))
-        if factor_multiplicity(n, w, beta) != 1:
-            return fail(f"negated cocycle vector -{alpha} has no unique preimage")
-        leaving.add((w, beta))
+        points[(alpha, beta)] = None
+        points[(_apply_linear(inverse, tuple(-a for a in alpha)), beta)] = None
+    rows = [
+        (alpha, _apply_linear(matrix, alpha), _apply_linear(inverse, alpha), beta)
+        for alpha, beta in points
+    ]
+    top = max((sum(v) for row in rows for v in row[:3] if min(v) >= 0), default=0)
+    F = build_R(n, top).factors
+    for alpha, image, pre, beta in rows:
+        f, g = F.get((alpha, beta), 0), F.get((image, beta), 0) - traded[(image, beta)]
+        if f != g:
+            return {
+                "status": "fail",
+                "witness": f"forward: alpha={alpha}, beta={beta}/4 has multiplicity {f},"
+                f" its image {image} has {g} after the trade",
+            }
+        f, g = F.get((pre, beta), 0), F.get((alpha, beta), 0) - traded[(alpha, beta)]
+        if f != g:
+            return {
+                "status": "fail",
+                "witness": f"inverse: alpha={alpha}, beta={beta}/4 has multiplicity {g}"
+                f" after the trade, its preimage {pre} has {f}",
+            }
+    return {"status": "pass"}
 
-    window = max(
-        [bound]
-        + [sum(alpha) for alpha, _ in removed]
-        + [sum(alpha) for alpha, _ in leaving]
-    )
-    checked = build_R(n, window).degree_cut(bound)
-    for alpha, beta in removed_set | leaving:
-        checked.factors.setdefault((alpha, beta), factor_multiplicity(n, alpha, beta))
 
-    for (alpha, beta), gamma in checked.items():
-        image = _apply_linear(matrix, alpha)
-        if any(a < 0 for a in image):
-            if (image, beta) not in negations or gamma != 1:
-                return fail(
-                    f"forward: alpha={alpha}, beta={beta}/4, gamma={gamma}"
-                    f" maps outside the product to {image}"
-                )
-            continue
-        want = gamma + ((image, beta) in removed_set)
-        got = factor_multiplicity(n, image, beta)
-        if got != want:
-            return fail(
-                f"forward: alpha={alpha}, beta={beta}/4, gamma={gamma}"
-                f" maps to {image} with multiplicity {got}, expected {want}"
-            )
-    for (alpha, beta), gamma in checked.items():
-        pre = _apply_linear(inverse, alpha)
-        want = gamma - ((alpha, beta) in removed_set)
-        got = factor_multiplicity(n, pre, beta)
-        if got != want:
-            return fail(
-                f"inverse: alpha={alpha}, beta={beta}/4 needs a preimage of"
-                f" multiplicity {want}, found {got} at {pre}"
-            )
-    return report
+def resfe_positions(n: int) -> range:
+    """The even positions i whose swap x_i -> 1/x_i has a residue FE."""
+    return range(0, n + 1, 2) if n % 2 else range(2, n, 2)
 
 
 def check_resfe(n: int, i: int, bound: int) -> dict:
     """Scalar-cocycle functional equation swapping x_i to 1/x_i, i even."""
-    if i % 2:
-        raise ValueError("i must be even")
-    if n % 2 == 0 and not (0 < i < n):
-        raise ValueError("for n even, i must be interior")
+    if i not in resfe_positions(n):
+        raise ValueError(f"no residue functional equation at i={i} for n={n}")
     k = n_even_vars(n)
     u = i // 2
     mat = _identity(k)
     mat[u][u] = -1
-    if n % 2:
-        mat[u][(u - 1) % k] += 1
-        mat[u][(u + 1) % k] += 1
-    else:
-        mat[u][u - 1] += 1
-        mat[u][u + 1] += 1
+    mat[u][(u - 1) % k] += 1
+    mat[u][(u + 1) % k] += 1
     removed = [
         (_unit_alpha(k, u, 2), _BETA0),
         (_unit_alpha(k, u, 2), _BETA1),
     ]
-    report = _check_factor_permutation(n, mat, removed, bound)
-    report.update({"check": "residue_fe", "n": n, "i": i, "D": bound})
-    return report
+    return _check_factor_permutation(n, mat, removed, bound)
 
 
 def _unit_alpha(k: int, u: int, value: int) -> tuple[int, ...]:
     out = [0] * k
     out[u] = value
     return tuple(out)
+
+
+NEVEN_TRANSFORMS = ("cycle-squared", "edge")
 
 
 def check_neven_fe(n: int, which: str, bound: int) -> dict:
@@ -462,10 +413,10 @@ def check_neven_fe(n: int, which: str, bound: int) -> dict:
     """
     if n % 2:
         raise ValueError("n must be even")
-    report = {"check": f"neven_fe_{which}", "n": n, "D": bound}
+    if which not in NEVEN_TRANSFORMS:
+        raise ValueError(f"unknown transform {which!r}")
     if n <= 4:
-        report["status"] = "unverified special case"
-        return report
+        return {"status": "unverified special case"}
     k = n // 2 + 1
     if which == "cycle-squared":
         mat = [[0] * k for _ in range(k)]
@@ -484,7 +435,6 @@ def check_neven_fe(n: int, which: str, bound: int) -> dict:
         for r in range(k):
             mat[r][k - 1] = collast[r]
         removed = []
-        ones = tuple([2] * k)
         for m in (0, 1):
             for u in range(k - 1):
                 alpha = tuple(
@@ -493,7 +443,7 @@ def check_neven_fe(n: int, which: str, bound: int) -> dict:
                 removed.append((alpha, _BETA_HALF))
         alpha_m2 = tuple(4 + (2 if t == 0 else 0) for t in range(k))
         removed.append((alpha_m2, _BETA_HALF))
-    elif which == "edge":
+    else:  # edge
         mat = [[0] * k for _ in range(k)]
         # y_0 = 1/x_n, y_2 = x_0 x_2 x_n, middle fixed, y_{n-2} = x_0 x_{n-2} x_n,
         # y_n = 1/x_0
@@ -513,12 +463,7 @@ def check_neven_fe(n: int, which: str, bound: int) -> dict:
             (tuple(2 * int(t in (0, k - 1)) for t in range(k)), _BETA0),
             (tuple(2 * int(t in (0, k - 1)) for t in range(k)), _BETA1),
         ]
-    else:
-        raise ValueError(f"unknown transform {which!r}")
-    out = _check_factor_permutation(n, mat, removed, bound)
-    out.update(report)
-    out.setdefault("status", "pass")
-    return out
+    return _check_factor_permutation(n, mat, removed, bound)
 
 
 # -- flat-part reconstruction ----------------------------------------------
@@ -540,11 +485,11 @@ def reconstruct_R1(n: int, bound: int, p: list[QLaurent]) -> dict:
     b = _p_series(p, bound).mul(r0_diag.inverse())
     form = factorize_product_form(b)
     flat, natural, sharp = split_flat_natural_sharp(form.degree_cut(trust))
-    report = {"check": "reconstruct_R1", "n": n, "D": bound, "status": "pass"}
     if n % 2 == 0 and len(natural):
-        report["status"] = "fail"
-        report["witness"] = f"diagonal beta=1/2 factors should not exist: {natural.items()}"
-        return report
+        return {
+            "status": "fail",
+            "witness": f"diagonal beta=1/2 factors should not exist: {natural.items()}",
+        }
     completed = pairing_completion(flat)
     expected = FactorList(
         {
@@ -554,9 +499,9 @@ def reconstruct_R1(n: int, bound: int, p: list[QLaurent]) -> dict:
         }
     )
     if completed != expected:
-        report["status"] = "fail"
-        report["witness"] = (
-            f"reconstructed {sorted(completed.factors.items())} vs "
-            f"direct {sorted(expected.factors.items())}"
-        )
-    return report
+        return {
+            "status": "fail",
+            "witness": f"reconstructed {sorted(completed.factors.items())} vs "
+            f"direct {sorted(expected.factors.items())}",
+        }
+    return {"status": "pass"}

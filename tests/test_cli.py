@@ -1,12 +1,18 @@
 import csv
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mdslab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -175,3 +181,86 @@ def test_stdout_output():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("a_0,a_1,a_2,coeff")
+
+
+def test_benchmark_reports_match_pinned_digests(monkeypatch, capsys):
+    # the workloads and report digests that perfbench/run.py pins, run in process
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses look the module up
+    spec.loader.exec_module(bench)
+    assert bench.WORKLOADS
+    for name, workload in bench.WORKLOADS.items():
+        capsys.readouterr()
+        assert main(list(workload.argv)) == 0, name
+        report = capsys.readouterr().out.encode()
+        assert hashlib.sha256(report).hexdigest() == workload.sha256, name
+
+
+def test_checks_return_status_and_witness_only():
+    # every check returns exactly what the report reads; check_rh keeps its
+    # numeric deviation, and check_moment_cost raises rather than reports
+    from mdslab import globalweights, lfunctions, reducer, residue
+    from mdslab.fqpoly import ONE, field
+    from mdslab.qlaurent import QL_ONE
+
+    fq = field(5)
+    pipe = residue.run_pipeline(2, 8)
+    seed = pipe.seed
+    flat = reducer.DiagonalSeed([QL_ONE] * 20, name="flat")
+    t = fq.poly([0, 1])
+    calls = {
+        "check_dominance": [
+            lambda: reducer.check_dominance((1, 1, 0), seed),
+            lambda: reducer.check_dominance((0, 0, 0), seed),
+            lambda: reducer.check_dominance((2, 2, 2), flat),
+        ],
+        "check_reversal": [
+            lambda: reducer.check_reversal([1, 7, 5], 2, lambda j: Fraction(5) ** j),
+            lambda: reducer.check_reversal([1, 7, 5, 1], 2, lambda j: Fraction(5) ** j),
+        ],
+        "check_lambda_fe": [
+            lambda: reducer.check_lambda_fe((1, 0, 2), 1, seed),
+        ],
+        "check_diagonal_determination": [
+            lambda: reducer.check_diagonal_determination(2, seed, flat, 4),
+        ],
+        "check_pipeline_consistency": [
+            lambda: residue.check_pipeline_consistency(2, 4, seed),
+            lambda: residue.check_pipeline_consistency(2, 4, flat),
+        ],
+        "check_factor_pairing": [lambda: residue.check_factor_pairing(3, 6)],
+        "check_euler_substitution": [lambda: residue.check_euler_substitution(2, 1, 3, seed)],
+        "check_resfe": [lambda: residue.check_resfe(3, 0, 6)],
+        "_check_factor_permutation": [
+            lambda: residue._check_factor_permutation(3, [[1, 0], [0, 1]], [((2, 0), 0)], 6),
+        ],
+        "check_neven_fe": [
+            lambda: residue.check_neven_fe(4, "edge", 6),
+            lambda: residue.check_neven_fe(6, "edge", 6),
+        ],
+        "reconstruct_R1": [
+            lambda: residue.reconstruct_R1(2, 4, pipe.p),
+            lambda: residue.reconstruct_R1(2, 4, [QL_ONE] * 5),
+        ],
+        "l_series_H": [
+            lambda: globalweights.l_series_H(fq, (t, ONE, t, ONE), 1, 3, seed),
+        ],
+        "check_l_fe": [lambda: lfunctions.check_l_fe(fq, fq.poly([1, 0, 0, 1]))],
+        "moment_identity_check": [lambda: lfunctions.moment_identity_check(fq, 1)],
+    }
+    public = {
+        name
+        for mod in (reducer, residue, globalweights, lfunctions)
+        for name in vars(mod)
+        if name.startswith("check_")
+    }
+    assert public - {"check_rh", "check_moment_cost"} <= set(calls)
+    statuses = set()
+    for name, fns in calls.items():
+        for fn in fns:
+            result = fn()
+            assert set(result) <= {"status", "witness"}, (name, result)
+            assert ("witness" in result) == (result["status"] in ("fail", "boundary")), name
+            statuses.add(result["status"])
+    assert {"pass", "fail", "unverified special case"} <= statuses

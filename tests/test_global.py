@@ -5,7 +5,13 @@ import pytest
 
 from mdslab import accel, globalweights
 from mdslab.fqpoly import ONE, field
-from mdslab.globalweights import H_global, _prime_support, global_coeff_sum, l_series_H
+from mdslab.globalweights import (
+    H_global,
+    _prime_support,
+    _slice_coeffs,
+    global_coeff_sum,
+    l_series_H,
+)
 from mdslab.reducer import local_weight_value, reduce_coeff, tuples_with_sum_at_most
 from mdslab.residue import run_pipeline
 
@@ -155,6 +161,30 @@ def test_l_series_H_xbound_guard_before_work(f5, seed3, monkeypatch):
         l_series_H(f5, (t, ONE, fq_sq(f5, t), ONE), 1, 1, seed3)  # s = 3 needs 2
 
 
+def test_l_series_H_fails_on_a_perturbed_sweep(f5, seed3, monkeypatch):
+    # the coprime character sum off by one at a single degree d must break
+    # the functional equation, for even (s = 2) and odd (s = 3) slices;
+    # the self-paired middle degree of an odd slice is left out
+    sweep = accel.symbol_sums_by_degree
+    t, u = f5.poly([0, 1]), f5.poly([1, 1])
+    for fixed in ((t, ONE, u, ONE), (t, ONE, f5.mul(u, f5.poly([2, 1])), ONE)):
+        s = len(fixed[0]) + len(fixed[2]) - 2
+        xbound = min_xbound(fixed, 1)
+        assert l_series_H(f5, fixed, 1, xbound, seed3)["status"] == "pass"
+        for d in range(xbound + 1):
+            if s % 2 and 2 * d == s - 1:
+                continue
+
+            def perturbed(fq, g, dmax, d=d):
+                sums = sweep(fq, g, dmax).copy()
+                sums[d] += 1
+                return sums
+
+            monkeypatch.setattr(accel, "symbol_sums_by_degree", perturbed)
+            assert l_series_H(f5, fixed, 1, xbound, seed3)["status"] == "fail", (fixed, d)
+            monkeypatch.undo()
+
+
 def brute_slice(fq, fixed, i, xbound, seed):
     # the oracle for the coprime split: H summed over every monic f_i
     return [
@@ -172,7 +202,7 @@ def min_xbound(fixed, i):
 def assert_slices_match_brute(fq, cases, seed):
     for fixed, i in cases:
         xbound = min_xbound(fixed, i)
-        got = l_series_H(fq, fixed, i, xbound, seed)["coeffs"]
+        got = _slice_coeffs(fq, fixed, i, xbound, seed)
         assert got == brute_slice(fq, fixed, i, xbound, seed), (fixed, i)
 
 

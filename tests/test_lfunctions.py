@@ -18,6 +18,26 @@ def f5():
     return field(5)
 
 
+def test_l_fe_fails_on_a_perturbed_sweep(f5, monkeypatch):
+    from mdslab import accel
+
+    sweep = accel.symbol_sums_by_degree
+    for g in (f5.poly([1, 0, 0, 1]), f5.poly([1, 0, 0, 0, 1])):
+        assert check_l_fe(f5, g)["status"] == "pass"
+        for d in range(len(g) - 1):
+            if len(g) % 2 == 0 and 2 * d == len(g) - 2:
+                continue  # the self-paired middle of an odd-degree g
+
+            def perturbed(fq, gg, dmax, d=d):
+                sums = sweep(fq, gg, dmax).copy()
+                sums[d] += 5
+                return sums
+
+            monkeypatch.setattr(accel, "symbol_sums_by_degree", perturbed)
+            assert check_l_fe(f5, g)["status"] == "fail", (g, d)
+            monkeypatch.undo()
+
+
 def test_l_poly_linear(f5):
     # deg g = 1: the L-polynomial is the constant 1
     t = f5.poly([0, 1])

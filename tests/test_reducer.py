@@ -206,8 +206,12 @@ def test_dominance_small(unit):
 
 def test_dominance_exceptions():
     seed = pipeline_seed(2)
-    assert check_dominance((0, 0, 0), seed)["exception"]
-    assert check_dominance((1, 0, 0), seed)["exception"]
+    # without the exception (0,0,0) would fail (c = 1) and (1,0,0) would
+    # sit at the boundary (c = q)
+    assert reduce_coeff((0, 0, 0), seed).min_quarters() < 2
+    assert reduce_coeff((1, 0, 0), seed).min_quarters() == 4
+    assert check_dominance((0, 0, 0), seed)["status"] == "pass"
+    assert check_dominance((1, 0, 0), seed)["status"] == "pass"
 
 
 def test_integrality_with_pipeline_seed():
@@ -227,6 +231,24 @@ def test_lambda_fe(unit):
         for i in range(3):
             report = check_lambda_fe(fixed, i, seed)
             assert report["status"] == "pass", report
+
+
+@pytest.mark.parametrize("fixed, i", [((1, 0, 2), 1), ((2, 0, 2), 1), ((0, 3, 0), 0)])
+def test_lambda_fe_fails_on_a_bumped_slice(fixed, i):
+    # the memoized slice value at each a in turn is off by q; the check
+    # must notice every one but the self-paired middle of an odd slice
+    base = pipeline_seed(2)
+    s = fixed[i - 1] + fixed[(i + 1) % 3]
+    slice_at = [fixed[:i] + (a,) + fixed[i + 1 :] for a in range(2 * s + 1 + s % 2)]
+    for a, t in enumerate(slice_at):
+        if s % 2 and 2 * a == s - 1:
+            continue
+        seed = DiagonalSeed(list(base.values))
+        for u in slice_at:
+            reduce_coeff(u, seed)
+        seed._memo[t] += QLaurent.q_power(4)
+        assert check_lambda_fe(fixed, i, seed)["status"] == "fail", (a, fixed, i)
+    assert check_lambda_fe(fixed, i, DiagonalSeed(list(base.values)))["status"] == "pass"
 
 
 def test_compute_P_spec_values():

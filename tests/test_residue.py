@@ -11,7 +11,6 @@ from mdslab.residue import (
     check_neven_fe,
     check_pipeline_consistency,
     check_resfe,
-    factor_multiplicity,
     n_even_vars,
     reconstruct_R1,
     residue_coeff_H_route,
@@ -47,12 +46,13 @@ def test_build_R_smallest_factors_n2():
 
 
 def test_factor_multiplicity_matches_window():
+    # the product built to degree sum(alpha) already holds every factor at alpha
     for n in (2, 3, 4):
         fl = build_R(n, 8)
         for (alpha, beta), gamma in fl.items():
-            assert factor_multiplicity(n, alpha, beta) == gamma
-    assert factor_multiplicity(3, (-2, 0), 0) == 0
-    assert factor_multiplicity(3, (0, 0), 0) == 0
+            assert build_R(n, sum(alpha)).factors[(alpha, beta)] == gamma
+    assert ((-2, 0), 0) not in build_R(3, 8).factors
+    assert ((0, 0), 0) not in build_R(3, 8).factors
 
 
 def test_pipeline_seed_values():
@@ -169,6 +169,10 @@ def test_resfe_rejects_bad_positions():
         check_resfe(3, 1, 6)
     with pytest.raises(ValueError):
         check_resfe(4, 0, 6)
+    # i = -2 would read row -1, i = 6 would run past the k = 2 rows
+    for i in (-2, 6):
+        with pytest.raises(ValueError):
+            check_resfe(3, i, 6)
 
 
 def test_neven_fe_n6():
@@ -185,6 +189,41 @@ def test_neven_fe_special_cases():
         check_neven_fe(3, "edge", 8)
     with pytest.raises(ValueError):
         check_neven_fe(6, "nope", 8)
+    with pytest.raises(ValueError):
+        check_neven_fe(4, "nope", 6)
+
+
+def captured_permutations(monkeypatch, n, bound):
+    """The (n, matrix, removed, bound) that each residue FE of n checks."""
+    calls = []
+    monkeypatch.setattr(
+        residue, "_check_factor_permutation", lambda *args: calls.append(args) or {}
+    )
+    for i in admissible_positions(n):
+        check_resfe(n, i, bound)
+    if n % 2 == 0:
+        for which in residue.NEVEN_TRANSFORMS:
+            check_neven_fe(n, which, bound)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_factor_permutation_fails_when_perturbed(monkeypatch, n):
+    check = residue._check_factor_permutation
+    calls = captured_permutations(monkeypatch, n, 8)
+    assert calls
+    for _, mat, removed, bound in calls:
+        assert check(n, mat, removed, bound)["status"] == "pass"
+        # every removed factor is needed: dropping any one of bounded
+        # degree breaks the identity
+        for j, (alpha, _) in enumerate(removed):
+            if sum(alpha) <= bound:
+                fewer = removed[:j] + removed[j + 1 :]
+                assert check(n, mat, fewer, bound)["status"] == "fail", (mat, j)
+        identity = [[int(r == c) for c in range(len(mat))] for r in range(len(mat))]
+        assert check(n, identity, removed, bound)["status"] == "fail"
+        assert check(n, mat, removed + removed[:1], bound)["status"] == "fail"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
