@@ -5,12 +5,16 @@ weights times a correction by cross residue symbols between distinct
 primes. Everything here is exact integer arithmetic at the ambient q.
 
 The one-variable slices of ``l_series_H`` do not sum H over every f: they
-split f into a part smooth over the fixed entries' primes, weighted by
-``H_global``, and a coprime part, whose contribution is one residue
-character summed by the ``accel`` sweep (``_slice_coeffs``). The brute
-sum over every f stays in the tests as the oracle for the split.
+split f into a part smooth over the fixed entries' primes and a coprime
+part, whose contribution is one residue character summed by the ``accel``
+sweep (``_slice_coeffs``). Each smooth part is an exponent vector written
+into slot i of the fixed entries' prime support, and H is glued from that
+support, so no polynomial is multiplied out or factored again.
 ``l_series_H`` clears the pole of a slice and runs ``check_reversal`` on
-it, returning ``{"status", "witness"}``.
+it, returning ``{"status", "witness"}``. The local-to-global sums of
+``global_coeff_sum`` go through the same split: the sum over the slot of
+largest degree is one slice coefficient. The brute sums, of H over every
+f and over every monic tuple, stay in the tests as the oracles.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ import itertools
 from fractions import Fraction
 
 from . import accel
-from .fqpoly import ONE, Fq, Poly, degree, is_monic
+from .fqpoly import ONE, Fq, degree, is_monic
 from .reducer import DiagonalSeed, local_weight_value, check_reversal
 
 BUDGET = 10**8
 
 
 def _prime_support(fq: Fq, polys: tuple) -> dict:
+    """{prime: valuation vector} over the primes dividing some entry."""
     n1 = len(polys)
     support: dict[tuple, list[int]] = {}
     for i, f in enumerate(polys):
@@ -35,7 +40,7 @@ def _prime_support(fq: Fq, polys: tuple) -> dict:
             continue
         for p, mult in fq.factor(f)[0]:
             support.setdefault(p, [0] * n1)[i] = mult
-    return support
+    return {p: tuple(vec) for p, vec in support.items()}
 
 
 def H_global(fq: Fq, polys: tuple, seed: DiagonalSeed) -> int:
@@ -44,28 +49,30 @@ def H_global(fq: Fq, polys: tuple, seed: DiagonalSeed) -> int:
     The twist between two primes p, r with valuation vectors u, v is
     (p/r) raised to sum_i u_i v_{i+1} + v_i u_{i+1} (indices cyclic).
     """
-    n1 = len(polys)
-    support = _prime_support(fq, polys)
+    return _glue(fq, _prime_support(fq, polys), seed)
+
+
+def _glue(fq: Fq, support: dict, seed: DiagonalSeed) -> int:
+    # H from the prime support {prime: valuation vector} (see H_global)
     cache = seed._weight_caches.setdefault(fq.q, {})
     value = 1
-    primes = sorted(support)
-    vecs = []
+    primes = list(support)
     for p in primes:
-        t = tuple(support[p])
-        w = cache.get((len(p), t))
+        key = (len(p), support[p])
+        w = cache.get(key)
         if w is None:
-            w = local_weight_value(len(p) - 1, fq.q, t, seed)
-            cache[(len(p), t)] = w
+            w = local_weight_value(len(p) - 1, fq.q, support[p], seed)
+            cache[key] = w
         if w == 0:
             return 0
         value *= w
-        vecs.append(t)
-    for a in range(len(primes)):
-        u = vecs[a]
-        for b in range(a + 1, len(primes)):
-            if fq.residue_symbol(primes[a], primes[b]) == 1:
+    for a, p in enumerate(primes):
+        u = support[p]
+        n1 = len(u)
+        for r in primes[a + 1 :]:
+            if fq.residue_symbol(p, r) == 1:
                 continue
-            v = vecs[b]
+            v = support[r]
             parity = 0
             for i in range(n1):
                 j = i + 1 - n1 * (i + 1 == n1)
@@ -83,30 +90,35 @@ def _check_budget(q0: int, total: int, n1: int) -> None:
         )
 
 
-def _monic_tuples(fq: Fq, degrees):
-    pools = [fq.monic_enum(a) for a in degrees]
-    return itertools.product(*pools)
-
-
 def global_coeff_sum(fq: Fq, t: tuple[int, ...], seed: DiagonalSeed) -> int:
     """Sum of H over all monic tuples of the given degrees.
 
-    By the local-to-global principle this equals c_t evaluated at q.
+    By the local-to-global principle this equals c_t evaluated at q. The
+    sum over the slot i with the largest degree is coefficient t_i of the
+    one-variable slice with the other entries fixed (``_slice_coeffs``), so
+    only the other slots are enumerated.
     """
     t = tuple(t)
     _check_budget(fq.q, sum(t), len(t))
-    return sum(H_global(fq, fs, seed) for fs in _monic_tuples(fq, t))
+    i = t.index(max(t))
+    pools = [fq.monic_enum(a) for a in t[:i] + t[i + 1 :]]
+    return sum(
+        _slice_coeffs(fq, rest[:i] + (ONE,) + rest[i:], i, t[i], seed)[t[i]]
+        for rest in itertools.product(*pools)
+    )
 
 
-def _smooth_polys(fq: Fq, primes, bound: int) -> list[Poly]:
-    """Every monic product of the given primes of degree at most bound."""
-    out = [ONE]
-    for p in primes:
+def _smooth_parts(support, bound: int) -> list[tuple[int, dict]]:
+    """Every monic product of the given primes of degree at most bound, as
+    (degree, {prime: exponent}) with the zero exponents left out."""
+    out = [(0, {})]
+    for p in support:
+        dp = degree(p)
         step = []
-        for f in out:
-            while degree(f) <= bound:
-                step.append(f)
-                f = fq.mul(f, p)
+        for d, exps in out:
+            step.append((d, exps))
+            for e in range(1, (bound - d) // dp + 1):
+                step.append((d + e * dp, {**exps, p: e}))
         out = step
     return out
 
@@ -159,10 +171,14 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
     g = fq.mul(fixed[(i - 1) % n1], fixed[(i + 1) % n1])
     sums = accel.symbol_sums_by_degree(fq, fq.mul(g, fq.mul(r, r)), xbound).tolist()
     coeffs = [0] * (xbound + 1)
-    for f_s in _smooth_polys(fq, support, xbound):
-        h = H_global(fq, fixed[:i] + (f_s,) + fixed[i + 1 :], seed)
+    for e, exps in _smooth_parts(support, xbound):
+        # f_s's exponents go into slot i of the fixed entries' support
+        glued = {
+            p: vec[:i] + (exps[p],) + vec[i + 1 :] if p in exps else vec
+            for p, vec in support.items()
+        }
+        h = _glue(fq, glued, seed)
         if h:
-            e = degree(f_s)
             for d in range(e, xbound + 1):
                 coeffs[d] += h * sums[d - e]
     return coeffs

@@ -244,17 +244,34 @@ def residue_coeff_H_route(
     """Residue coefficient by enumerating monic tuples with equal squarefree
     parts and assembling the local weights globally.
 
-    Returns sum of H over the tuples, normalized to match the engine route
-    scaled by q^{sum - (a_0+a_n)/2} (n even) or q^{sum} (n odd), so both
-    sides are exact rationals.
+    Such tuples are f_j = m s_j^2 with m squarefree of degree e = a_j mod 2
+    for every j, and each tuple arises from one (m, s_0, ..., s_{k-1}), so
+    the enumeration runs over e, then the squarefree monic m of degree e,
+    then the monic s_j of degree (a_j - e)/2; the filtered product of every
+    monic tuple stays in the tests as the oracle. Returns sum of H over the
+    tuples, normalized to match the engine route scaled by
+    q^{sum - (a_0+a_n)/2} (n even) or q^{sum} (n odd), so both sides are
+    exact rationals.
     """
-    from .globalweights import H_global
+    from .globalweights import BUDGET, H_global
 
+    k = len(avec)
+    # the degrees e of m: e = a_j mod 2 and e <= a_j for every j
+    parities = {a % 2 for a in avec}
+    degrees = range(avec[0] % 2, min(avec) + 1, 2) if len(parities) == 1 else range(0)
+    count = sum(fq.q ** (e + sum(a - e for a in avec) // 2) for e in degrees)
+    if k * count > BUDGET:
+        raise ValueError(
+            f"enumeration budget exceeded: {k} * {count} = {k * count} > {BUDGET}"
+        )
     total = 0
-    for fs in itertools.product(*(fq.monic_enum(a) for a in avec)):
-        if len({fq.squarefree_part(f) for f in fs}) > 1:
-            continue
-        total += H_global(fq, tuple(_layout(n, fs, fq.mul)), seed)
+    for e in degrees:
+        for m in fq.monic_enum(e):
+            if not fq.is_squarefree(m):
+                continue
+            for ss in itertools.product(*(fq.monic_enum((a - e) // 2) for a in avec)):
+                fs = [fq.mul(m, fq.mul(s, s)) for s in ss]
+                total += H_global(fq, tuple(_layout(n, fs, fq.mul)), seed)
     return Fraction(total)
 
 
@@ -312,7 +329,9 @@ def _invert_unimodular(matrix: list[list[int]]) -> list[list[int]]:
     aug = [[Fraction(matrix[r][c]) for c in range(k)] + [Fraction(int(r == c)) for c in range(k)]
            for r in range(k)]
     for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col])
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("substitution matrix is not unimodular")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]

@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from mdslab import accel, globalweights
+from mdslab.cli import main
 from mdslab.fqpoly import ONE, field
 from mdslab.globalweights import (
     H_global,
@@ -73,21 +75,66 @@ def test_rejects_non_monic(f5, seed3):
         H_global(f5, ((2,), ONE, ONE, ONE), seed3)
 
 
+def brute_coeff_sum(fq, t, seed):
+    # the oracle for the slice route: H summed over every monic tuple
+    pools = [fq.monic_enum(a) for a in t]
+    return sum(H_global(fq, fs, seed) for fs in itertools.product(*pools))
+
+
 def test_global_sum_recovers_coefficients(f5, seed2, seed3):
-    # local-to-global: summed weights equal the recurrence coefficient at q
-    for t in tuples_with_sum_at_most(3, 4):
-        want = reduce_coeff(t, seed2).eval_fraction(5)
-        assert global_coeff_sum(f5, t, seed2) == want, t
-    for t in tuples_with_sum_at_most(4, 3):
-        want = reduce_coeff(t, seed3).eval_fraction(5)
-        assert global_coeff_sum(f5, t, seed3) == want, t
+    # local-to-global: summed weights equal the recurrence coefficient at q,
+    # and the slice route equals the brute sum
+    for n1, seed in ((3, seed2), (4, seed3)):
+        for t in tuples_with_sum_at_most(n1, 7 - n1):
+            got = global_coeff_sum(f5, t, seed)
+            assert got == reduce_coeff(t, seed).eval_fraction(5), t
+            assert got == brute_coeff_sum(f5, t, seed), t
 
 
 def test_global_sum_other_field(seed3):
     f13 = field(13)
     for t in [(1, 0, 1, 0), (0, 2, 0, 0), (1, 1, 1, 0)]:
-        want = reduce_coeff(t, seed3).eval_fraction(13)
-        assert global_coeff_sum(f13, t, seed3) == want, t
+        got = global_coeff_sum(f13, t, seed3)
+        assert got == reduce_coeff(t, seed3).eval_fraction(13), t
+        assert got == brute_coeff_sum(f13, t, seed3), t
+
+
+@pytest.mark.parametrize("n, total, q", [(3, 6, 5), (3, 4, 13), (4, 5, 5)])
+def test_global_sum_matches_engine_beyond_brute(n, total, q):
+    # sizes the brute sum cannot reach cheaply: up to q^total tuples each
+    fq = field(q)
+    seed = run_pipeline(n, total + 2).seed
+    for t in tuples_with_sum_at_most(n + 1, total):
+        assert global_coeff_sum(fq, t, seed) == reduce_coeff(t, seed).eval_fraction(q), t
+
+
+def test_local_to_global_fails_on_a_perturbed_sweep(f5, seed3, monkeypatch, tmp_path):
+    # the coprime character sum off by one at a single degree d must break
+    # local to global, in global_coeff_sum and in the verify check
+    sweep = accel.symbol_sums_by_degree
+    ts = list(tuples_with_sum_at_most(4, 3))
+    want = {t: reduce_coeff(t, seed3).eval_int(5) for t in ts}
+    assert all(global_coeff_sum(f5, t, seed3) == want[t] for t in ts)
+    argv = ["verify", "--n", "3", "--suite", "axioms", "--bound", "3", "--trunc", "3"]
+
+    def local_to_global_status(name):
+        main(argv + ["--out", str(tmp_path / name)])
+        checks = json.loads((tmp_path / name).read_text())["checks"]
+        return next(c["status"] for c in checks if c["name"] == "local_to_global")
+
+    assert local_to_global_status("clean") == "pass"
+    for d in range(4):
+
+        def perturbed(fq, g, dmax, d=d):
+            sums = sweep(fq, g, dmax).copy()
+            if d <= dmax:
+                sums[d] += 1
+            return sums
+
+        monkeypatch.setattr(accel, "symbol_sums_by_degree", perturbed)
+        assert any(global_coeff_sum(f5, t, seed3) != want[t] for t in ts), d
+        assert local_to_global_status(f"bumped{d}") == "fail", d
+        monkeypatch.undo()
 
 
 def test_pairwise_route_and_order_independence(f5, seed3):

@@ -1,7 +1,11 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from mdslab import cli, reducer, residue
 from mdslab.fqpoly import field
+from mdslab.globalweights import H_global
 from mdslab.qlaurent import QL_ONE
 from mdslab.reducer import compute_P, tuples_with_sum_at_most
 from mdslab.residue import (
@@ -153,6 +157,32 @@ def test_h_route_matches_engine(n):
         assert lhs == rhs, (avec, lhs, rhs)
 
 
+def brute_h_route(fq, n, avec, seed):
+    # the oracle for the m s_j^2 enumeration: every monic tuple of degrees
+    # avec, kept when the squarefree parts agree
+    total = 0
+    for fs in itertools.product(*(fq.monic_enum(a) for a in avec)):
+        if len({fq.squarefree_part(f) for f in fs}) > 1:
+            continue
+        total += H_global(fq, tuple(residue._layout(n, fs, fq.mul)), seed)
+    return Fraction(total)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_h_route_matches_brute_enumeration(n):
+    fq = field(5)
+    seed = run_pipeline(n, 8).seed
+    for avec in tuples_with_sum_at_most(n_even_vars(n), 3):
+        want = brute_h_route(fq, n, avec, seed)
+        assert residue_coeff_H_route(fq, n, avec, seed) == want, avec
+
+
+def test_h_route_budget_guard():
+    seed = run_pipeline(3, 8).seed
+    with pytest.raises(ValueError, match="budget"):
+        residue_coeff_H_route(field(29), 3, (8, 8), seed)
+
+
 def admissible_positions(n):
     return range(0, n + 1, 2) if n % 2 else range(2, n, 2)
 
@@ -224,6 +254,14 @@ def test_factor_permutation_fails_when_perturbed(monkeypatch, n):
         identity = [[int(r == c) for c in range(len(mat))] for r in range(len(mat))]
         assert check(n, identity, removed, bound)["status"] == "fail"
         assert check(n, mat, removed + removed[:1], bound)["status"] == "fail"
+
+
+def test_invert_unimodular_rejects_other_matrices():
+    assert residue._invert_unimodular([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
+    # singular, then invertible over Q but not over Z
+    for matrix in ([[1, 2], [2, 4]], [[2, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            residue._invert_unimodular(matrix)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
