@@ -244,11 +244,12 @@ def residue_coeff_H_route(
     """Residue coefficient by enumerating monic tuples with equal squarefree
     parts and assembling the local weights globally.
 
-    Such tuples are f_j = m s_j^2 with m squarefree of degree e = a_j mod 2
-    for every j, and each tuple arises from one (m, s_0, ..., s_{k-1}), so
-    the enumeration runs over e, then the squarefree monic m of degree e,
-    then the monic s_j of degree (a_j - e)/2; the filtered product of every
-    monic tuple stays in the tests as the oracle. Returns sum of H over the
+    Such tuples are f_j = m s_j^2 with m squarefree of degree e, e = a_j
+    (mod 2) for every j, and each arises from exactly one (m, s_0, ...,
+    s_{k-1}). So the enumeration runs over e, then the squarefree monic m
+    of degree e, then the monic s_j of degree (a_j - e)/2; the filtered
+    product of every monic tuple stays in the tests as the oracle. It is
+    refused past ``globalweights.BUDGET``. Returns sum of H over the
     tuples, normalized to match the engine route scaled by
     q^{sum - (a_0+a_n)/2} (n even) or q^{sum} (n odd), so both sides are
     exact rationals.

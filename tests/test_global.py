@@ -84,8 +84,8 @@ def brute_coeff_sum(fq, t, seed):
 def test_global_sum_recovers_coefficients(f5, seed2, seed3):
     # local-to-global: summed weights equal the recurrence coefficient at q,
     # and the slice route equals the brute sum
-    for n1, seed in ((3, seed2), (4, seed3)):
-        for t in tuples_with_sum_at_most(n1, 7 - n1):
+    for n1, total, seed in ((3, 4, seed2), (4, 3, seed3)):
+        for t in tuples_with_sum_at_most(n1, total):
             got = global_coeff_sum(f5, t, seed)
             assert got == reduce_coeff(t, seed).eval_fraction(5), t
             assert got == brute_coeff_sum(f5, t, seed), t
