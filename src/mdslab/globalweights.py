@@ -83,6 +83,7 @@ def _glue(fq: Fq, support: dict, seed: DiagonalSeed) -> int:
 
 
 def _check_budget(q0: int, total: int, n1: int) -> None:
+    # total is the summed degree of the slots the caller enumerates
     cost = n1 * q0**total
     if cost > BUDGET:
         raise ValueError(
@@ -96,10 +97,11 @@ def global_coeff_sum(fq: Fq, t: tuple[int, ...], seed: DiagonalSeed) -> int:
     By the local-to-global principle this equals c_t evaluated at q. The
     sum over the slot i with the largest degree is coefficient t_i of the
     one-variable slice with the other entries fixed (``_slice_coeffs``), so
-    only the other slots are enumerated.
+    only the other slots are enumerated, and only they count against
+    ``BUDGET``.
     """
     t = tuple(t)
-    _check_budget(fq.q, sum(t), len(t))
+    _check_budget(fq.q, sum(t) - max(t), len(t))
     i = t.index(max(t))
     pools = [fq.monic_enum(a) for a in t[:i] + t[i + 1 :]]
     return sum(

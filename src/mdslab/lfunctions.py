@@ -5,8 +5,12 @@ is a polynomial of degree deg g - 1. This module computes it by direct
 character summation, checks its functional equation (``check_reversal``
 after the trivial zero is divided out) and the Riemann hypothesis (all
 inverse roots on |x| = q^{1/2}), and verifies the cubic moment identity
-tying averages of L-values to divisor sums. The exact checks return
-``{"status", "witness"}``; ``check_rh`` also reports its float deviation.
+tying averages of L-values to divisor sums. The moment check reads one row
+of symbols (f/g) per monic modulus g from ``accel.symbol_rows``: one route
+multiplies the rows of f_1 and f_3 (multiplicativity in the modulus), the
+other weighs the row sums of each f by its divisor count (factorisation).
+The exact checks return ``{"status", "witness"}``; ``check_rh`` also
+reports its float deviation.
 """
 
 from __future__ import annotations
@@ -113,9 +117,12 @@ def divisor_count(fq: Fq, f) -> int:
 def check_moment_cost(q: int, dmax: int) -> None:
     """Raise ValueError, with the estimate, if the moment check is too big.
 
-    moment_identity_check sweeps sum_{d <= dmax} q^d symbols for each
-    modulus f_1 f_3 with deg f_1 + deg f_3 <= dmax (route A) and each f with
-    deg f <= dmax (route B).
+    The count is of symbol products: route A's Gram matrices stand for
+    (f/f_1)(f/f_3) over every monic f of degree <= dmax and every pair
+    (f_1, f_3) with deg f_1 + deg f_3 <= dmax, and route B sums (f/g) over
+    the same f for every monic g of degree <= dmax, so the count is
+    sum_{d <= dmax} q^d for each such pair and each such g. That is also
+    the number of symbols a sweep of each modulus f_1 f_3 would evaluate.
     """
     moduli = sum((s + 2) * q**s for s in range(dmax + 1))
     count = moduli * sum(q**d for d in range(dmax + 1))
@@ -126,30 +133,55 @@ def check_moment_cost(q: int, dmax: int) -> None:
         )
 
 
+def _moment_sides(fq: Fq, dmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(side A, side B) of the cubic-moment identity, each indexed by
+    (deg f_1 f_3, deg f_0, deg f_2); see ``moment_identity_check``."""
+    q = fq.q
+    blocks = [slice(q**b, 2 * q**b) for b in range(dmax + 1)]
+    side_a = np.zeros((dmax + 1,) * 3, dtype=np.int64)
+    side_b = np.zeros_like(side_a)
+    low = []  # the row matrices of degree <= dmax / 2, paired again later
+    for d in range(dmax + 1):
+        rows = accel.symbol_rows(fq, d, dmax)
+        # route A: G_b[f_1, f_3] = sum over f of degree b of (f/f_1)(f/f_3),
+        # the degree-b sum of (f / f_1 f_3), for deg f_1 = d, deg f_3 = e;
+        # side A[d + e][b, b'] gains sum G_b * G_b', entry by entry. The
+        # pairs (e, d) give the transposes, so they count twice when e < d.
+        for e in range(min(d, dmax - d) + 1):
+            other = rows if e == d else low[e]
+            gram = np.stack([
+                np.einsum("ik,jk->ij", rows[:, b], other[:, b], dtype=np.int64).ravel()
+                for b in blocks
+            ])
+            side_a[d + e] += (1 if e == d else 2) * (gram @ gram.T)
+        # route B: the sums by degree of each f of degree d, weighted by its
+        # number of monic divisors
+        sums = np.stack([rows[:, b].sum(axis=1, dtype=np.int64) for b in blocks], axis=1)
+        sigma = np.array([divisor_count(fq, f) for f in fq.monic_enum(d)], dtype=np.int64)
+        side_b[d] = sums.T @ (sigma[:, None] * sums)
+        if 2 * d <= dmax:
+            low.append(rows)
+        del rows, other  # R[d] is freed before R[d + 1] is built
+    return side_a, side_b
+
+
 def moment_identity_check(fq: Fq, dmax: int) -> dict:
     """Cubic-moment identity between two independent summation routes.
 
-    Route A: the four-fold sum over monic (f_0, f_1, f_2, f_3), grouping
-    the characters of g = f_1 f_3 degree by degree in f_0 and f_2.
-    Route B: sum over monic f of sigma_0(f) times the same character sums.
-    Both accumulate integer arrays indexed by (deg f_1 f_3, deg f_0,
-    deg f_2), each degree 0..dmax; the identity demands exact equality.
+    Both sides are integer arrays indexed by (deg f_1 f_3, deg f_0,
+    deg f_2), each degree 0..dmax, read from one row of symbols (f/g) per
+    monic modulus g (``accel.symbol_rows``); the identity demands exact
+    equality.
+    Route A: the four-fold sum over monic (f_0, f_1, f_2, f_3) of
+    (f_0 / f_1 f_3)(f_2 / f_1 f_3). By multiplicativity in the modulus,
+    (f / f_1 f_3) = (f / f_1)(f / f_3), so for each pair of degrees the
+    character sums of every product f_1 f_3 are one Gram matrix of the two
+    row matrices per degree block of f, and no f_1 f_3 is multiplied out.
+    Route B: sum over monic f of sigma_0(f), from f's factorisation, times
+    the outer product of f's own character sums by degree.
     """
     check_moment_cost(fq.q, dmax)
-    shape = (dmax + 1,) * 3
-    side_a = np.zeros(shape, dtype=np.int64)
-    for d1 in range(dmax + 1):
-        for f1 in fq.monic_enum(d1):
-            for d3 in range(dmax + 1 - d1):
-                for f3 in fq.monic_enum(d3):
-                    g = fq.mul(f1, f3)
-                    sums = accel.symbol_sums_by_degree(fq, g, dmax)
-                    side_a[d1 + d3] += np.outer(sums, sums)
-    side_b = np.zeros(shape, dtype=np.int64)
-    for d in range(dmax + 1):
-        for f in fq.monic_enum(d):
-            sums = accel.symbol_sums_by_degree(fq, f, dmax)
-            side_b[d] += divisor_count(fq, f) * np.outer(sums, sums)
+    side_a, side_b = _moment_sides(fq, dmax)
     if np.array_equal(side_a, side_b):
         return {"status": "pass"}
     bad = tuple(int(i) for i in np.argwhere(side_a != side_b)[0])

@@ -165,6 +165,16 @@ def test_budget_guard(f5, seed3):
         global_coeff_sum(f5, (4, 4, 4, 4), seed3)
 
 
+def test_budget_prices_the_enumerated_slots(f5, seed3, monkeypatch):
+    # the slot of largest degree is one slice coefficient, not enumerated:
+    # (0, 0, 0, 5) costs 4 * 5^0, where the brute sum cost 4 * 5^5 = 12500
+    monkeypatch.setattr(globalweights, "BUDGET", 1000)
+    t = (0, 0, 0, 5)
+    assert global_coeff_sum(f5, t, seed3) == reduce_coeff(t, seed3).eval_int(5)
+    with pytest.raises(ValueError, match=r"^enumeration budget exceeded: 4 \* 5\^5 = 12500 > 1000$"):
+        global_coeff_sum(f5, (2, 2, 1, 5), seed3)
+
+
 def test_global_coeff_sum_pinned_value(f5, seed2):
     # a square-carrying index, pinned at q = 5
     assert global_coeff_sum(f5, (2, 2, 0), seed2) == 125

@@ -1,9 +1,13 @@
+import re
 import time
 
+import numpy as np
 import pytest
 
+from mdslab import accel, lfunctions
 from mdslab.fqpoly import Fq, field
 from mdslab.lfunctions import (
+    _moment_sides,
     check_l_fe,
     check_moment_cost,
     check_rh,
@@ -103,6 +107,68 @@ def test_moment_identity_small(f5):
 def test_moment_identity_other_field():
     report = moment_identity_check(field(13), 1)
     assert report["status"] == "pass", report
+
+
+def brute_moment_sides(fq, dmax):
+    # the oracle: one character sweep per modulus, f_1 f_3 multiplied out
+    # for each pair (route A) and each f on its own (route B)
+    shape = (dmax + 1,) * 3
+    side_a = np.zeros(shape, dtype=np.int64)
+    for d1 in range(dmax + 1):
+        for f1 in fq.monic_enum(d1):
+            for d3 in range(dmax + 1 - d1):
+                for f3 in fq.monic_enum(d3):
+                    sums = accel.symbol_sums_by_degree(fq, fq.mul(f1, f3), dmax)
+                    side_a[d1 + d3] += np.outer(sums, sums)
+    side_b = np.zeros(shape, dtype=np.int64)
+    for d in range(dmax + 1):
+        for f in fq.monic_enum(d):
+            sums = accel.symbol_sums_by_degree(fq, f, dmax)
+            side_b[d] += divisor_count(fq, f) * np.outer(sums, sums)
+    return side_a, side_b
+
+
+@pytest.mark.parametrize("q, dmax", [(5, 1), (5, 2), (5, 3), (13, 1), (13, 2)])
+def test_moment_sides_match_per_pair_oracle(q, dmax):
+    fq = field(q)
+    side_a, side_b = _moment_sides(fq, dmax)
+    want_a, want_b = brute_moment_sides(fq, dmax)
+    assert np.array_equal(side_a, want_a)
+    assert np.array_equal(side_b, want_b)
+
+
+WITNESS = re.compile(r"index \(\d+, \d+, \d+\): -?\d+ != -?\d+")
+
+
+def test_moment_identity_fails_on_a_flipped_symbol(f5, monkeypatch):
+    assert moment_identity_check(f5, 2) == {"status": "pass"}
+    rows_of = accel.symbol_rows
+
+    def flipped(fq, d, dmax):
+        rows = rows_of(fq, d, dmax)
+        if d == 2:
+            # g = t(t+1) is row 1; f = t + 2 sits at 5 + 2. Route B weighs
+            # g's row by sigma_0(g) = 4, route A reads it for two of the
+            # four factorisations only
+            assert rows[1, 7] != 0
+            rows[1, 7] *= -1
+        return rows
+
+    monkeypatch.setattr(accel, "symbol_rows", flipped)
+    report = moment_identity_check(f5, 2)
+    assert report["status"] == "fail" and WITNESS.fullmatch(report["witness"]), report
+
+
+def test_moment_identity_fails_on_a_wrong_divisor_count(f5, monkeypatch):
+    count = lfunctions.divisor_count
+    bumped = f5.poly([1, 0, 1])
+
+    def off_by_one(fq, f):
+        return count(fq, f) + (tuple(f) == bumped)
+
+    monkeypatch.setattr(lfunctions, "divisor_count", off_by_one)
+    report = moment_identity_check(f5, 2)
+    assert report["status"] == "fail" and WITNESS.fullmatch(report["witness"]), report
 
 
 def first_irreducible(fq, candidates):
