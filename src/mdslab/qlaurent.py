@@ -39,6 +39,13 @@ class QLaurent:
         """coeff * q^(quarters/4)."""
         return QLaurent({quarters: coeff})
 
+    @staticmethod
+    def from_nonzero(terms: dict[int, int]) -> "QLaurent":
+        """Wrap terms that hold no zero coefficient, skipping the filter pass."""
+        out = object.__new__(QLaurent)
+        out.terms = terms
+        return out
+
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -75,7 +82,7 @@ class QLaurent:
 
     def shift(self, quarters: int) -> "QLaurent":
         """Multiply by q^(quarters/4)."""
-        return QLaurent({e + quarters: c for e, c in self.terms.items()})
+        return QLaurent.from_nonzero({e + quarters: c for e, c in self.terms.items()})
 
     # -- queries -----------------------------------------------------------
 

@@ -65,7 +65,9 @@ def reduce_coeff(t: IndexTuple, seed: DiagonalSeed) -> QLaurent:
 
     Reduces at the first position i with 2*a_i > a_{i-1} + a_{i+1}. Every
     dependency differs from the node only in a smaller a_i, so the index sum
-    falls and the worklist ends on diagonals.
+    falls and the worklist ends on diagonals. Memo values are ``QLaurent``
+    with no zero coefficient, and a zero the recurrence yields is the shared
+    ``QL_ZERO``.
     """
     t = tuple(t)
     if any(a < 0 for a in t):
@@ -74,6 +76,7 @@ def reduce_coeff(t: IndexTuple, seed: DiagonalSeed) -> QLaurent:
     if t in memo:
         return memo[t]
     m = len(t)
+    sides = [(i, i - 1, (i + 1) % m) for i in range(m)]
     # iterative worklist to avoid deep recursion on large index sums
     stack = [t]
     while stack:
@@ -81,8 +84,8 @@ def reduce_coeff(t: IndexTuple, seed: DiagonalSeed) -> QLaurent:
         if cur in memo:
             stack.pop()
             continue
-        for i in range(m):
-            s = cur[i - 1] + cur[(i + 1) % m]
+        for i, left, right in sides:
+            s = cur[left] + cur[right]
             if 2 * cur[i] > s:
                 break
         else:
@@ -91,37 +94,68 @@ def reduce_coeff(t: IndexTuple, seed: DiagonalSeed) -> QLaurent:
             stack.pop()
             continue
         ai = cur[i]
-        head, tail = cur[:i], cur[i + 1 :]
-        # odd s:  c = q^{a_i-(s-1)/2} c_{s-1-a_i}
-        # even s: c = q c_{a_i-1} + q^{a_i-s/2} (c_{s-a_i} - q c_{s-a_i-1})
-        deps = (s - 1 - ai,) if s % 2 else (ai - 1, s - ai, s - ai - 1)
-        terms = []
-        for v in deps:
-            if v < 0:
-                terms.append({})
-                continue
-            d = head + (v,) + tail
-            c = memo.get(d)
-            if c is None:
-                stack.append(d)
-            else:
-                terms.append(c.terms)
-        if len(terms) < len(deps):
-            continue
-        stack.pop()
+        dep = list(cur)  # a dependency differs from cur at position i only
+        # A dependency below zero is zero. A result is a shifted copy built
+        # without QLaurent's filter pass unless two terms meet.
         if s % 2:
-            k = 4 * (ai - (s - 1) // 2)
-            memo[cur] = QLaurent({e + k: c for e, c in terms[0].items()})
+            # c = q^{a_i-(s-1)/2} c_{s-1-a_i}
+            c = QL_ZERO
+            if ai < s:
+                dep[i] = s - 1 - ai
+                d = tuple(dep)
+                c = memo.get(d)
+                if c is None:
+                    stack.append(d)
+                    continue
+            memo[cur] = c.shift(4 * ai - 2 * (s - 1)) if c.terms else QL_ZERO
+            stack.pop()
             continue
-        k = 4 * (ai - s // 2)
-        t1, t2, t3 = terms
-        out = {e + 4: c for e, c in t1.items()}
-        for e, c in t2.items():
-            out[e + k] = out.get(e + k, 0) + c
-        for e, c in t3.items():
-            out[e + k + 4] = out.get(e + k + 4, 0) - c
-        memo[cur] = QLaurent(out)
+        # c = q c_{a_i-1} + q^{a_i-s/2} (c_{s-a_i} - q c_{s-a_i-1}), a_i >= 1
+        dep[i] = ai - 1
+        d1 = tuple(dep)
+        c1 = memo.get(d1)
+        c2 = c3 = QL_ZERO
+        if ai <= s:
+            dep[i] = s - ai
+            d2 = tuple(dep)
+            c2 = memo.get(d2)
+            if c2 is None:
+                stack.append(d2)
+            if ai < s:
+                dep[i] = s - ai - 1
+                d3 = tuple(dep)
+                c3 = memo.get(d3)
+                if c3 is None:
+                    stack.append(d3)
+        if c1 is None:
+            stack.append(d1)
+            continue
+        if c2 is None or c3 is None:
+            continue
+        memo[cur] = _even_rule(c1, c2, c3, 4 * ai - 2 * s)
+        stack.pop()
     return memo[t]
+
+
+def _even_rule(c1: QLaurent, c2: QLaurent, c3: QLaurent, k: int) -> QLaurent:
+    """q c1 + q^{k/4} (c2 - q c3); a coefficient is dropped only where two
+    terms meet and cancel."""
+    if not c2.terms and not c3.terms:
+        return c1.shift(4) if c1.terms else QL_ZERO
+    out = {e + 4: v for e, v in c1.terms.items()}
+    for c, shift, sign in ((c2, k, 1), (c3, k + 4, -1)):
+        for e, v in c.terms.items():
+            e += shift
+            v *= sign
+            if e in out:
+                v += out[e]
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+            else:
+                out[e] = v
+    return QLaurent.from_nonzero(out) if out else QL_ZERO
 
 
 def tuples_with_sum_at_most(n1: int, total: int):

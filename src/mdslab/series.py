@@ -4,14 +4,19 @@ A :class:`MultiSeries` is truncated by total degree. A :class:`FactorList`
 is a merged multiset of triples (alpha, beta, gamma) standing for the
 product of (1 - q^beta x^alpha)^(-gamma); beta is stored in quarter units
 like the :class:`~mdslab.qlaurent.QLaurent` exponents. A product is
-expanded either by total degree (:func:`expand_factors`) or on the box
-[0, D]^k, which is all its diagonal up to x^D needs
-(:func:`expand_diagonal`).
+expanded either by total degree (:func:`expand_factors`) or for its
+diagonal up to x^D only (:func:`expand_diagonal`). The diagonal expansion
+keeps, after each factor, only the terms of the box [0, D]^k that the
+factors still to come can carry to a point a·δ, δ = (1, ..., 1), a <= D.
+Every factor exponent is nonnegative, so a dropped term never reaches the
+diagonal and the pruned product is exact.
 """
 
 from __future__ import annotations
 
 from math import comb
+
+import numpy as np
 
 from .qlaurent import QL_ONE, QL_ZERO, QLaurent
 
@@ -149,6 +154,19 @@ class FactorList:
         return FactorList({(a, 4 - b): g for (a, b), g in self.factors.items()})
 
 
+def _check_factors(factors, nvars: int) -> None:
+    for (alpha, _beta), _gamma in factors:
+        if len(alpha) != nvars:
+            raise ValueError("factor arity mismatch")
+        if min(alpha) < 0 or not any(alpha):
+            raise ValueError(f"factor exponent {alpha} is not nonnegative and nonzero")
+
+
+def _power_coeff(gamma: int, k: int) -> int:
+    """Coefficient of the k-th term of (1 - y)^(-gamma)."""
+    return comb(gamma - 1 + k, k) if gamma > 0 else (-1) ** k * comb(-gamma, k)
+
+
 def _expand(fl: FactorList, nvars: int, keep) -> dict[ExpVec, QLaurent]:
     """Terms of the product at the exponents e with keep(e).
 
@@ -156,12 +174,10 @@ def _expand(fl: FactorList, nvars: int, keep) -> dict[ExpVec, QLaurent]:
     nonnegative (checked), so a dropped term never contributes to a kept
     one, and the truncated product is exact.
     """
+    factors = fl.items()
+    _check_factors(factors, nvars)
     terms: dict[ExpVec, QLaurent] = {(0,) * nvars: QL_ONE}
-    for (alpha, beta), gamma in fl.items():
-        if len(alpha) != nvars:
-            raise ValueError("factor arity mismatch")
-        if min(alpha) < 0 or not any(alpha):
-            raise ValueError(f"factor exponent {alpha} is not nonnegative and nonzero")
+    for (alpha, beta), gamma in factors:
         # the k-th term of (1 - q^beta x^alpha)^(-gamma), k >= 1
         powers = []
         k = 1
@@ -169,8 +185,7 @@ def _expand(fl: FactorList, nvars: int, keep) -> dict[ExpVec, QLaurent]:
             e = tuple(k * a for a in alpha)
             if not keep(e):
                 break
-            c = comb(gamma - 1 + k, k) if gamma > 0 else (-1) ** k * comb(-gamma, k)
-            powers.append((e, QLaurent.q_power(k * beta, c)))
+            powers.append((e, QLaurent.q_power(k * beta, _power_coeff(gamma, k))))
             k += 1
         out = dict(terms)
         for e1, c1 in terms.items():
@@ -189,33 +204,106 @@ def expand_factors(fl: FactorList, nvars: int, bound: int) -> MultiSeries:
     return MultiSeries(nvars, bound, _expand(fl, nvars, lambda e: sum(e) <= bound))
 
 
+def _max_power(alpha: ExpVec, gamma: int, max_degree: int) -> int:
+    """Largest k with k*alpha in the box [0, max_degree]^nvars that the
+    factor (1 - q^beta x^alpha)^(-gamma) has a k-th term for."""
+    k = min(max_degree // a for a in alpha if a)
+    return k if gamma > 0 else min(k, -gamma)
+
+
+def _last_live_step(factors, nvars: int, max_degree: int) -> np.ndarray:
+    """For each point e of the box [0, D]^nvars, flattened row-major, the
+    last step i at which e can still reach the diagonal, or -1.
+
+    L_i is the set of e with e + r = a*delta for some a <= D and some r in
+    the support of the product of factors i, i+1, .... L_len(factors) is
+    the diagonal, and L_i is L_(i+1) pulled back along the multiples of
+    alpha_i. The sets only grow as i falls, so one array of each point's
+    largest i holds all of them.
+    """
+    shape = (max_degree + 1,) * nvars
+    live = np.zeros(shape, dtype=bool)
+    live[(np.arange(max_degree + 1),) * nvars] = True
+    last = np.full(shape, -1, dtype=np.int32)
+    last[live] = len(factors)
+    for i in range(len(factors) - 1, -1, -1):
+        (alpha, _beta), gamma = factors[i]
+        kmax = _max_power(alpha, gamma, max_degree)
+        if not kmax:
+            continue
+        pulled = live.copy()
+        for k in range(1, kmax + 1):
+            dst = tuple(slice(0, max_degree + 1 - k * a) for a in alpha)
+            src = tuple(slice(k * a, None) for a in alpha)
+            pulled[dst] |= live[src]
+        last[pulled & ~live] = i
+        live = pulled
+    return last.ravel()
+
+
 def expand_diagonal(fl: FactorList, nvars: int, max_degree: int) -> MultiSeries:
     """One-variable diagonal of the product: the coefficient of
     (x_1 ... x_nvars)^a as x^a, a <= max_degree.
 
-    Only the box [0, max_degree]^nvars is expanded.
+    Factors are multiplied in in ``fl.items()`` order. After factor i only
+    the terms e in L_(i+1) are kept (see :func:`_last_live_step`): the
+    points of the box [0, D]^nvars from which the factors still to come can
+    reach a*delta, a <= D. A term outside the box only grows, and a term
+    outside L_(i+1) cannot reach the diagonal, so both are dropped exactly.
+    L_(i+1) is not downward-closed, so each candidate is tested on its own.
     """
-    terms = _expand(fl, nvars, lambda e: max(e) <= max_degree)
-    diag = {(e[0],): c for e, c in terms.items() if len(set(e)) == 1}
+    factors = fl.items()
+    _check_factors(factors, nvars)
+    last = _last_live_step(factors, nvars, max_degree)
+    place = (max_degree + 1) ** np.arange(nvars - 1, -1, -1)
+    exps = np.zeros((1, nvars), dtype=np.int64)  # the kept terms, as rows
+    coeffs = [QL_ONE]
+    for i, ((alpha, beta), gamma) in enumerate(factors):
+        kmax = _max_power(alpha, gamma, max_degree)
+        if not kmax:
+            continue  # no term in the box, and L_i = L_(i+1)
+        powers = [QL_ONE] + [
+            QLaurent.q_power(k * beta, _power_coeff(gamma, k)) for k in range(1, kmax + 1)
+        ]
+        # cand[k, t] = exps[t] + k * alpha
+        cand = exps + np.arange(kmax + 1)[:, None, None] * np.array(alpha)
+        flat = cand @ place
+        keep = cand.max(axis=2) <= max_degree
+        keep[keep] = last[flat[keep]] > i
+        out: dict[int, QLaurent] = {}
+        ks, ts = np.nonzero(keep)
+        for k, t, f in zip(ks.tolist(), ts.tolist(), flat[ks, ts].tolist()):
+            prod = coeffs[t] * powers[k] if k else coeffs[t]
+            out[f] = out[f] + prod if f in out else prod
+        kept = {f: c for f, c in out.items() if c}
+        coeffs = list(kept.values())
+        exps = np.array(list(kept), dtype=np.int64)[:, None] // place % (max_degree + 1)
+    # the terms left lie in L_len(factors), the diagonal
+    diag = {(int(e[0]),): c for e, c in zip(exps, coeffs)}
     return MultiSeries(1, max_degree, diag)
 
 
 def factorize_product_form(s: MultiSeries) -> FactorList:
     """Unique product form of a series with constant term 1.
 
-    Peels factors degree by degree: after dividing out all factors found
-    below degree d, the residual coefficient at each degree-d monomial
-    x^alpha is read off term by term as sum of gamma * q^beta.
+    Peels factors degree by degree. The residual is s divided by every
+    factor found so far, so its lowest nonconstant terms, of degree d, read
+    off the degree-d factors term by term: the coefficient at x^alpha is
+    the sum of gamma * q^beta. Dividing by those factors is multiplying by
+    their expansion with gamma negated.
     """
     if s.coeff((0,) * s.nvars) != QL_ONE:
         raise ValueError("product form requires constant term 1")
     found = FactorList()
+    residual = s
     for d in range(1, s.bound + 1):
-        residual = s.mul(expand_factors(found, s.nvars, s.bound).inverse())
+        inverse = FactorList()
         for e in _exps_of_degree(s.nvars, d):
-            c = residual.coeff(e)
-            for beta, gamma in sorted(c.terms.items()):
+            for beta, gamma in sorted(residual.coeff(e).terms.items()):
                 found.add(e, beta, gamma)
+                inverse.add(e, beta, -gamma)
+        if len(inverse):
+            residual = residual.mul(expand_factors(inverse, s.nvars, s.bound))
     return found
 
 

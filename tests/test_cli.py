@@ -197,6 +197,22 @@ def test_benchmark_reports_match_pinned_digests(monkeypatch, capsys):
         assert hashlib.sha256(report).hexdigest() == workload.sha256, name
 
 
+RESIDUE_DIGESTS = {
+    7: "bcb9daa2289c1157c97f2927315eabcb5b51c3a18c92cc9b1dacb2cad13c4bf3",
+    8: "72deff3d9de19c33848bba3d7388ad5fa599b19f99a68f4b4566c717ad4fb4b5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RESIDUE_DIGESTS))
+def test_larger_residue_reports_match_pinned_digests(capsys, n):
+    # the residue-n6 workload at n = 7 and 8, where the diagonal expansion
+    # prunes most of the box [0, D]^k
+    argv = ["verify", "--n", str(n), "--q", "5", "--suite", "residue", "--bound", "6", "--trunc", "6"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RESIDUE_DIGESTS[n]
+
+
 def test_checks_return_status_and_witness_only():
     # every check returns exactly what the report reads; check_rh keeps its
     # numeric deviation, and check_moment_cost raises rather than reports

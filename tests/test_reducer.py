@@ -298,6 +298,16 @@ def test_memo_matches_max_violation_oracle(monkeypatch, n):
         assert c == max_violation_reduce(t, seed, oracle), t
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_memo_values_hold_no_zero_coefficient(monkeypatch, n):
+    # reduce_coeff builds shifted values without QLaurent's filter pass
+    seed = unit_seed_of_compute_P(monkeypatch, n, 8)
+    for t, c in seed._memo.items():
+        assert type(c) is QLaurent, t
+        assert 0 not in c.terms.values(), t
+        assert c == QLaurent(dict(c.terms)), t
+
+
 def test_first_violation_memo_size(monkeypatch):
     # the largest-violation rule filled 137,167 entries here
     seed = unit_seed_of_compute_P(monkeypatch, 6, 8)

@@ -3,11 +3,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdslab.qlaurent import QL_ONE, QLaurent
+from mdslab.qlaurent import QL_ONE, QL_ZERO, QLaurent
 from mdslab.residue import build_R, n_even_vars
 from mdslab.series import (
     FactorList,
     MultiSeries,
+    _expand,
     expand_diagonal,
     expand_factors,
     factorize_product_form,
@@ -80,7 +81,13 @@ def diagonal_oracle(fl, nvars, max_degree):
     return [full.coeff((a,) * nvars) for a in range(max_degree + 1)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def box_diagonal_oracle(fl, nvars, max_degree):
+    """The diagonal read from the unpruned expansion of the box [0, D]^nvars."""
+    box = _expand(fl, nvars, lambda e: max(e) <= max_degree)
+    return [box.get((a,) * nvars, QL_ZERO) for a in range(max_degree + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_box_diagonal_matches_total_degree_diagonal(n):
     k, D = n_even_vars(n), 6
     fl = build_R(n, k * D)
@@ -88,15 +95,25 @@ def test_box_diagonal_matches_total_degree_diagonal(n):
     assert [diag.coeff((a,)) for a in range(D + 1)] == diagonal_oracle(fl, k, D)
 
 
+@pytest.mark.parametrize("n", [6, 9])
+def test_pruned_diagonal_matches_box_expansion(n):
+    k, D = n_even_vars(n), 8
+    fl = build_R(n, k * D)
+    diag = expand_diagonal(fl, k, D)
+    assert [diag.coeff((a,)) for a in range(D + 1)] == box_diagonal_oracle(fl, k, D)
+
+
 def factor_lists(nvars):
+    # entries up to 6 put whole factors, or all their powers past the
+    # first, outside the box [0, 4]^nvars; gamma of either sign cancels
     return st.lists(
         st.tuples(
-            st.tuples(*[st.integers(0, 2)] * nvars).filter(any),
+            st.tuples(*[st.integers(0, 6)] * nvars).filter(any),
             st.sampled_from([0, 2, 4]),
-            st.integers(-2, 2).filter(bool),
+            st.integers(-3, 3).filter(bool),
         ),
         min_size=0,
-        max_size=4,
+        max_size=6,
     )
 
 
