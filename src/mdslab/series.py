@@ -245,7 +245,7 @@ def expand_diagonal(fl: FactorList, nvars: int, max_degree: int) -> MultiSeries:
     """One-variable diagonal of the product: the coefficient of
     (x_1 ... x_nvars)^a as x^a, a <= max_degree.
 
-    Factors are multiplied in in ``fl.items()`` order. After factor i only
+    The factors are taken in ``fl.items()`` order. After factor i only
     the terms e in L_(i+1) are kept (see :func:`_last_live_step`): the
     points of the box [0, D]^nvars from which the factors still to come can
     reach a*delta, a <= D. A term outside the box only grows, and a term
