@@ -6,7 +6,8 @@ character rows; the tests check it against the Euclidean-reciprocity route
 ``Fq.residue_symbol``.
 
 Layout. The monic f of degree d with coefficients (a_0, ..., a_{d-1}, 1)
-has index q^d + sum a_k q^k, so the degree-d block of a row is the slice
+has index q^d + sum a_k q^k (the index layout of ``fqpoly``, whose prime
+sieve uses it too), so the degree-d block of a row is the slice
 [q^d, 2q^d), constant coefficient fastest, and f = c + t*h has index
 q * index(h) + c.
 
@@ -36,9 +37,11 @@ chi); past MAX_CACHE_BYTES the oldest entries go.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .fqpoly import Fq, Poly, degree
+from .fqpoly import Fq, Poly, _digits, _index, degree
 
 # Largest estimated allocation of one sweep, in bytes: the tables and rows
 # of the primes involved, the rows asked for and the temporaries of the
@@ -54,21 +57,6 @@ MAX_CACHE_BYTES = 2**28
 # megabyte.
 TABLE_PASS = 2**14
 ROW_BATCH = 2**16
-
-
-def _digits(q: int, n: int, idx: np.ndarray) -> np.ndarray:
-    """Base-q digits of idx, shape (n, *idx.shape), least significant first."""
-    return np.stack([(idx // q**k) % q for k in range(n)])
-
-
-def _index(q: int, digits: np.ndarray) -> np.ndarray:
-    """Inverse of _digits over the first axis, reducing every digit mod q."""
-    # Horner's rule: one digit-sized temporary at a time
-    out = digits[-1] % q
-    for digit in digits[-2::-1]:
-        out *= q
-        out += digit % q
-    return out
 
 
 def _passes(q: int, count: int, n: int) -> list:
@@ -237,23 +225,26 @@ def _row(fq: Fq, g: Poly, dmax: int) -> np.ndarray:
     return row
 
 
-def symbol_rows(fq: Fq, d: int, dmax: int) -> np.ndarray:
-    """(f/g) for every monic g of degree d, one int8 row each in
-    ``monic_enum`` order, over every monic f of degree <= dmax.
+def symbol_rows(fq: Fq, d: int, dmax: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """(f/g) for the monic g of degree d at positions [start, stop) of
+    ``monic_enum`` order (every such g by default), one int8 row each, over
+    every monic f of degree <= dmax.
 
-    Row k holds (f/g_k) for the f of degree b at [q^b, 2q^b), constant
-    coefficient fastest (the layout above); entry 0 is no f.
+    Row k holds (f/g) for the g at position start + k and the f of degree
+    b at [q^b, 2q^b), constant coefficient fastest (the layout above);
+    entry 0 is no f.
     """
     q = fq.q
+    stop = q**d if stop is None else min(stop, q**d)
     # at most q^e / e primes have degree e
     degrees = [(e, q**e // e) for e in range(1, d + 1)]
     _check_cost(
-        q, degrees, dmax, q**d, lambda: f"symbol rows of every monic g of degree {d}"
+        q, degrees, dmax, stop - start, lambda: f"symbol rows of the monic g of degree {d}"
     )
     primes = [p for e in range(1, d + 1) for p in fq._primes_of_degree(e)]
     prime_rows = _prime_rows(fq, primes, dmax)
-    rows = np.ones((q**d, 2 * q**dmax), dtype=np.int8)
-    for row, g in zip(rows, fq.monic_enum(d)):
+    rows = np.ones((stop - start, 2 * q**dmax), dtype=np.int8)
+    for row, g in zip(rows, itertools.islice(fq.monic_enum(d), start, stop)):
         _multiply(row, fq.factor(g)[0], prime_rows)
     return rows
 

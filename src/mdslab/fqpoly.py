@@ -2,13 +2,30 @@
 
 Polynomials are immutable coefficient tuples, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple. All operations live
-on the :class:`Fq` context object, which caches prime tables,
+on the :class:`Fq` context object, which caches the prime sieve,
 factorizations and residue symbols for the small degrees this library
 works at.
 
-The quadratic residue symbol comes in two independent implementations:
-a factorization-based oracle (Euler's criterion prime by prime) and a fast
-Euclidean-reciprocity path. Tests require them to agree.
+Index layout. The monic f of degree d with coefficients (a_0, ..., a_{d-1},
+1) has index q^d + sum a_k q^k, so its base-q digits are its coefficients,
+the monic f of degree d fill the block [q^d, 2q^d), and f = c + t*h has
+index q * index(h) + c. ``accel`` lays its symbol rows out the same way.
+
+Sieve. Over the indices [0, 2q^D) of every monic f of degree <= D, the
+context keeps two arrays: spf[f], the index of one prime factor of f (0
+when f is prime), and cof[f], the index of f / spf[f]. They are marked
+once per pair of degrees (e, k): the products p*h of every prime p of
+degree e <= D/2 with every monic h of degree k, e <= k <= D - e, are
+formed at once by digit convolution mod q and Horner's rule. The primes of
+degree d are the unmarked entries of block d. The sieve is rebuilt to a
+larger D on demand; its size is priced before anything is allocated, and
+a sieve above MAX_SIEVE_BYTES is refused with the estimate.
+``factor`` reads factorisations off spf and cof, trial-dividing only
+above the sieve's degree.
+
+The quadratic residue symbol is computed by Euclidean reduction and
+quadratic reciprocity; the tests check it against Euler's criterion prime
+by prime.
 """
 
 from __future__ import annotations
@@ -17,10 +34,21 @@ import functools
 import itertools
 from typing import Iterator
 
+import numpy as np
+
 Poly = tuple[int, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (1,)
+
+# Largest estimated allocation of the prime sieve, in bytes: its two index
+# arrays and the temporaries of one marking pass. The sieve to degree 4 at
+# q=29 (1.2e7 bytes) builds in about 14 ms on a 2-vCPU host. ``factor``
+# grows the sieve to deg f when this allows it.
+MAX_SIEVE_BYTES = 2**24
+# Most products p*h one marking pass of the sieve forms (about 4 bytes a
+# digit, deg p*h + 1 digits each).
+SIEVE_PASS = 2**14
 
 
 def degree(f: Poly) -> int:
@@ -38,6 +66,66 @@ def _trim(coeffs: list[int]) -> Poly:
     return tuple(coeffs)
 
 
+def _digits(q: int, n: int, idx: np.ndarray) -> np.ndarray:
+    """Base-q digits of idx, shape (n, *idx.shape), least significant first."""
+    return np.stack([(idx // q**k) % q for k in range(n)])
+
+
+def _index(q: int, digits: np.ndarray) -> np.ndarray:
+    """Inverse of _digits over the first axis, reducing every digit mod q."""
+    # Horner's rule: one digit-sized temporary at a time
+    out = digits[-1] % q
+    for digit in digits[-2::-1]:
+        out *= q
+        out += digit % q
+    return out
+
+
+def _sieve_bytes(q: int, dmax: int) -> int:
+    """Estimated bytes of a sieve to degree dmax (see ``_sieve``)."""
+    n = 2 * q**dmax
+    # spf and cof, and one pass: the product digits, their partial products
+    # and the int32 indices
+    return 2 * n * np.min_scalar_type(n - 1).itemsize + 4 * (2 * dmax + 4) * SIEVE_PASS
+
+
+def _sieve(q: int, dmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(spf, cof) over the indices of every monic f of degree <= dmax.
+
+    spf[f] is the index of a prime factor of f, 0 when f is prime (or 1),
+    and cof[f] the index of f / spf[f]. A composite f of degree d has a
+    prime factor p of degree e <= d/2, so f = p*h with deg h >= e: the pairs
+    (p, h) of degrees (e, k), e <= dmax/2 and e <= k <= dmax - e, mark
+    every composite, and the primes of degree e are read from block e after
+    the primes of lower degree, all of degree <= e/2, have marked it.
+    """
+    n = 2 * q**dmax
+    dt = np.min_scalar_type(n - 1)
+    spf, cof = np.zeros(n, dtype=dt), np.zeros(n, dtype=dt)
+    for e in range(1, dmax // 2 + 1):
+        primes = np.flatnonzero(spf[q**e : 2 * q**e] == 0).astype(np.int32) + q**e
+        p_digits = _digits(q, e + 1, primes)  # top digit 1: p is monic
+        for k in range(e, dmax - e + 1):
+            hs = np.arange(q**k, 2 * q**k, dtype=np.int32)
+            h_digits = _digits(q, k + 1, hs)[:, None, :]
+            # passes of at most SIEVE_PASS products: some primes times all
+            # h, or one prime times some h
+            hstep = min(len(hs), SIEVE_PASS)
+            pstep = max(1, SIEVE_PASS // hstep)
+            for p0 in range(0, len(primes), pstep):
+                pd = p_digits[:, p0 : p0 + pstep, None]
+                for h0 in range(0, len(hs), hstep):
+                    hd = h_digits[..., h0 : h0 + hstep]
+                    # digit j of p*h is sum_i p_i h_(j-i), reduced by _index
+                    prod = np.zeros((e + k + 1, pd.shape[1], hd.shape[2]), dtype=np.int32)
+                    for i in range(e + 1):
+                        prod[i : i + k + 1] += pd[i] * hd
+                    idx = _index(q, prod)
+                    spf[idx] = primes[p0 : p0 + pstep, None]
+                    cof[idx] = hs[h0 : h0 + hstep]
+    return spf, cof
+
+
 class Fq:
     """Arithmetic context for F_q[t], q prime and q = 1 mod 4."""
 
@@ -53,7 +141,13 @@ class Fq:
         ]
         self._factor_cache: dict[Poly, tuple[tuple[tuple[Poly, int], ...], int]] = {}
         self._symbol_cache: dict[tuple[Poly, Poly], int] = {}
+        # the sieve (see _sieve) to degree _sieve_degree; the primes of each
+        # degree read from it; and one tuple per prime index, shared by the
+        # prime lists and the factorisations
+        self._sieve_degree = 0
+        self._spf, self._cof = _sieve(q, 0)
         self._prime_cache: dict[int, tuple[Poly, ...]] = {}
+        self._prime_at: dict[int, Poly] = {}
         # accel's per-prime (T table, chi table, character row), oldest first,
         # and the bytes of their arrays
         self._char_rows: dict[Poly, tuple] = {}
@@ -136,16 +230,6 @@ class Fq:
             e >>= 1
         return out
 
-    def pow_mod(self, f: Poly, e: int, m: Poly) -> Poly:
-        out = ONE
-        f = self.mod(f, m)
-        while e:
-            if e & 1:
-                out = self.mod(self.mul(out, f), m)
-            f = self.mod(self.mul(f, f), m)
-            e >>= 1
-        return out
-
     # -- enumeration -------------------------------------------------------
 
     def monic_enum(self, d: int) -> Iterator[Poly]:
@@ -159,23 +243,50 @@ class Fq:
         for low in itertools.product(range(self.q), repeat=d):
             yield low + (1,)
 
+    def _grow_sieve(self, dmax: int) -> None:
+        """Rebuild the sieve to degree dmax if it is shorter; the top block
+        is most of the work, so nothing of the old sieve is reused."""
+        if dmax <= self._sieve_degree:
+            return
+        estimate = _sieve_bytes(self.q, dmax)
+        if estimate > MAX_SIEVE_BYTES:
+            raise ValueError(
+                f"the prime sieve of F_{self.q}[t] to degree {dmax} needs about "
+                f"{estimate:.1e} bytes, above the limit {MAX_SIEVE_BYTES:.1e}"
+            )
+        self._spf, self._cof = _sieve(self.q, dmax)
+        self._sieve_degree = dmax
+
+    def _prime_of_index(self, i: int) -> Poly:
+        p = self._prime_at.get(i)
+        if p is None:
+            coeffs, rest = [], i  # the base-q digits of i, the top one 1
+            while rest >= self.q:
+                rest, c = divmod(rest, self.q)
+                coeffs.append(c)
+            p = self._prime_at[i] = tuple(coeffs) + ONE
+        return p
+
+    def _index_of(self, f: Poly) -> int:
+        i = 0
+        for c in reversed(f):
+            i = i * self.q + c
+        return i
+
     def _primes_of_degree(self, d: int) -> tuple[Poly, ...]:
+        """The monic primes of degree d, in ``monic_enum`` order: the
+        unmarked entries of block d of the sieve, grown to degree d."""
         primes = self._prime_cache.get(d)
         if primes is None:
-            # Sieve by trial division against all lower-degree primes.
-            primes = tuple(
-                f for f in self.monic_enum(d) if d == 1 or self._is_irreducible(f)
-            )
-            self._prime_cache[d] = primes
+            self._grow_sieve(d)
+            q = self.q
+            idx = np.flatnonzero(self._spf[q**d : 2 * q**d] == 0) + q**d
+            at = self._prime_at
+            primes = self._prime_cache[d] = tuple(sorted(
+                at.setdefault(i, tuple(c))
+                for i, c in zip(idx.tolist(), _digits(q, d + 1, idx).T.tolist())
+            ))
         return primes
-
-    def _is_irreducible(self, f: Poly) -> bool:
-        d = degree(f)
-        for e in range(1, d // 2 + 1):
-            for p in self._primes_of_degree(e):
-                if not self.mod(f, p):
-                    return False
-        return True
 
     # -- factorization -----------------------------------------------------
 
@@ -183,7 +294,14 @@ class Fq:
         """Complete factorization into monic irreducibles.
 
         Returns ((prime, multiplicity), ...) sorted lexicographically, plus
-        the leading unit. Trial division only; degrees here stay small.
+        the leading unit. The factors are read off the sieve's spf and cof.
+        ``factor`` grows the sieve to deg f when that sieve is within
+        MAX_SIEVE_BYTES: the top block is most of its cost, so factoring
+        every f of one degree costs about one sieve. Otherwise it
+        trial-divides by the primes of degree 1, 2, ... while the
+        remainder's degree is above the sieve's, growing the sieve to each
+        such degree (at most half the remainder's), and raises ValueError
+        only when the primes it still needs are above the limit.
         """
         if not f:
             raise ValueError("zero polynomial")
@@ -191,68 +309,43 @@ class Fq:
         if cached is not None:
             return cached
         monic, unit = self.to_monic(f)
+        n = degree(monic)
+        if n > self._sieve_degree and _sieve_bytes(self.q, n) <= MAX_SIEVE_BYTES:
+            self._grow_sieve(n)
         rem = monic
         fac: dict[Poly, int] = {}
-        d = 1
-        while degree(rem) > 0:
+        d = 0
+        while degree(rem) > self._sieve_degree:
+            d += 1
             if 2 * d > degree(rem):
-                fac[rem] = fac.get(rem, 0) + 1
+                # rem has no prime factor of degree < d, so it is prime
+                fac[rem] = 1
+                rem = ONE
                 break
-            # rem has no prime factor of degree < d, so dividing out each
-            # prime of degree d once leaves none of degree <= d; and once
-            # deg rem < 2d, rem is itself prime, which the check above records.
+            # dividing out each prime of degree d leaves none of degree <= d
             for p in self._primes_of_degree(d):
-                if 2 * d > degree(rem):
-                    break
                 quo, r = self.divmod(rem, p)
                 while not r:
                     fac[p] = fac.get(p, 0) + 1
                     rem = quo
-                    if degree(rem) == 0:
-                        break
                     quo, r = self.divmod(rem, p)
-            else:
-                d += 1
+                if degree(rem) <= self._sieve_degree or 2 * d > degree(rem):
+                    break
+        i = self._index_of(rem)
+        while i > 1:
+            j = self._spf.item(i)
+            p = self._prime_of_index(j or i)
+            fac[p] = fac.get(p, 0) + 1
+            i = self._cof.item(i) if j else 1
         result = (tuple(sorted(fac.items())), unit)
         self._factor_cache[f] = result
         return result
-
-    def squarefree_part(self, f: Poly) -> Poly:
-        """Product of primes dividing monic f to odd multiplicity."""
-        if not is_monic(f):
-            raise ValueError("squarefree_part requires a monic polynomial")
-        fac, _ = self.factor(f)
-        out = ONE
-        for p, e in fac:
-            if e % 2:
-                out = self.mul(out, p)
-        return out
 
     def is_squarefree(self, f: Poly) -> bool:
         fac, _ = self.factor(f)
         return all(e == 1 for _, e in fac)
 
     # -- quadratic residue symbol -----------------------------------------
-
-    def residue_symbol_factored(self, f: Poly, g: Poly) -> int:
-        """(f/g) by factoring g and applying Euler's criterion per prime."""
-        if not is_monic(g):
-            raise ValueError("modulus must be monic")
-        if g == ONE:
-            return 1
-        if not f:
-            return 0
-        out = 1
-        fac, _ = self.factor(g)
-        for p, e in fac:
-            r = self.mod(f, p)
-            if not r:
-                return 0
-            s = self.pow_mod(r, (self.q ** degree(p) - 1) // 2, p)
-            val = 1 if s == ONE else -1
-            if e % 2:
-                out *= val
-        return out
 
     def residue_symbol(self, f: Poly, g: Poly) -> int:
         """(f/g) by Euclidean reduction and quadratic reciprocity.

@@ -9,8 +9,10 @@ tying averages of L-values to divisor sums. The moment check reads one row
 of symbols (f/g) per monic modulus g from ``accel.symbol_rows``: one route
 multiplies the rows of f_1 and f_3 (multiplicativity in the modulus), the
 other weighs the row sums of each f by its divisor count (factorisation).
-The exact checks return ``{"status", "witness"}``; ``check_rh`` also
-reports its float deviation.
+The rows of degree above dmax / 2 pair only with lower ones, so they are
+built and reduced in chunks of at most ROW_CHUNK_BYTES. The exact checks
+return ``{"status", "witness"}``; ``check_rh`` also reports its float
+deviation.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .reducer import check_reversal
 # Most residue symbols one moment check may evaluate: about 15 s of sweeps
 # (q=17, dmax=3 evaluates 1.4e8 in about 2 s on a 2-vCPU host).
 MAX_MOMENT_SYMBOLS = 10**9
+# Most bytes of one chunk of symbol rows of a degree above dmax / 2 in the
+# moment check.
+ROW_CHUNK_BYTES = 2**19
 
 
 def l_poly(fq: Fq, g) -> list[int]:
@@ -142,26 +147,32 @@ def _moment_sides(fq: Fq, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     side_b = np.zeros_like(side_a)
     low = []  # the row matrices of degree <= dmax / 2, paired again later
     for d in range(dmax + 1):
-        rows = accel.symbol_rows(fq, d, dmax)
-        # route A: G_b[f_1, f_3] = sum over f of degree b of (f/f_1)(f/f_3),
-        # the degree-b sum of (f / f_1 f_3), for deg f_1 = d, deg f_3 = e;
-        # side A[d + e][b, b'] gains sum G_b * G_b', entry by entry. The
-        # pairs (e, d) give the transposes, so they count twice when e < d.
-        for e in range(min(d, dmax - d) + 1):
-            other = rows if e == d else low[e]
-            gram = np.stack([
-                np.einsum("ik,jk->ij", rows[:, b], other[:, b], dtype=np.int64).ravel()
-                for b in blocks
-            ])
-            side_a[d + e] += (1 if e == d else 2) * (gram @ gram.T)
-        # route B: the sums by degree of each f of degree d, weighted by its
-        # number of monic divisors
-        sums = np.stack([rows[:, b].sum(axis=1, dtype=np.int64) for b in blocks], axis=1)
         sigma = np.array([divisor_count(fq, f) for f in fq.monic_enum(d)], dtype=np.int64)
-        side_b[d] = sums.T @ (sigma[:, None] * sums)
-        if 2 * d <= dmax:
-            low.append(rows)
-        del rows, other  # R[d] is freed before R[d + 1] is built
+        # a degree above dmax / 2 pairs only with the kept low degrees, so
+        # its rows are built and reduced a chunk of g at a time
+        step = q**d if 2 * d <= dmax else max(1, ROW_CHUNK_BYTES // (2 * q**dmax))
+        for start in range(0, q**d, step):
+            rows = accel.symbol_rows(fq, d, dmax, start, start + step)
+            # route A: G_b[f_1, f_3] = sum over f of degree b of
+            # (f/f_1)(f/f_3), the degree-b sum of (f / f_1 f_3), for
+            # deg f_1 = d, deg f_3 = e; side A[d + e][b, b'] gains
+            # sum G_b * G_b', entry by entry, which the chunks split by f_1.
+            # The pairs (e, d) give the transposes, so they count twice
+            # when e < d.
+            for e in range(min(d, dmax - d) + 1):
+                other = rows if e == d else low[e]
+                gram = np.stack([
+                    np.einsum("ik,jk->ij", rows[:, b], other[:, b], dtype=np.int64).ravel()
+                    for b in blocks
+                ])
+                side_a[d + e] += (1 if e == d else 2) * (gram @ gram.T)
+            # route B: the sums by degree of each f of degree d, weighted by
+            # its number of monic divisors
+            sums = np.stack([rows[:, b].sum(axis=1, dtype=np.int64) for b in blocks], axis=1)
+            side_b[d] += sums.T @ (sigma[start : start + step, None] * sums)
+            if 2 * d <= dmax:
+                low.append(rows)  # the whole degree, in one chunk
+            del rows, other  # a chunk is freed before the next is built
     return side_a, side_b
 
 

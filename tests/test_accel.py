@@ -58,6 +58,14 @@ def test_symbol_rows_match_scalar_route():
         assert_row_matches_oracle(fq, g, row, 2)
 
 
+def test_symbol_row_chunks_are_slices_of_all_rows():
+    fq = field(5)
+    rows = accel.symbol_rows(fq, 3, 2)
+    chunks = [accel.symbol_rows(fq, 3, 2, start, start + 40) for start in range(0, 125, 40)]
+    assert [len(c) for c in chunks] == [40, 40, 40, 5]
+    assert np.array_equal(np.concatenate(chunks), rows)
+
+
 def test_every_modulus_up_to_degree_3_matches_scalar_route():
     # every monic g of degree <= 3 at q=5: square factors, and primes of
     # degree above the sweep degree, included
@@ -190,4 +198,4 @@ def test_oversized_symbol_rows_are_refused_before_allocating():
     fq = Fq(29)
     with pytest.raises(ValueError, match="bytes"):
         accel.symbol_rows(fq, 4, 4)
-    assert not fq._prime_cache and not fq._char_rows
+    assert fq._sieve_degree == 0 and not fq._char_rows

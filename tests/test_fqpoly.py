@@ -1,13 +1,109 @@
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
 
-from mdslab.fqpoly import ONE, ZERO, degree, field, is_monic
+from mdslab import fqpoly
+from mdslab.fqpoly import ONE, ZERO, Fq, degree, field, is_monic
 
 
 @pytest.fixture(scope="module")
 def f5():
     return field(5)
+
+
+# -- oracles: the trial-division routes the sieve replaced, and the
+# -- factorisation/Euler-criterion residue symbol
+
+
+@functools.lru_cache(maxsize=None)
+def trial_primes(q, d):
+    """The monic primes of degree d, by trial division, in monic_enum order."""
+    fq = field(q)  # arithmetic only: no cache of the context is read
+    return tuple(f for f in fq.monic_enum(d) if d == 1 or is_irreducible(fq, f))
+
+
+def is_irreducible(fq, f):
+    d = degree(f)
+    for e in range(1, d // 2 + 1):
+        for p in trial_primes(fq.q, e):
+            if not fq.mod(f, p):
+                return False
+    return True
+
+
+def trial_factor(fq, f):
+    """Fq.factor's result by trial division against trial_primes."""
+    monic, unit = fq.to_monic(f)
+    rem = monic
+    fac = {}
+    d = 1
+    while degree(rem) > 0:
+        if 2 * d > degree(rem):
+            fac[rem] = fac.get(rem, 0) + 1
+            break
+        # rem has no prime factor of degree < d, so dividing out each
+        # prime of degree d once leaves none of degree <= d; and once
+        # deg rem < 2d, rem is itself prime, which the check above records.
+        for p in trial_primes(fq.q, d):
+            if 2 * d > degree(rem):
+                break
+            quo, r = fq.divmod(rem, p)
+            while not r:
+                fac[p] = fac.get(p, 0) + 1
+                rem = quo
+                if degree(rem) == 0:
+                    break
+                quo, r = fq.divmod(rem, p)
+        else:
+            d += 1
+    return tuple(sorted(fac.items())), unit
+
+
+def pow_mod(fq, f, e, m):
+    out = ONE
+    f = fq.mod(f, m)
+    while e:
+        if e & 1:
+            out = fq.mod(fq.mul(out, f), m)
+        f = fq.mod(fq.mul(f, f), m)
+        e >>= 1
+    return out
+
+
+def squarefree_part(fq, f):
+    """Product of primes dividing monic f to odd multiplicity."""
+    if not is_monic(f):
+        raise ValueError("squarefree_part requires a monic polynomial")
+    fac, _ = fq.factor(f)
+    out = ONE
+    for p, e in fac:
+        if e % 2:
+            out = fq.mul(out, p)
+    return out
+
+
+def residue_symbol_factored(fq, f, g):
+    """(f/g) by factoring g and applying Euler's criterion per prime."""
+    if not is_monic(g):
+        raise ValueError("modulus must be monic")
+    if g == ONE:
+        return 1
+    if not f:
+        return 0
+    out = 1
+    fac, _ = fq.factor(g)
+    for p, e in fac:
+        r = fq.mod(f, p)
+        if not r:
+            return 0
+        s = pow_mod(fq, r, (fq.q ** degree(p) - 1) // 2, p)
+        val = 1 if s == ONE else -1
+        if e % 2:
+            out *= val
+    return out
 
 
 def poly_strategy(q, max_deg=4, nonzero=False):
@@ -84,10 +180,70 @@ def test_factor_roundtrip(f5):
         assert unit == 1
         prod = ONE
         for p, e in fac:
-            assert f5._is_irreducible(p)
+            assert is_irreducible(f5, p)
             for _ in range(e):
                 prod = f5.mul(prod, p)
         assert prod == f
+
+
+@pytest.mark.parametrize("q, dmax", [(5, 5), (13, 3), (29, 2)])
+def test_sieve_matches_trial_division_exhaustively(q, dmax):
+    # a fresh context grows its sieve as the degrees come; every monic f,
+    # and a non-monic multiple of each, against the trial-division oracles
+    fq = Fq(q)
+    for d in range(1, dmax + 1):
+        assert fq._primes_of_degree(d) == trial_primes(q, d), d
+        for f in fq.monic_enum(d):
+            assert fq.factor(f) == trial_factor(fq, f), f
+            g = fq.scalar_mul(q - 1, f)
+            assert fq.factor(g) == trial_factor(fq, g), g
+    assert fq._sieve_degree == dmax
+
+
+def test_sieve_grown_step_by_step_equals_one_build():
+    step, once = Fq(5), Fq(5)
+    once._grow_sieve(5)
+    for d in range(1, 6):
+        step._grow_sieve(d)
+        assert step._primes_of_degree(d) == once._primes_of_degree(d)
+        for f in step.monic_enum(d):
+            assert step.factor(f) == once.factor(f)
+    assert np.array_equal(step._spf, once._spf) and np.array_equal(step._cof, once._cof)
+    assert step._spf.dtype == np.uint16  # the smallest type for 2 * 5^5 indices
+    # factorisations share the prime lists' tuples
+    listed = {id(p) for d in range(1, 6) for p in step._primes_of_degree(d)}
+    assert all(id(p) in listed for fac, _ in step._factor_cache.values() for p, _ in fac)
+
+
+def test_oversized_sieve_is_refused_before_allocating(monkeypatch):
+    # 2 * 29^6 entries of 4 bytes, twice: about 9.5e9 bytes
+    def no_sieve(q, dmax):
+        raise AssertionError("sieve built")
+
+    fq = Fq(29)
+    monkeypatch.setattr(fqpoly, "_sieve", no_sieve)
+    with pytest.raises(ValueError, match=r"degree 6 needs about 9\.5e\+09 bytes"):
+        fq._primes_of_degree(6)
+    assert fq._sieve_degree == 0 and not fq._prime_cache
+
+
+def test_factor_trial_divides_above_an_unaffordable_sieve(monkeypatch):
+    fq = Fq(29)
+    # (t^2 + 1)^6 = (t - 12)^6 (t + 12)^6: a sieve to degree 12, or to 6,
+    # is above the limit, and the linear primes alone finish the job
+    f = fq.pow((1, 0, 1), 6)
+    assert fq.factor(f) == ((((12, 1), 6), ((17, 1), 6)), 1) == trial_factor(fq, f)
+    assert fq._sieve_degree == 1
+    # with the limit at a sieve to degree 2: quadratic x cubic factors, two
+    # cubics need the primes of degree 3 and are refused
+    monkeypatch.setattr(fqpoly, "MAX_SIEVE_BYTES", fqpoly._sieve_bytes(29, 2))
+    fq = Fq(29)
+    quad = next(f for f in ((c, 0, 1) for c in range(1, 29)) if is_irreducible(fq, f))
+    cubics = [f for f in ((c, 1, 0, 1) for c in range(29)) if is_irreducible(fq, f)][:2]
+    f = fq.mul(quad, cubics[0])
+    assert fq.factor(f) == trial_factor(fq, f) and fq._sieve_degree == 2
+    with pytest.raises(ValueError, match="degree 3 needs about"):
+        fq.factor(fq.mul(*cubics))
 
 
 @pytest.mark.parametrize("q", [5, 13])
@@ -110,8 +266,8 @@ def test_squarefree(f5):
     t2 = f5.mul(t, t)
     assert f5.is_squarefree(t)
     assert not f5.is_squarefree(t2)
-    assert f5.squarefree_part(t2) == ONE
-    assert f5.squarefree_part(f5.mul(t2, (1, 1))) == (1, 1)
+    assert squarefree_part(f5, t2) == ONE
+    assert squarefree_part(f5, f5.mul(t2, (1, 1))) == (1, 1)
 
 
 def test_symbol_routes_agree_exhaustively(f5):
@@ -120,7 +276,7 @@ def test_symbol_routes_agree_exhaustively(f5):
     args = [f for d in (0, 1, 2) for f in f5.monic_enum(d)]
     for g in mods:
         for f in args:
-            assert f5.residue_symbol(f, g) == f5.residue_symbol_factored(f, g)
+            assert f5.residue_symbol(f, g) == residue_symbol_factored(f5, f, g)
 
 
 def test_symbol_reciprocity(f5):

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from test_fqpoly import is_irreducible
 
 from mdslab import accel, lfunctions
 from mdslab.fqpoly import Fq, field
@@ -137,6 +138,17 @@ def test_moment_sides_match_per_pair_oracle(q, dmax):
     assert np.array_equal(side_b, want_b)
 
 
+@pytest.mark.parametrize("q, dmax, chunk", [(5, 3, 7), (13, 2, 10)])
+def test_streamed_moment_sides_match_per_pair_oracle(q, dmax, chunk, monkeypatch):
+    # chunks of a few rows, the last one short, for every degree above dmax/2
+    monkeypatch.setattr(lfunctions, "ROW_CHUNK_BYTES", chunk * 2 * q**dmax)
+    fq = field(q)
+    side_a, side_b = _moment_sides(fq, dmax)
+    want_a, want_b = brute_moment_sides(fq, dmax)
+    assert np.array_equal(side_a, want_a)
+    assert np.array_equal(side_b, want_b)
+
+
 WITNESS = re.compile(r"index \(\d+, \d+, \d+\): -?\d+ != -?\d+")
 
 
@@ -144,9 +156,9 @@ def test_moment_identity_fails_on_a_flipped_symbol(f5, monkeypatch):
     assert moment_identity_check(f5, 2) == {"status": "pass"}
     rows_of = accel.symbol_rows
 
-    def flipped(fq, d, dmax):
-        rows = rows_of(fq, d, dmax)
-        if d == 2:
+    def flipped(fq, d, dmax, start=0, stop=None):
+        rows = rows_of(fq, d, dmax, start, stop)
+        if d == 2 and start == 0:  # the first chunk of degree 2
             # g = t(t+1) is row 1; f = t + 2 sits at 5 + 2. Route B weighs
             # g's row by sigma_0(g) = 4, route A reads it for two of the
             # four factorisations only
@@ -172,9 +184,10 @@ def test_moment_identity_fails_on_a_wrong_divisor_count(f5, monkeypatch):
 
 
 def first_irreducible(fq, candidates):
-    # _is_irreducible, not _primes_of_degree: at q=29 the degree-5 sieve
-    # alone takes minutes
-    return next(f for f in candidates if fq._is_irreducible(f))
+    # the trial-division oracle, not _primes_of_degree: at q=29 a sieve to
+    # degree 5 needs about 3.3e8 bytes and is refused, while the oracle
+    # divides by the 435 primes of degree <= 2
+    return next(f for f in candidates if is_irreducible(fq, f))
 
 
 def degree5_modulus(fq, shape):
