@@ -102,6 +102,8 @@ def _sieve(q: int, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     n = 2 * q**dmax
     dt = np.min_scalar_type(n - 1)
     spf, cof = np.zeros(n, dtype=dt), np.zeros(n, dtype=dt)
+    # int32 digit arithmetic: a digit sum stays below (e + 1) q^2 and an
+    # index below n, which MAX_SIEVE_BYTES keeps far below 2^31
     for e in range(1, dmax // 2 + 1):
         primes = np.flatnonzero(spf[q**e : 2 * q**e] == 0).astype(np.int32) + q**e
         p_digits = _digits(q, e + 1, primes)  # top digit 1: p is monic
