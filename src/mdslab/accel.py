@@ -27,12 +27,14 @@ prime, as a sweep of one g may ask for, is a batch of one.
 
 Composite g. The symbol is multiplicative in the modulus, so g's row is
 the product of the rows of its primes, an even exponent contributing only
-the mask row != 0, and the sums by degree are slice sums.
+the mask row != 0, and the sums by degree are slice sums, kept per g as
+far as they were swept.
 ``symbol_rows`` returns the rows of every monic g of one degree, building
 the missing primes of each degree up to it first. The tables, chi
 tables and rows are cached on the ``Fq`` context, one entry per prime,
 each row grown to the largest degree asked of it (from the cached T and
-chi); past MAX_CACHE_BYTES the oldest entries go.
+chi), next to the swept sums; past MAX_CACHE_BYTES the oldest entries of
+either kind go.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .fqpoly import Fq, Poly, _digits, _index, degree
 # of the primes involved, the rows asked for and the temporaries of the
 # last degree block.
 MAX_SWEEP_BYTES = 2**30
-# Most bytes of tables and rows one Fq context keeps; the oldest primes'
-# entries are dropped first (they are rebuilt if asked for again).
+# Most bytes of tables, rows and swept sums one Fq context keeps; the
+# oldest entries are dropped first (they are rebuilt if asked for again).
 MAX_CACHE_BYTES = 2**28
 # Most digit vectors one pass of _tables holds (about 12 bytes of
 # temporaries a digit), and most row entries one batch of _grow builds
@@ -147,9 +149,10 @@ def _prime_rows(fq: Fq, primes, dmax: int) -> dict:
     """{p: chi_p of every monic f of degree <= dmax (at least), row layout}.
 
     The primes without a cached row that long are built in batches of one
-    degree. A row that grows is rebuilt from degree 0 from its cached T and
-    chi: the blocks below dmax are at most 1/(q-1) of its work, and no
-    residue indices are kept.
+    degree, topped up with the other primes of that degree when they are
+    few and small enough to cost about one prime. A row that grows is
+    rebuilt from degree 0 from its cached T and chi: the blocks below dmax
+    are at most 1/(q-1) of its work, and no residue indices are kept.
     """
     q, n = fq.q, 2 * fq.q**dmax
     rows: dict = {}
@@ -160,6 +163,17 @@ def _prime_rows(fq: Fq, primes, dmax: int) -> dict:
             rows[p] = entry[2]
         else:
             todo.setdefault((degree(p), entry is not None), []).append((p, entry))
+    for (e, cached), group in todo.items():
+        # when all primes of degree e (at most q^e / e) fit one pass of
+        # _tables and one batch of _grow, they cost about as many numpy calls
+        # as one: the uncached others are built too, if the cache has room
+        # (T and chi take at most 3 bytes a residue at such sizes)
+        if cached or q**e * q**e > e * TABLE_PASS or q**e * n > e * ROW_BATCH:
+            continue
+        asked = {p for p, _ in group}
+        extra = [p for p in fq._primes_of_degree(e) if p not in asked and p not in fq._char_rows]
+        if fq._char_bytes + len(extra) * (3 * q**e + n) <= MAX_CACHE_BYTES:
+            group += [(p, None) for p in extra]
     # batches of at most ROW_BATCH row entries bound the temporaries of _grow
     step = max(1, ROW_BATCH // n)
     for (_, cached), group in todo.items():
@@ -175,19 +189,28 @@ def _prime_rows(fq: Fq, primes, dmax: int) -> dict:
                 tables = [(own(t), own(c)) for t, c in zip(T, chi)]
             for (p, _), (t, c), row in zip(batch, tables, _grow(q, T, chi, dmax)):
                 rows[p] = own(row)
-                _store(fq, p, (t, c, rows[p]))
+                _store(fq, "_char_rows", p, (t, c, rows[p]), t.nbytes + c.nbytes + row.nbytes)
     return rows
 
 
-def _store(fq: Fq, p: Poly, entry: tuple) -> None:
-    cache = fq._char_rows
-    if p in cache:
-        fq._char_bytes -= sum(a.nbytes for a in cache.pop(p))
-    need = sum(a.nbytes for a in entry)
-    while cache and fq._char_bytes + need > MAX_CACHE_BYTES:
-        fq._char_bytes -= sum(a.nbytes for a in cache.pop(next(iter(cache))))
-    cache[p] = entry
-    fq._char_bytes += need
+def _store(fq: Fq, name: str, key: Poly, entry, nbytes: int) -> None:
+    # keeps entry in the cache fq.<name> (_char_rows or _char_sums) and
+    # charges its bytes to fq._char_bytes; past MAX_CACHE_BYTES the oldest
+    # entries of either cache go first
+    _drop(fq, (name, key))
+    while fq._char_order and fq._char_bytes + nbytes > MAX_CACHE_BYTES:
+        _drop(fq, next(iter(fq._char_order)))
+    getattr(fq, name)[key] = entry
+    fq._char_order[name, key] = nbytes
+    fq._char_bytes += nbytes
+
+
+def _drop(fq: Fq, slot: tuple) -> None:
+    nbytes = fq._char_order.pop(slot, None)
+    if nbytes is not None:
+        name, key = slot
+        del getattr(fq, name)[key]
+        fq._char_bytes -= nbytes
 
 
 def _check_cost(q: int, prime_degrees, dmax: int, rows: int, what) -> None:
@@ -250,16 +273,23 @@ def symbol_rows(fq: Fq, d: int, dmax: int, start: int = 0, stop: int | None = No
 
 
 def symbol_sums_by_degree(fq: Fq, g: Poly, dmax: int) -> np.ndarray:
-    """sums[d] = sum over monic f, deg f = d, of (f/g), for d = 0..dmax."""
-    # the private name: perfbench/spans.py times each public call, so one
-    # sweep stays one span
-    row = _row(fq, g, dmax)
-    # one reduction over the edges q^0, 2q^0, q, 2q, ..., q^dmax: every other
-    # segment is a degree block, the ones between hold no f. int32 cannot
-    # overflow: _check_cost keeps the row below 2^30 entries.
-    edges = [k * fq.q**d for d in range(dmax + 1) for k in (1, 2)]
-    sums = np.add.reduceat(row, edges[:-1], dtype=np.int32)[::2]
-    return sums.astype(np.int64)
+    """sums[d] = sum over monic f, deg f = d, of (f/g), for d = 0..dmax.
+
+    The sums of each g are kept on fq, as far as they were swept, so a g
+    asked for again to no higher degree is answered without a sweep.
+    """
+    held = fq._char_sums.get(g)
+    if held is None or len(held) <= dmax:
+        # the private name: perfbench/spans.py times each public call, so
+        # one sweep stays one span
+        row = _row(fq, g, dmax)
+        # one reduction over the edges q^0, 2q^0, q, 2q, ..., q^dmax: every
+        # other segment is a degree block, the ones between hold no f.
+        # int32 cannot overflow: _check_cost keeps the row below 2^30 entries.
+        edges = [k * fq.q**d for d in range(dmax + 1) for k in (1, 2)]
+        held = np.add.reduceat(row, edges[:-1], dtype=np.int32)[::2].astype(np.int64)
+        _store(fq, "_char_sums", g, held, held.nbytes)
+    return held[: dmax + 1].copy()
 
 
 def backend_name() -> str:

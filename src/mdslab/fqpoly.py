@@ -150,9 +150,12 @@ class Fq:
         self._spf, self._cof = _sieve(q, 0)
         self._prime_cache: dict[int, tuple[Poly, ...]] = {}
         self._prime_at: dict[int, Poly] = {}
-        # accel's per-prime (T table, chi table, character row), oldest first,
-        # and the bytes of their arrays
+        # accel's per-prime (T table, chi table, character row) and
+        # per-modulus swept symbol sums; _char_order holds the bytes of each
+        # entry of either, oldest first, and _char_bytes their total
         self._char_rows: dict[Poly, tuple] = {}
+        self._char_sums: dict[Poly, np.ndarray] = {}
+        self._char_order: dict[tuple[str, Poly], int] = {}
         self._char_bytes = 0
 
     def __repr__(self) -> str:

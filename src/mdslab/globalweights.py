@@ -4,17 +4,20 @@ H on an arbitrary monic tuple is the product of the prime-support local
 weights times a correction by cross residue symbols between distinct
 primes. Everything here is exact integer arithmetic at the ambient q.
 
-The one-variable slices of ``l_series_H`` do not sum H over every f: they
-split f into a part smooth over the fixed entries' primes and a coprime
-part, whose contribution is one residue character summed by the ``accel``
-sweep (``_slice_coeffs``). Each smooth part is an exponent vector written
-into slot i of the fixed entries' prime support, and H is glued from that
-support, so no polynomial is multiplied out or factored again.
-``l_series_H`` clears the pole of a slice and runs ``check_reversal`` on
-it, returning ``{"status", "witness"}``. The local-to-global sums of
-``global_coeff_sum`` go through the same split: the sum over the slot of
-largest degree is one slice coefficient. The brute sums, of H over every
-f and over every monic tuple, stay in the tests as the oracles.
+The one-variable slices of ``l_series_H`` do not sum H over every f
+(``_slice_coeffs``). The exponent in slot i of a prime p of the fixed
+entries enters H only through p's local weight and p's twists with the
+primes of slots i - 1 and i + 1, so the part of f smooth over those primes
+contributes an Euler product, one factor per prime, and the part coprime to
+them one residue character, summed by the ``accel`` sweep. Unless the
+product of slots i - 1 and i + 1 is a square, that character is
+nontrivial, and its complete sums vanish from the degree of its conductor
+on, so the sweep stops there. ``l_series_H`` clears the pole of a slice
+and runs ``check_reversal`` on it, returning ``{"status", "witness"}``.
+The local-to-global sums of ``global_coeff_sum`` go through the same
+slices: the sum over the slot of largest degree is one slice coefficient.
+The brute sums, of H over every f and over every monic tuple, and the
+enumeration of every smooth part stay in the tests as the oracles.
 """
 
 from __future__ import annotations
@@ -56,16 +59,28 @@ def _glue(fq: Fq, support: dict, seed: DiagonalSeed) -> int:
     # H from the prime support {prime: valuation vector} (see H_global)
     cache = seed._weight_caches.setdefault(fq.q, {})
     value = 1
-    primes = list(support)
-    for p in primes:
-        key = (len(p), support[p])
-        w = cache.get(key)
-        if w is None:
-            w = local_weight_value(len(p) - 1, fq.q, support[p], seed)
-            cache[key] = w
+    for p, vec in support.items():
+        w = _weight(fq, cache, p, vec, seed)
         if w == 0:
             return 0
         value *= w
+    return value * _twist_sign(fq, support)
+
+
+def _weight(fq: Fq, cache: dict, p: tuple, vec: tuple, seed: DiagonalSeed) -> int:
+    # the local weight at a prime p with valuation vector vec, cached by
+    # (deg p + 1, vec) in the seed's cache for q
+    key = (len(p), vec)
+    w = cache.get(key)
+    if w is None:
+        w = cache[key] = local_weight_value(len(p) - 1, fq.q, vec, seed)
+    return w
+
+
+def _twist_sign(fq: Fq, support: dict) -> int:
+    # the product of the cyclic twists between the primes of the support
+    value = 1
+    primes = list(support)
     for a, p in enumerate(primes):
         u = support[p]
         n1 = len(u)
@@ -110,21 +125,6 @@ def global_coeff_sum(fq: Fq, t: tuple[int, ...], seed: DiagonalSeed) -> int:
     )
 
 
-def _smooth_parts(support, bound: int) -> list[tuple[int, dict]]:
-    """Every monic product of the given primes of degree at most bound, as
-    (degree, {prime: exponent}) with the zero exponents left out."""
-    out = [(0, {})]
-    for p in support:
-        dp = degree(p)
-        step = []
-        for d, exps in out:
-            step.append((d, exps))
-            for e in range(1, (bound - d) // dp + 1):
-                step.append((d + e * dp, {**exps, p: e}))
-        out = step
-    return out
-
-
 def l_series_H(
     fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed
 ) -> dict:
@@ -147,40 +147,72 @@ def l_series_H(
 
 
 def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed) -> list[int]:
-    """Coefficients 0..xbound of the slice sum_{f_i} H x^{deg f_i}.
+    """Coefficients 0..xbound of the slice sum_{f_i} H x^{deg f_i}, as an
+    Euler product over S, the primes of the fixed entries f_j, j != i.
 
-    They come from the coprime split. Let S be the primes of the fixed
-    entries f_j, j != i, and g = f_{i-1} f_{i+1}. Write f = f_s f_c with
-    f_s S-smooth and f_c coprime to S. Every prime of f_c sits in slot i
-    alone, so its local weight is 1, it twists trivially with the other
-    primes of f_c, and its twists with S multiply to (f_c / g). Hence
-    H(fixed with f) = H(fixed with f_s) (f_c / g), and
+    Write f = f_s f_c with f_s = prod_{p in S} p^{e_p} and f_c coprime to
+    S, and let v_p be p's valuation vector with slot i at 0. The twist
+    parity of two primes meets slot i only through
+    u_i (v_{i-1} + v_{i+1}) + v_i (u_{i-1} + u_{i+1}), never through
+    u_i v_i. So every prime of f_c has local weight 1, twists trivially
+    with the other primes of f_c and contributes (f_c / G) in all, and
 
-        c_d = sum over S-smooth f_s of H(fixed with f_s) T[d - deg f_s],
+        H(fixed with f) = s0 prod_{p in S} w_p(e_p) eps_p^{e_p} (f_c / G),
 
-    where T[m] sums (f_c / g r^2) over monic f_c of degree m, and r is the
-    product of the primes of S that do not divide g: the even power of r
-    masks the f_c that share a prime with it, and (f_c / g) already
-    vanishes on those that share one with g. The brute sum of H over every
-    f is the oracle in the tests.
+    where s0 is the twist sign at f = 1, w_p(e) the local weight at v_p
+    with slot i set to e, a_p = v_p[i-1] + v_p[i+1], eps_p = prod over the
+    other r in S of (p/r)^{a_r}, and G = prod_{p in S} p^{1 if a_p is odd,
+    else 2}: an even power of p only masks the f_c sharing a prime with
+    it. The slice is therefore
+
+        s0 prod_{p in S} (sum_e w_p(e) eps_p^e x^{e deg p}) T(x),
+
+    truncated at xbound, with T[m] the sum of (f / G) over the monic f of
+    degree m (the ``accel`` sweep). When some a_p is odd, (. / G) is a
+    nontrivial character modulo rad G = prod_{p in S} p; the monic f of a
+    degree m >= deg rad G run over every residue class modulo rad G
+    equally often, so T[m] = 0, and T is swept only to deg rad G - 1.
+    The brute sum of H over every f, and the sum over every smooth part
+    f_s, are the oracles in the tests.
     """
     n1 = len(fixed)
     support = _prime_support(fq, fixed[:i] + (ONE,) + fixed[i + 1 :])
-    r = ONE
+    odd = [p for p, vec in support.items() if (vec[i - 1] + vec[(i + 1) % n1]) % 2]
+    cache = seed._weight_caches.setdefault(fq.q, {})
+    euler = [_twist_sign(fq, support)] + [0] * xbound
     for p, vec in support.items():
-        if not vec[(i - 1) % n1] and not vec[(i + 1) % n1]:
-            r = fq.mul(r, p)
-    g = fq.mul(fixed[(i - 1) % n1], fixed[(i + 1) % n1])
-    sums = accel.symbol_sums_by_degree(fq, fq.mul(g, fq.mul(r, r)), xbound).tolist()
-    coeffs = [0] * (xbound + 1)
-    for e, exps in _smooth_parts(support, xbound):
-        # f_s's exponents go into slot i of the fixed entries' support
-        glued = {
-            p: vec[:i] + (exps[p],) + vec[i + 1 :] if p in exps else vec
-            for p, vec in support.items()
-        }
-        h = _glue(fq, glued, seed)
-        if h:
-            for d in range(e, xbound + 1):
-                coeffs[d] += h * sums[d - e]
-    return coeffs
+        eps = 1
+        for r in odd:
+            if r != p:
+                eps *= fq.residue_symbol(p, r)
+        dp = degree(p)
+        terms = [
+            (e * dp, _weight(fq, cache, p, vec[:i] + (e,) + vec[i + 1 :], seed) * eps**e)
+            for e in range(xbound // dp + 1)
+        ]
+        euler = _times(euler, terms)
+    if not any(euler):
+        return euler
+    core = half = ONE
+    for p in support:
+        if p in odd:
+            core = fq.mul(core, p)
+        else:
+            half = fq.mul(half, p)
+    G = fq.mul(core, fq.mul(half, half))
+    # a nontrivial character's complete sums vanish from deg rad G on
+    swept = min(xbound, sum(map(degree, support)) - 1) if odd else xbound
+    sums = accel.symbol_sums_by_degree(fq, G, swept).tolist()
+    sums += [0] * (xbound - swept)
+    return _times(euler, enumerate(sums[: xbound + 1]))
+
+
+def _times(series: list[int], terms) -> list[int]:
+    # series * sum of c x^d over the (d, c) in terms, truncated at the
+    # length of series
+    out = [0] * len(series)
+    for d, c in terms:
+        if c:
+            for k, a in enumerate(series[: len(series) - d]):
+                out[d + k] += a * c
+    return out

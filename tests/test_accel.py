@@ -155,6 +155,57 @@ def test_cache_drops_oldest_entries_past_its_bound(monkeypatch):
     assert_rows_match_oracle(fq, primes[0], 2)  # rebuilt after eviction
 
 
+def test_sums_memo_is_charged_and_drops_oldest_entries_first(monkeypatch):
+    # the swept sums share the prime rows' byte bound: each entry of either
+    # kind is charged to _char_bytes, and past MAX_CACHE_BYTES the entries
+    # stored longest ago go first, whichever kind they are
+    monkeypatch.setattr(accel, "MAX_CACHE_BYTES", 1000)  # about ten entries
+    stored = []
+    store = accel._store
+
+    def recording(fq, name, key, entry, nbytes):
+        stored.append((name, key))
+        store(fq, name, key, entry, nbytes)
+
+    monkeypatch.setattr(accel, "_store", recording)
+    fq = Fq(5)
+    moduli = [g for d in (1, 2) for g in fq.monic_enum(d)]
+    for g in moduli:
+        want = [sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d)) for d in range(3)]
+        assert accel.symbol_sums_by_degree(fq, g, 2).tolist() == want, g
+        held = sum(a.nbytes for e in fq._char_rows.values() for a in e)
+        held += sum(a.nbytes for a in fq._char_sums.values())
+        assert fq._char_bytes == held <= 1000
+    last = {slot: k for k, slot in enumerate(stored)}
+    by_age = sorted(last, key=last.get)
+    kept = list(fq._char_order)
+    assert 0 < len(kept) < len(by_age)
+    assert kept == by_age[len(by_age) - len(kept) :]
+    assert {name for name, _ in kept} == {"_char_rows", "_char_sums"}
+    assert moduli[0] not in fq._char_sums and moduli[-1] in fq._char_sums
+
+
+def test_sums_memo_answers_only_the_degrees_it_swept(monkeypatch):
+    fq = Fq(13)
+    g = fq.poly([1, 2, 0, 1])
+    sums = accel.symbol_sums_by_degree(fq, g, 3).tolist()
+    row = accel._row
+
+    def no_sweep(*args):
+        raise RuntimeError("swept again")
+
+    monkeypatch.setattr(accel, "_row", no_sweep)
+    assert accel.symbol_sums_by_degree(fq, g, 2).tolist() == sums[:3]
+    # a returned array is a copy: changing it leaves the memo alone
+    accel.symbol_sums_by_degree(fq, g, 3)[0] += 5
+    assert accel.symbol_sums_by_degree(fq, g, 3).tolist() == sums
+    with pytest.raises(RuntimeError, match="swept again"):
+        accel.symbol_sums_by_degree(fq, g, 4)
+    monkeypatch.setattr(accel, "_row", row)
+    longer = accel.symbol_sums_by_degree(fq, g, 4).tolist()
+    assert longer[:4] == sums and len(fq._char_sums[g]) == 5
+
+
 @pytest.mark.parametrize("q, top", [(5, 3), (13, 2)])
 def test_batched_prime_rows_match_scalar_route(q, top):
     # several primes of each degree built in one batch, in a fresh context
@@ -167,6 +218,37 @@ def test_batched_prime_rows_match_scalar_route(q, top):
             assert T.dtype == np.min_scalar_type(q**e + q) and len(T) == q**e
             assert row is rows[p] and len(row) == 2 * q**2
             assert_row_matches_oracle(fq, p, row, 2)
+
+
+def test_one_prime_brings_the_other_primes_of_a_small_degree(monkeypatch):
+    # the 10 quadratic primes at q=5 fit one pass of _tables and one batch
+    # of _grow, so a sweep asking for one builds them all in one batch; the
+    # 406 at q=29 do not, and neither do the others under a cache bound
+    # without room for them
+    batches = []
+    tables = accel._tables
+
+    def counting(q, primes):
+        batches.append(len(primes))
+        return tables(q, primes)
+
+    monkeypatch.setattr(accel, "_tables", counting)
+    fq = Fq(5)
+    primes = fq._primes_of_degree(2)
+    assert_rows_match_oracle(fq, primes[3], 2)
+    assert batches == [10] and set(fq._char_rows) == set(primes)
+    for p in primes:
+        assert_row_matches_oracle(fq, p, fq._char_rows[p][2], 2)
+    assert_rows_match_oracle(fq, fq.mul(primes[0], primes[9]), 2)
+    assert batches == [10]  # nothing left to build
+    fq = Fq(29)
+    p = fq._primes_of_degree(2)[0]
+    assert_rows_match_oracle(fq, p, 1)
+    assert batches[1:] == [1] and list(fq._char_rows) == [p]
+    monkeypatch.setattr(accel, "MAX_CACHE_BYTES", 500)  # room for 3 or 4
+    fq = Fq(5)
+    assert_rows_match_oracle(fq, primes[3], 2)
+    assert batches[2:] == [1] and list(fq._char_rows) == [primes[3]]
 
 
 def test_grown_rows_reuse_tables_and_equal_a_fresh_build():

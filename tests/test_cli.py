@@ -213,6 +213,22 @@ def test_larger_residue_reports_match_pinned_digests(capsys, n):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RESIDUE_DIGESTS[n]
 
 
+FE_DIGESTS = {
+    (13, 6): "d579220e58b0069155842af41ff9421affc9b4c3b2c730f5d0666ee29ea92a04",
+    (17, 4): "cdb16eb9a998d86336cf42eded7ea1b0b3e4c92af37be04283cba336cbd51333",
+}
+
+
+@pytest.mark.parametrize("q, bound", sorted(FE_DIGESTS))
+def test_fe_reports_at_larger_q_match_pinned_digests(capsys, q, bound):
+    # the fe suite at n = 2 beyond q = 5: l_series_fe sweeps slices whose
+    # moduli have primes of degree up to 3
+    argv = ["verify", "--n", "2", "--q", str(q), "--suite", "fe", "--bound", str(bound), "--trunc", "6"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FE_DIGESTS[q, bound]
+
+
 def test_checks_return_status_and_witness_only():
     # every check returns exactly what the report reads; check_rh keeps its
     # numeric deviation, and check_moment_cost raises rather than reports

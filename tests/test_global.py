@@ -4,16 +4,20 @@ import random
 
 import pytest
 
+import numpy as np
+
 from mdslab import accel, globalweights
 from mdslab.cli import main
-from mdslab.fqpoly import ONE, field
+from mdslab.fqpoly import ONE, Fq, degree, field
 from mdslab.globalweights import (
     H_global,
+    _glue,
     _prime_support,
     _slice_coeffs,
     global_coeff_sum,
     l_series_H,
 )
+from mdslab.lfunctions import l_poly
 from mdslab.reducer import local_weight_value, reduce_coeff, tuples_with_sum_at_most
 from mdslab.residue import run_pipeline
 
@@ -219,16 +223,26 @@ def test_l_series_H_xbound_guard_before_work(f5, seed3, monkeypatch):
 
 
 def test_l_series_H_fails_on_a_perturbed_sweep(f5, seed3, monkeypatch):
-    # the coprime character sum off by one at a single degree d must break
-    # the functional equation, for even (s = 2) and odd (s = 3) slices;
-    # the self-paired middle degree of an odd slice is left out
+    # the coprime character sum off by one at a single swept degree d must
+    # break the functional equation, for even (s = 2) and odd (s = 3)
+    # slices; the self-paired middle degree of an odd slice is left out.
+    # Both moduli are squarefree, so the sweep stops at deg g - 1 = s - 1.
     sweep = accel.symbol_sums_by_degree
     t, u = f5.poly([0, 1]), f5.poly([1, 1])
     for fixed in ((t, ONE, u, ONE), (t, ONE, f5.mul(u, f5.poly([2, 1])), ONE)):
         s = len(fixed[0]) + len(fixed[2]) - 2
         xbound = min_xbound(fixed, 1)
+        asked = []
+
+        def recording(fq, g, dmax):
+            asked.append(dmax)
+            return sweep(fq, g, dmax)
+
+        monkeypatch.setattr(accel, "symbol_sums_by_degree", recording)
         assert l_series_H(f5, fixed, 1, xbound, seed3)["status"] == "pass"
-        for d in range(xbound + 1):
+        monkeypatch.undo()
+        assert asked == [min(xbound, s - 1)], fixed
+        for d in range(asked[0] + 1):
             if s % 2 and 2 * d == s - 1:
                 continue
 
@@ -240,6 +254,66 @@ def test_l_series_H_fails_on_a_perturbed_sweep(f5, seed3, monkeypatch):
             monkeypatch.setattr(accel, "symbol_sums_by_degree", perturbed)
             assert l_series_H(f5, fixed, 1, xbound, seed3)["status"] == "fail", (fixed, d)
             monkeypatch.undo()
+
+
+def test_l_series_H_fails_on_a_nonzero_tail(f5, seed3, monkeypatch, tmp_path):
+    # the degrees past a capped sweep are the zeros of complete character
+    # sums; a nonzero value forced into any of them breaks the functional
+    # equation, in l_series_H and in the verify check l_series_fe
+    sweep = accel.symbol_sums_by_degree
+    t, u = f5.poly([0, 1]), f5.poly([1, 1])
+    # g = t u, swept to 1 of 3; g = t^2 u, swept to 1 of 2
+    for fixed in ((t, ONE, u, ONE), (t, ONE, f5.mul(t, u), ONE)):
+        xbound = min_xbound(fixed, 1)
+        assert l_series_H(f5, fixed, 1, xbound, seed3)["status"] == "pass"
+        for d in range(2, xbound + 1):
+
+            def forced(fq, g, dmax, d=d):
+                sums = np.zeros(d + 1, dtype=np.int64)
+                sums[: dmax + 1] = sweep(fq, g, dmax)
+                sums[d] = 1
+                return sums
+
+            monkeypatch.setattr(accel, "symbol_sums_by_degree", forced)
+            assert l_series_H(f5, fixed, 1, xbound, seed3)["status"] == "fail", (fixed, d)
+            monkeypatch.undo()
+
+    def one_past(fq, g, dmax):
+        # a value at dmax + 1: inside the tail of a capped sweep, past xbound
+        # of a full one
+        return np.append(sweep(fq, g, dmax), 1)
+
+    def l_series_fe_status(name):
+        out = tmp_path / name
+        main(["verify", "--n", "3", "--suite", "fe", "--bound", "2", "--trunc", "2", "--out", str(out)])
+        checks = json.loads(out.read_text())["checks"]
+        return next(c["status"] for c in checks if c["name"] == "l_series_fe")
+
+    assert l_series_fe_status("clean") == "pass"
+    monkeypatch.setattr(accel, "symbol_sums_by_degree", one_past)
+    assert l_series_fe_status("tail") == "fail"
+
+
+def test_sums_memo_never_serves_filled_zeros(seed3, monkeypatch):
+    # _slice_coeffs sweeps g = t (t + 1) to degree 1 only and fills degree 2
+    # with the zero of a complete sum; l_poly still sweeps degree 2 itself,
+    # so a wrong degree-2 symbol still trips its check that the sum vanishes
+    fq = Fq(5)  # a fresh context: no sums held for g
+    t, u = fq.poly([0, 1]), fq.poly([1, 1])
+    g = fq.mul(t, u)
+    _slice_coeffs(fq, (t, ONE, u, ONE), 1, 3, seed3)
+    assert fq._char_sums[g].tolist() == [1, -1]  # degrees 0 and 1 only
+    row = accel._row
+
+    def perturbed(fq, g, dmax):
+        out = row(fq, g, dmax).copy()
+        if dmax >= 2:
+            out[fq.q**2] += 1  # f = t^2, where (t^2 / g) = 0
+        return out
+
+    monkeypatch.setattr(accel, "_row", perturbed)
+    with pytest.raises(AssertionError, match="fails to vanish at degree 2"):
+        l_poly(fq, g)
 
 
 def brute_slice(fq, fixed, i, xbound, seed):
@@ -295,6 +369,106 @@ def test_l_series_H_matches_brute_on_random_tuples(f5, seed3):
 def test_l_series_H_matches_brute_other_field(seed3):
     f13 = field(13)
     assert_slices_match_brute(f13, random_cases(f13, random.Random(5), 25, 1), seed3)
+
+
+def smooth_parts(support, bound):
+    """Every monic product of the given primes of degree at most bound, as
+    (degree, {prime: exponent}) with the zero exponents left out."""
+    out = [(0, {})]
+    for p in support:
+        dp = degree(p)
+        step = []
+        for d, exps in out:
+            step.append((d, exps))
+            for e in range(1, (bound - d) // dp + 1):
+                step.append((d + e * dp, {**exps, p: e}))
+        out = step
+    return out
+
+
+def smooth_part_slice(fq, fixed, i, xbound, seed):
+    # the oracle for the Euler product: H glued at every S-smooth part f_s,
+    # convolved with one full sweep of (f_c / g r^2), r the primes of S
+    # prime to g = f_{i-1} f_{i+1}
+    n1 = len(fixed)
+    support = _prime_support(fq, fixed[:i] + (ONE,) + fixed[i + 1 :])
+    r = ONE
+    for p, vec in support.items():
+        if not vec[(i - 1) % n1] and not vec[(i + 1) % n1]:
+            r = fq.mul(r, p)
+    g = fq.mul(fixed[(i - 1) % n1], fixed[(i + 1) % n1])
+    sums = accel.symbol_sums_by_degree(fq, fq.mul(g, fq.mul(r, r)), xbound).tolist()
+    coeffs = [0] * (xbound + 1)
+    for e, exps in smooth_parts(support, xbound):
+        glued = {
+            p: vec[:i] + (exps[p],) + vec[i + 1 :] if p in exps else vec
+            for p, vec in support.items()
+        }
+        h = _glue(fq, glued, seed)
+        if h:
+            for d in range(e, xbound + 1):
+                coeffs[d] += h * sums[d - e]
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_euler_product_matches_smooth_parts_on_every_verify_slice(n, monkeypatch, tmp_path):
+    # every slice that verify --suite all reaches, from l_series_fe and
+    # local_to_global, against the sum over every smooth part
+    slices = {}
+    euler = globalweights._slice_coeffs
+
+    def recording(fq, fixed, i, xbound, seed):
+        got = euler(fq, fixed, i, xbound, seed)
+        slices[fixed, i, xbound] = (fq, seed, got)
+        return got
+
+    monkeypatch.setattr(globalweights, "_slice_coeffs", recording)
+    argv = ["verify", "--n", str(n), "--q", "5", "--suite", "all", "--bound", "4", "--trunc", "6"]
+    assert main(argv + ["--out", str(tmp_path / "report")]) == 0
+    assert len(slices) > 500
+    for (fixed, i, xbound), (fq, seed, got) in slices.items():
+        assert got == smooth_part_slice(fq, fixed, i, xbound, seed), (fixed, i, xbound)
+
+
+@pytest.mark.parametrize("q, count, max_deg, xbound", [(5, 150, 3, 6), (13, 40, 2, 4)])
+def test_euler_product_matches_smooth_parts_on_random_tuples(q, count, max_deg, xbound, seed3):
+    # primes of degree >= 2, zero local weights, and sweeps capped below
+    # xbound all occur
+    fq = field(q)
+    wide = zero = 0
+    for fixed, i in random_cases(fq, random.Random(q), count, max_deg):
+        want = smooth_part_slice(fq, fixed, i, xbound, seed3)
+        assert _slice_coeffs(fq, fixed, i, xbound, seed3) == want, (fixed, i)
+        support = _prime_support(fq, fixed[:i] + (ONE,) + fixed[i + 1 :])
+        wide += any(degree(p) >= 2 for p in support)
+        zero += any(
+            local_weight_value(degree(p), q, vec[:i] + (e,) + vec[i + 1 :], seed3) == 0
+            for p, vec in support.items()
+            for e in range(xbound // degree(p) + 1)
+        )
+    assert wide > count // 4 and zero > count // 10, (wide, zero)
+
+
+@pytest.mark.parametrize("q, max_deg", [(5, 4), (13, 3)])
+def test_capped_sweep_of_a_non_square_is_the_full_sweep(q, max_deg):
+    # for every monic G that is not a square, (. / G) is a nontrivial
+    # character modulo rad G, so its sums vanish from deg rad G on: the
+    # full sweep to deg G + 1 is the sweep to deg rad G - 1 plus zeros.
+    # Two contexts, so that neither sweep is read from the other's sums.
+    full_fq, capped_fq = Fq(q), Fq(q)
+    checked = 0
+    for d in range(1, max_deg + 1):
+        for G in full_fq.monic_enum(d):
+            factors = full_fq.factor(G)[0]
+            if all(e % 2 == 0 for _, e in factors):
+                continue
+            rad = sum(degree(p) for p, _ in factors)
+            full = accel.symbol_sums_by_degree(full_fq, G, d + 1).tolist()
+            capped = accel.symbol_sums_by_degree(capped_fq, G, rad - 1).tolist()
+            assert full == capped + [0] * (d + 2 - rad), G
+            checked += 1
+    assert checked > q**max_deg
 
 
 def test_coprime_twist_identity(f5, seed3):
