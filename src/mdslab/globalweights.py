@@ -155,15 +155,16 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
     parity of two primes meets slot i only through
     u_i (v_{i-1} + v_{i+1}) + v_i (u_{i-1} + u_{i+1}), never through
     u_i v_i. So every prime of f_c has local weight 1, twists trivially
-    with the other primes of f_c and contributes (f_c / G) in all, and
+    with the other primes of f_c and contributes (f_c / g) in all, with
+    g = f_{i-1} f_{i+1}, and
 
-        H(fixed with f) = s0 prod_{p in S} w_p(e_p) eps_p^{e_p} (f_c / G),
+        H(fixed with f) = s0 prod_{p in S} w_p(e_p) eps_p^{e_p} (f_c / g),
 
     where s0 is the twist sign at f = 1, w_p(e) the local weight at v_p
-    with slot i set to e, a_p = v_p[i-1] + v_p[i+1], eps_p = prod over the
-    other r in S of (p/r)^{a_r}, and G = prod_{p in S} p^{1 if a_p is odd,
-    else 2}: an even power of p only masks the f_c sharing a prime with
-    it. The slice is therefore
+    with slot i set to e, a_p = v_p[i-1] + v_p[i+1] (p's exponent in g)
+    and eps_p = prod over the other r in S of (p/r)^{a_r}. With
+    G = prod_{p in S} p^{1 if a_p is odd, else 2}, (f / G) equals (f / g)
+    on the f prime to S and vanishes on the others, so the slice is
 
         s0 prod_{p in S} (sum_e w_p(e) eps_p^e x^{e deg p}) T(x),
 
@@ -204,15 +205,16 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
     swept = min(xbound, sum(map(degree, support)) - 1) if odd else xbound
     sums = accel.symbol_sums_by_degree(fq, G, swept).tolist()
     sums += [0] * (xbound - swept)
-    return _times(euler, enumerate(sums[: xbound + 1]))
+    return _times(euler, enumerate(sums))
 
 
 def _times(series: list[int], terms) -> list[int]:
     # series * sum of c x^d over the (d, c) in terms, truncated at the
     # length of series
-    out = [0] * len(series)
+    n = len(series)
+    out = [0] * n
     for d, c in terms:
-        if c:
-            for k, a in enumerate(series[: len(series) - d]):
+        if c and d < n:
+            for k, a in enumerate(series[: n - d]):
                 out[d + k] += a * c
     return out
