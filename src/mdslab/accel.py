@@ -30,11 +30,14 @@ the product of the rows of its primes, an even exponent contributing only
 the mask row != 0, and the sums by degree are slice sums, kept per g as
 far as they were swept.
 ``symbol_rows`` returns the rows of every monic g of one degree, building
-the missing primes of each degree up to it first. The tables, chi
-tables and rows are cached on the ``Fq`` context, one entry per prime,
-each row grown to the largest degree asked of it (from the cached T and
-chi), next to the swept sums; past MAX_CACHE_BYTES the oldest entries of
-either kind go.
+the missing primes of each degree up to it first.
+
+Cache. Each Fq context holds one byte-bounded ``_Cache``: the row of each
+prime, and the sums of each g as far as they were swept. T and chi are
+dropped once a batch's rows are built, since a row read to degree d costs
+2q^d bytes where p's tables cost about 3q^(deg p); a row asked to a larger
+degree is rebuilt, tables and all, like a missing one. Past
+MAX_CACHE_BYTES the oldest entries of either kind go.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ from .fqpoly import Fq, Poly, _digits, _index, degree
 # of the primes involved, the rows asked for and the temporaries of the
 # last degree block.
 MAX_SWEEP_BYTES = 2**30
-# Most bytes of tables, rows and swept sums one Fq context keeps; the
-# oldest entries are dropped first (they are rebuilt if asked for again).
+# Most bytes of rows and swept sums one Fq context keeps; the oldest
+# entries are dropped first (they are rebuilt if asked for again).
 MAX_CACHE_BYTES = 2**28
 # Most digit vectors one pass of _tables holds (about 12 bytes of
 # temporaries a digit), and most row entries one batch of _grow builds
@@ -145,72 +148,76 @@ def _grow(q: int, T: np.ndarray, chi: np.ndarray, dmax: int) -> np.ndarray:
     return rows
 
 
+class _Cache:
+    """accel's entries on one Fq context, one array each: ("row", p) the
+    row of a prime p, ("sums", g) the swept sums of a modulus g. nbytes is
+    the bytes they hold; past MAX_CACHE_BYTES the entries stored longest
+    ago go first, whichever kind they are."""
+
+    def __init__(self):
+        self.entries: dict[tuple[str, Poly], np.ndarray] = {}  # oldest first
+        self.nbytes = 0
+
+    def put(self, key: tuple[str, Poly], array: np.ndarray) -> None:
+        self._drop(key)
+        while self.entries and self.nbytes + array.nbytes > MAX_CACHE_BYTES:
+            self._drop(next(iter(self.entries)))
+        self.entries[key] = array
+        self.nbytes += array.nbytes
+
+    def _drop(self, key: tuple[str, Poly]) -> None:
+        array = self.entries.pop(key, None)
+        if array is not None:
+            self.nbytes -= array.nbytes
+
+
+def _cache(fq: Fq) -> _Cache:
+    # the cache fq holds for this module, made on first use
+    fq._accel_cache = fq._accel_cache or _Cache()
+    return fq._accel_cache
+
+
 def _prime_rows(fq: Fq, primes, dmax: int) -> dict:
     """{p: chi_p of every monic f of degree <= dmax (at least), row layout}.
 
-    The primes without a cached row that long are built in batches of one
-    degree, topped up with the other primes of that degree when they are
-    few and small enough to cost about one prime. A row that grows is
-    rebuilt from degree 0 from its cached T and chi: the blocks below dmax
-    are at most 1/(q-1) of its work, and no residue indices are kept.
+    The primes without a cached row that long, missing or shorter, are
+    built in batches of one degree, topped up with the other such primes of
+    that degree when they are few and small enough to cost about one prime.
+    A row is always built from degree 0 by ``_tables`` and ``_grow``: the
+    blocks below dmax are at most 1/(q-1) of its work, and no tables or
+    residue indices are kept.
     """
     q, n = fq.q, 2 * fq.q**dmax
+    cache = _cache(fq)
     rows: dict = {}
-    todo: dict[tuple, list] = {}  # {(degree, cached): [(p, cache entry)]}
+    todo: dict[int, list] = {}  # {degree: [primes whose row is missing or shorter]}
     for p in primes:
-        entry = fq._char_rows.get(p)
-        if entry is not None and len(entry[2]) >= n:
-            rows[p] = entry[2]
+        row = cache.entries.get(("row", p), ())
+        if len(row) < n:
+            todo.setdefault(degree(p), []).append(p)
         else:
-            todo.setdefault((degree(p), entry is not None), []).append((p, entry))
-    for (e, cached), group in todo.items():
+            rows[p] = row
+    for e, group in todo.items():
         # when all primes of degree e (at most q^e / e) fit one pass of
         # _tables and one batch of _grow, they cost about as many numpy calls
-        # as one: the uncached others are built too, if the cache has room
-        # (T and chi take at most 3 bytes a residue at such sizes)
-        if cached or q**e * q**e > e * TABLE_PASS or q**e * n > e * ROW_BATCH:
+        # as one: the others without a row that long are built too, if the
+        # cache has room for their rows
+        if q**e * q**e > e * TABLE_PASS or q**e * n > e * ROW_BATCH:
             continue
-        asked = {p for p, _ in group}
-        extra = [p for p in fq._primes_of_degree(e) if p not in asked and p not in fq._char_rows]
-        if fq._char_bytes + len(extra) * (3 * q**e + n) <= MAX_CACHE_BYTES:
-            group += [(p, None) for p in extra]
+        short = [p for p in fq._primes_of_degree(e) if len(cache.entries.get(("row", p), ())) < n]
+        if cache.nbytes + (len(short) - len(group)) * n <= MAX_CACHE_BYTES:
+            todo[e] = short
     # batches of at most ROW_BATCH row entries bound the temporaries of _grow
     step = max(1, ROW_BATCH // n)
-    for (_, cached), group in todo.items():
+    for group in todo.values():
         for start in range(0, len(group), step):
             batch = group[start : start + step]
-            # each entry owns its arrays, so dropping one frees its memory
-            own = (lambda a: a) if len(batch) == 1 else np.copy
-            if cached:  # stacked for the batch; one prime is read in place
-                tables = [entry[:2] for _, entry in batch]
-                T, chi = (np.stack(a) if len(a) > 1 else a[0][None] for a in zip(*tables))
-            else:
-                T, chi = _tables(q, [p for p, _ in batch])
-                tables = [(own(t), own(c)) for t, c in zip(T, chi)]
-            for (p, _), (t, c), row in zip(batch, tables, _grow(q, T, chi, dmax)):
-                rows[p] = own(row)
-                _store(fq, "_char_rows", p, (t, c, rows[p]), t.nbytes + c.nbytes + row.nbytes)
+            for p, row in zip(batch, _grow(q, *_tables(q, batch), dmax)):
+                # each entry owns its array, so dropping one frees its memory;
+                # a batch of one is its own row
+                rows[p] = row if len(batch) == 1 else row.copy()
+                cache.put(("row", p), rows[p])
     return rows
-
-
-def _store(fq: Fq, name: str, key: Poly, entry, nbytes: int) -> None:
-    # keeps entry in the cache fq.<name> (_char_rows or _char_sums) and
-    # charges its bytes to fq._char_bytes; past MAX_CACHE_BYTES the oldest
-    # entries of either cache go first
-    _drop(fq, (name, key))
-    while fq._char_order and fq._char_bytes + nbytes > MAX_CACHE_BYTES:
-        _drop(fq, next(iter(fq._char_order)))
-    getattr(fq, name)[key] = entry
-    fq._char_order[name, key] = nbytes
-    fq._char_bytes += nbytes
-
-
-def _drop(fq: Fq, slot: tuple) -> None:
-    nbytes = fq._char_order.pop(slot, None)
-    if nbytes is not None:
-        name, key = slot
-        del getattr(fq, name)[key]
-        fq._char_bytes -= nbytes
 
 
 def _check_cost(q: int, prime_degrees, dmax: int, rows: int, what) -> None:
@@ -278,7 +285,8 @@ def symbol_sums_by_degree(fq: Fq, g: Poly, dmax: int) -> np.ndarray:
     The sums of each g are kept on fq, as far as they were swept, so a g
     asked for again to no higher degree is answered without a sweep.
     """
-    held = fq._char_sums.get(g)
+    cache = _cache(fq)
+    held = cache.entries.get(("sums", g))
     if held is None or len(held) <= dmax:
         # the private name: perfbench/spans.py times each public call, so
         # one sweep stays one span
@@ -288,7 +296,7 @@ def symbol_sums_by_degree(fq: Fq, g: Poly, dmax: int) -> np.ndarray:
         # int32 cannot overflow: _check_cost keeps the row below 2^30 entries.
         edges = [k * fq.q**d for d in range(dmax + 1) for k in (1, 2)]
         held = np.add.reduceat(row, edges[:-1], dtype=np.int32)[::2].astype(np.int64)
-        _store(fq, "_char_sums", g, held, held.nbytes)
+        cache.put(("sums", g), held)
     return held[: dmax + 1].copy()
 
 

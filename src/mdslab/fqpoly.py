@@ -4,7 +4,8 @@ Polynomials are immutable coefficient tuples, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple. All operations live
 on the :class:`Fq` context object, which caches the prime sieve,
 factorizations and residue symbols for the small degrees this library
-works at.
+works at, and holds the one bounded cache of character rows and symbol
+sums that ``accel`` owns.
 
 Index layout. The monic f of degree d with coefficients (a_0, ..., a_{d-1},
 1) has index q^d + sum a_k q^k, so its base-q digits are its coefficients,
@@ -150,13 +151,9 @@ class Fq:
         self._spf, self._cof = _sieve(q, 0)
         self._prime_cache: dict[int, tuple[Poly, ...]] = {}
         self._prime_at: dict[int, Poly] = {}
-        # accel's per-prime (T table, chi table, character row) and
-        # per-modulus swept symbol sums; _char_order holds the bytes of each
-        # entry of either, oldest first, and _char_bytes their total
-        self._char_rows: dict[Poly, tuple] = {}
-        self._char_sums: dict[Poly, np.ndarray] = {}
-        self._char_order: dict[tuple[str, Poly], int] = {}
-        self._char_bytes = 0
+        # accel's cache of character rows and swept symbol sums, made and
+        # bounded by accel on first use
+        self._accel_cache = None
 
     def __repr__(self) -> str:
         return f"Fq({self.q})"

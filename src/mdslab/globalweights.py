@@ -57,24 +57,13 @@ def H_global(fq: Fq, polys: tuple, seed: DiagonalSeed) -> int:
 
 def _glue(fq: Fq, support: dict, seed: DiagonalSeed) -> int:
     # H from the prime support {prime: valuation vector} (see H_global)
-    cache = seed._weight_caches.setdefault(fq.q, {})
     value = 1
     for p, vec in support.items():
-        w = _weight(fq, cache, p, vec, seed)
+        w = local_weight_value(degree(p), fq.q, vec, seed)
         if w == 0:
             return 0
         value *= w
     return value * _twist_sign(fq, support)
-
-
-def _weight(fq: Fq, cache: dict, p: tuple, vec: tuple, seed: DiagonalSeed) -> int:
-    # the local weight at a prime p with valuation vector vec, cached by
-    # (deg p + 1, vec) in the seed's cache for q
-    key = (len(p), vec)
-    w = cache.get(key)
-    if w is None:
-        w = cache[key] = local_weight_value(len(p) - 1, fq.q, vec, seed)
-    return w
 
 
 def _twist_sign(fq: Fq, support: dict) -> int:
@@ -179,7 +168,6 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
     n1 = len(fixed)
     support = _prime_support(fq, fixed[:i] + (ONE,) + fixed[i + 1 :])
     odd = [p for p, vec in support.items() if (vec[i - 1] + vec[(i + 1) % n1]) % 2]
-    cache = seed._weight_caches.setdefault(fq.q, {})
     euler = [_twist_sign(fq, support)] + [0] * xbound
     for p, vec in support.items():
         eps = 1
@@ -187,10 +175,11 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
             if r != p:
                 eps *= fq.residue_symbol(p, r)
         dp = degree(p)
-        terms = [
-            (e * dp, _weight(fq, cache, p, vec[:i] + (e,) + vec[i + 1 :], seed) * eps**e)
+        weights = (
+            local_weight_value(dp, fq.q, vec[:i] + (e,) + vec[i + 1 :], seed)
             for e in range(xbound // dp + 1)
-        ]
+        )
+        terms = [(e * dp, w * eps**e) for e, w in enumerate(weights)]
         euler = _times(euler, terms)
     if not any(euler):
         return euler

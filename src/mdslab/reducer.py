@@ -46,8 +46,8 @@ class DiagonalSeed:
     values: list[QLaurent]
     name: str = "seed"
     _memo: dict[IndexTuple, QLaurent] = field(default_factory=dict, repr=False)
-    # global-weight caches per field size q, filled by mdslab.globalweights
-    _weight_caches: dict[int, dict] = field(default_factory=dict, repr=False, compare=False)
+    # local_weight_value's memo, keyed by (p_deg, q0, t)
+    _weights: dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
 
     def diagonal(self, a: int) -> QLaurent:
         if a >= len(self.values):
@@ -208,8 +208,13 @@ def local_weight(p_deg: int, t: IndexTuple, seed: DiagonalSeed) -> QLaurent:
 
 
 def local_weight_value(p_deg: int, q0: int, t: IndexTuple, seed: DiagonalSeed) -> int:
-    """Integer value of the local weight at a concrete prime of degree p_deg."""
-    return local_weight(p_deg, t, seed).eval_int(q0**p_deg)
+    """Integer value of the local weight at a concrete prime of degree p_deg,
+    memoised on the seed."""
+    key = (p_deg, q0, t)
+    w = seed._weights.get(key)
+    if w is None:
+        w = seed._weights[key] = local_weight(p_deg, t, seed).eval_int(q0**p_deg)
+    return w
 
 
 def check_dominance(t: IndexTuple, seed: DiagonalSeed) -> dict:

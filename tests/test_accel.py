@@ -45,6 +45,11 @@ def assert_row_matches_oracle(fq, g, row, dmax):
             assert int(v) == fq.residue_symbol(f, g), (g, f)
 
 
+def cached_rows(fq):
+    # {p: row} of the prime rows in fq's accel cache, oldest first
+    return {p: a for (kind, p), a in accel._cache(fq).entries.items() if kind == "row"}
+
+
 def assert_rows_match_oracle(fq, g, dmax):
     # g's single-modulus row, the one symbol_sums_by_degree sums
     assert_row_matches_oracle(fq, g, accel._row(fq, g, dmax), dmax)
@@ -127,13 +132,13 @@ def test_square_factor_kills_common_divisors():
 
 
 def test_row_grows_to_a_larger_degree():
-    # one Fq entry per prime; asking for a larger degree rebuilds its row
+    # one cache entry per prime; asking for a larger degree rebuilds its row
     fq = Fq(13)  # a fresh context: no other test has grown this row
     g = fq.poly([2, 0, 1])  # irreducible: -2 is not a square mod 13
     assert list(accel.symbol_sums_by_degree(fq, g, 1)) == [1, -1]
-    assert len(fq._char_rows[g][2]) == 2 * 13
+    assert len(cached_rows(fq)[g]) == 2 * 13
     assert_row_matches_oracle(fq, g, accel.symbol_rows(fq, 2, 3)[index_of(fq, g)], 3)
-    assert len(fq._char_rows[g][2]) == 2 * 13**3
+    assert len(cached_rows(fq)[g]) == 2 * 13**3
 
 
 def test_oversized_sweep_is_refused_before_allocating():
@@ -144,45 +149,46 @@ def test_oversized_sweep_is_refused_before_allocating():
 
 
 def test_cache_drops_oldest_entries_past_its_bound(monkeypatch):
-    monkeypatch.setattr(accel, "MAX_CACHE_BYTES", 500)  # five degree-2 entries
+    monkeypatch.setattr(accel, "MAX_CACHE_BYTES", 250)  # five degree-2 rows
     fq = Fq(5)
+    cache = accel._cache(fq)
     primes = fq._primes_of_degree(2)
     for p in primes:
         assert_rows_match_oracle(fq, p, 2)
-        held = sum(a.nbytes for e in fq._char_rows.values() for a in e)
-        assert fq._char_bytes == held <= 500
-    assert primes[0] not in fq._char_rows and primes[-1] in fq._char_rows
+        held = sum(a.nbytes for a in cache.entries.values())
+        assert cache.nbytes == held <= 250
+    assert list(cached_rows(fq)) == list(primes[-5:])
     assert_rows_match_oracle(fq, primes[0], 2)  # rebuilt after eviction
 
 
 def test_sums_memo_is_charged_and_drops_oldest_entries_first(monkeypatch):
     # the swept sums share the prime rows' byte bound: each entry of either
-    # kind is charged to _char_bytes, and past MAX_CACHE_BYTES the entries
-    # stored longest ago go first, whichever kind they are
-    monkeypatch.setattr(accel, "MAX_CACHE_BYTES", 1000)  # about ten entries
+    # kind is charged to the cache's nbytes, and past MAX_CACHE_BYTES the
+    # entries stored longest ago go first, whichever kind they are
+    monkeypatch.setattr(accel, "MAX_CACHE_BYTES", 500)  # ten rows or twenty sums
     stored = []
-    store = accel._store
+    put = accel._Cache.put
 
-    def recording(fq, name, key, entry, nbytes):
-        stored.append((name, key))
-        store(fq, name, key, entry, nbytes)
+    def recording(cache, key, array):
+        stored.append(key)
+        put(cache, key, array)
 
-    monkeypatch.setattr(accel, "_store", recording)
+    monkeypatch.setattr(accel._Cache, "put", recording)
     fq = Fq(5)
+    cache = accel._cache(fq)
     moduli = [g for d in (1, 2) for g in fq.monic_enum(d)]
     for g in moduli:
         want = [sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d)) for d in range(3)]
         assert accel.symbol_sums_by_degree(fq, g, 2).tolist() == want, g
-        held = sum(a.nbytes for e in fq._char_rows.values() for a in e)
-        held += sum(a.nbytes for a in fq._char_sums.values())
-        assert fq._char_bytes == held <= 1000
-    last = {slot: k for k, slot in enumerate(stored)}
+        held = sum(a.nbytes for a in cache.entries.values())
+        assert cache.nbytes == held <= 500
+    last = {key: k for k, key in enumerate(stored)}
     by_age = sorted(last, key=last.get)
-    kept = list(fq._char_order)
+    kept = list(cache.entries)
     assert 0 < len(kept) < len(by_age)
     assert kept == by_age[len(by_age) - len(kept) :]
-    assert {name for name, _ in kept} == {"_char_rows", "_char_sums"}
-    assert moduli[0] not in fq._char_sums and moduli[-1] in fq._char_sums
+    assert {kind for kind, _ in kept} == {"row", "sums"}
+    assert ("sums", moduli[0]) not in kept and ("sums", moduli[-1]) in kept
 
 
 def test_sums_memo_answers_only_the_degrees_it_swept(monkeypatch):
@@ -203,7 +209,7 @@ def test_sums_memo_answers_only_the_degrees_it_swept(monkeypatch):
         accel.symbol_sums_by_degree(fq, g, 4)
     monkeypatch.setattr(accel, "_row", row)
     longer = accel.symbol_sums_by_degree(fq, g, 4).tolist()
-    assert longer[:4] == sums and len(fq._char_sums[g]) == 5
+    assert longer[:4] == sums and len(accel._cache(fq).entries["sums", g]) == 5
 
 
 @pytest.mark.parametrize("q, top", [(5, 3), (13, 2)])
@@ -212,10 +218,11 @@ def test_batched_prime_rows_match_scalar_route(q, top):
     fq = Fq(q)
     for e in range(1, top + 1):
         primes = fq._primes_of_degree(e)[:12]
+        T, chi = accel._tables(q, primes)
+        assert T.dtype == np.min_scalar_type(q**e + q) and T.shape == (len(primes), q**e)
         rows = accel._prime_rows(fq, primes, 2)
         for p in primes:
-            T, chi, row = fq._char_rows[p]
-            assert T.dtype == np.min_scalar_type(q**e + q) and len(T) == q**e
+            row = cached_rows(fq)[p]
             assert row is rows[p] and len(row) == 2 * q**2
             assert_row_matches_oracle(fq, p, row, 2)
 
@@ -224,7 +231,7 @@ def test_one_prime_brings_the_other_primes_of_a_small_degree(monkeypatch):
     # the 10 quadratic primes at q=5 fit one pass of _tables and one batch
     # of _grow, so a sweep asking for one builds them all in one batch; the
     # 406 at q=29 do not, and neither do the others under a cache bound
-    # without room for them
+    # without room for their rows
     batches = []
     tables = accel._tables
 
@@ -236,30 +243,63 @@ def test_one_prime_brings_the_other_primes_of_a_small_degree(monkeypatch):
     fq = Fq(5)
     primes = fq._primes_of_degree(2)
     assert_rows_match_oracle(fq, primes[3], 2)
-    assert batches == [10] and set(fq._char_rows) == set(primes)
+    assert batches == [10] and set(cached_rows(fq)) == set(primes)
     for p in primes:
-        assert_row_matches_oracle(fq, p, fq._char_rows[p][2], 2)
+        assert_row_matches_oracle(fq, p, cached_rows(fq)[p], 2)
     assert_rows_match_oracle(fq, fq.mul(primes[0], primes[9]), 2)
     assert batches == [10]  # nothing left to build
     fq = Fq(29)
     p = fq._primes_of_degree(2)[0]
     assert_rows_match_oracle(fq, p, 1)
-    assert batches[1:] == [1] and list(fq._char_rows) == [p]
-    monkeypatch.setattr(accel, "MAX_CACHE_BYTES", 500)  # room for 3 or 4
+    assert batches[1:] == [1] and list(cached_rows(fq)) == [p]
+    monkeypatch.setattr(accel, "MAX_CACHE_BYTES", 250)  # room for 5 rows
     fq = Fq(5)
     assert_rows_match_oracle(fq, primes[3], 2)
-    assert batches[2:] == [1] and list(fq._char_rows) == [primes[3]]
+    assert batches[2:] == [1] and list(cached_rows(fq)) == [primes[3]]
 
 
-def test_grown_rows_reuse_tables_and_equal_a_fresh_build():
+def test_short_rows_of_a_small_degree_are_rebuilt_in_one_batch(monkeypatch):
+    # one linear prime asked to a larger degree brings every other linear
+    # prime whose row is shorter: one _tables batch rebuilds all five
+    batches = []
+    tables = accel._tables
+
+    def counting(q, primes):
+        batches.append(len(primes))
+        return tables(q, primes)
+
+    monkeypatch.setattr(accel, "_tables", counting)
+    fq = Fq(5)
+    t = fq.poly([0, 1])
+    assert list(accel.symbol_sums_by_degree(fq, t, 1)) == [1, 0]
+    assert batches == [5] and all(len(r) == 2 * 5 for r in cached_rows(fq).values())
+    assert_rows_match_oracle(fq, t, 3)
+    assert batches == [5, 5]
+    rows = cached_rows(fq)
+    assert set(rows) == set(fq._primes_of_degree(1))
+    for p, row in rows.items():
+        assert len(row) == 2 * 5**3
+        assert_row_matches_oracle(fq, p, row, 3)
+
+
+def test_cache_holds_only_the_rows_of_a_large_prime():
+    # a cubic prime at q=29 asked to degree 2 keeps its 2 * 29^2 row bytes,
+    # not its 29^3-entry T and chi
+    fq = Fq(29)
+    p = fq._primes_of_degree(3)[0]
+    accel._prime_rows(fq, [p], 2)
+    cache = accel._cache(fq)
+    assert list(cache.entries) == [("row", p)]
+    assert cache.nbytes == 2 * 29**2
+
+
+def test_grown_rows_equal_a_fresh_build():
     fq = Fq(5)
     primes = fq._primes_of_degree(1) + fq._primes_of_degree(2)
     accel._prime_rows(fq, primes, 2)
-    tables = {p: fq._char_rows[p][:2] for p in primes}
     grown = accel._prime_rows(fq, primes, 4)
     fresh = accel._prime_rows(Fq(5), primes, 4)
     for p in primes:
-        assert all(a is b for a, b in zip(fq._char_rows[p][:2], tables[p]))
         assert np.array_equal(grown[p], fresh[p])
         assert np.array_equal(grown[p][: 2 * 25], accel._prime_rows(Fq(5), [p], 2)[p])
 
@@ -267,11 +307,11 @@ def test_grown_rows_reuse_tables_and_equal_a_fresh_build():
 def test_char_bytes_match_entries_after_a_batch():
     fq = Fq(13)
     accel.symbol_rows(fq, 2, 2)
-    entries = list(fq._char_rows.values())
-    assert len(entries) == 13 + 78  # every prime of degree <= 2
-    assert fq._char_bytes == sum(a.nbytes for e in entries for a in e)
-    # each entry owns its arrays, so dropping one frees its bytes
-    assert all(a.base is None for e in entries for a in e)
+    rows = list(cached_rows(fq).values())
+    assert len(rows) == 13 + 78  # every prime of degree <= 2
+    assert accel._cache(fq).nbytes == sum(a.nbytes for a in rows)
+    # each entry owns its array, so dropping one frees its bytes
+    assert all(a.base is None for a in rows)
 
 
 def test_oversized_symbol_rows_are_refused_before_allocating():
@@ -280,4 +320,4 @@ def test_oversized_symbol_rows_are_refused_before_allocating():
     fq = Fq(29)
     with pytest.raises(ValueError, match="bytes"):
         accel.symbol_rows(fq, 4, 4)
-    assert fq._sieve_degree == 0 and not fq._char_rows
+    assert fq._sieve_degree == 0 and not accel._cache(fq).entries

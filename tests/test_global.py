@@ -302,7 +302,8 @@ def test_sums_memo_never_serves_filled_zeros(seed3, monkeypatch):
     t, u = fq.poly([0, 1]), fq.poly([1, 1])
     g = fq.mul(t, u)
     _slice_coeffs(fq, (t, ONE, u, ONE), 1, 3, seed3)
-    assert fq._char_sums[g].tolist() == [1, -1]  # degrees 0 and 1 only
+    # degrees 0 and 1 only
+    assert accel._cache(fq).entries["sums", g].tolist() == [1, -1]
     row = accel._row
 
     def perturbed(fq, g, dmax):
