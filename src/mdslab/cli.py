@@ -152,7 +152,8 @@ def _suite_residue(args, pipe):
             {"D": args.bound},
             lambda: res.check_pipeline_consistency(n, args.bound, seed),
         ),
-        ("factor_pairing", {"D": 2 * args.bound}, lambda: res.check_factor_pairing(n, 2 * args.bound)),
+        # these hold at every degree; "D" stays in the params so reports keep their bytes
+        ("factor_pairing", {"D": 2 * args.bound}, lambda: res.check_factor_pairing(n)),
     ]
     for pdeg in (1, 2):
         checks.append(
@@ -164,7 +165,7 @@ def _suite_residue(args, pipe):
         )
     for i in res.resfe_positions(n):
         checks.append(
-            ("residue_fe", {"i": i, "D": args.trunc}, lambda i=i: res.check_resfe(n, i, args.trunc))
+            ("residue_fe", {"i": i, "D": args.trunc}, lambda i=i: res.check_resfe(n, i))
         )
     if n % 2 == 0:
         for which in res.NEVEN_TRANSFORMS:
@@ -172,7 +173,7 @@ def _suite_residue(args, pipe):
                 (
                     f"neven_fe_{which}",
                     {"D": args.trunc},
-                    lambda which=which: res.check_neven_fe(n, which, args.trunc),
+                    lambda which=which: res.check_neven_fe(n, which),
                 )
             )
     checks.append(
@@ -354,6 +355,10 @@ def main(argv=None) -> int:
     if "q" in vars(args) and args.q not in SUPPORTED_Q:
         print(f"unsupported q={args.q}; choose from {sorted(SUPPORTED_Q)}", file=sys.stderr)
         return 2
+    for name in ("bound", "trunc"):
+        if vars(args).get(name, 0) < 0:
+            print(f"--{name} must be nonnegative", file=sys.stderr)
+            return 2
     if args.command == "verify" and args.trunc < args.bound:
         print("--trunc must be at least --bound", file=sys.stderr)
         return 2

@@ -10,8 +10,9 @@ route through :mod:`mdslab.series`.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
-from .series import FactorList, MultiSeries, expand_diagonal, expand_factors
+from .series import MultiSeries, expand_diagonal, expand_factors, progressions
 
 Partition = tuple[int, ...]
 
@@ -103,32 +104,19 @@ def partition_product_gf(n: int, bound: int) -> MultiSeries:
     One factor per column shape: a column of height mn + j covers every
     class m times and classes 0..j-1 once more.
     """
-    fl = FactorList()
-    m = 0
-    while m * n + 1 <= bound:
-        for j in range(1, n + 1):
-            alpha = tuple(m + (1 if k < j else 0) for k in range(n))
-            if sum(alpha) <= bound:
-                fl.add(alpha, 0, 1)
-        m += 1
-    return expand_factors(fl, n, bound)
+    fams = {(tuple(int(c < j) for c in range(n)), 0): 1 for j in range(1, n + 1)}
+    return expand_factors(progressions(fams, (1,) * n, bound), n, bound)
 
 
 def partition_tuple_product_gf(n: int, bound: int) -> MultiSeries:
     """Product-formula route for :func:`partition_ntuple_counts`:
     the same columns, started at every cyclic offset."""
-    fl = FactorList()
-    m = 0
-    while m * n + 1 <= bound:
-        for i in range(n):
-            for length in range(1, n + 1):
-                alpha = [m] * n
-                for t in range(length):
-                    alpha[(i + t) % n] += 1
-                if sum(alpha) <= bound:
-                    fl.add(tuple(alpha), 0, 1)
-        m += 1
-    return expand_factors(fl, n, bound)
+    fams = Counter(
+        (tuple(int((c - i) % n < length) for c in range(n)), 0)
+        for i in range(n)
+        for length in range(1, n + 1)
+    )
+    return expand_factors(progressions(fams, (1,) * n, bound), n, bound)
 
 
 def series_int_coeff(s: MultiSeries, exp: tuple[int, ...]) -> int:

@@ -2,21 +2,24 @@
 
 The residue of the full series at the odd-indexed variables admits an
 explicit infinite-product formula over the even-indexed variables. This
-module builds that product as a factor list, derives from it the diagonal
-seed that pins down the axiomatic series, and verifies the structural
-claims tying the product back to the recurrence engine: coefficient maps,
-Euler-product substitution, factor pairing, scalar-cocycle functional
-equations and the flat-part reconstruction of the diagonal factors. Each
-cocycle functional equation is one multiset identity read from one product
-table (``_check_factor_permutation``). Every check returns
-``{"status", "witness"}``, the witness only when it does not pass.
+module describes that product once, as a finite list of families w + 2m
+delta, m >= 0, along the null root delta = (1, ..., 1) (:func:`families`);
+:func:`build_R` expands them to a degree. From the product it derives the
+diagonal seed that pins down the axiomatic series, and verifies the
+structural claims tying the product back to the recurrence engine:
+coefficient maps, Euler-product substitution, factor pairing,
+scalar-cocycle functional equations and the flat-part reconstruction of
+the diagonal factors. The pairing and each cocycle functional equation
+are checked on the families, so at every degree
+(:func:`_compare_families`). Every check returns ``{"status",
+"witness"}``, the witness only when it does not pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +33,7 @@ from .series import (
     expand_factors,
     factorize_product_form,
     pairing_completion,
+    progressions,
     split_flat_natural_sharp,
 )
 
@@ -43,68 +47,50 @@ def n_even_vars(n: int) -> int:
     return (n + 1) // 2 if n % 2 else n // 2 + 1
 
 
-def build_R(n: int, bound: int) -> FactorList:
-    """Factor list of the residue product over the even-indexed variables.
+def families(n: int) -> dict[tuple[tuple[int, ...], int], int]:
+    """The residue product over the even-indexed variables, as families.
 
-    Variable slot j stands for x_{2j}. Every infinite family is expanded
-    until its factor's total degree exceeds the bound.
+    Variable slot j stands for x_{2j}. An entry (w, beta): gamma stands for
+    the factors (1 - q^beta x^(w + 2m delta))^(-gamma) for every m >= 0,
+    with delta = (1, ..., 1) the null root: the diagonal family and the
+    windows of 2s over consecutive slots (cyclic for n odd; prefixes,
+    suffixes, interior windows and their complements for n even).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     k = n_even_vars(n)
-    fl = FactorList()
+    fams: Counter = Counter()
 
-    def add_window(base: list[int], positions, beta_list, gamma=1):
-        alpha = list(base)
-        for p in positions:
-            alpha[p] += 2
-        if sum(alpha) <= bound and any(alpha):
-            for beta in beta_list:
-                fl.add(tuple(alpha), beta, gamma)
+    def window(slots, betas, gamma=1):
+        w = tuple(2 * int(t in slots) for t in range(k))
+        for beta in betas:
+            fams[(w, beta)] += gamma
 
     if n % 2:
-        m = 0
-        while True:
-            deg_diag_odd = (2 * m + 1) * k
-            deg_window_min = 2 * m * k + 2
-            if deg_diag_odd > bound and deg_window_min > bound:
-                break
-            base = [2 * m] * k
-            if deg_diag_odd <= bound:
-                fl.add(((2 * m + 1),) * k, _BETA0, 1)
-                fl.add(((2 * m + 1),) * k, _BETA1, 1)
-            # cyclic windows over even indices, full cycle included
-            # (full-cycle windows merge into the even diagonal factors)
-            for u in range(k):
-                for length in range(1, k + 1):
-                    add_window(base, [(u + t) % k for t in range(length)], (_BETA0, _BETA1))
-            m += 1
+        for beta in (_BETA0, _BETA1):
+            fams[((1,) * k, beta)] += 1
+        # cyclic windows, the full cycle included once per start: those
+        # merge into the even diagonal family 2 delta with gamma = k
+        for u in range(k):
+            for length in range(1, k + 1):
+                window({(u + t) % k for t in range(length)}, (_BETA0, _BETA1))
     else:
-        half = n // 2
-        m = 0
-        while True:
-            deg_diag = (2 * m + 2) * k
-            deg_window_min = 2 * m * k + 2
-            if deg_diag > bound and deg_window_min > bound:
-                break
-            base = [2 * m] * k
-            if deg_diag <= bound:
-                fl.add(((2 * m + 2),) * k, _BETA0, half)
-                fl.add(((2 * m + 2),) * k, _BETA1, half)
-            for u in range(k - 1):
-                # prefix x_0..x_{2u}, suffix x_{2u+2}..x_n, both at q^(1/2)
-                add_window(base, range(0, u + 1), (_BETA_HALF,))
-                add_window(base, range(u + 1, k), (_BETA_HALF,))
-            for u in range(1, k - 1):
-                for v in range(u, k - 1):
-                    add_window(base, range(u, v + 1), (_BETA0, _BETA1))
-                    add_window(
-                        base,
-                        list(range(0, u)) + list(range(v + 1, k)),
-                        (_BETA0, _BETA1),
-                    )
-            m += 1
-    return fl
+        window(range(k), (_BETA0, _BETA1), n // 2)
+        for u in range(k - 1):
+            # prefix x_0..x_{2u}, suffix x_{2u+2}..x_n, both at q^(1/2)
+            window(range(u + 1), (_BETA_HALF,))
+            window(range(u + 1, k), (_BETA_HALF,))
+        for u in range(1, k - 1):
+            for v in range(u, k - 1):
+                window(range(u, v + 1), (_BETA0, _BETA1))
+                window([t for t in range(k) if not u <= t <= v], (_BETA0, _BETA1))
+    return dict(fams)
+
+
+def build_R(n: int, bound: int) -> FactorList:
+    """Factor list of the residue product up to total degree ``bound``:
+    the :func:`families` expanded along 2 delta."""
+    return progressions(families(n), (2,) * n_even_vars(n), bound)
 
 
 # -- diagonal pipeline -----------------------------------------------------
@@ -225,14 +211,12 @@ def check_pipeline_consistency(n: int, bound: int, seed: DiagonalSeed) -> dict:
     return {"status": "pass"}
 
 
-def check_factor_pairing(n: int, bound: int) -> dict:
-    """The residue factor multiset is invariant under beta -> 1 - beta."""
-    fl = build_R(n, bound)
-    if fl.beta_reflected() != fl:
-        for (alpha, beta), gamma in fl.items():
-            if fl.factors.get((alpha, 4 - beta), 0) != gamma:
-                return {"status": "fail", "witness": f"unpaired factor alpha={alpha}, beta={beta}/4"}
-    return {"status": "pass"}
+def check_factor_pairing(n: int) -> dict:
+    """The residue factor multiset is invariant under beta -> 1 - beta, at
+    every degree: the reflected families equal the families."""
+    fams = families(n)
+    reflected = {(w, 4 - beta): gamma for (w, beta), gamma in fams.items()}
+    return _compare_families(reflected, fams, Counter())
 
 
 # -- H-route and Euler substitution ---------------------------------------
@@ -325,72 +309,75 @@ def _identity(k: int) -> list[list[int]]:
     return [[1 if r == c else 0 for c in range(k)] for r in range(k)]
 
 
-def _invert_unimodular(matrix: list[list[int]]) -> list[list[int]]:
-    k = len(matrix)
-    aug = [[Fraction(matrix[r][c]) for c in range(k)] + [Fraction(int(r == c)) for c in range(k)]
-           for r in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("substitution matrix is not unimodular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = [[aug[r][k + c] for c in range(k)] for r in range(k)]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("substitution matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
+def _on_line(alpha: tuple[int, ...], beta: int):
+    """The line of alpha through 2 delta, keyed by beta and its point of
+    least entry 0 or 1, and the position j of alpha on it."""
+    j = min(alpha) // 2
+    return (beta, tuple(a - 2 * j for a in alpha)), j
+
+
+def _compare_families(image, fams, traded: Counter) -> dict:
+    """Check image - fams = traded as multisets of factors, at every degree.
+
+    ``image`` and ``fams`` are families, each standing for its factors at
+    w + 2m delta for all m >= 0; ``traded`` is finite. A family counts
+    gamma at its start on its line and at every later position, so on each
+    line the difference image - fams at position j is the running sum of
+    the start counts up to j. It must equal traded there, for j from the
+    first start or traded point to one past the last: beyond that both are
+    constant, and the difference is zero only when the gamma totals of the
+    line agree.
+    """
+    starts: defaultdict = defaultdict(Counter)
+    for sign, fam in ((1, image), (-1, fams)):
+        for (w, beta), gamma in fam.items():
+            line, j = _on_line(w, beta)
+            starts[line][j] += sign * gamma
+    want: defaultdict = defaultdict(Counter)
+    for (alpha, beta), count in traded.items():
+        line, j = _on_line(alpha, beta)
+        want[line][j] += count
+    for line in sorted(starts.keys() | want.keys()):
+        positions = starts[line].keys() | want[line].keys()
+        diff = 0
+        for j in range(min(positions), max(positions) + 2):
+            diff += starts[line][j]
+            if diff != want[line][j]:
+                beta, base = line
+                alpha = tuple(a + 2 * j for a in base)
+                return {
+                    "status": "fail",
+                    "witness": f"alpha={alpha}, beta={beta}/4: image less product has"
+                    f" multiplicity {diff}, the trade {want[line][j]}",
+                }
+    return {"status": "pass"}
 
 
 def _check_factor_permutation(
-    n: int, matrix: list[list[int]], removed: list[tuple[tuple[int, ...], int]], bound: int
+    n: int, matrix: list[list[int]], removed: list[tuple[tuple[int, ...], int]]
 ) -> dict:
     """Verify the substitution permutes the residue factor multiset except
     for the listed removed factors, which are traded for their negated
     counterparts (the scalar cocycle).
 
     Let F be the factor multiset of the infinite product and G = F -
-    removed + (negated removed). The claim is M(F) = G. The map need not
-    send each removed factor to its own negation, so this is read as the
-    multiset identity F(a) = G(M a), and F(M^-1 a) = G(a) in the other
-    direction, at every factor of degree at most bound, every removed
-    factor and every preimage of a negated one. All multiplicities come
-    from one product built to the largest degree read; a vector with a
-    negative entry is simply absent from it.
+    removed + (negated removed). The claim is M(F) = G at every degree. M
+    must fix delta; then it maps the family w + 2m delta onto Mw + 2m
+    delta, so M(F) is again a sum of families and the claim is the finite
+    comparison of :func:`_compare_families`.
     """
-    inverse = _invert_unimodular(matrix)
-    traded = Counter(removed)
-    traded.subtract((tuple(-a for a in alpha), beta) for alpha, beta in removed)
-    points = dict.fromkeys(build_R(n, bound).factors)
+    delta = (1,) * len(matrix)
+    if _apply_linear(matrix, delta) != delta:
+        raise ValueError("substitution matrix does not fix delta = (1, ..., 1)")
+    fams = families(n)
+    image: Counter = Counter()
+    for (w, beta), gamma in fams.items():
+        image[(_apply_linear(matrix, w), beta)] += gamma
+    traded: Counter = Counter()
     for alpha, beta in removed:
-        points[(alpha, beta)] = None
-        points[(_apply_linear(inverse, tuple(-a for a in alpha)), beta)] = None
-    rows = [
-        (alpha, _apply_linear(matrix, alpha), _apply_linear(inverse, alpha), beta)
-        for alpha, beta in points
-    ]
-    top = max((sum(v) for row in rows for v in row[:3] if min(v) >= 0), default=0)
-    F = build_R(n, top).factors
-    for alpha, image, pre, beta in rows:
-        f, g = F.get((alpha, beta), 0), F.get((image, beta), 0) - traded[(image, beta)]
-        if f != g:
-            return {
-                "status": "fail",
-                "witness": f"forward: alpha={alpha}, beta={beta}/4 has multiplicity {f},"
-                f" its image {image} has {g} after the trade",
-            }
-        f, g = F.get((pre, beta), 0), F.get((alpha, beta), 0) - traded[(alpha, beta)]
-        if f != g:
-            return {
-                "status": "fail",
-                "witness": f"inverse: alpha={alpha}, beta={beta}/4 has multiplicity {g}"
-                f" after the trade, its preimage {pre} has {f}",
-            }
-    return {"status": "pass"}
+        traded[(alpha, beta)] -= 1
+        traded[(tuple(-a for a in alpha), beta)] += 1
+    return _compare_families(image, fams, traded)
 
 
 def resfe_positions(n: int) -> range:
@@ -398,7 +385,7 @@ def resfe_positions(n: int) -> range:
     return range(0, n + 1, 2) if n % 2 else range(2, n, 2)
 
 
-def check_resfe(n: int, i: int, bound: int) -> dict:
+def check_resfe(n: int, i: int) -> dict:
     """Scalar-cocycle functional equation swapping x_i to 1/x_i, i even."""
     if i not in resfe_positions(n):
         raise ValueError(f"no residue functional equation at i={i} for n={n}")
@@ -412,7 +399,7 @@ def check_resfe(n: int, i: int, bound: int) -> dict:
         (_unit_alpha(k, u, 2), _BETA0),
         (_unit_alpha(k, u, 2), _BETA1),
     ]
-    return _check_factor_permutation(n, mat, removed, bound)
+    return _check_factor_permutation(n, mat, removed)
 
 
 def _unit_alpha(k: int, u: int, value: int) -> tuple[int, ...]:
@@ -424,7 +411,7 @@ def _unit_alpha(k: int, u: int, value: int) -> tuple[int, ...]:
 NEVEN_TRANSFORMS = ("cycle-squared", "edge")
 
 
-def check_neven_fe(n: int, which: str, bound: int) -> dict:
+def check_neven_fe(n: int, which: str) -> dict:
     """Extra residue functional equations for n even (cycle-squared / edge).
 
     The paper's n = 2 and n = 4 variants differ from the generic form and
@@ -483,7 +470,7 @@ def check_neven_fe(n: int, which: str, bound: int) -> dict:
             (tuple(2 * int(t in (0, k - 1)) for t in range(k)), _BETA0),
             (tuple(2 * int(t in (0, k - 1)) for t in range(k)), _BETA1),
         ]
-    return _check_factor_permutation(n, mat, removed, bound)
+    return _check_factor_permutation(n, mat, removed)
 
 
 # -- flat-part reconstruction ----------------------------------------------

@@ -3,13 +3,15 @@
 A :class:`MultiSeries` is truncated by total degree. A :class:`FactorList`
 is a merged multiset of triples (alpha, beta, gamma) standing for the
 product of (1 - q^beta x^alpha)^(-gamma); beta is stored in quarter units
-like the :class:`~mdslab.qlaurent.QLaurent` exponents. A product is
-expanded either by total degree (:func:`expand_factors`) or for its
-diagonal up to x^D only (:func:`expand_diagonal`). The diagonal expansion
-keeps, after each factor, only the terms of the box [0, D]^k that the
-factors still to come can carry to a point a·δ, δ = (1, ..., 1), a <= D.
-Every factor exponent is nonnegative, so a dropped term never reaches the
-diagonal and the pruned product is exact.
+like the :class:`~mdslab.qlaurent.QLaurent` exponents. An infinite product
+is given by families, arithmetic progressions of exponents that
+:func:`progressions` lists up to a degree. A product is expanded either by
+total degree (:func:`expand_factors`) or for its diagonal up to x^D only
+(:func:`expand_diagonal`). The diagonal expansion keeps, after each
+factor, only the terms of the box [0, D]^k that the factors still to come
+can carry to a point a·δ, δ = (1, ..., 1), a <= D. Every factor exponent
+is nonnegative, so a dropped term never reaches the diagonal and the
+pruned product is exact.
 """
 
 from __future__ import annotations
@@ -149,9 +151,21 @@ class FactorList:
     def off_diagonal_part(self) -> "FactorList":
         return self.restrict(lambda a, b: len(set(a)) > 1)
 
-    def beta_reflected(self) -> "FactorList":
-        """Image under beta |-> 1 - beta (Property of the paired factors)."""
-        return FactorList({(a, 4 - b): g for (a, b), g in self.factors.items()})
+
+def progressions(
+    families: dict[tuple[ExpVec, int], int], step: ExpVec, bound: int
+) -> FactorList:
+    """The factors of the families up to total degree ``bound``.
+
+    A family (w, beta): gamma stands for the factors at w + m*step, m >= 0,
+    each with beta and gamma; ``step`` has positive total degree.
+    """
+    fl = FactorList()
+    size = sum(step)
+    for (w, beta), gamma in families.items():
+        for m in range((bound - sum(w)) // size + 1):
+            fl.add(tuple(a + m * s for a, s in zip(w, step)), beta, gamma)
+    return fl
 
 
 def _check_factors(factors, nvars: int) -> None:

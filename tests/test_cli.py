@@ -2,6 +2,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import time
@@ -150,6 +151,22 @@ def test_usage_errors(capsys):
         main(["verify", "--suite", "bogus"])
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "--n", "3", "--bound", "-1", "--trunc", "-1"], "--bound"),
+        (["verify", "--n", "3", "--bound", "0", "--trunc", "-1"], "--trunc"),
+        (["moments", "--n", "3", "--trunc", "-1"], "--trunc"),
+        (["coeffs", "--n", "3", "--bound", "-2"], "--bound"),
+    ],
+)
+def test_negative_degrees_exit_2(argv, option, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{option} must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_raising_check_fails_alone(tmp_path, monkeypatch):
     argv = ["verify", "--n", "2", "--suite", "partitions", "--bound", "3", "--trunc", "3"]
     _, out = run_cli(argv, tmp_path, "clean")
@@ -174,10 +191,13 @@ def test_raising_check_fails_alone(tmp_path, monkeypatch):
 
 
 def test_stdout_output():
+    # the child imports mdslab from this checkout, as pytest's pythonpath does
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mdslab.cli", "coeffs", "--n", "2", "--bound", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("a_0,a_1,a_2,coeff")
@@ -261,15 +281,15 @@ def test_checks_return_status_and_witness_only():
             lambda: residue.check_pipeline_consistency(2, 4, seed),
             lambda: residue.check_pipeline_consistency(2, 4, flat),
         ],
-        "check_factor_pairing": [lambda: residue.check_factor_pairing(3, 6)],
+        "check_factor_pairing": [lambda: residue.check_factor_pairing(3)],
         "check_euler_substitution": [lambda: residue.check_euler_substitution(2, 1, 3, seed)],
-        "check_resfe": [lambda: residue.check_resfe(3, 0, 6)],
+        "check_resfe": [lambda: residue.check_resfe(3, 0)],
         "_check_factor_permutation": [
-            lambda: residue._check_factor_permutation(3, [[1, 0], [0, 1]], [((2, 0), 0)], 6),
+            lambda: residue._check_factor_permutation(3, [[1, 0], [0, 1]], [((2, 0), 0)]),
         ],
         "check_neven_fe": [
-            lambda: residue.check_neven_fe(4, "edge", 6),
-            lambda: residue.check_neven_fe(6, "edge", 6),
+            lambda: residue.check_neven_fe(4, "edge"),
+            lambda: residue.check_neven_fe(6, "edge"),
         ],
         "reconstruct_R1": [
             lambda: residue.reconstruct_R1(2, 4, pipe.p),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -18,6 +19,25 @@ from mdslab.partitions import (
     series_int_coeff,
 )
 from mdslab.reducer import compute_P, tuples_with_sum_at_most
+
+
+# sha256 of the terms of each product formula for n = 1..5 and bound 0..8,
+# pinned from the per-formula loops that listed the columns before the
+# shared family expansion
+PRODUCT_GF_DIGESTS = {
+    partition_product_gf: "d07961d28f0aa1519671a7d6b9679ca9510b97d8843f96176c8275fe69381501",
+    partition_tuple_product_gf: "adec1df86c77332af7fdc4e90f193df1429ce9e731e1d992107c195f3d9753c9",
+}
+
+
+@pytest.mark.parametrize("gf", list(PRODUCT_GF_DIGESTS), ids=lambda f: f.__name__)
+def test_product_gf_matches_pinned_tables(gf):
+    tables = [
+        sorted((e, sorted(c.terms.items())) for e, c in gf(n, bound).terms.items())
+        for n in range(1, 6)
+        for bound in range(9)
+    ]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == PRODUCT_GF_DIGESTS[gf]
 
 
 def count_partition_ntuples(n, sums):

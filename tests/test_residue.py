@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from test_fqpoly import squarefree_part
 
 from mdslab import cli, reducer, residue
@@ -48,6 +51,27 @@ def test_build_R_smallest_factors_n2():
     assert fl.factors[((0, 2), 2)] == 1  # suffix at beta = 1/2
     # no interior windows exist for k = 2
     assert ((2, 0), 0) not in fl.factors
+
+
+# sha256 of repr(sorted(build_R(n, 24).factors.items())), pinned from the
+# per-parity loops that built the product before the family list
+BUILD_R_DIGESTS = {
+    2: "d5b53b9e8c4ae4cc1c80598e2fb212c40d6afbf0a9ba261c49daf50dbb3eed67",
+    3: "ef8e87dc62f0a83e04c7794d5f91c086dcae03bc2cc0ad2b289f929ecf8f4ab4",
+    4: "b93619f8cc594c6c983e0824660d98cef618f34e53a1a47a6b1ad26013559d70",
+    5: "d68578e7a333c31ddb647711a618433169ac46e907671f9adf75881505596684",
+    6: "ae753208c6d97ac87fcab2183c18630f68afcfd0c9ca3c0d2fc7a41855a45676",
+    7: "e551fc9ea780489ba6629c51dcc06a85c032b55b61e532616f230755efbf83e6",
+    8: "3daef7f927c25dac0a9e2ffef2d567051c563a74c5766db13a785c1965837d90",
+    9: "244406c5a8e6fa558d28409261088aea7b1b00acdcac73f555ed3bf618becedd",
+    10: "86670f681c48dd72b00ddd3e26196f55b6943ebcb4882d58807df0d3944a311b",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BUILD_R_DIGESTS))
+def test_build_R_matches_pinned_tables(n):
+    table = repr(sorted(build_R(n, 24).factors.items())).encode()
+    assert hashlib.sha256(table).hexdigest() == BUILD_R_DIGESTS[n]
 
 
 def test_factor_multiplicity_matches_window():
@@ -134,10 +158,21 @@ def test_pipeline_consistency(n):
     assert report["status"] == "pass", report
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_factor_pairing(n):
-    report = check_factor_pairing(n, 12)
+    report = check_factor_pairing(n)
     assert report["status"] == "pass", report
+
+
+def test_pairing_fails_without_a_partner_family(monkeypatch):
+    for n in (2, 3, 6, 7):
+        fams = residue.families(n)
+        for key in fams:
+            fewer = {f: g for f, g in fams.items() if f != key}
+            if key[1] != 2:  # a beta = 1/2 family is its own partner
+                monkeypatch.setattr(residue, "families", lambda n, fewer=fewer: fewer)
+                assert check_factor_pairing(n)["status"] == "fail", (n, key)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n,p_deg", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -188,81 +223,139 @@ def admissible_positions(n):
     return range(0, n + 1, 2) if n % 2 else range(2, n, 2)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_resfe(n):
     for i in admissible_positions(n):
-        report = check_resfe(n, i, 10)
+        report = check_resfe(n, i)
         assert report["status"] == "pass", report
 
 
 def test_resfe_rejects_bad_positions():
     with pytest.raises(ValueError):
-        check_resfe(3, 1, 6)
+        check_resfe(3, 1)
     with pytest.raises(ValueError):
-        check_resfe(4, 0, 6)
+        check_resfe(4, 0)
     # i = -2 would read row -1, i = 6 would run past the k = 2 rows
     for i in (-2, 6):
         with pytest.raises(ValueError):
-            check_resfe(3, i, 6)
+            check_resfe(3, i)
 
 
 def test_neven_fe_n6():
     for which in ("cycle-squared", "edge"):
-        report = check_neven_fe(6, which, 10)
+        report = check_neven_fe(6, which)
         assert report["status"] == "pass", report
 
 
 def test_neven_fe_special_cases():
     for n in (2, 4):
         for which in ("cycle-squared", "edge"):
-            assert check_neven_fe(n, which, 8)["status"] == "unverified special case"
+            assert check_neven_fe(n, which)["status"] == "unverified special case"
     with pytest.raises(ValueError):
-        check_neven_fe(3, "edge", 8)
+        check_neven_fe(3, "edge")
     with pytest.raises(ValueError):
-        check_neven_fe(6, "nope", 8)
+        check_neven_fe(6, "nope")
     with pytest.raises(ValueError):
-        check_neven_fe(4, "nope", 6)
+        check_neven_fe(4, "nope")
 
 
-def captured_permutations(monkeypatch, n, bound):
-    """The (n, matrix, removed, bound) that each residue FE of n checks."""
+def captured_permutations(monkeypatch, n):
+    """The (n, matrix, removed) that each residue FE of n checks."""
     calls = []
     monkeypatch.setattr(
         residue, "_check_factor_permutation", lambda *args: calls.append(args) or {}
     )
     for i in admissible_positions(n):
-        check_resfe(n, i, bound)
+        check_resfe(n, i)
     if n % 2 == 0:
         for which in residue.NEVEN_TRANSFORMS:
-            check_neven_fe(n, which, bound)
+            check_neven_fe(n, which)
     monkeypatch.undo()
     return calls
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def bounded_permutation_check(n, matrix, removed, bound):
+    """Oracle for the cocycle FEs: the multiset identity M(F) = G read as
+    F(a) = G(Ma), and as F(M^-1 a) = G(a) in the other direction, at every
+    factor of degree at most bound, every removed factor and every preimage
+    of a negated one. G is F less the removed factors plus their negations.
+    All multiplicities come from one product built to the largest degree
+    read; a vector with a negative entry is simply absent from it. A removed
+    factor above the bound, once dropped, is never read.
+    """
+    inverse = sympy.Matrix(matrix).inv()
+    assert all(x.is_integer for x in inverse), "substitution matrix is not unimodular"
+    inverse = [[int(x) for x in row] for row in inverse.tolist()]
+    traded = Counter(removed)
+    traded.subtract((tuple(-a for a in alpha), beta) for alpha, beta in removed)
+    points = dict.fromkeys(build_R(n, bound).factors)
+    for alpha, beta in removed:
+        points[(alpha, beta)] = None
+        points[(residue._apply_linear(inverse, tuple(-a for a in alpha)), beta)] = None
+    rows = [
+        (alpha, residue._apply_linear(matrix, alpha), residue._apply_linear(inverse, alpha), beta)
+        for alpha, beta in points
+    ]
+    top = max((sum(v) for row in rows for v in row[:3] if min(v) >= 0), default=0)
+    F = build_R(n, top).factors
+    for alpha, image, pre, beta in rows:
+        if F.get((alpha, beta), 0) != F.get((image, beta), 0) - traded[(image, beta)]:
+            return "fail"
+        if F.get((pre, beta), 0) != F.get((alpha, beta), 0) - traded[(alpha, beta)]:
+            return "fail"
+    return "pass"
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
+def test_certificate_matches_bounded_oracle(monkeypatch, n):
+    check = residue._check_factor_permutation
+    calls = captured_permutations(monkeypatch, n)
+    assert calls
+    for bound in (6, 10, 14):
+        for _, mat, removed in calls:
+            assert check(n, mat, removed)["status"] == "pass"
+            assert bounded_permutation_check(n, mat, removed, bound) == "pass"
+            for j, (alpha, _) in enumerate(removed):
+                if sum(alpha) <= bound:
+                    fewer = removed[:j] + removed[j + 1 :]
+                    assert check(n, mat, fewer)["status"] == "fail", (mat, j)
+                    assert bounded_permutation_check(n, mat, fewer, bound) == "fail", (mat, j)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_factor_permutation_fails_when_perturbed(monkeypatch, n):
     check = residue._check_factor_permutation
-    calls = captured_permutations(monkeypatch, n, 8)
+    calls = captured_permutations(monkeypatch, n)
     assert calls
-    for _, mat, removed, bound in calls:
-        assert check(n, mat, removed, bound)["status"] == "pass"
-        # every removed factor is needed: dropping any one of bounded
-        # degree breaks the identity
-        for j, (alpha, _) in enumerate(removed):
-            if sum(alpha) <= bound:
-                fewer = removed[:j] + removed[j + 1 :]
-                assert check(n, mat, fewer, bound)["status"] == "fail", (mat, j)
+    for _, mat, removed in calls:
+        assert check(n, mat, removed)["status"] == "pass"
+        # every removed factor is needed, whatever its degree
+        for j in range(len(removed)):
+            fewer = removed[:j] + removed[j + 1 :]
+            assert check(n, mat, fewer)["status"] == "fail", (mat, j)
         identity = [[int(r == c) for c in range(len(mat))] for r in range(len(mat))]
-        assert check(n, identity, removed, bound)["status"] == "fail"
-        assert check(n, mat, removed + removed[:1], bound)["status"] == "fail"
+        assert check(n, identity, removed)["status"] == "fail"
+        assert check(n, mat, removed + removed[:1])["status"] == "fail"
 
 
-def test_invert_unimodular_rejects_other_matrices():
-    assert residue._invert_unimodular([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
-    # singular, then invertible over Q but not over Z
-    for matrix in ([[1, 2], [2, 4]], [[2, 0], [0, 1]]):
-        with pytest.raises(ValueError, match="not unimodular"):
-            residue._invert_unimodular(matrix)
+def test_certificate_sees_a_removed_factor_above_the_bound(monkeypatch):
+    # n=6 cycle-squared trades ((4,2,2,2), beta=1/2), of degree 10: the
+    # oracle at D=6 never reads it, the certificate fails without it
+    dropped = ((4, 2, 2, 2), 2)
+    _, mat, removed = next(c for c in captured_permutations(monkeypatch, 6) if dropped in c[2])
+    fewer = [f for f in removed if f != dropped]
+    assert len(fewer) == len(removed) - 1
+    assert bounded_permutation_check(6, mat, fewer, 6) == "pass"
+    assert bounded_permutation_check(6, mat, fewer, 10) == "fail"
+    assert residue._check_factor_permutation(6, mat, fewer)["status"] == "fail"
+
+
+def test_factor_permutation_requires_fixed_delta():
+    # unimodular, but (1, 1) goes to (2, 1)
+    with pytest.raises(ValueError, match="does not fix delta"):
+        residue._check_factor_permutation(3, [[1, 1], [0, 1]], [])
+    with pytest.raises(ValueError, match="does not fix delta"):
+        residue._check_factor_permutation(3, [[2, 0], [0, 1]], [((2, 0), 0)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

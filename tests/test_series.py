@@ -13,6 +13,7 @@ from mdslab.series import (
     expand_factors,
     factorize_product_form,
     pairing_completion,
+    progressions,
     split_flat_natural_sharp,
 )
 
@@ -181,8 +182,12 @@ def test_merge_and_cancel():
         fl.add((0, 0), 0, 1)
 
 
-def test_beta_reflection_involution():
-    fl = FactorList()
-    fl.add((1, 2), 0, 3)
-    fl.add((2, 2), 4, 1)
-    assert fl.beta_reflected().beta_reflected() == fl
+def test_progressions_list_each_family_to_the_bound():
+    fams = {((1, 0), 0): 2, ((0, 2), 4): 1, ((3, 3), 0): 1}
+    fl = progressions(fams, (1, 1), 4)
+    assert fl.factors == {((1, 0), 0): 2, ((2, 1), 0): 2, ((0, 2), 4): 1, ((1, 3), 4): 1}
+    # the families merge where their progressions meet
+    assert progressions({((1, 1), 0): 1, ((2, 2), 0): 1}, (1, 1), 4).factors == {
+        ((1, 1), 0): 1,
+        ((2, 2), 0): 2,
+    }
