@@ -28,12 +28,15 @@ prime, as a sweep of one g may ask for, is a batch of one.
 Composite g. The symbol is multiplicative in the modulus, so g's row is
 the product of the rows of its primes, an even exponent contributing only
 the mask row != 0, and the sums by degree are slice sums, kept per g as
-far as they were swept.
+far as they were swept. A sweep takes g as its factorisation, which every
+caller already holds, so g is neither multiplied out nor factored here.
 ``symbol_rows`` returns the rows of every monic g of one degree, building
 the missing primes of each degree up to it first.
 
 Cache. Each Fq context holds one byte-bounded ``_Cache``: the row of each
-prime, and the sums of each g as far as they were swept. T and chi are
+prime, and the sums of each g as far as they were swept, keyed by g's
+primes and the parity of each exponent (which is all (f/g) depends on), so
+one modulus has one entry whichever route asks for it. T and chi are
 dropped once a batch's rows are built, since a row read to degree d costs
 2q^d bytes where p's tables cost about 3q^(deg p); a row asked to a larger
 degree is rebuilt, tables and all, like a missing one. Past
@@ -150,22 +153,23 @@ def _grow(q: int, T: np.ndarray, chi: np.ndarray, dmax: int) -> np.ndarray:
 
 class _Cache:
     """accel's entries on one Fq context, one array each: ("row", p) the
-    row of a prime p, ("sums", g) the swept sums of a modulus g. nbytes is
+    row of a prime p, ("sums", factors) the swept sums of the modulus with
+    those ((prime, 1 or 2), ...), exponents reduced by parity. nbytes is
     the bytes they hold; past MAX_CACHE_BYTES the entries stored longest
     ago go first, whichever kind they are."""
 
     def __init__(self):
-        self.entries: dict[tuple[str, Poly], np.ndarray] = {}  # oldest first
+        self.entries: dict[tuple[str, tuple], np.ndarray] = {}  # oldest first
         self.nbytes = 0
 
-    def put(self, key: tuple[str, Poly], array: np.ndarray) -> None:
+    def put(self, key: tuple[str, tuple], array: np.ndarray) -> None:
         self._drop(key)
         while self.entries and self.nbytes + array.nbytes > MAX_CACHE_BYTES:
             self._drop(next(iter(self.entries)))
         self.entries[key] = array
         self.nbytes += array.nbytes
 
-    def _drop(self, key: tuple[str, Poly]) -> None:
+    def _drop(self, key: tuple[str, tuple]) -> None:
         array = self.entries.pop(key, None)
         if array is not None:
             self.nbytes -= array.nbytes
@@ -245,11 +249,11 @@ def _multiply(out: np.ndarray, factors, prime_rows: dict) -> None:
             out *= prow != 0  # an even power only kills gcd > 1
 
 
-def _row(fq: Fq, g: Poly, dmax: int) -> np.ndarray:
-    # (f/g) for every monic f of degree <= dmax, in row layout
-    factors, _ = fq.factor(g)
+def _row(fq: Fq, factors, dmax: int) -> np.ndarray:
+    # (f/g) for every monic f of degree <= dmax, in row layout, with g the
+    # product of the p^e of factors
     degrees = [(degree(p), 1) for p, _ in factors]
-    _check_cost(fq.q, degrees, dmax, 1, lambda: f"symbol sweep of g={list(g)}")
+    _check_cost(fq.q, degrees, dmax, 1, lambda: f"symbol sweep of g with factors {factors}")
     row = np.ones(2 * fq.q**dmax, dtype=np.int8)
     _multiply(row, factors, _prime_rows(fq, [p for p, _ in factors], dmax))
     return row
@@ -279,24 +283,28 @@ def symbol_rows(fq: Fq, d: int, dmax: int, start: int = 0, stop: int | None = No
     return rows
 
 
-def symbol_sums_by_degree(fq: Fq, g: Poly, dmax: int) -> np.ndarray:
+def symbol_sums_by_degree(fq: Fq, factors, dmax: int) -> np.ndarray:
     """sums[d] = sum over monic f, deg f = d, of (f/g), for d = 0..dmax.
 
-    The sums of each g are kept on fq, as far as they were swept, so a g
-    asked for again to no higher degree is answered without a sweep.
+    g is given by its factorisation ((p, e), ...) into monic primes, as
+    ``fq.factor(g)[0]`` lists it. The sums of each g are kept on fq, as far
+    as they were swept, so a g asked for again to no higher degree is
+    answered without a sweep. (f/g) depends on each e only through its
+    parity, so the entry's key holds e reduced to 1 (odd) or 2 (even).
     """
+    factors = tuple(sorted((p, 2 - e % 2) for p, e in factors))
     cache = _cache(fq)
-    held = cache.entries.get(("sums", g))
+    held = cache.entries.get(("sums", factors))
     if held is None or len(held) <= dmax:
         # the private name: perfbench/spans.py times each public call, so
         # one sweep stays one span
-        row = _row(fq, g, dmax)
+        row = _row(fq, factors, dmax)
         # one reduction over the edges q^0, 2q^0, q, 2q, ..., q^dmax: every
         # other segment is a degree block, the ones between hold no f.
         # int32 cannot overflow: _check_cost keeps the row below 2^30 entries.
         edges = [k * fq.q**d for d in range(dmax + 1) for k in (1, 2)]
         held = np.add.reduceat(row, edges[:-1], dtype=np.int32)[::2].astype(np.int64)
-        cache.put(("sums", g), held)
+        cache.put(("sums", factors), held)
     return held[: dmax + 1].copy()
 
 

@@ -61,7 +61,7 @@ def cmd_coeffs(args) -> int:
 
 
 def _suite_axioms(args, pipe):
-    from .globalweights import global_coeff_sum
+    from .globalweights import global_coeff_sums
 
     seed = pipe.seed
     fq = field(args.q)
@@ -81,8 +81,8 @@ def _suite_axioms(args, pipe):
     checks.append(("unit_tuples", {"bound": args.bound}, unit_tuples))
 
     def local_to_global():
-        for t in tuples_with_sum_at_most(args.n + 1, min(args.bound, args.trunc)):
-            got = global_coeff_sum(fq, t, seed)
+        ts = list(tuples_with_sum_at_most(args.n + 1, min(args.bound, args.trunc)))
+        for t, got in zip(ts, global_coeff_sums(fq, ts, seed)):
             want = reduce_coeff(t, seed).eval_int(fq.q)
             if got != want:
                 return {"status": "fail", "witness": f"t={t}: {got} != {want}"}

@@ -2,20 +2,24 @@
 
 H on an arbitrary monic tuple is the product of the prime-support local
 weights times a correction by cross residue symbols between distinct
-primes. Everything here is exact integer arithmetic at the ambient q.
+primes. Everything here is exact integer arithmetic at the ambient q, the
+reversal test included.
 
 The one-variable slices of ``l_series_H`` do not sum H over every f
 (``_slice_coeffs``). The exponent in slot i of a prime p of the fixed
 entries enters H only through p's local weight and p's twists with the
 primes of slots i - 1 and i + 1, so the part of f smooth over those primes
 contributes an Euler product, one factor per prime, and the part coprime to
-them one residue character, summed by the ``accel`` sweep. Unless the
+them one residue character, summed by the ``accel`` sweep, which is handed
+the character's modulus as the factorisation it is built from. Unless the
 product of slots i - 1 and i + 1 is a square, that character is
 nontrivial, and its complete sums vanish from the degree of its conductor
 on, so the sweep stops there. ``l_series_H`` clears the pole of a slice
 and runs ``check_reversal`` on it, returning ``{"status", "witness"}``.
-The local-to-global sums of ``global_coeff_sum`` go through the same
-slices: the sum over the slot of largest degree is one slice coefficient.
+The local-to-global sums of ``global_coeff_sums`` go through the same
+slices: the sum over the slot of largest degree is one slice coefficient,
+and every t that shares that slot and the other slots' degrees reads its
+coefficient from one slice.
 The brute sums, of H over every f and over every monic tuple, and the
 enumeration of every smooth part stay in the tests as the oracles.
 """
@@ -23,7 +27,6 @@ enumeration of every smooth part stay in the tests as the oracles.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import accel
 from .fqpoly import ONE, Fq, degree, is_monic
@@ -96,22 +99,39 @@ def _check_budget(q0: int, total: int, n1: int) -> None:
 
 
 def global_coeff_sum(fq: Fq, t: tuple[int, ...], seed: DiagonalSeed) -> int:
-    """Sum of H over all monic tuples of the given degrees.
+    """Sum of H over all monic tuples of the given degrees: the one-t case
+    of ``global_coeff_sums``."""
+    return global_coeff_sums(fq, [t], seed)[0]
+
+
+def global_coeff_sums(fq: Fq, ts, seed: DiagonalSeed) -> list[int]:
+    """For each t in ts, the sum of H over all monic tuples of degrees t.
 
     By the local-to-global principle this equals c_t evaluated at q. The
-    sum over the slot i with the largest degree is coefficient t_i of the
+    sum over the first slot i of largest degree is coefficient t_i of the
     one-variable slice with the other entries fixed (``_slice_coeffs``), so
     only the other slots are enumerated, and only they count against
-    ``BUDGET``.
+    ``BUDGET``. Every t is priced before any slice is summed. The t that
+    share i and the degrees of the other slots read one slice per tuple of
+    other entries, summed to the largest such t_i: a slice to a lower
+    degree is a prefix of it (the Euler product and the sweep are both
+    truncated, and the sweep's cap does not depend on xbound).
     """
-    t = tuple(t)
-    _check_budget(fq.q, sum(t) - max(t), len(t))
-    i = t.index(max(t))
-    pools = [fq.monic_enum(a) for a in t[:i] + t[i + 1 :]]
-    return sum(
-        _slice_coeffs(fq, rest[:i] + (ONE,) + rest[i:], i, t[i], seed)[t[i]]
-        for rest in itertools.product(*pools)
-    )
+    keys = []  # ((i, the other slots' degrees), t_i) for each t
+    for t in map(tuple, ts):
+        _check_budget(fq.q, sum(t) - max(t), len(t))
+        i = t.index(max(t))
+        keys.append(((i, t[:i] + t[i + 1 :]), t[i]))
+    # {key: its largest t_i}: in sorted order a key's last pair holds it
+    tops = dict(sorted(keys))
+    sums = {}
+    for (i, rest), top in tops.items():
+        total = [0] * (top + 1)
+        for others in itertools.product(*map(fq.monic_enum, rest)):
+            fixed = others[:i] + (ONE,) + others[i:]
+            total = [a + b for a, b in zip(total, _slice_coeffs(fq, fixed, i, top, seed))]
+        sums[i, rest] = total
+    return [sums[key][x] for key, x in keys]
 
 
 def l_series_H(
@@ -131,8 +151,7 @@ def l_series_H(
     coeffs = _slice_coeffs(fq, fixed, i, xbound, seed)
     if s % 2 == 0:
         coeffs = [c - fq.q * p for c, p in zip(coeffs, [0] + coeffs)]
-    q = Fraction(fq.q)
-    return check_reversal(coeffs, s - s % 2, lambda j: q**j)
+    return check_reversal(coeffs, s - s % 2, lambda j: fq.q**j)
 
 
 def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed) -> list[int]:
@@ -158,8 +177,9 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
         s0 prod_{p in S} (sum_e w_p(e) eps_p^e x^{e deg p}) T(x),
 
     truncated at xbound, with T[m] the sum of (f / G) over the monic f of
-    degree m (the ``accel`` sweep). When some a_p is odd, (. / G) is a
-    nontrivial character modulo rad G = prod_{p in S} p; the monic f of a
+    degree m (the ``accel`` sweep, handed G as those (p, 1 or 2)). When
+    some a_p is odd, (. / G) is a nontrivial character modulo
+    rad G = prod_{p in S} p; the monic f of a
     degree m >= deg rad G run over every residue class modulo rad G
     equally often, so T[m] = 0, and T is swept only to deg rad G - 1.
     The brute sum of H over every f, and the sum over every smooth part
@@ -183,15 +203,9 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
         euler = _times(euler, terms)
     if not any(euler):
         return euler
-    core = half = ONE
-    for p in support:
-        if p in odd:
-            core = fq.mul(core, p)
-        else:
-            half = fq.mul(half, p)
-    G = fq.mul(core, fq.mul(half, half))
     # a nontrivial character's complete sums vanish from deg rad G on
     swept = min(xbound, sum(map(degree, support)) - 1) if odd else xbound
+    G = [(p, 1 if p in odd else 2) for p in support]
     sums = accel.symbol_sums_by_degree(fq, G, swept).tolist()
     sums += [0] * (xbound - swept)
     return _times(euler, enumerate(sums))

@@ -2,7 +2,9 @@
 
 For squarefree monic g, L(x, chi_g) = sum over monic f of (f/g) x^{deg f}
 is a polynomial of degree deg g - 1. This module computes it by direct
-character summation, checks its functional equation (``check_reversal``
+character summation (``accel.symbol_sums_by_degree`` on g's
+factorisation, so an H slice whose modulus is g reads the same sums),
+checks its functional equation (``check_reversal`` at the integer q,
 after the trivial zero is divided out) and the Riemann hypothesis (all
 inverse roots on |x| = q^{1/2}), and verifies the cubic moment identity
 tying averages of L-values to divisor sums. The moment check reads one row
@@ -45,7 +47,7 @@ def l_poly(fq: Fq, g) -> list[int]:
         raise ValueError("g must have positive degree (use the zeta factor for g = 1)")
     if not fq.is_squarefree(g):
         raise ValueError("g must be squarefree")
-    sums = accel.symbol_sums_by_degree(fq, g, dg)
+    sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], dg)
     if sums[dg] != 0:
         raise AssertionError(f"character sum fails to vanish at degree {dg}")
     return [int(s) for s in sums[:dg]]
@@ -77,8 +79,7 @@ def check_l_fe(fq: Fq, g) -> dict:
         coeffs = _divide_trivial_zero(coeffs)
         if coeffs is None:
             return {"status": "fail", "witness": "missing trivial zero at x = 1"}
-    q = Fraction(fq.q)
-    return check_reversal(coeffs, len(coeffs) - 1, lambda j: q**j)
+    return check_reversal(coeffs, len(coeffs) - 1, lambda j: fq.q**j)
 
 
 def check_rh(fq: Fq, g, tol: float = 1e-6) -> dict:

@@ -18,7 +18,9 @@ largest violation.
 
 ``check_reversal`` is the one test of a one-variable functional equation;
 the slice checks here, in ``globalweights`` and in ``lfunctions`` only
-build its coefficients. Every check returns ``{"status", "witness"}``, the
+build its coefficients. It multiplies the identity through by a power of
+q, so it needs no negative power: the slices of H compare plain integers.
+Every check returns ``{"status", "witness"}``, the
 witness only when it does not pass.
 """
 
@@ -241,14 +243,19 @@ def check_reversal(coeffs: list, m: int, qpow) -> dict:
     """The one-variable functional equation, shared by every slice check.
 
     The coefficients vanish above the even degree m, and c_k =
-    q^{k-m/2} c_{m-k} for k = 0..m. ``qpow(j)`` is q^j in the
-    coefficients' ring (``QLaurent`` or ``Fraction``).
+    q^{k-m/2} c_{m-k} for k = 0..m, compared as q^{m/2} c_k = q^k c_{m-k}
+    (times the unit q^{m/2}), so ``qpow(j)`` is only asked for j >= 0.
+    ``qpow(j)`` is q^j in the coefficients' ring (``int``, ``Fraction`` or
+    ``QLaurent``). The identities at k and m - k are one and the same, and
+    the one at m/2 always holds, so only k < m/2 is compared: the first
+    failing k is the same as over 0..m.
     """
     for k in range(m + 1, len(coeffs)):
         if coeffs[k]:
             return {"status": "fail", "witness": f"nonzero coefficient at degree {k} > {m}"}
-    for k in range(m + 1):
-        if coeffs[k] != qpow(k - m // 2) * coeffs[m - k]:
+    unit = qpow(m // 2)
+    for k in range(m // 2):
+        if unit * coeffs[k] != qpow(k) * coeffs[m - k]:
             return {"status": "fail", "witness": f"reversal fails at degree {k}"}
     return {"status": "pass"}
 

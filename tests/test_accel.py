@@ -18,7 +18,7 @@ def test_sums_match_scalar_route():
     for q, coeffs in cases:
         fq = field(q)
         g = fq.poly(coeffs)
-        sums = accel.symbol_sums_by_degree(fq, g, 3)
+        sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3)
         for d in range(4):
             want = sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d))
             assert int(sums[d]) == want, (g, d)
@@ -52,7 +52,7 @@ def cached_rows(fq):
 
 def assert_rows_match_oracle(fq, g, dmax):
     # g's single-modulus row, the one symbol_sums_by_degree sums
-    assert_row_matches_oracle(fq, g, accel._row(fq, g, dmax), dmax)
+    assert_row_matches_oracle(fq, g, accel._row(fq, fq.factor(g)[0], dmax), dmax)
 
 
 def test_symbol_rows_match_scalar_route():
@@ -97,7 +97,7 @@ def test_public_routes_agree():
     # values; the per-degree sums must also equal the sums of the batch rows
     fq = field(13)
     for g in [fq.poly([0, 1]), fq.poly([5, 1, 1]), fq.poly([1, 2, 0, 1])]:
-        sums = accel.symbol_sums_by_degree(fq, g, 2)
+        sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 2)
         row = accel.symbol_rows(fq, len(g) - 1, 2)[index_of(fq, g)]
         for d in range(3):
             vals = row[13**d : 2 * 13**d]
@@ -118,7 +118,7 @@ def test_prime_degree_above_sweep_degree():
 
 def test_trivial_modulus():
     fq = field(5)
-    sums = accel.symbol_sums_by_degree(fq, (1,), 3)
+    sums = accel.symbol_sums_by_degree(fq, fq.factor((1,))[0], 3)
     assert list(sums) == [1, 5, 25, 125]
 
 
@@ -135,7 +135,7 @@ def test_row_grows_to_a_larger_degree():
     # one cache entry per prime; asking for a larger degree rebuilds its row
     fq = Fq(13)  # a fresh context: no other test has grown this row
     g = fq.poly([2, 0, 1])  # irreducible: -2 is not a square mod 13
-    assert list(accel.symbol_sums_by_degree(fq, g, 1)) == [1, -1]
+    assert list(accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 1)) == [1, -1]
     assert len(cached_rows(fq)[g]) == 2 * 13
     assert_row_matches_oracle(fq, g, accel.symbol_rows(fq, 2, 3)[index_of(fq, g)], 3)
     assert len(cached_rows(fq)[g]) == 2 * 13**3
@@ -145,7 +145,7 @@ def test_oversized_sweep_is_refused_before_allocating():
     # 29^7 f's would need about 2e11 bytes; the estimate refuses it at once
     fq = field(29)
     with pytest.raises(ValueError, match="bytes"):
-        accel.symbol_sums_by_degree(fq, fq.poly([0, 1]), 7)
+        accel.symbol_sums_by_degree(fq, fq.factor(fq.poly([0, 1]))[0], 7)
 
 
 def test_cache_drops_oldest_entries_past_its_bound(monkeypatch):
@@ -179,7 +179,7 @@ def test_sums_memo_is_charged_and_drops_oldest_entries_first(monkeypatch):
     moduli = [g for d in (1, 2) for g in fq.monic_enum(d)]
     for g in moduli:
         want = [sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d)) for d in range(3)]
-        assert accel.symbol_sums_by_degree(fq, g, 2).tolist() == want, g
+        assert accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 2).tolist() == want, g
         held = sum(a.nbytes for a in cache.entries.values())
         assert cache.nbytes == held <= 500
     last = {key: k for k, key in enumerate(stored)}
@@ -188,28 +188,48 @@ def test_sums_memo_is_charged_and_drops_oldest_entries_first(monkeypatch):
     assert 0 < len(kept) < len(by_age)
     assert kept == by_age[len(by_age) - len(kept) :]
     assert {kind for kind, _ in kept} == {"row", "sums"}
-    assert ("sums", moduli[0]) not in kept and ("sums", moduli[-1]) in kept
+    assert ("sums", fq.factor(moduli[0])[0]) not in kept
+    assert ("sums", fq.factor(moduli[-1])[0]) in kept
 
 
 def test_sums_memo_answers_only_the_degrees_it_swept(monkeypatch):
     fq = Fq(13)
     g = fq.poly([1, 2, 0, 1])
-    sums = accel.symbol_sums_by_degree(fq, g, 3).tolist()
+    sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3).tolist()
     row = accel._row
 
     def no_sweep(*args):
         raise RuntimeError("swept again")
 
     monkeypatch.setattr(accel, "_row", no_sweep)
-    assert accel.symbol_sums_by_degree(fq, g, 2).tolist() == sums[:3]
+    assert accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 2).tolist() == sums[:3]
     # a returned array is a copy: changing it leaves the memo alone
-    accel.symbol_sums_by_degree(fq, g, 3)[0] += 5
-    assert accel.symbol_sums_by_degree(fq, g, 3).tolist() == sums
+    accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3)[0] += 5
+    assert accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3).tolist() == sums
     with pytest.raises(RuntimeError, match="swept again"):
-        accel.symbol_sums_by_degree(fq, g, 4)
+        accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 4)
     monkeypatch.setattr(accel, "_row", row)
-    longer = accel.symbol_sums_by_degree(fq, g, 4).tolist()
-    assert longer[:4] == sums and len(accel._cache(fq).entries["sums", g]) == 5
+    longer = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 4).tolist()
+    assert longer[:4] == sums and len(accel._cache(fq).entries["sums", fq.factor(g)[0]]) == 5
+
+
+def test_sums_memo_keys_exponents_by_parity(monkeypatch):
+    # (f / t^3 u^4) = (f / t u^2): one entry, swept once, equal to the
+    # oracle of either modulus, in whatever order the factors come
+    fq = Fq(5)
+    t, u = fq.poly([0, 1]), fq.poly([1, 1])
+    g = fq.mul(fq.pow(t, 3), fq.pow(u, 4))
+    want = [sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d)) for d in range(4)]
+    assert accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3).tolist() == want
+
+    def no_sweep(*args):
+        raise RuntimeError("swept again")
+
+    monkeypatch.setattr(accel, "_row", no_sweep)
+    assert accel.symbol_sums_by_degree(fq, [(u, 2), (t, 1)], 3).tolist() == want
+    assert [key for key in accel._cache(fq).entries if key[0] == "sums"] == [
+        ("sums", ((t, 1), (u, 2)))
+    ]
 
 
 @pytest.mark.parametrize("q, top", [(5, 3), (13, 2)])
@@ -271,7 +291,7 @@ def test_short_rows_of_a_small_degree_are_rebuilt_in_one_batch(monkeypatch):
     monkeypatch.setattr(accel, "_tables", counting)
     fq = Fq(5)
     t = fq.poly([0, 1])
-    assert list(accel.symbol_sums_by_degree(fq, t, 1)) == [1, 0]
+    assert list(accel.symbol_sums_by_degree(fq, fq.factor(t)[0], 1)) == [1, 0]
     assert batches == [5] and all(len(r) == 2 * 5 for r in cached_rows(fq).values())
     assert_rows_match_oracle(fq, t, 3)
     assert batches == [5, 5]

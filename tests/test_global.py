@@ -15,6 +15,7 @@ from mdslab.globalweights import (
     _prime_support,
     _slice_coeffs,
     global_coeff_sum,
+    global_coeff_sums,
     l_series_H,
 )
 from mdslab.lfunctions import l_poly
@@ -179,6 +180,52 @@ def test_budget_prices_the_enumerated_slots(f5, seed3, monkeypatch):
         global_coeff_sum(f5, (2, 2, 1, 5), seed3)
 
 
+@pytest.mark.parametrize("n, q, bound", [(2, 5, 4), (3, 5, 4), (4, 5, 4), (2, 13, 3)])
+def test_grouped_sums_equal_the_per_t_route(n, q, bound):
+    # one slice per (slot, other degrees), read at each t_i, against one
+    # slice per t swept to its own t_i
+    fq = field(q)
+    seed = run_pipeline(n, bound + 2).seed
+    ts = list(tuples_with_sum_at_most(n + 1, bound))
+    assert global_coeff_sums(fq, ts, seed) == [global_coeff_sum(fq, t, seed) for t in ts]
+
+
+def test_local_to_global_sums_one_slice_per_group(monkeypatch, tmp_path):
+    # verify's local_to_global at n = 3, q = 5, bound 4: the t sharing the
+    # first slot of largest degree and the other degrees read one slice per
+    # tuple of other entries, swept to their largest t_i
+    calls = []
+    euler = globalweights._slice_coeffs
+
+    def counting(fq, fixed, i, xbound, seed):
+        calls.append((fixed, i, xbound))
+        return euler(fq, fixed, i, xbound, seed)
+
+    monkeypatch.setattr(globalweights, "_slice_coeffs", counting)
+    argv = ["verify", "--n", "3", "--q", "5", "--suite", "axioms", "--bound", "4", "--trunc", "6"]
+    assert main(argv + ["--out", str(tmp_path / "report")]) == 0
+    tops = {}
+    for t in tuples_with_sum_at_most(4, 4):
+        i = t.index(max(t))
+        key = (i, t[:i] + t[i + 1 :])
+        tops[key] = max(tops.get(key, 0), t[i])
+    assert len(calls) == len(set(calls)) == sum(5 ** sum(rest) for _, rest in tops) == 639
+    assert {(i, xbound) for _, i, xbound in calls} == {(i, top) for (i, _), top in tops.items()}
+
+
+def test_grouped_sums_price_every_t_before_any_slice(f5, seed3, monkeypatch):
+    # the first over-budget t, in the order given, is the witness, and no
+    # slice is summed before every t is priced
+    def boom(*args):
+        raise RuntimeError("summed a slice before pricing every t")
+
+    monkeypatch.setattr(globalweights, "_slice_coeffs", boom)
+    monkeypatch.setattr(globalweights, "BUDGET", 1000)
+    ts = [(0, 0, 0, 5), (2, 2, 1, 5), (3, 3, 1, 5)]
+    with pytest.raises(ValueError, match=r"^enumeration budget exceeded: 4 \* 5\^5 = 12500 > 1000$"):
+        global_coeff_sums(f5, ts, seed3)
+
+
 def test_global_coeff_sum_pinned_value(f5, seed2):
     # a square-carrying index, pinned at q = 5
     assert global_coeff_sum(f5, (2, 2, 0), seed2) == 125
@@ -303,7 +350,7 @@ def test_sums_memo_never_serves_filled_zeros(seed3, monkeypatch):
     g = fq.mul(t, u)
     _slice_coeffs(fq, (t, ONE, u, ONE), 1, 3, seed3)
     # degrees 0 and 1 only
-    assert accel._cache(fq).entries["sums", g].tolist() == [1, -1]
+    assert accel._cache(fq).entries["sums", fq.factor(g)[0]].tolist() == [1, -1]
     row = accel._row
 
     def perturbed(fq, g, dmax):
@@ -398,7 +445,7 @@ def smooth_part_slice(fq, fixed, i, xbound, seed):
         if not vec[(i - 1) % n1] and not vec[(i + 1) % n1]:
             r = fq.mul(r, p)
     g = fq.mul(fixed[(i - 1) % n1], fixed[(i + 1) % n1])
-    sums = accel.symbol_sums_by_degree(fq, fq.mul(g, fq.mul(r, r)), xbound).tolist()
+    sums = accel.symbol_sums_by_degree(fq, fq.factor(fq.mul(g, fq.mul(r, r)))[0], xbound).tolist()
     coeffs = [0] * (xbound + 1)
     for e, exps in smooth_parts(support, xbound):
         glued = {
@@ -451,6 +498,49 @@ def test_euler_product_matches_smooth_parts_on_random_tuples(q, count, max_deg, 
     assert wide > count // 4 and zero > count // 10, (wide, zero)
 
 
+def test_slice_hands_the_sweep_G_as_factors(seed3, monkeypatch):
+    # _slice_coeffs never multiplies out G: it makes no Fq.mul call, also on
+    # a fresh context whose factorisations and sweeps are all cold
+    cases = random_cases(Fq(5), random.Random(3), 60, 2)
+    wants = [smooth_part_slice(Fq(5), fixed, i, 4, seed3) for fixed, i in cases]
+
+    def boom(*args):
+        raise RuntimeError("multiplied out a polynomial")
+
+    monkeypatch.setattr(Fq, "mul", boom)
+    fq = Fq(5)
+    for (fixed, i), want in zip(cases, wants):
+        assert _slice_coeffs(fq, fixed, i, 4, seed3) == want, (fixed, i)
+
+
+def sums_keys(fq):
+    return [key for key in accel._cache(fq).entries if key[0] == "sums"]
+
+
+def test_l_poly_and_a_slice_share_one_sums_entry(seed3, monkeypatch):
+    # G = t (t + 1) (t + 2) for the slice with f_0 = t, f_2 = (t + 1)(t + 2)
+    # in slot 1: l_poly of that g and the slice read one cache entry,
+    # whichever asks first
+    fq = Fq(5)
+    t, u, v = fq.poly([0, 1]), fq.poly([1, 1]), fq.poly([2, 1])
+    g, fixed = fq.mul(t, fq.mul(u, v)), (t, ONE, fq.mul(u, v), ONE)
+    want = brute_slice(fq, fixed, 1, 3, seed3)
+    l_poly(fq, g)
+    row = accel._row
+
+    def no_sweep(*args):
+        raise RuntimeError("swept again")
+
+    monkeypatch.setattr(accel, "_row", no_sweep)
+    assert _slice_coeffs(fq, fixed, 1, 3, seed3) == want
+    assert sums_keys(fq) == [("sums", fq.factor(g)[0])]
+    monkeypatch.setattr(accel, "_row", row)
+    other = Fq(5)
+    assert _slice_coeffs(other, fixed, 1, 3, seed3) == want
+    l_poly(other, g)  # sweeps one degree further, into the same entry
+    assert sums_keys(other) == [("sums", other.factor(g)[0])]
+
+
 @pytest.mark.parametrize("q, max_deg", [(5, 4), (13, 3)])
 def test_capped_sweep_of_a_non_square_is_the_full_sweep(q, max_deg):
     # for every monic G that is not a square, (. / G) is a nontrivial
@@ -465,8 +555,8 @@ def test_capped_sweep_of_a_non_square_is_the_full_sweep(q, max_deg):
             if all(e % 2 == 0 for _, e in factors):
                 continue
             rad = sum(degree(p) for p, _ in factors)
-            full = accel.symbol_sums_by_degree(full_fq, G, d + 1).tolist()
-            capped = accel.symbol_sums_by_degree(capped_fq, G, rad - 1).tolist()
+            full = accel.symbol_sums_by_degree(full_fq, factors, d + 1).tolist()
+            capped = accel.symbol_sums_by_degree(capped_fq, factors, rad - 1).tolist()
             assert full == capped + [0] * (d + 2 - rad), G
             checked += 1
     assert checked > q**max_deg

@@ -119,12 +119,12 @@ def brute_moment_sides(fq, dmax):
         for f1 in fq.monic_enum(d1):
             for d3 in range(dmax + 1 - d1):
                 for f3 in fq.monic_enum(d3):
-                    sums = accel.symbol_sums_by_degree(fq, fq.mul(f1, f3), dmax)
+                    sums = accel.symbol_sums_by_degree(fq, fq.factor(fq.mul(f1, f3))[0], dmax)
                     side_a[d1 + d3] += np.outer(sums, sums)
     side_b = np.zeros(shape, dtype=np.int64)
     for d in range(dmax + 1):
         for f in fq.monic_enum(d):
-            sums = accel.symbol_sums_by_degree(fq, f, dmax)
+            sums = accel.symbol_sums_by_degree(fq, fq.factor(f)[0], dmax)
             side_b[d] += divisor_count(fq, f) * np.outer(sums, sums)
     return side_a, side_b
 

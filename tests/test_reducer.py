@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from mdslab.reducer import (
     check_diagonal_determination,
     check_dominance,
     check_lambda_fe,
+    check_reversal,
     compute_P,
     local_weight,
     local_weight_value,
@@ -249,6 +252,37 @@ def test_lambda_fe_fails_on_a_bumped_slice(fixed, i):
         seed._memo[t] += QLaurent.q_power(4)
         assert check_lambda_fe(fixed, i, seed)["status"] == "fail", (a, fixed, i)
     assert check_lambda_fe(fixed, i, DiagonalSeed(list(base.values)))["status"] == "pass"
+
+
+# (lift of an int into the ring, q^j in the ring) at q = 5; QLaurent's q is
+# formal, q^j = q^(4j/4)
+REVERSAL_RINGS = {
+    "int": (int, lambda j: 5**j),
+    "Fraction": (Fraction, lambda j: Fraction(5) ** j),
+    "QLaurent": (QLaurent.const, lambda j: QLaurent.q_power(4 * j)),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(REVERSAL_RINGS))
+def test_check_reversal_fails_on_each_perturbed_coefficient(ring):
+    # c_k = q^{k-2} c_{4-k} and a zero tail past m = 4. Bumping any single
+    # coefficient but the self-paired middle one breaks the reversal, and
+    # qpow is never asked for a negative power.
+    lift, qpow = REVERSAL_RINGS[ring]
+    asked = []
+
+    def recording(j):
+        asked.append(j)
+        return qpow(j)
+
+    low = [lift(1), lift(3), lift(7)]
+    good = low + [qpow(k - 2) * low[4 - k] for k in (3, 4)] + [lift(0)]
+    assert check_reversal(good, 4, recording)["status"] == "pass"
+    for k in range(len(good)):
+        bumped = good[:k] + [good[k] + lift(1)] + good[k + 1 :]
+        want = "pass" if k == 2 else "fail"
+        assert check_reversal(bumped, 4, recording)["status"] == want, (ring, k)
+    assert asked and min(asked) >= 0
 
 
 def test_compute_P_spec_values():
