@@ -179,9 +179,9 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
     truncated at xbound, with T[m] the sum of (f / G) over the monic f of
     degree m (the ``accel`` sweep, handed G as those (p, 1 or 2)). When
     some a_p is odd, (. / G) is a nontrivial character modulo
-    rad G = prod_{p in S} p; the monic f of a
-    degree m >= deg rad G run over every residue class modulo rad G
-    equally often, so T[m] = 0, and T is swept only to deg rad G - 1.
+    rad G = prod_{p in S} p; the monic f of a degree m >= deg rad G run
+    over every residue class modulo rad G equally often, so T[m] = 0, and
+    T is swept only to deg rad G - 1.
     The brute sum of H over every f, and the sum over every smooth part
     f_s, are the oracles in the tests.
     """

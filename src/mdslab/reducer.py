@@ -20,8 +20,8 @@ largest violation.
 the slice checks here, in ``globalweights`` and in ``lfunctions`` only
 build its coefficients. It multiplies the identity through by a power of
 q, so it needs no negative power: the slices of H compare plain integers.
-Every check returns ``{"status", "witness"}``, the
-witness only when it does not pass.
+Every check returns ``{"status", "witness"}``, the witness only when it
+does not pass.
 """
 
 from __future__ import annotations
