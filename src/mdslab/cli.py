@@ -194,37 +194,34 @@ def _suite_residue(args, pipe):
 
 
 def _suite_partitions(args, pipe):
-    import itertools
-
     from . import partitions as pa
 
     n = args.n
     P = pipe.p
-    checks = []
 
-    def lemma_routes():
-        gf = pa.partition_product_gf(n, args.bound)
-        for sums in itertools.product(range(args.trunc + 1), repeat=n):
-            if sum(sums) > args.bound:
-                continue
-            if pa.count_partition_tuples(n, sums) != pa.series_int_coeff(gf, sums):
-                return {"status": "fail", "witness": f"sums={sums}"}
-        return {"status": "pass"}
-
-    checks.append(("partition_gf", {"bound": args.bound}, lemma_routes))
-
-    def tuple_routes():
-        b = min(args.bound, 3)
-        gf = pa.partition_tuple_product_gf(n, b)
-        counts = pa.partition_ntuple_counts(n, b)
-        for sums in itertools.product(range(b + 1), repeat=n):
-            if sum(sums) > b:
-                continue
+    def lemma_routes(product_gf, size, bound):
+        # the brute count of size-tuples of partitions against the product
+        # formula, at every vector of class sums of total <= bound
+        gf = product_gf(n, bound)
+        counts = pa.partition_class_counts(n, size, bound)
+        for sums in tuples_with_sum_at_most(n, bound):
             if counts.get(sums, 0) != pa.series_int_coeff(gf, sums):
                 return {"status": "fail", "witness": f"sums={sums}"}
         return {"status": "pass"}
 
-    checks.append(("partition_tuple_gf", {"bound": min(args.bound, 3)}, tuple_routes))
+    tuple_bound = min(args.bound, 3)
+    checks = [
+        (
+            "partition_gf",
+            {"bound": args.bound},
+            lambda: lemma_routes(pa.partition_product_gf, 1, args.bound),
+        ),
+        (
+            "partition_tuple_gf",
+            {"bound": tuple_bound},
+            lambda: lemma_routes(pa.partition_tuple_product_gf, n, tuple_bound),
+        ),
+    ]
 
     amax = min(args.trunc, 5)
     if n % 2:

@@ -5,21 +5,22 @@ is a polynomial of degree deg g - 1. This module computes it by direct
 character summation (``accel.symbol_sums_by_degree`` on g's
 factorisation, so an H slice whose modulus is g reads the same sums),
 checks its functional equation (``check_reversal`` at the integer q,
-after the trivial zero is divided out) and the Riemann hypothesis (all
-inverse roots on |x| = q^{1/2}), and verifies the cubic moment identity
-tying averages of L-values to divisor sums. The moment check reads one row
-of symbols (f/g) per monic modulus g from ``accel.symbol_rows``: one route
-multiplies the rows of f_1 and f_3 (multiplicativity in the modulus), the
-other weighs the row sums of each f by its divisor count (factorisation).
+after the trivial zero is divided out in integers) and the Riemann
+hypothesis (all inverse roots on |x| = q^{1/2}, up to RH_TOL), and
+verifies the cubic moment identity tying averages of L-values to divisor
+sums. The moment check reads one row of symbols (f/g) per monic modulus g
+from ``accel.symbol_rows``: one route multiplies the rows of f_1 and f_3
+(multiplicativity in the modulus), the other weighs the row sums of each f
+by its divisor count (factorisation).
 The rows of degree above dmax / 2 pair only with lower ones, so they are
-built and reduced in chunks of at most ROW_CHUNK_BYTES. The exact checks
-return ``{"status", "witness"}``; ``check_rh`` also reports its float
-deviation.
+built and reduced in chunks of at most ROW_CHUNK_BYTES. Every check
+returns ``{"status", "witness"}``; ``check_rh``, the one floating-point
+check, also reports its largest root deviation as ``max_deviation``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,6 +34,8 @@ MAX_MOMENT_SYMBOLS = 10**9
 # Most bytes of one chunk of symbol rows of a degree above dmax / 2 in the
 # moment check.
 ROW_CHUNK_BYTES = 2**19
+# Largest deviation of a root modulus from q^{-1/2} that check_rh accepts.
+RH_TOL = 1e-6
 
 
 def l_poly(fq: Fq, g) -> list[int]:
@@ -53,22 +56,18 @@ def l_poly(fq: Fq, g) -> list[int]:
     return [int(s) for s in sums[:dg]]
 
 
-def _divide_trivial_zero(coeffs) -> list[Fraction] | None:
+def _divide_trivial_zero(coeffs: list[int]) -> list[int] | None:
     """Coefficients of L(x) / (1 - x), or None when x = 1 is not a root.
 
-    The quotient's coefficients are the prefix sums of L's; the remainder
-    is their total, L(1).
+    The quotient's coefficients are the prefix sums of L's integer
+    coefficients, so they are integers; the remainder is their total, L(1).
     """
-    quo = []
-    acc = Fraction(0)
-    for c in coeffs:
-        acc += c
-        quo.append(acc)
+    quo = list(accumulate(coeffs))
     return None if quo.pop() != 0 else quo
 
 
 def check_l_fe(fq: Fq, g) -> dict:
-    """Functional equation of L(x, chi_g), exact over the rationals.
+    """Functional equation of L(x, chi_g), exact in integers.
 
     Odd degree: L has degree dg - 1 and the reversal of
     ``check_reversal``. Even degree: after exact division by the trivial
@@ -82,22 +81,19 @@ def check_l_fe(fq: Fq, g) -> dict:
     return check_reversal(coeffs, len(coeffs) - 1, lambda j: fq.q**j)
 
 
-def check_rh(fq: Fq, g, tol: float = 1e-6) -> dict:
-    """All inverse roots of L(x, chi_g) have absolute value q^{1/2}.
+def check_rh(fq: Fq, g) -> dict:
+    """All inverse roots of L(x, chi_g) have absolute value q^{1/2}, up to
+    RH_TOL.
 
     For even-degree g the trivial zero at x = 1 is divided out exactly
     before the numeric root finding.
     """
-    g = tuple(g)
-    dg = degree(g)
-    coeffs = l_poly(fq, g)
-    report = {"check": "rh", "q": fq.q, "g": list(g), "status": "pass"}
-    if dg % 2 == 0:
+    coeffs = l_poly(fq, tuple(g))
+    if len(coeffs) % 2 == 0:
         coeffs = _divide_trivial_zero(coeffs)
         if coeffs is None:
-            report["status"] = "fail"
-            report["witness"] = "no trivial zero at x = 1"
-            return report
+            return {"status": "fail", "witness": "no trivial zero at x = 1"}
+    report = {"status": "pass"}
     if len(coeffs) <= 1:
         return report
     poly = np.array([float(c) for c in reversed(coeffs)])
@@ -105,7 +101,7 @@ def check_rh(fq: Fq, g, tol: float = 1e-6) -> dict:
     target = fq.q ** -0.5  # roots in x; inverse roots have modulus q^{1/2}
     worst = float(max(abs(abs(r) - target) for r in roots)) if len(roots) else 0.0
     report["max_deviation"] = worst
-    if worst > tol:
+    if worst > RH_TOL:
         report["status"] = "fail"
         report["witness"] = f"root modulus off by {worst:.3e}"
     return report

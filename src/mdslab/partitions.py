@@ -1,10 +1,11 @@
 """Partition combinatorics behind the diagonal factors.
 
-Brute-force oracles for the cyclic-congruence partition counts, for the
-chains of indices produced by the simplified recurrences, and for the
-decomposition of odd-parity partition tuples into a strictly decreasing
-part plus even partitions. Each count has an independent product-formula
-route through :mod:`mdslab.series`.
+Brute-force counts of partitions and of n-tuples of partitions by their
+cyclic-congruence class sums, binned in one pass over every tuple up to a
+total (:func:`partition_class_counts`); the chains of indices produced by
+the simplified recurrences; and the decomposition of odd-parity partition
+tuples into a strictly decreasing part plus even partitions. Each count
+has an independent product-formula route through :mod:`mdslab.series`.
 """
 
 from __future__ import annotations
@@ -43,42 +44,20 @@ def conjugate(p: Partition) -> Partition:
     return tuple(sum(1 for x in p if x >= k) for k in range(1, p[0] + 1))
 
 
-def count_partition_tuples(n: int, sums: tuple[int, ...]) -> int:
-    """Partitions whose entries, read cyclically through the n congruence
-    classes, have the prescribed class sums.
+def partition_class_counts(n: int, size: int, bound: int) -> dict[tuple[int, ...], int]:
+    """Number of ``size``-tuples of partitions per vector of class sums, for
+    every vector of total at most ``bound``.
 
-    Entry j (counting from zero) lands in class j mod n; ``sums`` lists the
-    class totals starting with the class of the first entry.
-    """
-    sums = tuple(sums)
-    if len(sums) != n:
-        raise ValueError("need one sum per congruence class")
-    total = sum(sums)
-    count = 0
-    for p in _partitions_with_sum(total):
-        if len(p) > total:
-            continue
-        acc = [0] * n
-        for j, entry in enumerate(p):
-            acc[j % n] += entry
-        if tuple(acc) == sums:
-            count += 1
-    return count
-
-
-def partition_ntuple_counts(n: int, bound: int) -> dict[tuple[int, ...], int]:
-    """Number of n-tuples of partitions per vector of class sums, for every
-    vector of total at most ``bound``.
-
-    Class sums are taken along shifted cycles: entry j of the i-th partition
-    (both from zero) lands in class i + j mod n. Every tuple is enumerated
-    once and binned by its sums; absent vectors count zero.
+    Entry j of the i-th partition (both from zero) lands in class i + j mod
+    n: size 1 reads one partition cyclically through the n congruence
+    classes, size n reads an n-tuple along shifted cycles. Every tuple is
+    enumerated once and binned by its sums; absent vectors count zero.
     """
     counts: dict[tuple[int, ...], int] = {}
     acc = [0] * n
 
     def rec(i: int, budget: int) -> None:
-        if i == n:
+        if i == size:
             key = tuple(acc)
             counts[key] = counts.get(key, 0) + 1
             return
@@ -99,7 +78,7 @@ def _iter_partitions_upto(total: int):
 
 
 def partition_product_gf(n: int, bound: int) -> MultiSeries:
-    """Product-formula route for :func:`count_partition_tuples`.
+    """Product-formula route for :func:`partition_class_counts` of size 1.
 
     One factor per column shape: a column of height mn + j covers every
     class m times and classes 0..j-1 once more.
@@ -109,7 +88,7 @@ def partition_product_gf(n: int, bound: int) -> MultiSeries:
 
 
 def partition_tuple_product_gf(n: int, bound: int) -> MultiSeries:
-    """Product-formula route for :func:`partition_ntuple_counts`:
+    """Product-formula route for :func:`partition_class_counts` of size n:
     the same columns, started at every cyclic offset."""
     fams = Counter(
         (tuple(int((c - i) % n < length) for c in range(n)), 0)

@@ -11,28 +11,23 @@ total degree (:func:`expand_factors`) or for its diagonal up to x^D only
 factor, only the terms of the box [0, D]^k that the factors still to come
 can carry to a point a·δ, δ = (1, ..., 1), a <= D. Every factor exponent
 is nonnegative, so a dropped term never reaches the diagonal and the
-pruned product is exact.
+pruned product is exact. :meth:`MultiSeries.inverse` and
+:func:`factorize_product_form` read their exponent vectors from
+:func:`~mdslab.reducer.tuples_with_sum_at_most`, the one enumerator of
+bounded index vectors.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import comb
 
 import numpy as np
 
 from .qlaurent import QL_ONE, QL_ZERO, QLaurent
+from .reducer import tuples_with_sum_at_most
 
 ExpVec = tuple[int, ...]
-
-
-def _exps_of_degree(nvars: int, d: int):
-    """All exponent vectors of total degree exactly d, lexicographic."""
-    if nvars == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _exps_of_degree(nvars - 1, d - first):
-            yield (first,) + rest
 
 
 class MultiSeries:
@@ -89,19 +84,22 @@ class MultiSeries:
         const = self.terms.get((0,) * self.nvars, QL_ZERO)
         if const != QL_ONE:
             raise ValueError("series inverse requires constant term 1")
-        inv: dict[ExpVec, QLaurent] = {(0,) * self.nvars: QL_ONE}
-        for d in range(1, self.bound + 1):
-            for e in _exps_of_degree(self.nvars, d):
-                acc = QL_ZERO
-                for e1, c1 in self.terms.items():
-                    if e1 == (0,) * self.nvars or any(a > b for a, b in zip(e1, e)):
-                        continue
-                    rest = tuple(b - a for a, b in zip(e1, e))
-                    c2 = inv.get(rest)
-                    if c2 is not None:
-                        acc = acc + c1 * c2
-                if acc:
-                    inv[e] = -acc
+        zero = (0,) * self.nvars
+        inv: dict[ExpVec, QLaurent] = {zero: QL_ONE}
+        # in lexicographic order e - e1 comes before e for every 0 < e1 <= e
+        for e in tuples_with_sum_at_most(self.nvars, self.bound):
+            if e == zero:
+                continue
+            acc = QL_ZERO
+            for e1, c1 in self.terms.items():
+                if e1 == zero or any(a > b for a, b in zip(e1, e)):
+                    continue
+                rest = tuple(b - a for a, b in zip(e1, e))
+                c2 = inv.get(rest)
+                if c2 is not None:
+                    acc = acc + c1 * c2
+            if acc:
+                inv[e] = -acc
         return MultiSeries(self.nvars, self.bound, inv)
 
 
@@ -310,9 +308,11 @@ def factorize_product_form(s: MultiSeries) -> FactorList:
         raise ValueError("product form requires constant term 1")
     found = FactorList()
     residual = s
-    for d in range(1, s.bound + 1):
+    # the nonzero exponents by degree; the residual is divided after each
+    exps = sorted(tuples_with_sum_at_most(s.nvars, s.bound), key=sum)[1:]
+    for _, same_degree in groupby(exps, key=sum):
         inverse = FactorList()
-        for e in _exps_of_degree(s.nvars, d):
+        for e in same_degree:
             for beta, gamma in sorted(residual.coeff(e).terms.items()):
                 found.add(e, beta, gamma)
                 inverse.add(e, beta, -gamma)

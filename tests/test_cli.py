@@ -233,6 +233,48 @@ def test_larger_residue_reports_match_pinned_digests(capsys, n):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RESIDUE_DIGESTS[n]
 
 
+PARTITIONS_DIGESTS = {
+    3: "a6b7dcab302e75c527e55d86f9bd5b1258ff3ee87b5c61e9c99c88f9eee4e050",
+    6: "381cd6965cd20fe2d4fb39592992f71a3d8320d95c4acd32d127bfd85d78629c",
+    9: "021f6d4ba1d2b729b2dded8f35654ab9a9bbdecafe1e97c7af63e3731cfb0706",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PARTITIONS_DIGESTS))
+def test_partitions_reports_match_pinned_digests(capsys, n):
+    # pinned from the per-sums partition counts over the box [0, trunc]^n
+    argv = ["verify", "--n", str(n), "--q", "5", "--suite", "partitions", "--bound", "4", "--trunc", "6"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PARTITIONS_DIGESTS[n]
+
+
+LEMMA_CHECKS_N11 = """
+import argparse, types
+from mdslab import cli
+args = argparse.Namespace(n=11, q=5, bound=4, trunc=6)
+# the two lemma checks never read the residue pipeline
+checks = cli._suite_partitions(args, types.SimpleNamespace(p=None, seed=None))[:2]
+assert [name for name, _, _ in checks] == ["partition_gf", "partition_tuple_gf"]
+for name, _, fn in checks:
+    assert fn() == {"status": "pass"}, name
+"""
+
+
+def test_partition_lemma_checks_finish_at_n11():
+    # the checks compare the C(15, 4) = 1365 class-sum vectors of total
+    # <= 4; a scan of the box [0, 6]^11 would visit 7^11 of them
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LEMMA_CHECKS_N11],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 FE_DIGESTS = {
     (13, 6): "d579220e58b0069155842af41ff9421affc9b4c3b2c730f5d0666ee29ea92a04",
     (17, 4): "cdb16eb9a998d86336cf42eded7ea1b0b3e4c92af37be04283cba336cbd51333",

@@ -5,15 +5,15 @@ import pytest
 
 from mdslab.partitions import (
     _iter_partitions_upto,
+    _partitions_with_sum,
     chain_to_deltas,
     conjugate,
-    count_partition_tuples,
     count_reduction_chains,
     deltas_to_chain,
     enumerate_reduction_chains,
     gamma_decomposition,
     p_lowest_term_product_route,
-    partition_ntuple_counts,
+    partition_class_counts,
     partition_product_gf,
     partition_tuple_product_gf,
     series_int_coeff,
@@ -38,6 +38,29 @@ def test_product_gf_matches_pinned_tables(gf):
         for bound in range(9)
     ]
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == PRODUCT_GF_DIGESTS[gf]
+
+
+def count_partition_tuples(n: int, sums: tuple[int, ...]) -> int:
+    """Partitions whose entries, read cyclically through the n congruence
+    classes, have the prescribed class sums.
+
+    Entry j (counting from zero) lands in class j mod n; ``sums`` lists the
+    class totals starting with the class of the first entry.
+    """
+    sums = tuple(sums)
+    if len(sums) != n:
+        raise ValueError("need one sum per congruence class")
+    total = sum(sums)
+    count = 0
+    for p in _partitions_with_sum(total):
+        if len(p) > total:
+            continue
+        acc = [0] * n
+        for j, entry in enumerate(p):
+            acc[j % n] += entry
+        if tuple(acc) == sums:
+            count += 1
+    return count
 
 
 def count_partition_ntuples(n, sums):
@@ -82,9 +105,17 @@ def test_partition_ntuple_count_vs_product(n, total):
         assert series_int_coeff(gf, sums) == count_partition_ntuples(n, sums), sums
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_binned_partition_counts_match_oracle(n):
+    counts = partition_class_counts(n, 1, 6)
+    assert all(sum(sums) <= 6 for sums in counts)
+    for sums in tuples_with_sum_at_most(n, 6):
+        assert counts.get(sums, 0) == count_partition_tuples(n, sums), sums
+
+
 @pytest.mark.parametrize("n,total", [(1, 5), (2, 4), (3, 3), (4, 2)])
 def test_binned_ntuple_counts_match_oracle(n, total):
-    counts = partition_ntuple_counts(n, total)
+    counts = partition_class_counts(n, n, total)
     assert all(sum(sums) <= total for sums in counts)
     for sums in tuples_with_sum_at_most(n, total):
         assert counts.get(sums, 0) == count_partition_ntuples(n, sums), sums

@@ -39,8 +39,10 @@ def test_beta_carries_q_power():
 
 
 def test_mul_inverse_roundtrip():
-    s = geometric(2, 6, (1, 1)).mul(geometric(2, 6, (1, 0), beta=2))
-    assert s.mul(s.inverse()) == MultiSeries(2, 6, {(0, 0): QL_ONE})
+    two = geometric(2, 6, (1, 1)).mul(geometric(2, 6, (1, 0), beta=2))
+    three = geometric(3, 6, (1, 1, 0)).mul(geometric(3, 6, (0, 2, 1), beta=2, gamma=-2))
+    for s in (two, three):
+        assert s.mul(s.inverse()) == MultiSeries(s.nvars, 6, {(0,) * s.nvars: QL_ONE})
 
 
 def test_inverse_requires_unit_constant():
@@ -132,14 +134,15 @@ def test_expansions_match_product_by_mul_on_random_products(nvars, data):
     assert [diag.coeff((a,)) for a in range(D + 1)] == diagonal_oracle(fl, nvars, D)
 
 
-@given(factors=factor_lists(2))
+@given(data=st.data())
 @settings(max_examples=50, deadline=None)
-def test_factorize_expand_roundtrip(factors):
+def test_factorize_expand_roundtrip(data):
+    nvars = data.draw(st.sampled_from([2, 3]))
     fl = FactorList()
-    for alpha, beta, gamma in factors:
+    for alpha, beta, gamma in data.draw(factor_lists(nvars)):
         fl.add(alpha, beta, gamma)
     bound = 6
-    s = expand_factors(fl, 2, bound)
+    s = expand_factors(fl, nvars, bound)
     refound = factorize_product_form(s)
     # truncation only pins factors up to half the bound
     assert refound.degree_cut(bound // 2) == fl.degree_cut(bound // 2)
