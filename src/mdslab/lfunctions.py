@@ -16,6 +16,8 @@ The rows of degree above dmax / 2 pair only with lower ones, so they are
 built and reduced in chunks of at most ROW_CHUNK_BYTES. Every check
 returns ``{"status", "witness"}``; ``check_rh``, the one floating-point
 check, also reports its largest root deviation as ``max_deviation``.
+``check_l_fe`` and ``check_rh`` are the documented L-function API: no CLI
+suite runs them, and the tests and the acceptance gate call them.
 """
 
 from __future__ import annotations

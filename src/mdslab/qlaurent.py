@@ -9,7 +9,7 @@ appearing in the even-case residue normalization.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 
 class QLaurent:
@@ -107,21 +107,21 @@ class QLaurent:
         """q |-> q^num (num may be negative, e.g. the q |-> q^{-deg p} map)."""
         return QLaurent({e * num: c for e, c in self.terms.items()})
 
-    def eval_fraction(self, q0: Fraction | int) -> Fraction:
-        """Exact evaluation at a rational q0; requires whole exponents."""
-        q0 = Fraction(q0)
-        total = Fraction(0)
-        for e, c in self.terms.items():
+    def eval_int(self, q0: int) -> int:
+        """Exact evaluation at an integer q0; requires whole exponents and
+        an integer value."""
+        low = 0
+        for e in self.terms:
             if e % 4:
                 raise ValueError(f"fractional exponent {e}/4 at rational point")
-            total += c * q0 ** (e // 4)
-        return total
-
-    def eval_int(self, q0: int) -> int:
-        v = self.eval_fraction(q0)
-        if v.denominator != 1:
-            raise ValueError(f"non-integer value {v}")
-        return v.numerator
+            low = min(low, e // 4)
+        # the value is num / q0^(-low), both integers
+        num = sum(c * q0 ** (e // 4 - low) for e, c in self.terms.items())
+        den = q0**-low
+        if num % den:
+            g = gcd(num, den)
+            raise ValueError(f"non-integer value {num // g}/{den // g}")
+        return num // den
 
     # -- presentation ------------------------------------------------------
 

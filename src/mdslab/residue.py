@@ -21,7 +21,6 @@ import itertools
 import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fqpoly import Fq
 from .qlaurent import QL_ONE, QLaurent
@@ -98,8 +97,6 @@ def build_R(n: int, bound: int) -> FactorList:
 
 @dataclass
 class PipelineResult:
-    n: int
-    max_degree: int
     seed: DiagonalSeed
     p: list[QLaurent]  # p_0..p_max_degree of the universal diagonal ratio P
 
@@ -146,12 +143,7 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
         if n % 2 == 0 and a % 2 and recovered:
             raise ValueError(f"even-series violation at a={a}")
         diag.append(recovered)
-    result = PipelineResult(
-        n=n,
-        max_degree=max_degree,
-        seed=DiagonalSeed(diag, name=f"pipeline-n{n}"),
-        p=p,
-    )
+    result = PipelineResult(seed=DiagonalSeed(diag, name=f"pipeline-n{n}"), p=p)
     _PIPELINE_CACHE[key] = result
     return result
 
@@ -222,9 +214,7 @@ def check_factor_pairing(n: int) -> dict:
 # -- H-route and Euler substitution ---------------------------------------
 
 
-def residue_coeff_H_route(
-    fq: Fq, n: int, avec: tuple[int, ...], seed: DiagonalSeed
-) -> Fraction:
+def residue_coeff_H_route(fq: Fq, n: int, avec: tuple[int, ...], seed: DiagonalSeed) -> int:
     """Residue coefficient by enumerating monic tuples with equal squarefree
     parts and assembling the local weights globally.
 
@@ -233,10 +223,9 @@ def residue_coeff_H_route(
     s_{k-1}). So the enumeration runs over e, then the squarefree monic m
     of degree e, then the monic s_j of degree (a_j - e)/2; the filtered
     product of every monic tuple stays in the tests as the oracle. It is
-    refused past ``globalweights.BUDGET``. Returns sum of H over the
-    tuples, normalized to match the engine route scaled by
-    q^{sum - (a_0+a_n)/2} (n even) or q^{sum} (n odd), so both sides are
-    exact rationals.
+    refused past ``globalweights.BUDGET``. Returns the sum of H over the
+    tuples; times q to the :func:`h_route_exponent` it is the engine
+    coefficient at :func:`residue_index` evaluated at q.
     """
     from .globalweights import BUDGET, H_global
 
@@ -257,23 +246,18 @@ def residue_coeff_H_route(
             for ss in itertools.product(*(fq.monic_enum((a - e) // 2) for a in avec)):
                 fs = [fq.mul(m, fq.mul(s, s)) for s in ss]
                 total += H_global(fq, tuple(_layout(n, fs, fq.mul)), seed)
-    return Fraction(total)
+    return total
 
 
-def residue_coeff_engine_scaled(
-    fq: Fq, n: int, avec: tuple[int, ...], seed: DiagonalSeed
-) -> Fraction:
-    """Engine-route residue coefficient scaled to match the H-route sum."""
-    avec = tuple(avec)
+def h_route_exponent(n: int, avec: tuple[int, ...]) -> int:
+    """The power of q carrying the H-route sum at avec to the engine value:
+    sum(avec) for n odd, sum(avec) - (a_0 + a_n)//2 for n even.
+
+    a_0 + a_n is even for every nonzero coefficient; for mixed-parity
+    indices both sides are zero, so the floor is harmless.
+    """
     s = sum(avec)
-    c = reduce_coeff(residue_index(n, avec), seed)
-    val = c.eval_fraction(fq.q)
-    if n % 2:
-        return val * Fraction(1, fq.q**s)
-    shift = (avec[0] + avec[-1]) // 2 - s
-    # a_0 + a_n is even for every nonzero coefficient; for mixed-parity
-    # indices the engine value is zero, so the floor is harmless.
-    return val * Fraction(fq.q) ** shift if val else Fraction(0)
+    return s if n % 2 else s - (avec[0] + avec[-1]) // 2
 
 
 def check_euler_substitution(n: int, p_deg: int, bound: int, seed: DiagonalSeed) -> dict:

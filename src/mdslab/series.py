@@ -5,16 +5,17 @@ is a merged multiset of triples (alpha, beta, gamma) standing for the
 product of (1 - q^beta x^alpha)^(-gamma); beta is stored in quarter units
 like the :class:`~mdslab.qlaurent.QLaurent` exponents. An infinite product
 is given by families, arithmetic progressions of exponents that
-:func:`progressions` lists up to a degree. A product is expanded either by
-total degree (:func:`expand_factors`) or for its diagonal up to x^D only
-(:func:`expand_diagonal`). The diagonal expansion keeps, after each
-factor, only the terms of the box [0, D]^k that the factors still to come
-can carry to a point a·δ, δ = (1, ..., 1), a <= D. Every factor exponent
-is nonnegative, so a dropped term never reaches the diagonal and the
-pruned product is exact. :meth:`MultiSeries.inverse` and
-:func:`factorize_product_form` read their exponent vectors from
-:func:`~mdslab.reducer.tuples_with_sum_at_most`, the one enumerator of
-bounded index vectors.
+:func:`progressions` lists up to a degree. One engine expands a product
+(:func:`_expand`): it holds the terms of a box [0, B]^k by their flat
+int64 codes and keeps, after each factor, the terms that a test passes.
+:func:`expand_factors` keeps total degree <= B. :func:`expand_diagonal`
+keeps, for its diagonal up to x^D, only the terms of the box [0, D]^k
+that the factors still to come can carry to a point a·δ, δ = (1, ...,
+1), a <= D. Every factor exponent is nonnegative, so a dropped term never
+reaches a kept one and both truncated products are exact.
+:meth:`MultiSeries.inverse` and :func:`factorize_product_form` read their
+exponent vectors from :func:`~mdslab.reducer.tuples_with_sum_at_most`,
+the one enumerator of bounded index vectors.
 """
 
 from __future__ import annotations
@@ -179,43 +180,6 @@ def _power_coeff(gamma: int, k: int) -> int:
     return comb(gamma - 1 + k, k) if gamma > 0 else (-1) ** k * comb(-gamma, k)
 
 
-def _expand(fl: FactorList, nvars: int, keep) -> dict[ExpVec, QLaurent]:
-    """Terms of the product at the exponents e with keep(e).
-
-    keep must hold on a downward-closed set. Every factor exponent is
-    nonnegative (checked), so a dropped term never contributes to a kept
-    one, and the truncated product is exact.
-    """
-    factors = fl.items()
-    _check_factors(factors, nvars)
-    terms: dict[ExpVec, QLaurent] = {(0,) * nvars: QL_ONE}
-    for (alpha, beta), gamma in factors:
-        # the k-th term of (1 - q^beta x^alpha)^(-gamma), k >= 1
-        powers = []
-        k = 1
-        while gamma > 0 or k <= -gamma:
-            e = tuple(k * a for a in alpha)
-            if not keep(e):
-                break
-            powers.append((e, QLaurent.q_power(k * beta, _power_coeff(gamma, k))))
-            k += 1
-        out = dict(terms)
-        for e1, c1 in terms.items():
-            for e2, c2 in powers:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if not keep(e):
-                    break  # e1 + k alpha only grows with k
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        terms = {e: c for e, c in out.items() if c}
-    return terms
-
-
-def expand_factors(fl: FactorList, nvars: int, bound: int) -> MultiSeries:
-    """Exact expansion of the product, truncated at total degree <= bound."""
-    return MultiSeries(nvars, bound, _expand(fl, nvars, lambda e: sum(e) <= bound))
-
-
 def _max_power(alpha: ExpVec, gamma: int, max_degree: int) -> int:
     """Largest k with k*alpha in the box [0, max_degree]^nvars that the
     factor (1 - q^beta x^alpha)^(-gamma) has a k-th term for."""
@@ -253,45 +217,69 @@ def _last_live_step(factors, nvars: int, max_degree: int) -> np.ndarray:
     return last.ravel()
 
 
-def expand_diagonal(fl: FactorList, nvars: int, max_degree: int) -> MultiSeries:
-    """One-variable diagonal of the product: the coefficient of
-    (x_1 ... x_nvars)^a as x^a, a <= max_degree.
+def _expand(fl: FactorList, nvars: int, box: int, keep) -> tuple[np.ndarray, list[QLaurent]]:
+    """Terms of the product in the box [0, box]^nvars, as exponent rows and
+    their coefficients.
 
-    The factors are taken in ``fl.items()`` order. After factor i only
-    the terms e in L_(i+1) are kept (see :func:`_last_live_step`): the
-    points of the box [0, D]^nvars from which the factors still to come can
-    reach a*delta, a <= D. A term outside the box only grows, and a term
-    outside L_(i+1) cannot reach the diagonal, so both are dropped exactly.
-    L_(i+1) is not downward-closed, so each candidate is tested on its own.
+    The factors are taken in ``fl.items()`` order. A term is held by its
+    flat code, row-major in base box + 1; a box whose codes do not fit in
+    int64 is refused. After factor i, a candidate e of the box is kept where
+    keep(i, rows, codes) marks it, rows and codes being the candidates in
+    the box. A term outside the box only grows, as every factor exponent is
+    nonnegative (checked). So the truncated product is exact when keep
+    drops only terms from which the factors still to come reach no term
+    that is kept at the end.
     """
     factors = fl.items()
     _check_factors(factors, nvars)
-    last = _last_live_step(factors, nvars, max_degree)
-    place = (max_degree + 1) ** np.arange(nvars - 1, -1, -1)
+    if (box + 1) ** nvars > np.iinfo(np.int64).max:
+        raise ValueError(f"the codes of the box [0, {box}]^{nvars} do not fit in int64")
+    place = (box + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
     exps = np.zeros((1, nvars), dtype=np.int64)  # the kept terms, as rows
     coeffs = [QL_ONE]
     for i, ((alpha, beta), gamma) in enumerate(factors):
-        kmax = _max_power(alpha, gamma, max_degree)
+        kmax = _max_power(alpha, gamma, box)
         if not kmax:
-            continue  # no term in the box, and L_i = L_(i+1)
+            continue  # no term in the box
         powers = [QL_ONE] + [
             QLaurent.q_power(k * beta, _power_coeff(gamma, k)) for k in range(1, kmax + 1)
         ]
         # cand[k, t] = exps[t] + k * alpha
         cand = exps + np.arange(kmax + 1)[:, None, None] * np.array(alpha)
-        flat = cand @ place
-        keep = cand.max(axis=2) <= max_degree
-        keep[keep] = last[flat[keep]] > i
+        ks, ts = np.nonzero(cand.max(axis=2) <= box)
+        rows = cand[ks, ts]
+        codes = rows @ place
+        kept = keep(i, rows, codes)
         out: dict[int, QLaurent] = {}
-        ks, ts = np.nonzero(keep)
-        for k, t, f in zip(ks.tolist(), ts.tolist(), flat[ks, ts].tolist()):
+        for k, t, f in zip(ks[kept].tolist(), ts[kept].tolist(), codes[kept].tolist()):
             prod = coeffs[t] * powers[k] if k else coeffs[t]
             out[f] = out[f] + prod if f in out else prod
-        kept = {f: c for f, c in out.items() if c}
-        coeffs = list(kept.values())
-        exps = np.array(list(kept), dtype=np.int64)[:, None] // place % (max_degree + 1)
+        nonzero = {f: c for f, c in out.items() if c}
+        coeffs = list(nonzero.values())
+        exps = np.array(list(nonzero), dtype=np.int64)[:, None] // place % (box + 1)
+    return exps, coeffs
+
+
+def expand_factors(fl: FactorList, nvars: int, bound: int) -> MultiSeries:
+    """Exact expansion of the product, truncated at total degree <= bound."""
+    exps, coeffs = _expand(fl, nvars, bound, lambda i, rows, codes: rows.sum(axis=1) <= bound)
+    return MultiSeries(nvars, bound, {tuple(e): c for e, c in zip(exps.tolist(), coeffs)})
+
+
+def expand_diagonal(fl: FactorList, nvars: int, max_degree: int) -> MultiSeries:
+    """One-variable diagonal of the product: the coefficient of
+    (x_1 ... x_nvars)^a as x^a, a <= max_degree.
+
+    After factor i only the terms e in L_(i+1) are kept (see
+    :func:`_last_live_step`): the points of the box [0, D]^nvars from which
+    the factors still to come can reach a*delta, a <= D. A term outside
+    L_(i+1) cannot reach the diagonal, so it is dropped exactly. L_(i+1) is
+    not downward-closed, so each candidate is tested on its own.
+    """
+    last = _last_live_step(fl.items(), nvars, max_degree)
+    exps, coeffs = _expand(fl, nvars, max_degree, lambda i, rows, codes: last[codes] > i)
     # the terms left lie in L_len(factors), the diagonal
-    diag = {(int(e[0]),): c for e, c in zip(exps, coeffs)}
+    diag = {(a,): c for a, c in zip(exps[:, 0].tolist(), coeffs)}
     return MultiSeries(1, max_degree, diag)
 
 

@@ -2,16 +2,13 @@ import hashlib
 import itertools
 
 import pytest
+from partition_helpers import chain_to_deltas, conjugate, deltas_to_chain, gamma_decomposition
 
 from mdslab.partitions import (
     _iter_partitions_upto,
     _partitions_with_sum,
-    chain_to_deltas,
-    conjugate,
     count_reduction_chains,
-    deltas_to_chain,
     enumerate_reduction_chains,
-    gamma_decomposition,
     p_lowest_term_product_route,
     partition_class_counts,
     partition_product_gf,

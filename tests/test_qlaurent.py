@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,15 +50,14 @@ def test_shift_is_q_power_multiplication(a):
 
 def test_eval_fraction():
     a = QLaurent({4: 2, -4: 1})  # 2q + 1/q
-    assert a.eval_fraction(5) == Fraction(51, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-integer value 51/5"):
         a.eval_int(5)
     assert (a * QLaurent.q_power(4)).eval_int(5) == 51
 
 
 def test_eval_rejects_fractional_exponents():
-    with pytest.raises(ValueError):
-        QLaurent({2: 1}).eval_fraction(5)
+    with pytest.raises(ValueError, match="fractional exponent"):
+        QLaurent({2: 1}).eval_int(5)
 
 
 def test_subst_q_power():

@@ -1,0 +1,71 @@
+"""Every module-level function and class in ``src/mdslab`` is named by other
+code in ``src/``: no helper is reached only by its own tests.
+
+The scan reads the syntax trees, not the text. A definition in module M
+counts as named when M names it outside its own body, when another module
+imports it from M, or when another module reads an attribute of that name
+(as in ``res.check_resfe`` after ``from . import residue as res``).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mdslab"
+
+ENTRY = ("cli", "main")  # the console entry point
+
+# The public API that no other src/ code calls, each with the reason it stays.
+ALLOWED = {
+    ("accel", "backend_name"): "perfbench/child.py records it on every run",
+    ("globalweights", "global_coeff_sum"): "BENCHMARK.json names its span",
+    ("lfunctions", "check_l_fe"): "the documented L-function API",
+    ("lfunctions", "check_rh"): "the documented L-function API",
+}
+
+
+def unnamed_definitions(src: Path) -> set[tuple[str, str]]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    imported = set()  # (module, name) pulled in by a relative import
+    attributes = {}  # module -> attribute names read in it
+    for mod, tree in trees.items():
+        attributes[mod] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                imported.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes[mod].add(node.attr)
+    unnamed = set()
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            named_here = any(
+                isinstance(sub, ast.Name) and sub.id == node.name
+                for other in tree.body
+                if other is not node
+                for sub in ast.walk(other)
+            )
+            named_elsewhere = (mod, node.name) in imported or any(
+                node.name in attrs for other, attrs in attributes.items() if other != mod
+            )
+            if not (named_here or named_elsewhere):
+                unnamed.add((mod, node.name))
+    return unnamed
+
+
+def test_every_definition_is_named_by_other_src_code():
+    assert unnamed_definitions(SRC) - {ENTRY} == set(ALLOWED)
+
+
+def test_scan_flags_a_helper_only_its_test_reaches(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def lonely():\n    return lonely()\n\n"
+        "class Kept:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import used\nfrom . import a\n\ndef top():\n    return used(), a.Kept\n"
+    )
+    # a recursive call inside its own body does not count
+    assert unnamed_definitions(tmp_path) == {("a", "lonely"), ("b", "top")}

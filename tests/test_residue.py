@@ -1,7 +1,7 @@
 import hashlib
 import itertools
+import json
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -11,7 +11,7 @@ from mdslab import cli, reducer, residue
 from mdslab.fqpoly import field
 from mdslab.globalweights import H_global
 from mdslab.qlaurent import QL_ONE
-from mdslab.reducer import compute_P, tuples_with_sum_at_most
+from mdslab.reducer import compute_P, reduce_coeff, tuples_with_sum_at_most
 from mdslab.residue import (
     build_R,
     check_euler_substitution,
@@ -19,10 +19,10 @@ from mdslab.residue import (
     check_neven_fe,
     check_pipeline_consistency,
     check_resfe,
+    h_route_exponent,
     n_even_vars,
     reconstruct_R1,
     residue_coeff_H_route,
-    residue_coeff_engine_scaled,
     residue_index,
     run_pipeline,
 )
@@ -139,8 +139,41 @@ def test_verify_derives_one_pipeline_and_one_P(tmp_path, monkeypatch):
     monkeypatch.setattr(residue, "_PIPELINE_CACHE", {})
     argv = ["verify", "--n", "3", "--q", "5", "--suite", "all", "--bound", "4", "--trunc", "6"]
     assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == 0
-    assert calls == [(3, 8)]
+    assert calls == [(3, 6)]
     assert len(residue._PIPELINE_CACHE) == 1
+
+
+@pytest.mark.parametrize("n,bound", [(2, 3), (5, 0), (4, 6)])
+def test_coeffs_builds_one_pipeline_to_its_bound(tmp_path, monkeypatch, n, bound):
+    calls = []
+    real = residue.run_pipeline
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(residue, "run_pipeline", counting)
+    argv = ["coeffs", "--n", str(n), "--bound", str(bound), "--out", str(tmp_path / "c.csv")]
+    assert cli.main(argv) == 0
+    assert calls == [(n, bound)]
+
+
+# The pipeline is built to the report's D = trunc alone; these are the runs
+# that read it closest to that degree.
+TIGHT_RUNS = [
+    (n, ["--suite", "all", "--bound", str(b), "--trunc", str(b)])
+    for n in range(2, 7)
+    for b in range(5)
+] + [(n, ["--suite", "fe", "--bound", "0", "--trunc", "3"]) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("n,argv", TIGHT_RUNS)
+def test_pipeline_to_trunc_serves_every_check(tmp_path, n, argv):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--n", str(n), *argv, "--out", str(out)]) == 0
+    for check in json.loads(out.read_text())["checks"]:
+        witness = check.get("witness", "")
+        assert "SeedExhausted" not in witness and "P holds" not in witness, check
 
 
 def test_residue_index_shapes():
@@ -188,8 +221,8 @@ def test_h_route_matches_engine(n):
     seed = run_pipeline(n, 12).seed
     k = n_even_vars(n)
     for avec in tuples_with_sum_at_most(k, 3):
-        lhs = residue_coeff_H_route(fq, n, avec, seed)
-        rhs = residue_coeff_engine_scaled(fq, n, avec, seed)
+        lhs = residue_coeff_H_route(fq, n, avec, seed) * 5 ** h_route_exponent(n, avec)
+        rhs = reduce_coeff(residue_index(n, avec), seed).eval_int(5)
         assert lhs == rhs, (avec, lhs, rhs)
 
 
@@ -201,7 +234,7 @@ def brute_h_route(fq, n, avec, seed):
         if len({squarefree_part(fq, f) for f in fs}) > 1:
             continue
         total += H_global(fq, tuple(residue._layout(n, fs, fq.mul)), seed)
-    return Fraction(total)
+    return total
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

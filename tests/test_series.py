@@ -8,7 +8,6 @@ from mdslab.residue import build_R, n_even_vars
 from mdslab.series import (
     FactorList,
     MultiSeries,
-    _expand,
     expand_diagonal,
     expand_factors,
     factorize_product_form,
@@ -78,10 +77,42 @@ def product_by_mul(fl, nvars, bound):
     return out
 
 
+def _expand(fl, nvars, keep):
+    """Terms of the product at the exponents e with keep(e), by tuple.
+
+    keep must hold on a downward-closed set: every factor exponent is
+    nonnegative, so a dropped term never contributes to a kept one, and
+    the truncated product is exact. The oracle of the numpy engine in
+    :mod:`mdslab.series`.
+    """
+    terms = {(0,) * nvars: QL_ONE}
+    for (alpha, beta), gamma in fl.items():
+        # the k-th term of (1 - q^beta x^alpha)^(-gamma), k >= 1
+        powers = []
+        k = 1
+        while gamma > 0 or k <= -gamma:
+            e = tuple(k * a for a in alpha)
+            if not keep(e):
+                break
+            c = comb(gamma - 1 + k, k) if gamma > 0 else (-1) ** k * comb(-gamma, k)
+            powers.append((e, QLaurent.q_power(k * beta, c)))
+            k += 1
+        out = dict(terms)
+        for e1, c1 in terms.items():
+            for e2, c2 in powers:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if not keep(e):
+                    break  # e1 + k alpha only grows with k
+                prod = c1 * c2
+                out[e] = out[e] + prod if e in out else prod
+        terms = {e: c for e, c in out.items() if c}
+    return terms
+
+
 def diagonal_oracle(fl, nvars, max_degree):
     """The diagonal read from the total-degree expansion to nvars * max_degree."""
-    full = expand_factors(fl, nvars, nvars * max_degree)
-    return [full.coeff((a,) * nvars) for a in range(max_degree + 1)]
+    full = _expand(fl, nvars, lambda e: sum(e) <= nvars * max_degree)
+    return [full.get((a,) * nvars, QL_ZERO) for a in range(max_degree + 1)]
 
 
 def box_diagonal_oracle(fl, nvars, max_degree):
@@ -174,6 +205,14 @@ def test_expansion_refuses_negative_exponents():
         expand_diagonal(fl, 2, 4)
     with pytest.raises(ValueError, match="not nonnegative"):
         expand_factors(fl, 2, 4)
+
+
+def test_expansion_refuses_boxes_past_int64_codes():
+    fl = FactorList({((1,) + (0,) * 39, 0): 1})
+    # 5^40 codes of the box [0, 4]^40 exceed int64; 5^27 fit
+    with pytest.raises(ValueError, match="int64"):
+        expand_factors(fl, 40, 4)
+    assert len(expand_factors(FactorList({((1,) + (0,) * 26, 0): 1}), 27, 4).terms) == 5
 
 
 def test_merge_and_cancel():
