@@ -16,12 +16,12 @@ import sys
 from . import __version__
 from .fqpoly import SUPPORTED_Q, field
 from .reducer import (
-    check_diagonal_determination,
     check_dominance,
     check_lambda_fe,
     reduce_coeff,
     tuples_with_sum_at_most,
 )
+from .series import check_diagonal_determination
 
 SUITES = ("axioms", "fe", "residue", "partitions", "all")
 

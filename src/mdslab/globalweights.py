@@ -89,12 +89,12 @@ def _twist_sign(fq: Fq, support: dict) -> int:
     return value
 
 
-def _check_budget(q0: int, total: int, n1: int) -> None:
-    # total is the summed degree of the slots the caller enumerates
-    cost = n1 * q0**total
-    if cost > BUDGET:
+def enforce_budget(n1: int, count: int) -> None:
+    """Refuse an enumeration of count tuples of n1 entries, before it
+    starts, when n1 * count exceeds ``BUDGET``."""
+    if n1 * count > BUDGET:
         raise ValueError(
-            f"enumeration budget exceeded: {n1} * {q0}^{total} = {cost} > {BUDGET}"
+            f"enumeration budget exceeded: {n1} * {count} = {n1 * count} > {BUDGET}"
         )
 
 
@@ -110,20 +110,23 @@ def global_coeff_sums(fq: Fq, ts, seed: DiagonalSeed) -> list[int]:
     By the local-to-global principle this equals c_t evaluated at q. The
     sum over the first slot i of largest degree is coefficient t_i of the
     one-variable slice with the other entries fixed (``_slice_coeffs``), so
-    only the other slots are enumerated, and only they count against
-    ``BUDGET``. Every t is priced before any slice is summed. The t that
-    share i and the degrees of the other slots read one slice per tuple of
-    other entries, summed to the largest such t_i: a slice to a lower
-    degree is a prefix of it (the Euler product and the sweep are both
-    truncated, and the sweep's cap does not depend on xbound).
+    only the other slots are enumerated. The t that share i and the
+    degrees of the other slots read one slice per tuple of other entries,
+    summed to the largest such t_i: a slice to a lower degree is a prefix
+    of it (the Euler product and the sweep are both truncated, and the
+    sweep's cap does not depend on xbound). The whole batch, those tuples
+    of other entries over every (i, other degrees), is priced against
+    ``BUDGET`` before any slice is summed.
     """
     keys = []  # ((i, the other slots' degrees), t_i) for each t
+    n1 = 0
     for t in map(tuple, ts):
-        _check_budget(fq.q, sum(t) - max(t), len(t))
+        n1 = len(t)
         i = t.index(max(t))
         keys.append(((i, t[:i] + t[i + 1 :]), t[i]))
     # {key: its largest t_i}: in sorted order a key's last pair holds it
     tops = dict(sorted(keys))
+    enforce_budget(n1, sum(fq.q ** sum(rest) for _, rest in tops))
     sums = {}
     for (i, rest), top in tops.items():
         total = [0] * (top + 1)

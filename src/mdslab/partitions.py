@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from .residue import build_R, n_even_vars
 from .series import MultiSeries, expand_diagonal, expand_factors, progressions
 
 
@@ -156,8 +157,6 @@ def p_lowest_term_product_route(n: int, amax: int) -> list[int]:
     This is the combinatorial prediction for the lowest coefficient of
     each p_a; it comes from the beta <= 0 factors alone.
     """
-    from .residue import build_R, n_even_vars
-
     k = n_even_vars(n)
     fl = build_R(n, amax * k).restrict(lambda alpha, beta: beta == 0)
     diag = expand_diagonal(fl, k, amax)

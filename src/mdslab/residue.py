@@ -23,8 +23,15 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .fqpoly import Fq
+from .globalweights import H_global, enforce_budget
 from .qlaurent import QL_ONE, QLaurent
-from .reducer import DiagonalSeed, compute_P, reduce_coeff
+from .reducer import (
+    DiagonalSeed,
+    compute_P,
+    local_weight,
+    reduce_coeff,
+    tuples_with_sum_at_most,
+)
 from .series import (
     FactorList,
     MultiSeries,
@@ -189,8 +196,6 @@ def check_pipeline_consistency(n: int, bound: int, seed: DiagonalSeed) -> dict:
     ``seed`` is the pipeline seed, with diagonal values up to at least
     ``bound``.
     """
-    from .reducer import tuples_with_sum_at_most
-
     if len(seed.values) <= bound:
         raise ValueError(f"seed holds diagonals up to {len(seed.values) - 1} < D={bound}")
     k = n_even_vars(n)
@@ -223,21 +228,16 @@ def residue_coeff_H_route(fq: Fq, n: int, avec: tuple[int, ...], seed: DiagonalS
     s_{k-1}). So the enumeration runs over e, then the squarefree monic m
     of degree e, then the monic s_j of degree (a_j - e)/2; the filtered
     product of every monic tuple stays in the tests as the oracle. It is
-    refused past ``globalweights.BUDGET``. Returns the sum of H over the
+    refused past ``globalweights.BUDGET``, through the ``enforce_budget``
+    that prices ``global_coeff_sums``. Returns the sum of H over the
     tuples; times q to the :func:`h_route_exponent` it is the engine
     coefficient at :func:`residue_index` evaluated at q.
     """
-    from .globalweights import BUDGET, H_global
-
     k = len(avec)
     # the degrees e of m: e = a_j mod 2 and e <= a_j for every j
     parities = {a % 2 for a in avec}
     degrees = range(avec[0] % 2, min(avec) + 1, 2) if len(parities) == 1 else range(0)
-    count = sum(fq.q ** (e + sum(a - e for a in avec) // 2) for e in degrees)
-    if k * count > BUDGET:
-        raise ValueError(
-            f"enumeration budget exceeded: {k} * {count} = {k * count} > {BUDGET}"
-        )
+    enforce_budget(k, sum(fq.q ** (e + sum(a - e for a in avec) // 2) for e in degrees))
     total = 0
     for e in degrees:
         for m in fq.monic_enum(e):
@@ -263,8 +263,6 @@ def h_route_exponent(n: int, avec: tuple[int, ...]) -> int:
 def check_euler_substitution(n: int, p_deg: int, bound: int, seed: DiagonalSeed) -> dict:
     """The local Euler factor equals the residue coefficients under
     q -> q^{-deg p}, x_i -> x_i^{deg p}."""
-    from .reducer import local_weight, tuples_with_sum_at_most
-
     k = n_even_vars(n)
     for avec in tuples_with_sum_at_most(k, bound):
         s = sum(avec)

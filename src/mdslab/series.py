@@ -16,6 +16,8 @@ reaches a kept one and both truncated products are exact.
 :meth:`MultiSeries.inverse` and :func:`factorize_product_form` read their
 exponent vectors from :func:`~mdslab.reducer.tuples_with_sum_at_most`,
 the one enumerator of bounded index vectors.
+:func:`check_diagonal_determination` divides two series generated by the
+recurrence engine and checks that the ratio lives on the diagonal.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .qlaurent import QL_ONE, QL_ZERO, QLaurent
-from .reducer import tuples_with_sum_at_most
+from .reducer import DiagonalSeed, reduce_coeff, tuples_with_sum_at_most
 
 ExpVec = tuple[int, ...]
 
@@ -337,3 +339,25 @@ def pairing_completion(flat: FactorList) -> FactorList:
         out.add(alpha, beta, gamma)
         out.add(alpha, 4 - beta, gamma)
     return out
+
+
+def check_diagonal_determination(
+    n: int, seed1: DiagonalSeed, seed2: DiagonalSeed, bound: int
+) -> dict:
+    """The ratio of two generated series depends only on x_0 x_1 ... x_n."""
+    nv = n + 1
+
+    def series_of(seed: DiagonalSeed) -> MultiSeries:
+        terms = {
+            t: reduce_coeff(t, seed)
+            for t in tuples_with_sum_at_most(nv, bound)
+        }
+        return MultiSeries(nv, bound, terms)
+
+    z1 = series_of(seed1)
+    z2 = series_of(seed2)
+    ratio = z1.mul(z2.inverse())
+    for e, c in sorted(ratio.terms.items()):
+        if len(set(e)) > 1 and c:
+            return {"status": "fail", "witness": f"off-diagonal ratio term at {e}"}
+    return {"status": "pass"}

@@ -13,7 +13,6 @@ from mdslab.fqpoly import field
 from mdslab.qlaurent import QL_ONE, QLaurent
 from mdslab.reducer import (
     DiagonalSeed,
-    check_diagonal_determination,
     check_dominance,
     check_lambda_fe,
     reduce_coeff,
@@ -33,6 +32,7 @@ from mdslab.residue import (
     residue_index,
     run_pipeline,
 )
+from mdslab.series import check_diagonal_determination
 
 
 def report(num: int, ok: bool, detail: str) -> None:

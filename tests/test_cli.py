@@ -294,7 +294,7 @@ def test_fe_reports_at_larger_q_match_pinned_digests(capsys, q, bound):
 def test_checks_return_status_and_witness_only():
     # every check returns exactly what the report reads; check_rh keeps its
     # numeric deviation, and check_moment_cost raises rather than reports
-    from mdslab import globalweights, lfunctions, reducer, residue
+    from mdslab import globalweights, lfunctions, reducer, residue, series
     from mdslab.fqpoly import ONE, field
     from mdslab.qlaurent import QL_ONE
 
@@ -317,7 +317,7 @@ def test_checks_return_status_and_witness_only():
             lambda: reducer.check_lambda_fe((1, 0, 2), 1, seed),
         ],
         "check_diagonal_determination": [
-            lambda: reducer.check_diagonal_determination(2, seed, flat, 4),
+            lambda: series.check_diagonal_determination(2, seed, flat, 4),
         ],
         "check_pipeline_consistency": [
             lambda: residue.check_pipeline_consistency(2, 4, seed),
@@ -345,7 +345,7 @@ def test_checks_return_status_and_witness_only():
     }
     public = {
         name
-        for mod in (reducer, residue, globalweights, lfunctions)
+        for mod in (reducer, residue, series, globalweights, lfunctions)
         for name in vars(mod)
         if name.startswith("check_")
     }

@@ -176,7 +176,7 @@ def test_budget_prices_the_enumerated_slots(f5, seed3, monkeypatch):
     monkeypatch.setattr(globalweights, "BUDGET", 1000)
     t = (0, 0, 0, 5)
     assert global_coeff_sum(f5, t, seed3) == reduce_coeff(t, seed3).eval_int(5)
-    with pytest.raises(ValueError, match=r"^enumeration budget exceeded: 4 \* 5\^5 = 12500 > 1000$"):
+    with pytest.raises(ValueError, match=r"^enumeration budget exceeded: 4 \* 3125 = 12500 > 1000$"):
         global_coeff_sum(f5, (2, 2, 1, 5), seed3)
 
 
@@ -214,15 +214,29 @@ def test_local_to_global_sums_one_slice_per_group(monkeypatch, tmp_path):
 
 
 def test_grouped_sums_price_every_t_before_any_slice(f5, seed3, monkeypatch):
-    # the first over-budget t, in the order given, is the witness, and no
-    # slice is summed before every t is priced
+    # the batch's tuples of other entries, 5^0 + 5^5 + 5^7, are the witness,
+    # and no slice is summed before the batch is priced
     def boom(*args):
         raise RuntimeError("summed a slice before pricing every t")
 
     monkeypatch.setattr(globalweights, "_slice_coeffs", boom)
     monkeypatch.setattr(globalweights, "BUDGET", 1000)
     ts = [(0, 0, 0, 5), (2, 2, 1, 5), (3, 3, 1, 5)]
-    with pytest.raises(ValueError, match=r"^enumeration budget exceeded: 4 \* 5\^5 = 12500 > 1000$"):
+    with pytest.raises(ValueError, match=r"^enumeration budget exceeded: 4 \* 81251 = 325004 > 1000$"):
+        global_coeff_sums(f5, ts, seed3)
+
+
+def test_grouped_sums_price_the_batch_not_each_t(f5, seed3, monkeypatch):
+    # each t alone costs 4 * 5^3 = 500 <= 1000, and (0, 0, 3, 4) shares its
+    # slot and other degrees with (0, 0, 3, 5), so the batch is three
+    # groups: 4 * 375 = 1500, refused before any slice is summed
+    def boom(*args):
+        raise RuntimeError("summed a slice before pricing the batch")
+
+    monkeypatch.setattr(globalweights, "_slice_coeffs", boom)
+    monkeypatch.setattr(globalweights, "BUDGET", 1000)
+    ts = [(3, 0, 0, 5), (0, 3, 0, 5), (0, 0, 3, 5), (0, 0, 3, 4)]
+    with pytest.raises(ValueError, match=r"^enumeration budget exceeded: 4 \* 375 = 1500 > 1000$"):
         global_coeff_sums(f5, ts, seed3)
 
 

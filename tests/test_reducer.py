@@ -1,4 +1,10 @@
+import gc
+import os
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +13,6 @@ from mdslab.qlaurent import QL_ONE, QL_ZERO, QLaurent
 from mdslab.reducer import (
     DiagonalSeed,
     SeedExhausted,
-    check_diagonal_determination,
     check_dominance,
     check_lambda_fe,
     check_reversal,
@@ -17,6 +22,7 @@ from mdslab.reducer import (
     reduce_coeff,
     tuples_with_sum_at_most,
 )
+from mdslab.series import check_diagonal_determination
 
 
 def check_recurrences_everywhere(t, seed):
@@ -346,6 +352,54 @@ def test_first_violation_memo_size(monkeypatch):
     # the largest-violation rule filled 137,167 entries here
     seed = unit_seed_of_compute_P(monkeypatch, 6, 8)
     assert len(seed._memo) <= 40_000
+
+
+def test_compute_P_frees_its_unit_seed_by_reference_counting(monkeypatch):
+    # the memo dies with the seed as soon as P is read; a reduction that
+    # held the seed in a reference cycle would keep it until the cyclic
+    # collector ran
+    refs = []
+    make_unit = DiagonalSeed.unit
+
+    def recording_unit(length):
+        seed = make_unit(length)
+        refs.append(weakref.ref(seed))
+        return seed
+
+    monkeypatch.setattr(DiagonalSeed, "unit", staticmethod(recording_unit))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        compute_P(6, 4)
+        (ref,) = refs
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+HEADROOM_CHILD = """
+import sys
+from mdslab.reducer import compute_P
+sys.setrecursionlimit(200)
+print(repr(compute_P(10, 6)))
+"""
+
+
+def test_reduction_recursion_fits_a_small_stack():
+    # every dependency has a smaller index sum; compute_P(10, 6) nests 72
+    # reductions deep, well inside a recursion limit of 200
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", HEADROOM_CHILD],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr(compute_P(10, 6)) + "\n"
 
 
 small_laurent = st.dictionaries(
