@@ -173,7 +173,7 @@ def _suite_residue(args, pipe):
                 )
             )
     checks.append(
-        ("reconstruct_R1", {"D": args.bound}, lambda: res.reconstruct_R1(n, args.bound, pipe.p))
+        ("reconstruct_R1", {"D": args.bound}, lambda: res.reconstruct_R1(n, args.bound, pipe))
     )
 
     def h_route():
@@ -224,13 +224,12 @@ def _suite_partitions(args, pipe):
     if n % 2:
 
         def chains():
-            prod = pa.p_lowest_term_product_route(n, min(amax, 3))
             for a in range(min(amax, 3) + 1):
                 counts = {
                     pa.count_reduction_chains(n, a),
                     pa.count_reduction_chains(n, a, simplified=False),
                     P[a].constant_coeff(),
-                    prod[a],
+                    pa.series_int_coeff(pipe.r_diag, (a,)),
                 }
                 if len(counts) > 1:
                     return {"status": "fail", "witness": f"a={a}: {sorted(counts)}"}
@@ -240,13 +239,13 @@ def _suite_partitions(args, pipe):
     else:
 
         def evenness():
-            prod = pa.p_lowest_term_product_route(n, amax)
             for a in range(amax + 1):
                 if a % 2 and P[a]:
                     return {"status": "fail", "witness": f"odd-degree term at a={a}"}
                 low = P[a].constant_coeff() if P[a] else 0
-                if low != prod[a]:
-                    return {"status": "fail", "witness": f"a={a}: {low} != {prod[a]}"}
+                prod = pa.series_int_coeff(pipe.r_diag, (a,))
+                if low != prod:
+                    return {"status": "fail", "witness": f"a={a}: {low} != {prod}"}
             return {"status": "pass"}
 
         checks.append(("even_series_lowest_terms", {"amax": amax}, evenness))
@@ -290,12 +289,24 @@ def cmd_verify(args) -> int:
 
     A reduction lowers the index sum, so an index t reaches c_{a,...,a}
     only when (n+1)*a <= sum(t). No check reduces an index with sum(t) >
-    3*trunc + 1, so for n >= 2 the seed is read at a <= trunc. P is read to
-    at most max(bound, min(trunc, 5)), and ``main`` refuses trunc < bound.
-    So the pipeline of degree trunc serves every check.
+    3*trunc + 1, so for n >= 2 the seed is read at a <= trunc. P and the
+    product's diagonal R_diag are read to at most max(bound, min(trunc,
+    5)), and ``main`` refuses trunc < bound. So the pipeline of degree
+    trunc serves every check. When the axioms suite runs, alone or in
+    ``all``, its local-to-global batch is priced first: over ``BUDGET``
+    the run exits 2 with the estimate, before the pipeline is built or a
+    report written.
     """
     from .residue import run_pipeline
 
+    if args.suite in ("axioms", "all"):
+        from .globalweights import slice_batch
+
+        try:
+            slice_batch(field(args.q), tuples_with_sum_at_most(args.n + 1, args.bound))
+        except ValueError as exc:
+            print(f"verify: {exc}", file=sys.stderr)
+            return 2
     pipe = run_pipeline(args.n, args.trunc)
     builders = {
         "axioms": _suite_axioms,

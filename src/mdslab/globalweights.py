@@ -104,6 +104,27 @@ def global_coeff_sum(fq: Fq, t: tuple[int, ...], seed: DiagonalSeed) -> int:
     return global_coeff_sums(fq, [t], seed)[0]
 
 
+def slice_batch(fq: Fq, ts) -> tuple[list, dict]:
+    """Group the t of ``global_coeff_sums`` by the slices that answer them,
+    and price the batch.
+
+    Returns one ((i, the other slots' degrees), t_i) per t, i the first
+    slot of largest degree, and each such key with its largest t_i. The
+    batch, the tuples of other entries over every key, is refused through
+    ``enforce_budget`` before any slice is summed.
+    """
+    keys = []
+    n1 = 0
+    for t in map(tuple, ts):
+        n1 = len(t)
+        i = t.index(max(t))
+        keys.append(((i, t[:i] + t[i + 1 :]), t[i]))
+    # {key: its largest t_i}: in sorted order a key's last pair holds it
+    tops = dict(sorted(keys))
+    enforce_budget(n1, sum(fq.q ** sum(rest) for _, rest in tops))
+    return keys, tops
+
+
 def global_coeff_sums(fq: Fq, ts, seed: DiagonalSeed) -> list[int]:
     """For each t in ts, the sum of H over all monic tuples of degrees t.
 
@@ -114,19 +135,11 @@ def global_coeff_sums(fq: Fq, ts, seed: DiagonalSeed) -> list[int]:
     degrees of the other slots read one slice per tuple of other entries,
     summed to the largest such t_i: a slice to a lower degree is a prefix
     of it (the Euler product and the sweep are both truncated, and the
-    sweep's cap does not depend on xbound). The whole batch, those tuples
-    of other entries over every (i, other degrees), is priced against
-    ``BUDGET`` before any slice is summed.
+    sweep's cap does not depend on xbound). ``slice_batch`` groups the t
+    and prices the whole batch against ``BUDGET`` before any slice is
+    summed.
     """
-    keys = []  # ((i, the other slots' degrees), t_i) for each t
-    n1 = 0
-    for t in map(tuple, ts):
-        n1 = len(t)
-        i = t.index(max(t))
-        keys.append(((i, t[:i] + t[i + 1 :]), t[i]))
-    # {key: its largest t_i}: in sorted order a key's last pair holds it
-    tops = dict(sorted(keys))
-    enforce_budget(n1, sum(fq.q ** sum(rest) for _, rest in tops))
+    keys, tops = slice_batch(fq, ts)
     sums = {}
     for (i, rest), top in tops.items():
         total = [0] * (top + 1)

@@ -3,8 +3,11 @@
 Brute-force counts of partitions and of n-tuples of partitions by their
 cyclic-congruence class sums, binned in one pass over every tuple up to a
 total (:func:`partition_class_counts`), and the chains of indices produced
-by the simplified recurrences. Each count has an independent
-product-formula route through :mod:`mdslab.series`.
+by the simplified recurrences. Each partition count has an independent
+product-formula route through :mod:`mdslab.series`. The chain counts are
+compared with the q^0 part of the residue product's diagonal: every beta
+is >= 0, so that part is the product of the beta = 0 factors, read from
+the diagonal the residue pipeline expands.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .residue import build_R, n_even_vars
-from .series import MultiSeries, expand_diagonal, expand_factors, progressions
+from .series import MultiSeries, expand_factors, progressions
 
 
 def _partitions_with_sum(total: int, max_part: int | None = None):
@@ -150,14 +152,3 @@ def _majorized(row, nxt, moving, n1) -> bool:
 def count_reduction_chains(n: int, a: int, simplified: bool = True) -> int:
     return len(enumerate_reduction_chains(n, a, simplified))
 
-
-def p_lowest_term_product_route(n: int, amax: int) -> list[int]:
-    """Diagonal coefficients of the q^0 part of the residue product.
-
-    This is the combinatorial prediction for the lowest coefficient of
-    each p_a; it comes from the beta <= 0 factors alone.
-    """
-    k = n_even_vars(n)
-    fl = build_R(n, amax * k).restrict(lambda alpha, beta: beta == 0)
-    diag = expand_diagonal(fl, k, amax)
-    return [series_int_coeff(diag, (d,)) for d in range(amax + 1)]

@@ -232,7 +232,7 @@ def check_reversal(coeffs: list, m: int, qpow) -> dict:
     The coefficients vanish above the even degree m, and c_k =
     q^{k-m/2} c_{m-k} for k = 0..m, compared as q^{m/2} c_k = q^k c_{m-k}
     (times the unit q^{m/2}), so ``qpow(j)`` is only asked for j >= 0.
-    ``qpow(j)`` is q^j in the coefficients' ring (``int``, ``Fraction`` or
+    ``qpow(j)`` is q^j in the coefficients' ring (``int`` or
     ``QLaurent``). The identities at k and m - k are one and the same, and
     the one at m/2 always holds, so only k < m/2 is compared: the first
     failing k is the same as over 0..m.

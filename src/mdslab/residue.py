@@ -11,8 +11,11 @@ coefficient maps, Euler-product substitution, factor pairing,
 scalar-cocycle functional equations and the flat-part reconstruction of
 the diagonal factors. The pairing and each cocycle functional equation
 are checked on the families, so at every degree
-(:func:`_compare_families`). Every check returns ``{"status",
-"witness"}``, the witness only when it does not pass.
+(:func:`_compare_families`). The product's diagonal R_diag is expanded
+once per run, by :func:`run_pipeline`, and kept on its result: the
+reconstruction and the partition checks read it there. Every check
+returns ``{"status", "witness"}``, the witness only when it does not
+pass.
 """
 
 from __future__ import annotations
@@ -106,6 +109,7 @@ def build_R(n: int, bound: int) -> FactorList:
 class PipelineResult:
     seed: DiagonalSeed
     p: list[QLaurent]  # p_0..p_max_degree of the universal diagonal ratio P
+    r_diag: MultiSeries  # the diagonal of the residue product to x^max_degree
 
 
 _PIPELINE_CACHE: dict[tuple[int, int], PipelineResult] = {}
@@ -125,9 +129,10 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
     the expanded product by P recovers the diagonal coefficients. Each
     recovered coefficient beyond the constant must be divisible by q and
     land in Z[q]; violations abort the pipeline. The diagonal is read from
-    the box [0, max_degree]^k of the product. The result carries P, so a
-    run derives both once; the seed and P of a smaller degree are prefixes
-    of these (pinned in the tests).
+    the box [0, max_degree]^k of the product. The result carries P and
+    R_diag, so a run derives each once; the seed and P of a smaller degree
+    are prefixes of these (pinned in the tests), and R_diag truncated to a
+    smaller degree is the diagonal expanded to it.
     """
     key = (n, max_degree)
     cached = _PIPELINE_CACHE.get(key)
@@ -150,7 +155,7 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
         if n % 2 == 0 and a % 2 and recovered:
             raise ValueError(f"even-series violation at a={a}")
         diag.append(recovered)
-    result = PipelineResult(seed=DiagonalSeed(diag, name=f"pipeline-n{n}"), p=p)
+    result = PipelineResult(seed=DiagonalSeed(diag, name=f"pipeline-n{n}"), p=p, r_diag=r_diag)
     _PIPELINE_CACHE[key] = result
     return result
 
@@ -458,20 +463,26 @@ def check_neven_fe(n: int, which: str) -> dict:
 # -- flat-part reconstruction ----------------------------------------------
 
 
-def reconstruct_R1(n: int, bound: int, p: list[QLaurent]) -> dict:
+def reconstruct_R1(n: int, bound: int, pipe: PipelineResult) -> dict:
     """Recover the diagonal factors from P and the off-diagonal product.
 
     (P * R_{0,diag}^{-1})^flat, completed under beta -> 1-beta pairing,
     must reproduce the diagonal sub-multiset of the explicit product.
     Factors are trusted up to degree bound/2 (truncation aliasing guard).
-    ``p`` holds the coefficients of P up to at least degree ``bound``, as
-    :attr:`PipelineResult.p` does.
+    Each diagonal factor is a power of x_0 x_2 ... alone, so R_diag is
+    R_{0,diag} times their one-variable product: R_{0,diag} is the
+    pipeline's R_diag, truncated to ``bound``, times those factors with
+    gamma negated. ``pipe`` is a pipeline built to degree at least
+    ``bound``; a shorter one is refused before any work.
     """
-    k = n_even_vars(n)
+    p = _p_series(pipe.p, bound)
     trust = bound // 2
-    fl = build_R(n, bound * k)
-    r0_diag = expand_diagonal(fl.off_diagonal_part(), k, bound)
-    b = _p_series(p, bound).mul(r0_diag.inverse())
+    # a family lies on the diagonal exactly when its start w does
+    fams = {((w[0],), beta): gamma for (w, beta), gamma in families(n).items() if len(set(w)) == 1}
+    diag = progressions(fams, (2,), bound)
+    negated = FactorList({key: -gamma for key, gamma in diag.factors.items()})
+    r0_diag = MultiSeries(1, bound, pipe.r_diag.terms).mul(expand_factors(negated, 1, bound))
+    b = p.mul(r0_diag.inverse())
     form = factorize_product_form(b)
     flat, natural, sharp = split_flat_natural_sharp(form.degree_cut(trust))
     if n % 2 == 0 and len(natural):
@@ -480,13 +491,7 @@ def reconstruct_R1(n: int, bound: int, p: list[QLaurent]) -> dict:
             "witness": f"diagonal beta=1/2 factors should not exist: {natural.items()}",
         }
     completed = pairing_completion(flat)
-    expected = FactorList(
-        {
-            ((alpha[0],), beta): gamma
-            for (alpha, beta), gamma in fl.diagonal_part().factors.items()
-            if alpha[0] <= trust
-        }
-    )
+    expected = diag.degree_cut(trust)
     if completed != expected:
         return {
             "status": "fail",

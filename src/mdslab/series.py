@@ -146,12 +146,6 @@ class FactorList:
     def degree_cut(self, max_degree: int) -> "FactorList":
         return self.restrict(lambda a, b: sum(a) <= max_degree)
 
-    def diagonal_part(self) -> "FactorList":
-        return self.restrict(lambda a, b: len(set(a)) == 1)
-
-    def off_diagonal_part(self) -> "FactorList":
-        return self.restrict(lambda a, b: len(set(a)) > 1)
-
 
 def progressions(
     families: dict[tuple[ExpVec, int], int], step: ExpVec, bound: int

@@ -193,7 +193,7 @@ def test_criterion_08_scalar_cocycle_fes():
 
 
 def test_criterion_09_r1_reconstruction():
-    bad = [n for n in (2, 3, 4, 5) if reconstruct_R1(n, 6, run_pipeline(n, 6).p)["status"] != "pass"]
+    bad = [n for n in (2, 3, 4, 5) if reconstruct_R1(n, 6, run_pipeline(n, 6))["status"] != "pass"]
     report(9, not bad,
            "flat-part reconstruction of diagonal factors to degree 6, n=2..5" +
            (f" (failed: {bad})" if bad else ""))
@@ -202,9 +202,10 @@ def test_criterion_09_r1_reconstruction():
 def test_criterion_10_combinatorics():
     from partition_helpers import conjugate, gamma_decomposition
 
+    from test_partitions import p_lowest_term_product_route
+
     from mdslab.partitions import (
         count_reduction_chains,
-        p_lowest_term_product_route,
         partition_class_counts,
         partition_product_gf,
         series_int_coeff,

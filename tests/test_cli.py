@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -291,6 +292,22 @@ def test_fe_reports_at_larger_q_match_pinned_digests(capsys, q, bound):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FE_DIGESTS[q, bound]
 
 
+@pytest.mark.parametrize("suite", ["axioms", "all"])
+def test_over_budget_verify_exits_2_before_the_pipeline(tmp_path, monkeypatch, capsys, suite):
+    from mdslab import residue
+
+    def unreachable(*args):
+        raise AssertionError("the pipeline was built")
+
+    monkeypatch.setattr(residue, "run_pipeline", unreachable)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--n", "5", "--q", "5", "--suite", suite, "--bound", "10", "--trunc", "10"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "verify: enumeration budget exceeded: 6 * 66825531 = 400953186 > 100000000\n"
+    assert not out.exists()
+
+
 def test_checks_return_status_and_witness_only():
     # every check returns exactly what the report reads; check_rh keeps its
     # numeric deviation, and check_moment_cost raises rather than reports
@@ -334,8 +351,8 @@ def test_checks_return_status_and_witness_only():
             lambda: residue.check_neven_fe(6, "edge"),
         ],
         "reconstruct_R1": [
-            lambda: residue.reconstruct_R1(2, 4, pipe.p),
-            lambda: residue.reconstruct_R1(2, 4, [QL_ONE] * 5),
+            lambda: residue.reconstruct_R1(2, 4, pipe),
+            lambda: residue.reconstruct_R1(2, 4, replace(pipe, p=[QL_ONE] * 5)),
         ],
         "l_series_H": [
             lambda: globalweights.l_series_H(fq, (t, ONE, t, ONE), 1, 3, seed),

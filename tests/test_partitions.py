@@ -9,13 +9,14 @@ from mdslab.partitions import (
     _partitions_with_sum,
     count_reduction_chains,
     enumerate_reduction_chains,
-    p_lowest_term_product_route,
     partition_class_counts,
     partition_product_gf,
     partition_tuple_product_gf,
     series_int_coeff,
 )
 from mdslab.reducer import compute_P, tuples_with_sum_at_most
+from mdslab.residue import build_R, n_even_vars, run_pipeline
+from mdslab.series import expand_diagonal
 
 
 # sha256 of the terms of each product formula for n = 1..5 and bound 0..8,
@@ -35,6 +36,27 @@ def test_product_gf_matches_pinned_tables(gf):
         for bound in range(9)
     ]
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == PRODUCT_GF_DIGESTS[gf]
+
+
+def p_lowest_term_product_route(n: int, amax: int) -> list[int]:
+    """Oracle: the diagonal coefficients of the beta = 0 part of the residue
+    product, expanded on its own.
+
+    This is the combinatorial prediction for the lowest coefficient of
+    each p_a.
+    """
+    k = n_even_vars(n)
+    fl = build_R(n, amax * k).restrict(lambda alpha, beta: beta == 0)
+    diag = expand_diagonal(fl, k, amax)
+    return [series_int_coeff(diag, (d,)) for d in range(amax + 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_q0_part_of_the_pipeline_diagonal_is_the_beta0_product(n):
+    # every beta is >= 0, so the q^0 part of R_diag is the beta = 0 product
+    r_diag = run_pipeline(n, 6).r_diag
+    low = [series_int_coeff(r_diag, (a,)) for a in range(7)]
+    assert low == p_lowest_term_product_route(n, 6)
 
 
 def count_partition_tuples(n: int, sums: tuple[int, ...]) -> int:

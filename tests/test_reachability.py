@@ -8,7 +8,10 @@ imports it from M, or when another module reads an attribute of that name
 """
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mdslab"
 
@@ -69,3 +72,36 @@ def test_scan_flags_a_helper_only_its_test_reaches(tmp_path):
     )
     # a recursive call inside its own body does not count
     assert unnamed_definitions(tmp_path) == {("a", "lonely"), ("b", "top")}
+
+
+def relative_imports(src: Path) -> dict[str, set[str]]:
+    """For each module, the modules of ``src`` it imports, also inside a
+    function body."""
+    modules = {path.stem for path in src.glob("*.py")}
+    graph = {}
+    for path in sorted(src.glob("*.py")):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    deps.add(node.module)
+                else:  # from . import residue as res
+                    deps.update(alias.name for alias in node.names if alias.name in modules)
+        graph[path.stem] = deps
+    return graph
+
+
+def test_relative_imports_form_no_cycle():
+    graph = relative_imports(SRC)
+    # the partition counts need the series engine, not the residue product
+    assert graph["partitions"] == {"series"}
+    tuple(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+
+
+def test_import_scan_sees_a_cycle_through_a_function_body(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import g\n")
+    (tmp_path / "b.py").write_text("def g():\n    from . import a\n    return a\n")
+    graph = relative_imports(tmp_path)
+    assert graph == {"a": {"b"}, "b": {"a"}}
+    with pytest.raises(CycleError):
+        tuple(TopologicalSorter(graph).static_order())

@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 import sympy
 from test_fqpoly import squarefree_part
 
-from mdslab import cli, reducer, residue
+from mdslab import cli, partitions, reducer, residue, series
 from mdslab.fqpoly import field
 from mdslab.globalweights import H_global
 from mdslab.qlaurent import QL_ONE
@@ -26,6 +27,7 @@ from mdslab.residue import (
     residue_index,
     run_pipeline,
 )
+from mdslab.series import FactorList, MultiSeries, expand_diagonal, expand_factors
 
 
 def test_n_even_vars():
@@ -123,7 +125,7 @@ def test_short_seed_or_P_is_refused():
     with pytest.raises(ValueError, match="seed holds diagonals up to 4"):
         check_pipeline_consistency(3, 6, short.seed)
     with pytest.raises(ValueError, match="P holds coefficients up to 4"):
-        reconstruct_R1(3, 6, short.p)
+        reconstruct_R1(3, 6, short)
 
 
 def test_verify_derives_one_pipeline_and_one_P(tmp_path, monkeypatch):
@@ -141,6 +143,30 @@ def test_verify_derives_one_pipeline_and_one_P(tmp_path, monkeypatch):
     assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     assert calls == [(3, 6)]
     assert len(residue._PIPELINE_CACHE) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "3", "--q", "5", "--suite", "all", "--bound", "4", "--trunc", "6"],
+        ["--n", "6", "--q", "5", "--suite", "residue", "--bound", "6", "--trunc", "6"],
+    ],
+    ids=["verify-n3", "residue-n6"],
+)
+def test_verify_expands_the_diagonal_once(tmp_path, monkeypatch, argv):
+    calls = []
+    real = series.expand_diagonal
+
+    def counting(fl, nvars, max_degree):
+        calls.append((nvars, max_degree))
+        return real(fl, nvars, max_degree)
+
+    for mod in (series, residue, partitions):
+        if hasattr(mod, "expand_diagonal"):
+            monkeypatch.setattr(mod, "expand_diagonal", counting)
+    monkeypatch.setattr(residue, "_PIPELINE_CACHE", {})
+    assert cli.main(["verify", *argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n,bound", [(2, 3), (5, 0), (4, 6)])
@@ -393,5 +419,37 @@ def test_factor_permutation_requires_fixed_delta():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_reconstruct_R1(n):
-    report = reconstruct_R1(n, 6, run_pipeline(n, 6).p)
+    report = reconstruct_R1(n, 6, run_pipeline(n, 6))
     assert report["status"] == "pass", report
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_pipeline_diagonal_over_the_diagonal_factors_is_the_off_diagonal_product(n):
+    # each diagonal factor is a power of x_0 x_2 ... alone, so R_diag is
+    # the off-diagonal product's diagonal times their one-variable product
+    k = n_even_vars(n)
+    r_diag = run_pipeline(n, 6).r_diag
+    for D in (4, 6):
+        fl = build_R(n, D * k)
+        off = fl.restrict(lambda alpha, beta: len(set(alpha)) > 1)
+        negated = FactorList(
+            {
+                ((alpha[0],), beta): -gamma
+                for (alpha, beta), gamma in fl.factors.items()
+                if len(set(alpha)) == 1
+            }
+        )
+        got = MultiSeries(1, D, r_diag.terms).mul(expand_factors(negated, 1, D))
+        assert got == expand_diagonal(off, k, D)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("bound", [4, 6])
+def test_reconstruct_R1_reads_a_longer_pipeline_to_its_bound(n, bound):
+    big, exact = run_pipeline(n, 8), run_pipeline(n, bound)
+    assert reconstruct_R1(n, bound, big) == reconstruct_R1(n, bound, exact) == {"status": "pass"}
+    # a bumped p_2 fails alike from either pipeline
+    bumped = [c + QL_ONE if a == 2 else c for a, c in enumerate(big.p)]
+    report = reconstruct_R1(n, bound, replace(big, p=bumped))
+    assert report["status"] == "fail"
+    assert reconstruct_R1(n, bound, replace(exact, p=bumped[: bound + 1])) == report

@@ -121,7 +121,7 @@ def box_diagonal_oracle(fl, nvars, max_degree):
     return [box.get((a,) * nvars, QL_ZERO) for a in range(max_degree + 1)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_box_diagonal_matches_total_degree_diagonal(n):
     k, D = n_even_vars(n), 6
     fl = build_R(n, k * D)
@@ -129,9 +129,9 @@ def test_box_diagonal_matches_total_degree_diagonal(n):
     assert [diag.coeff((a,)) for a in range(D + 1)] == diagonal_oracle(fl, k, D)
 
 
-@pytest.mark.parametrize("n", [6, 9])
-def test_pruned_diagonal_matches_box_expansion(n):
-    k, D = n_even_vars(n), 8
+@pytest.mark.parametrize("n, D", [(6, 8), (8, 6), (9, 8)])
+def test_pruned_diagonal_matches_box_expansion(n, D):
+    k = n_even_vars(n)
     fl = build_R(n, k * D)
     diag = expand_diagonal(fl, k, D)
     assert [diag.coeff((a,)) for a in range(D + 1)] == box_diagonal_oracle(fl, k, D)
