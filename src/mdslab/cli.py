@@ -159,19 +159,12 @@ def _suite_residue(args, pipe):
                 lambda pdeg=pdeg: res.check_euler_substitution(n, pdeg, min(args.bound, 4), seed),
             )
         )
-    for i in res.resfe_positions(n):
-        checks.append(
-            ("residue_fe", {"i": i, "D": args.trunc}, lambda i=i: res.check_resfe(n, i))
-        )
-    if n % 2 == 0:
-        for which in res.NEVEN_TRANSFORMS:
-            checks.append(
-                (
-                    f"neven_fe_{which}",
-                    {"D": args.trunc},
-                    lambda which=which: res.check_neven_fe(n, which),
-                )
-            )
+    for key in res.fe_generators(n):
+        if isinstance(key, int):
+            name, params = "residue_fe", {"i": key, "D": args.trunc}
+        else:
+            name, params = f"neven_fe_{key}", {"D": args.trunc}
+        checks.append((name, params, lambda key=key: res.check_fe(n, key)))
     checks.append(
         ("reconstruct_R1", {"D": args.bound}, lambda: res.reconstruct_R1(n, args.bound, pipe))
     )

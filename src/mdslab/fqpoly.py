@@ -160,23 +160,6 @@ class Fq:
 
     # -- ring operations ---------------------------------------------------
 
-    def poly(self, coeffs) -> Poly:
-        return _trim([c % self.q for c in coeffs])
-
-    def add(self, f: Poly, g: Poly) -> Poly:
-        n = max(len(f), len(g))
-        return _trim([
-            ((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % self.q
-            for i in range(n)
-        ])
-
-    def sub(self, f: Poly, g: Poly) -> Poly:
-        n = max(len(f), len(g))
-        return _trim([
-            ((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % self.q
-            for i in range(n)
-        ])
-
     def mul(self, f: Poly, g: Poly) -> Poly:
         if not f or not g:
             return ZERO
@@ -207,13 +190,6 @@ class Fq:
     def mod(self, f: Poly, g: Poly) -> Poly:
         return self.divmod(f, g)[1]
 
-    def gcd(self, f: Poly, g: Poly) -> Poly:
-        while g:
-            f, g = g, self.mod(f, g)
-        if f:
-            f = self.to_monic(f)[0]
-        return f
-
     def to_monic(self, f: Poly) -> tuple[Poly, int]:
         """Return (monic part, leading unit) with f = unit * monic."""
         if not f:
@@ -222,15 +198,6 @@ class Fq:
         if u == 1:
             return f, 1
         return self.scalar_mul(pow(u, self.q - 2, self.q), f), u
-
-    def pow(self, f: Poly, e: int) -> Poly:
-        out = ONE
-        while e:
-            if e & 1:
-                out = self.mul(out, f)
-            f = self.mul(f, f)
-            e >>= 1
-        return out
 
     # -- enumeration -------------------------------------------------------
 

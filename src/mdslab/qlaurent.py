@@ -23,14 +23,6 @@ class QLaurent:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "QLaurent":
-        return QLaurent()
-
-    @staticmethod
-    def one() -> "QLaurent":
-        return QLaurent({0: 1})
-
-    @staticmethod
     def const(c: int) -> "QLaurent":
         return QLaurent({0: c})
 
@@ -129,16 +121,6 @@ class QLaurent:
         """Canonical "e:c;e:c" form, quarter-exponents ascending."""
         return ";".join(f"{e}:{c}" for e, c in sorted(self.terms.items()))
 
-    @staticmethod
-    def deserialize(s: str) -> "QLaurent":
-        if not s:
-            return QLaurent()
-        out = {}
-        for part in s.split(";"):
-            e, c = part.split(":")
-            out[int(e)] = int(c)
-        return QLaurent(out)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -153,5 +135,5 @@ class QLaurent:
         return " + ".join(bits)
 
 
-QL_ZERO = QLaurent.zero()
-QL_ONE = QLaurent.one()
+QL_ZERO = QLaurent()
+QL_ONE = QLaurent({0: 1})

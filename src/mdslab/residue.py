@@ -11,9 +11,14 @@ coefficient maps, Euler-product substitution, factor pairing,
 scalar-cocycle functional equations and the flat-part reconstruction of
 the diagonal factors. The pairing and each cocycle functional equation
 are checked on the families, so at every degree
-(:func:`_compare_families`). The product's diagonal R_diag is expanded
-once per run, by :func:`run_pipeline`, and kept on its result: the
-reconstruction and the partition checks read it there. Every check
+(:func:`_compare_families`). The generators of those functional
+equations are written once, as one table (:func:`fe_generators`): the
+swaps x_i -> 1/x_i, and for n even ``cycle-squared`` and ``edge``.
+:func:`check_fe` checks one entry, and the tests read the same table to
+certify that the swaps and ``edge`` generate the affine Weyl group of type
+Ã (``tests/test_weyl_group.py``). The product's diagonal R_diag is
+expanded once per run, by :func:`run_pipeline`, and kept on its result:
+the reconstruction and the partition checks read it there. Every check
 returns ``{"status", "witness"}``, the witness only when it does not
 pass.
 """
@@ -292,10 +297,6 @@ def _apply_linear(matrix: list[list[int]], alpha: tuple[int, ...]) -> tuple[int,
     return tuple(sum(matrix[r][c] * alpha[c] for c in range(k)) for r in range(k))
 
 
-def _identity(k: int) -> list[list[int]]:
-    return [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-
-
 def _on_line(alpha: tuple[int, ...], beta: int):
     """The line of alpha through 2 delta, keyed by beta and its point of
     least entry 0 or 1, and the position j of alpha on it."""
@@ -367,97 +368,66 @@ def _check_factor_permutation(
     return _compare_families(image, fams, traded)
 
 
-def resfe_positions(n: int) -> range:
-    """The even positions i whose swap x_i -> 1/x_i has a residue FE."""
-    return range(0, n + 1, 2) if n % 2 else range(2, n, 2)
+def fe_generators(n: int) -> dict:
+    """The generators of the residue's functional equations, in report order.
 
-
-def check_resfe(n: int, i: int) -> dict:
-    """Scalar-cocycle functional equation swapping x_i to 1/x_i, i even."""
-    if i not in resfe_positions(n):
-        raise ValueError(f"no residue functional equation at i={i} for n={n}")
-    k = n_even_vars(n)
-    u = i // 2
-    mat = _identity(k)
-    mat[u][u] = -1
-    mat[u][(u - 1) % k] += 1
-    mat[u][(u + 1) % k] += 1
-    removed = [
-        (_unit_alpha(k, u, 2), _BETA0),
-        (_unit_alpha(k, u, 2), _BETA1),
-    ]
-    return _check_factor_permutation(n, mat, removed)
-
-
-def _unit_alpha(k: int, u: int, value: int) -> tuple[int, ...]:
-    out = [0] * k
-    out[u] = value
-    return tuple(out)
-
-
-NEVEN_TRANSFORMS = ("cycle-squared", "edge")
-
-
-def check_neven_fe(n: int, which: str) -> dict:
-    """Extra residue functional equations for n even (cycle-squared / edge).
-
-    The paper's n = 2 and n = 4 variants differ from the generic form and
-    are not spelled out; those cases report an unverified-special-case
-    status instead of a pass.
+    The keys are first the even positions i whose swap x_i -> 1/x_i has a
+    residue FE (0..n for n odd, 2..n-2 for n even), then for n even
+    "cycle-squared" and "edge". Each value is (matrix, removed) for
+    :func:`_check_factor_permutation`: the substitution on the exponents
+    of the even variables, column u the exponents of the u-th substituted
+    argument, and the factors traded for their negations. A matrix is the
+    identity with some rows replaced, each row given as (column, entry)
+    pairs whose entries add up. The paper's n = 2 and n = 4 variants of
+    the n-even transforms differ from the generic form and are not spelled
+    out; their value is None, an unverified special case.
     """
-    if n % 2:
-        raise ValueError("n must be even")
-    if which not in NEVEN_TRANSFORMS:
-        raise ValueError(f"unknown transform {which!r}")
-    if n <= 4:
-        return {"status": "unverified special case"}
-    k = n // 2 + 1
-    if which == "cycle-squared":
-        mat = [[0] * k for _ in range(k)]
-        # column u holds the x-exponents of the u-th substituted argument
-        col0 = [2] * k
-        col0[0] = 3
-        col0[1] = 3
-        for r in range(k):
-            mat[r][0] = col0[r]
-        for u in range(1, k - 2):
-            mat[u + 1][u] = 1
-        mat[0][k - 2] = 1
-        mat[k - 1][k - 2] = 1
-        collast = [-2] * k
-        collast[0] = -3
-        for r in range(k):
-            mat[r][k - 1] = collast[r]
-        removed = []
-        for m in (0, 1):
-            for u in range(k - 1):
-                alpha = tuple(
-                    2 * m + (2 if t <= u else 0) for t in range(k)
-                )
-                removed.append((alpha, _BETA_HALF))
-        alpha_m2 = tuple(4 + (2 if t == 0 else 0) for t in range(k))
-        removed.append((alpha_m2, _BETA_HALF))
-    else:  # edge
-        mat = [[0] * k for _ in range(k)]
+    k = n_even_vars(n)
+    last = k - 1
+
+    def matrix(rows):
+        mat = [[int(r == c) for c in range(k)] for r in range(k)]
+        for r, pairs in rows.items():
+            mat[r] = [0] * k
+            for c, entry in pairs:
+                mat[r][c] += entry
+        return mat
+
+    def alpha(slots, m=0):  # 2 on the slots, plus 2m delta
+        return tuple(2 * m + 2 * int(t in slots) for t in range(k))
+
+    table: dict = {}
+    for i in range(0, n + 1, 2) if n % 2 else range(2, n, 2):
+        u = i // 2
+        row = [((u - 1) % k, 1), ((u + 1) % k, 1), (u, -1)]
+        table[i] = (matrix({u: row}), [(alpha({u}), _BETA0), (alpha({u}), _BETA1)])
+    if n % 2 == 0:
+        table["cycle-squared"] = table["edge"] = None
+    if n % 2 == 0 and n > 4:
+        cycle = {0: [(0, 3), (last - 1, 1), (last, -3)]}
+        cycle.update({r: [(0, 2), (r - 1, 1), (last, -2)] for r in range(1, k)})
+        prefixes = [(alpha(range(u + 1), m), _BETA_HALF) for m in (0, 1) for u in range(last)]
+        table["cycle-squared"] = (matrix(cycle), prefixes + [(alpha({0}, 2), _BETA_HALF)])
         # y_0 = 1/x_n, y_2 = x_0 x_2 x_n, middle fixed, y_{n-2} = x_0 x_{n-2} x_n,
         # y_n = 1/x_0
-        mat[k - 1][0] = -1
-        mat[0][1] = 1
-        mat[1][1] = 1
-        mat[k - 1][1] = 1
-        for u in range(2, k - 2):
-            mat[u][u] = 1
-        mat[0][k - 2] = 1
-        mat[k - 2][k - 2] = 1
-        mat[k - 1][k - 2] = 1
-        mat[0][k - 1] = -1
-        removed = [
-            (_unit_alpha(k, 0, 2), _BETA_HALF),
-            (_unit_alpha(k, k - 1, 2), _BETA_HALF),
-            (tuple(2 * int(t in (0, k - 1)) for t in range(k)), _BETA0),
-            (tuple(2 * int(t in (0, k - 1)) for t in range(k)), _BETA1),
-        ]
-    return _check_factor_permutation(n, mat, removed)
+        side = [(1, 1), (last - 1, 1)]
+        ends = alpha({0, last})
+        table["edge"] = (
+            matrix({0: side + [(last, -1)], last: side + [(0, -1)]}),
+            [(alpha({0}), _BETA_HALF), (alpha({last}), _BETA_HALF), (ends, _BETA0), (ends, _BETA1)],
+        )
+    return table
+
+
+def check_fe(n: int, key: int | str) -> dict:
+    """The scalar-cocycle functional equation of the generator ``key`` of
+    :func:`fe_generators`."""
+    table = fe_generators(n)
+    if key not in table:
+        raise ValueError(f"no residue functional equation {key!r} for n={n}")
+    if table[key] is None:
+        return {"status": "unverified special case"}
+    return _check_factor_permutation(n, *table[key])
 
 
 # -- flat-part reconstruction ----------------------------------------------

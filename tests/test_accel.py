@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from test_fqpoly import poly, poly_pow
 
 from mdslab import accel
 from mdslab.fqpoly import Fq, field
@@ -17,7 +18,7 @@ def test_sums_match_scalar_route():
     cases += [(13, [0, 1]), (13, [5, 1, 1]), (13, [1, 2, 0, 1])]
     for q, coeffs in cases:
         fq = field(q)
-        g = fq.poly(coeffs)
+        g = poly(fq, coeffs)
         sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3)
         for d in range(4):
             want = sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d))
@@ -27,7 +28,7 @@ def test_sums_match_scalar_route():
 def monic_by_index(fq, d, idx):
     # the batch order encodes the d low coefficients base q, constant fastest
     coeffs = [(idx // fq.q**k) % fq.q for k in range(d)] + [1]
-    return fq.poly(coeffs)
+    return poly(fq, coeffs)
 
 
 def index_of(fq, g):
@@ -85,7 +86,7 @@ def test_every_modulus_up_to_degree_3_matches_scalar_route():
 def test_sampled_moduli_match_scalar_route(q):
     fq = field(q)
     rng = random.Random(q)
-    moduli = [fq.poly([rng.randrange(q) for _ in range(dg)] + [1]) for dg in (1, 2, 3, 4)]
+    moduli = [poly(fq, [rng.randrange(q) for _ in range(dg)] + [1]) for dg in (1, 2, 3, 4)]
     moduli += [fq.mul(g, g) for g in moduli[:2]]  # even exponents
     moduli += [fq.mul(moduli[0], moduli[3])]
     for g in moduli:
@@ -96,7 +97,7 @@ def test_public_routes_agree():
     # the sweep and the Euclid-reciprocity symbol are two routes to the same
     # values; the per-degree sums must also equal the sums of the batch rows
     fq = field(13)
-    for g in [fq.poly([0, 1]), fq.poly([5, 1, 1]), fq.poly([1, 2, 0, 1])]:
+    for g in [poly(fq, [0, 1]), poly(fq, [5, 1, 1]), poly(fq, [1, 2, 0, 1])]:
         sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 2)
         row = accel.symbol_rows(fq, len(g) - 1, 2)[index_of(fq, g)]
         for d in range(3):
@@ -110,7 +111,7 @@ def test_public_routes_agree():
 def test_prime_degree_above_sweep_degree():
     # the prime's residues have more coefficients than the swept f
     fq = field(5)
-    g = fq.poly([2, 0, 0, 1])  # irreducible cubic times nothing else
+    g = poly(fq, [2, 0, 0, 1])  # irreducible cubic times nothing else
     vals = accel.symbol_rows(fq, 3, 1)[index_of(fq, g)][5:10]
     for idx, v in enumerate(vals):
         assert int(v) == fq.residue_symbol(monic_by_index(fq, 1, idx), g)
@@ -124,8 +125,8 @@ def test_trivial_modulus():
 
 def test_square_factor_kills_common_divisors():
     fq = field(5)
-    t = fq.poly([0, 1])
-    g = fq.mul(fq.mul(t, t), fq.poly([1, 1]))
+    t = poly(fq, [0, 1])
+    g = fq.mul(fq.mul(t, t), poly(fq, [1, 1]))
     vals = accel.symbol_rows(fq, 3, 1)[index_of(fq, g)][5:10]
     for idx, v in enumerate(vals):
         assert int(v) == fq.residue_symbol(monic_by_index(fq, 1, idx), g)
@@ -134,7 +135,7 @@ def test_square_factor_kills_common_divisors():
 def test_row_grows_to_a_larger_degree():
     # one cache entry per prime; asking for a larger degree rebuilds its row
     fq = Fq(13)  # a fresh context: no other test has grown this row
-    g = fq.poly([2, 0, 1])  # irreducible: -2 is not a square mod 13
+    g = poly(fq, [2, 0, 1])  # irreducible: -2 is not a square mod 13
     assert list(accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 1)) == [1, -1]
     assert len(cached_rows(fq)[g]) == 2 * 13
     assert_row_matches_oracle(fq, g, accel.symbol_rows(fq, 2, 3)[index_of(fq, g)], 3)
@@ -145,7 +146,7 @@ def test_oversized_sweep_is_refused_before_allocating():
     # 29^7 f's would need about 2e11 bytes; the estimate refuses it at once
     fq = field(29)
     with pytest.raises(ValueError, match="bytes"):
-        accel.symbol_sums_by_degree(fq, fq.factor(fq.poly([0, 1]))[0], 7)
+        accel.symbol_sums_by_degree(fq, fq.factor(poly(fq, [0, 1]))[0], 7)
 
 
 def test_cache_drops_oldest_entries_past_its_bound(monkeypatch):
@@ -194,7 +195,7 @@ def test_sums_memo_is_charged_and_drops_oldest_entries_first(monkeypatch):
 
 def test_sums_memo_answers_only_the_degrees_it_swept(monkeypatch):
     fq = Fq(13)
-    g = fq.poly([1, 2, 0, 1])
+    g = poly(fq, [1, 2, 0, 1])
     sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3).tolist()
     row = accel._row
 
@@ -217,8 +218,8 @@ def test_sums_memo_keys_exponents_by_parity(monkeypatch):
     # (f / t^3 u^4) = (f / t u^2): one entry, swept once, equal to the
     # oracle of either modulus, in whatever order the factors come
     fq = Fq(5)
-    t, u = fq.poly([0, 1]), fq.poly([1, 1])
-    g = fq.mul(fq.pow(t, 3), fq.pow(u, 4))
+    t, u = poly(fq, [0, 1]), poly(fq, [1, 1])
+    g = fq.mul(poly_pow(fq, t, 3), poly_pow(fq, u, 4))
     want = [sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d)) for d in range(4)]
     assert accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3).tolist() == want
 
@@ -290,7 +291,7 @@ def test_short_rows_of_a_small_degree_are_rebuilt_in_one_batch(monkeypatch):
 
     monkeypatch.setattr(accel, "_tables", counting)
     fq = Fq(5)
-    t = fq.poly([0, 1])
+    t = poly(fq, [0, 1])
     assert list(accel.symbol_sums_by_degree(fq, fq.factor(t)[0], 1)) == [1, 0]
     assert batches == [5] and all(len(r) == 2 * 5 for r in cached_rows(fq).values())
     assert_rows_match_oracle(fq, t, 3)

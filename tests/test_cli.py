@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_fqpoly import poly
 
 from mdslab.cli import main
 
@@ -308,7 +309,7 @@ def test_over_budget_verify_exits_2_before_the_pipeline(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
-def test_checks_return_status_and_witness_only():
+def test_checks_return_status_and_witness_only(monkeypatch):
     # every check returns exactly what the report reads; check_rh keeps its
     # numeric deviation, and check_moment_cost raises rather than reports
     from mdslab import globalweights, lfunctions, reducer, residue, series
@@ -318,8 +319,14 @@ def test_checks_return_status_and_witness_only():
     fq = field(5)
     pipe = residue.run_pipeline(2, 8)
     seed = pipe.seed
+
+    def check_fe_with_table(n, key, table):
+        # check_fe on a generator table with a wrong matrix: a failing FE
+        with monkeypatch.context() as patch:
+            patch.setattr(residue, "fe_generators", lambda n: table)
+            return residue.check_fe(n, key)
     flat = reducer.DiagonalSeed([QL_ONE] * 20, name="flat")
-    t = fq.poly([0, 1])
+    t = poly(fq, [0, 1])
     calls = {
         "check_dominance": [
             lambda: reducer.check_dominance((1, 1, 0), seed),
@@ -342,13 +349,11 @@ def test_checks_return_status_and_witness_only():
         ],
         "check_factor_pairing": [lambda: residue.check_factor_pairing(3)],
         "check_euler_substitution": [lambda: residue.check_euler_substitution(2, 1, 3, seed)],
-        "check_resfe": [lambda: residue.check_resfe(3, 0)],
-        "_check_factor_permutation": [
-            lambda: residue._check_factor_permutation(3, [[1, 0], [0, 1]], [((2, 0), 0)]),
-        ],
-        "check_neven_fe": [
-            lambda: residue.check_neven_fe(4, "edge"),
-            lambda: residue.check_neven_fe(6, "edge"),
+        "check_fe": [
+            lambda: residue.check_fe(3, 0),
+            lambda: check_fe_with_table(3, 0, {0: ([[1, 0], [0, 1]], [((2, 0), 0)])}),
+            lambda: residue.check_fe(4, "edge"),
+            lambda: residue.check_fe(6, "edge"),
         ],
         "reconstruct_R1": [
             lambda: residue.reconstruct_R1(2, 4, pipe),
@@ -357,7 +362,7 @@ def test_checks_return_status_and_witness_only():
         "l_series_H": [
             lambda: globalweights.l_series_H(fq, (t, ONE, t, ONE), 1, 3, seed),
         ],
-        "check_l_fe": [lambda: lfunctions.check_l_fe(fq, fq.poly([1, 0, 0, 1]))],
+        "check_l_fe": [lambda: lfunctions.check_l_fe(fq, poly(fq, [1, 0, 0, 1]))],
         "moment_identity_check": [lambda: lfunctions.moment_identity_check(fq, 1)],
     }
     public = {

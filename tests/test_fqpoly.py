@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,39 @@ from mdslab.fqpoly import ONE, ZERO, Fq, degree, field, is_monic
 @pytest.fixture(scope="module")
 def f5():
     return field(5)
+
+
+# -- ring operations only the tests use
+
+
+def poly(fq, coeffs):
+    """The polynomial with these coefficients reduced mod q, lowest first."""
+    out = [c % fq.q for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def poly_add(fq, f, g):
+    return poly(fq, [a + b for a, b in itertools.zip_longest(f, g, fillvalue=0)])
+
+
+def poly_sub(fq, f, g):
+    return poly(fq, [a - b for a, b in itertools.zip_longest(f, g, fillvalue=0)])
+
+
+def poly_gcd(fq, f, g):
+    """The monic gcd, or ZERO when f and g are both zero."""
+    while g:
+        f, g = g, fq.mod(f, g)
+    return fq.to_monic(f)[0] if f else f
+
+
+def poly_pow(fq, f, e):
+    out = ONE
+    for _ in range(e):
+        out = fq.mul(out, f)
+    return out
 
 
 # -- oracles: the trial-division routes the sieve replaced, and the
@@ -108,7 +142,7 @@ def residue_symbol_factored(fq, f, g):
 
 def poly_strategy(q, max_deg=4, nonzero=False):
     coeffs = st.lists(st.integers(0, q - 1), min_size=0, max_size=max_deg + 1)
-    s = coeffs.map(lambda cs: field(q).poly(cs))
+    s = coeffs.map(lambda cs: poly(field(q), cs))
     if nonzero:
         s = s.filter(lambda f: f != ())
     return s
@@ -124,12 +158,12 @@ def test_supported_moduli():
 
 
 def test_basic_arithmetic(f5):
-    t = f5.poly([0, 1])
-    assert f5.add(t, t) == (0, 2)
+    t = poly(f5, [0, 1])
+    assert poly_add(f5, t, t) == (0, 2)
     assert f5.mul(t, t) == (0, 0, 1)
-    assert f5.sub(t, t) == ZERO
+    assert poly_sub(f5, t, t) == ZERO
     q_, r = f5.divmod((1, 0, 1), (2, 1))
-    assert f5.add(f5.mul(q_, (2, 1)), r) == (1, 0, 1)
+    assert poly_add(f5, f5.mul(q_, (2, 1)), r) == (1, 0, 1)
     assert degree(r) < degree((2, 1))
 
 
@@ -140,7 +174,7 @@ def test_divmod_identity(f):
     a = f.draw(poly_strategy(5))
     b = f.draw(poly_strategy(5, nonzero=True))
     q_, r = fq.divmod(a, b)
-    assert fq.add(fq.mul(q_, b), r) == a
+    assert poly_add(fq, fq.mul(q_, b), r) == a
     assert r == () or degree(r) < degree(b)
 
 
@@ -231,7 +265,7 @@ def test_factor_trial_divides_above_an_unaffordable_sieve(monkeypatch):
     fq = Fq(29)
     # (t^2 + 1)^6 = (t - 12)^6 (t + 12)^6: a sieve to degree 12, or to 6,
     # is above the limit, and the linear primes alone finish the job
-    f = fq.pow((1, 0, 1), 6)
+    f = poly_pow(fq, (1, 0, 1), 6)
     assert fq.factor(f) == ((((12, 1), 6), ((17, 1), 6)), 1) == trial_factor(fq, f)
     assert fq._sieve_degree == 1
     # with the limit at a sieve to degree 2: quadratic x cubic factors, two
@@ -262,7 +296,7 @@ def test_factor_matches_sympy(q, data):
 
 
 def test_squarefree(f5):
-    t = f5.poly([0, 1])
+    t = poly(f5, [0, 1])
     t2 = f5.mul(t, t)
     assert f5.is_squarefree(t)
     assert not f5.is_squarefree(t2)
@@ -282,7 +316,7 @@ def test_symbol_routes_agree_exhaustively(f5):
 def test_symbol_reciprocity(f5):
     for f in f5.monic_enum(2):
         for g in f5.monic_enum(3):
-            if f5.gcd(f, g) == ONE:
+            if poly_gcd(f5, f, g) == ONE:
                 assert f5.residue_symbol(f, g) == f5.residue_symbol(g, f)
 
 
@@ -293,7 +327,7 @@ def test_symbol_multiplicative(data):
     g = data.draw(poly_strategy(13, max_deg=2, nonzero=True))
     g = fq.to_monic(g)[0]
     if degree(g) == 0:
-        g = fq.poly([1, 1])
+        g = poly(fq, [1, 1])
     a = data.draw(poly_strategy(13, max_deg=2))
     b = data.draw(poly_strategy(13, max_deg=2))
     lhs = fq.residue_symbol(fq.mul(a, b), g)
@@ -310,5 +344,5 @@ def test_constant_symbol_rule(f5):
 
 
 def test_symbol_vanishes_on_common_factor(f5):
-    t = f5.poly([0, 1])
+    t = poly(f5, [0, 1])
     assert f5.residue_symbol(t, f5.mul(t, (1, 1))) == 0

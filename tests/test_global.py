@@ -5,6 +5,7 @@ import random
 import pytest
 
 import numpy as np
+from test_fqpoly import poly, poly_pow
 
 from mdslab import accel, globalweights
 from mdslab.cli import main
@@ -36,9 +37,9 @@ def H_global_pairwise(fq, polys, seed, order=None):
     if not primes:
         return 1
     p = primes[0]
-    block = tuple(fq.pow(p, support[p][i]) for i in range(n1))
+    block = tuple(poly_pow(fq, p, support[p][i]) for i in range(n1))
     rest = tuple(
-        fq.divmod(f, fq.pow(p, support[p][i]))[0] for i, f in enumerate(polys)
+        fq.divmod(f, poly_pow(fq, p, support[p][i]))[0] for i, f in enumerate(polys)
     )
     twist = 1
     for i in range(n1):
@@ -157,8 +158,8 @@ def test_pairwise_route_and_order_independence(f5, seed3):
 
 def test_multiplicativity_on_coprime_squares(f5, seed2):
     # squares twist trivially, so coprime square blocks multiply cleanly
-    t = f5.poly([0, 1])
-    u = f5.poly([1, 1])
+    t = poly(f5, [0, 1])
+    u = poly(f5, [1, 1])
     t2, u2 = f5.mul(t, t), f5.mul(u, u)
     a = H_global(f5, (t2, ONE, ONE), seed2)
     b = H_global(f5, (u2, ONE, ONE), seed2)
@@ -246,8 +247,8 @@ def test_global_coeff_sum_pinned_value(f5, seed2):
 
 
 def test_l_series_H_fe(f5, seed3):
-    t = f5.poly([0, 1])
-    u = f5.poly([1, 1])
+    t = poly(f5, [0, 1])
+    u = poly(f5, [1, 1])
     cases = [
         ((ONE, ONE, ONE, ONE), 1),  # s = 0, even
         ((t, ONE, u, ONE), 1),  # s = 2, even
@@ -265,7 +266,7 @@ def fq_sq(fq, f):
 
 
 def test_l_series_H_xbound_guard(f5, seed3):
-    t = f5.poly([0, 1])
+    t = poly(f5, [0, 1])
     with pytest.raises(ValueError, match="xbound"):
         l_series_H(f5, (t, ONE, t, ONE), 1, 1, seed3)
 
@@ -276,7 +277,7 @@ def test_l_series_H_xbound_guard_before_work(f5, seed3, monkeypatch):
 
     monkeypatch.setattr(globalweights, "H_global", boom)
     monkeypatch.setattr(accel, "symbol_sums_by_degree", boom)
-    t = f5.poly([0, 1])
+    t = poly(f5, [0, 1])
     with pytest.raises(ValueError, match="xbound"):
         l_series_H(f5, (t, ONE, t, ONE), 1, 1, seed3)  # s = 2 needs xbound 3
     with pytest.raises(ValueError, match="xbound"):
@@ -289,8 +290,8 @@ def test_l_series_H_fails_on_a_perturbed_sweep(f5, seed3, monkeypatch):
     # slices; the self-paired middle degree of an odd slice is left out.
     # Both moduli are squarefree, so the sweep stops at deg g - 1 = s - 1.
     sweep = accel.symbol_sums_by_degree
-    t, u = f5.poly([0, 1]), f5.poly([1, 1])
-    for fixed in ((t, ONE, u, ONE), (t, ONE, f5.mul(u, f5.poly([2, 1])), ONE)):
+    t, u = poly(f5, [0, 1]), poly(f5, [1, 1])
+    for fixed in ((t, ONE, u, ONE), (t, ONE, f5.mul(u, poly(f5, [2, 1])), ONE)):
         s = len(fixed[0]) + len(fixed[2]) - 2
         xbound = min_xbound(fixed, 1)
         asked = []
@@ -322,7 +323,7 @@ def test_l_series_H_fails_on_a_nonzero_tail(f5, seed3, monkeypatch, tmp_path):
     # sums; a nonzero value forced into any of them breaks the functional
     # equation, in l_series_H and in the verify check l_series_fe
     sweep = accel.symbol_sums_by_degree
-    t, u = f5.poly([0, 1]), f5.poly([1, 1])
+    t, u = poly(f5, [0, 1]), poly(f5, [1, 1])
     # g = t u, swept to 1 of 3; g = t^2 u, swept to 1 of 2
     for fixed in ((t, ONE, u, ONE), (t, ONE, f5.mul(t, u), ONE)):
         xbound = min_xbound(fixed, 1)
@@ -360,7 +361,7 @@ def test_sums_memo_never_serves_filled_zeros(seed3, monkeypatch):
     # with the zero of a complete sum; l_poly still sweeps degree 2 itself,
     # so a wrong degree-2 symbol still trips its check that the sum vanishes
     fq = Fq(5)  # a fresh context: no sums held for g
-    t, u = fq.poly([0, 1]), fq.poly([1, 1])
+    t, u = poly(fq, [0, 1]), poly(fq, [1, 1])
     g = fq.mul(t, u)
     _slice_coeffs(fq, (t, ONE, u, ONE), 1, 3, seed3)
     # degrees 0 and 1 only
@@ -536,7 +537,7 @@ def test_l_poly_and_a_slice_share_one_sums_entry(seed3, monkeypatch):
     # in slot 1: l_poly of that g and the slice read one cache entry,
     # whichever asks first
     fq = Fq(5)
-    t, u, v = fq.poly([0, 1]), fq.poly([1, 1]), fq.poly([2, 1])
+    t, u, v = poly(fq, [0, 1]), poly(fq, [1, 1]), poly(fq, [2, 1])
     g, fixed = fq.mul(t, fq.mul(u, v)), (t, ONE, fq.mul(u, v), ONE)
     want = brute_slice(fq, fixed, 1, 3, seed3)
     l_poly(fq, g)

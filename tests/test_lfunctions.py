@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from test_fqpoly import is_irreducible
+from test_fqpoly import is_irreducible, poly
 
 from mdslab import accel, lfunctions
 from mdslab.fqpoly import Fq, field
@@ -27,7 +27,7 @@ def test_l_fe_fails_on_a_perturbed_sweep(f5, monkeypatch):
     from mdslab import accel
 
     sweep = accel.symbol_sums_by_degree
-    for g in (f5.poly([1, 0, 0, 1]), f5.poly([1, 0, 0, 0, 1])):
+    for g in (poly(f5, [1, 0, 0, 1]), poly(f5, [1, 0, 0, 0, 1])):
         assert check_l_fe(f5, g)["status"] == "pass"
         for d in range(len(g) - 1):
             if len(g) % 2 == 0 and 2 * d == len(g) - 2:
@@ -45,13 +45,13 @@ def test_l_fe_fails_on_a_perturbed_sweep(f5, monkeypatch):
 
 def test_l_poly_linear(f5):
     # deg g = 1: the L-polynomial is the constant 1
-    t = f5.poly([0, 1])
+    t = poly(f5, [0, 1])
     assert l_poly(f5, t) == [1]
 
 
 def test_l_poly_brute_force(f5):
     # direct double-sum comparison for a degree-3 modulus
-    g = f5.poly([1, 0, 0, 1])
+    g = poly(f5, [1, 0, 0, 1])
     assert f5.is_squarefree(g)
     want = [
         sum(f5.residue_symbol(f, g) for f in f5.monic_enum(d)) for d in range(3)
@@ -61,8 +61,8 @@ def test_l_poly_brute_force(f5):
 
 def test_l_poly_rejects_bad_moduli(f5):
     with pytest.raises(ValueError):
-        l_poly(f5, f5.poly([1]))
-    t = f5.poly([0, 1])
+        l_poly(f5, poly(f5, [1]))
+    t = poly(f5, [0, 1])
     with pytest.raises(ValueError):
         l_poly(f5, f5.mul(t, t))
 
@@ -93,7 +93,7 @@ def test_rh_small_moduli(f5):
 
 
 def test_divisor_count(f5):
-    t = f5.poly([0, 1])
+    t = poly(f5, [0, 1])
     assert divisor_count(f5, t) == 2
     assert divisor_count(f5, f5.mul(t, t)) == 3
     assert divisor_count(f5, f5.mul(t, (1, 1))) == 4
@@ -173,7 +173,7 @@ def test_moment_identity_fails_on_a_flipped_symbol(f5, monkeypatch):
 
 def test_moment_identity_fails_on_a_wrong_divisor_count(f5, monkeypatch):
     count = lfunctions.divisor_count
-    bumped = f5.poly([1, 0, 1])
+    bumped = poly(f5, [1, 0, 1])
 
     def off_by_one(fq, f):
         return count(fq, f) + (tuple(f) == bumped)

@@ -1,10 +1,16 @@
-"""Every module-level function and class in ``src/mdslab`` is named by other
-code in ``src/``: no helper is reached only by its own tests.
+"""Every module-level function and class in ``src/mdslab``, and every method
+of its classes, is named by other code in ``src/``: no helper is reached
+only by its own tests.
 
 The scan reads the syntax trees, not the text. A definition in module M
 counts as named when M names it outside its own body, when another module
 imports it from M, or when another module reads an attribute of that name
-(as in ``res.check_resfe`` after ``from . import residue as res``).
+(as in ``res.check_fe`` after ``from . import residue as res``). A method
+counts as named when any ``src/`` code outside its own body uses its name,
+as an attribute or as a plain name. The method scan goes by name only, so
+it cannot see a dead method whose name something else uses: ``Fq.add``
+would pass because ``FactorList.add`` is called, ``Fq.pow`` because the
+builtin ``pow`` is.
 """
 
 import ast
@@ -72,6 +78,49 @@ def test_scan_flags_a_helper_only_its_test_reaches(tmp_path):
     )
     # a recursive call inside its own body does not count
     assert unnamed_definitions(tmp_path) == {("a", "lonely"), ("b", "top")}
+
+
+def unnamed_methods(src: Path) -> set[tuple[str, str]]:
+    """(module, "Class.method") for each non-dunder method whose name no
+    ``src/`` code uses outside the method's own body."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    uses = [
+        (id(node), node.attr if isinstance(node, ast.Attribute) else node.id)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    ]
+    unnamed = set()
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                own = {id(sub) for sub in ast.walk(node)}
+                if not any(name == node.name and at not in own for at, name in uses):
+                    unnamed.add((mod, f"{cls.name}.{node.name}"))
+    return unnamed
+
+
+def test_every_method_is_named_by_other_src_code():
+    assert unnamed_methods(SRC) == set()
+
+
+def test_method_scan_flags_a_method_only_its_test_reaches(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class K:\n"
+        "    def __init__(self):\n        self.used()\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def lonely(self):\n        return self.lonely()\n\n"
+        "    @staticmethod\n    def made():\n        return K()\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import K\n\ndef top():\n    return K.made()\n")
+    # a recursive call inside its own body does not count, a dunder is skipped
+    assert unnamed_methods(tmp_path) == {("a", "K.lonely")}
 
 
 def relative_imports(src: Path) -> dict[str, set[str]]:

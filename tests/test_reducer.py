@@ -234,6 +234,20 @@ def test_integrality_with_pipeline_seed():
         assert all(e % 2 == 0 and e >= 0 for e in c.terms), t
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_coefficients_have_the_diagram_symmetry(n):
+    # c_t is unchanged by the rotations and the reversal of t, the
+    # symmetries of the cyclic diagram, although the reduction always picks
+    # the first violating position; one rotation and the reversal generate
+    # them. The index sum falls along every reduction, so diagonals a with
+    # (n + 1) a <= 8 suffice.
+    seed = pipeline_seed(n, 2)
+    for t in tuples_with_sum_at_most(n + 1, 8):
+        c = reduce_coeff(t, seed)
+        assert reduce_coeff(t[1:] + t[:1], seed) == c, t
+        assert reduce_coeff(t[::-1], seed) == c, t
+
+
 def test_lambda_fe(unit):
     seed = pipeline_seed(2)
     for fixed in tuples_with_sum_at_most(3, 5):

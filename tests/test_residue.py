@@ -17,9 +17,9 @@ from mdslab.residue import (
     build_R,
     check_euler_substitution,
     check_factor_pairing,
-    check_neven_fe,
+    check_fe,
     check_pipeline_consistency,
-    check_resfe,
+    fe_generators,
     h_route_exponent,
     n_even_vars,
     reconstruct_R1,
@@ -278,59 +278,55 @@ def test_h_route_budget_guard():
         residue_coeff_H_route(field(29), 3, (8, 8), seed)
 
 
-def admissible_positions(n):
-    return range(0, n + 1, 2) if n % 2 else range(2, n, 2)
+def generator_pairs(n):
+    """The (matrix, removed) of every residue FE of n that the table spells out."""
+    return [pair for pair in fe_generators(n).values() if pair is not None]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_resfe(n):
-    for i in admissible_positions(n):
-        report = check_resfe(n, i)
-        assert report["status"] == "pass", report
+    for i in fe_generators(n):
+        if isinstance(i, int):
+            report = check_fe(n, i)
+            assert report["status"] == "pass", report
+
+
+def test_fe_generators_keys():
+    # the swap positions in report order, then the n-even transforms
+    assert list(fe_generators(3)) == [0, 2]
+    assert list(fe_generators(5)) == [0, 2, 4]
+    assert list(fe_generators(2)) == ["cycle-squared", "edge"]
+    assert list(fe_generators(8)) == [2, 4, 6, "cycle-squared", "edge"]
 
 
 def test_resfe_rejects_bad_positions():
     with pytest.raises(ValueError):
-        check_resfe(3, 1)
+        check_fe(3, 1)
     with pytest.raises(ValueError):
-        check_resfe(4, 0)
+        check_fe(4, 0)
     # i = -2 would read row -1, i = 6 would run past the k = 2 rows
     for i in (-2, 6):
         with pytest.raises(ValueError):
-            check_resfe(3, i)
+            check_fe(3, i)
 
 
 def test_neven_fe_n6():
     for which in ("cycle-squared", "edge"):
-        report = check_neven_fe(6, which)
+        report = check_fe(6, which)
         assert report["status"] == "pass", report
 
 
 def test_neven_fe_special_cases():
     for n in (2, 4):
         for which in ("cycle-squared", "edge"):
-            assert check_neven_fe(n, which)["status"] == "unverified special case"
+            assert fe_generators(n)[which] is None
+            assert check_fe(n, which)["status"] == "unverified special case"
     with pytest.raises(ValueError):
-        check_neven_fe(3, "edge")
+        check_fe(3, "edge")
     with pytest.raises(ValueError):
-        check_neven_fe(6, "nope")
+        check_fe(6, "nope")
     with pytest.raises(ValueError):
-        check_neven_fe(4, "nope")
-
-
-def captured_permutations(monkeypatch, n):
-    """The (n, matrix, removed) that each residue FE of n checks."""
-    calls = []
-    monkeypatch.setattr(
-        residue, "_check_factor_permutation", lambda *args: calls.append(args) or {}
-    )
-    for i in admissible_positions(n):
-        check_resfe(n, i)
-    if n % 2 == 0:
-        for which in residue.NEVEN_TRANSFORMS:
-            check_neven_fe(n, which)
-    monkeypatch.undo()
-    return calls
+        check_fe(4, "nope")
 
 
 def bounded_permutation_check(n, matrix, removed, bound):
@@ -366,12 +362,12 @@ def bounded_permutation_check(n, matrix, removed, bound):
 
 
 @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
-def test_certificate_matches_bounded_oracle(monkeypatch, n):
+def test_certificate_matches_bounded_oracle(n):
     check = residue._check_factor_permutation
-    calls = captured_permutations(monkeypatch, n)
-    assert calls
+    pairs = generator_pairs(n)
+    assert pairs
     for bound in (6, 10, 14):
-        for _, mat, removed in calls:
+        for mat, removed in pairs:
             assert check(n, mat, removed)["status"] == "pass"
             assert bounded_permutation_check(n, mat, removed, bound) == "pass"
             for j, (alpha, _) in enumerate(removed):
@@ -382,11 +378,11 @@ def test_certificate_matches_bounded_oracle(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_factor_permutation_fails_when_perturbed(monkeypatch, n):
+def test_factor_permutation_fails_when_perturbed(n):
     check = residue._check_factor_permutation
-    calls = captured_permutations(monkeypatch, n)
-    assert calls
-    for _, mat, removed in calls:
+    pairs = generator_pairs(n)
+    assert pairs
+    for mat, removed in pairs:
         assert check(n, mat, removed)["status"] == "pass"
         # every removed factor is needed, whatever its degree
         for j in range(len(removed)):
@@ -397,11 +393,12 @@ def test_factor_permutation_fails_when_perturbed(monkeypatch, n):
         assert check(n, mat, removed + removed[:1])["status"] == "fail"
 
 
-def test_certificate_sees_a_removed_factor_above_the_bound(monkeypatch):
+def test_certificate_sees_a_removed_factor_above_the_bound():
     # n=6 cycle-squared trades ((4,2,2,2), beta=1/2), of degree 10: the
     # oracle at D=6 never reads it, the certificate fails without it
     dropped = ((4, 2, 2, 2), 2)
-    _, mat, removed = next(c for c in captured_permutations(monkeypatch, 6) if dropped in c[2])
+    mat, removed = fe_generators(6)["cycle-squared"]
+    assert dropped in removed
     fewer = [f for f in removed if f != dropped]
     assert len(fewer) == len(removed) - 1
     assert bounded_permutation_check(6, mat, fewer, 6) == "pass"
