@@ -11,19 +11,25 @@ sieve uses it too), so the degree-d block of a row is the slice
 [q^d, 2q^d), constant coefficient fastest, and f = c + t*h has index
 q * index(h) + c.
 
-Prime rows. The residues mod a monic prime p of degree dp are indexed base
-q by their dp coefficients. One table T, with T[r] the index of t*r mod p,
-is the only reduction modulo p. The residue of f = c + t*h is T[ridx(h)]
-with c added to its constant digit mod q, so each degree block of residue
-indices is a gather from the block before it, and p's row is chi_p of
-those indices, one int8 per f. The character table chi_p comes from the
-same recurrence: with r = c + t*h, r^2 = c^2 + 2c*(t*h) + t^2*h^2, so the
-squares of the residues with k + 1 coefficients follow digit by digit from
-those with k. The primes missing from the cache are built together, in
-batches of one degree: the tables of a batch sit side by side, one per
-row of a matrix, and each gather reads the flat matrix at the prime's
-offset, so a batch costs about as many numpy calls as one prime. A single
-prime, as a sweep of one g may ask for, is a batch of one.
+Prime rows. Every supported q is 1 mod 4, so (f/p) = (p/f) for monic f
+and p: below the degree e of a monic prime p, p's row (one int8 per f) is
+the completely multiplicative function of f whose value at a prime r is
+(p/r). Each degree block takes (p/r) at its primes r by Euclid and
+reciprocity, vectorised over the pairs (p, r), and fills every other f
+from the prime sieve of ``fqpoly``: row[f] = row[cof f] * row[spf f].
+From e on, f is reduced mod p. The residues mod p are indexed base q by
+their e coefficients, and a residue s = u*m, u its lead and m monic, has
+chi_p(s) = legendre(u)^e row[m], so p's residue characters are read off
+its row below e. A monic f of degree e has f mod p = f - p, so that block
+is a gather from them. Only the blocks above e reduce through a table T,
+with T[r] the index of t*r mod p: the residue of f = c + t*h is T[ridx(h)]
+with c added to its constant digit mod q, so each block of residue indices
+is a gather from the block before it. The primes missing from the cache
+are built together, in batches of one degree: the rows and tables of a
+batch sit side by side, one per row of a matrix, and each gather reads the
+flat matrix at the prime's offset, so a batch costs about as many numpy
+calls as one prime. A single prime, as a sweep of one g may ask for, is a
+batch of one.
 
 Composite g. The symbol is multiplicative in the modulus, so g's row is
 the product of the rows of its primes, an even exponent contributing only
@@ -36,10 +42,12 @@ the missing primes of each degree up to it first.
 Cache. Each Fq context holds one byte-bounded ``_Cache``: the row of each
 prime, and the sums of each g as far as they were swept, keyed by g's
 primes and the parity of each exponent (which is all (f/g) depends on), so
-one modulus has one entry whichever route asks for it. T and chi are
-dropped once a batch's rows are built, since a row read to degree d costs
-2q^d bytes where p's tables cost about 3q^(deg p); a row asked to a larger
-degree is rebuilt, tables and all, like a missing one. Past
+one modulus has one entry whichever route asks for it. The residue
+characters and T are dropped once a batch's rows are built, since a row
+read to degree d costs 2q^d bytes where they cost about 5q^(deg p); a row
+asked to a larger degree is rebuilt like a missing one, and a row read
+below deg p needs neither. No row is built from another prime's cached
+row, so an entry may go whenever the bound needs room. Past
 MAX_CACHE_BYTES the oldest entries of either kind go.
 """
 
@@ -49,20 +57,21 @@ import itertools
 
 import numpy as np
 
-from .fqpoly import Fq, Poly, _digits, _index, degree
+from . import fqpoly
+from .fqpoly import Fq, Poly, _digits, _index, _sieve, _sieve_bytes, degree
 
 # Largest estimated allocation of one sweep, in bytes: the tables and rows
-# of the primes involved, the rows asked for and the temporaries of the
-# last degree block.
+# of the primes involved, the rows asked for, the temporaries of the last
+# degree block, and a prime sieve of its own when fqpoly's may not grow.
 MAX_SWEEP_BYTES = 2**30
 # Most bytes of rows and swept sums one Fq context keeps; the oldest
 # entries are dropped first (they are rebuilt if asked for again).
 MAX_CACHE_BYTES = 2**28
-# Most digit vectors one pass of _tables holds (about 12 bytes of
-# temporaries a digit), and most row entries one batch of _grow builds
-# (about 16 bytes each), unless one prime alone needs more: a batch of
-# primes costs a few numpy calls a pass, and its temporaries stay near a
-# megabyte.
+# Most digit vectors one pass holds, pairs (p, r) of _jacobi or residues
+# of _shifts (about 12 bytes of temporaries a digit), and most row entries
+# one batch builds (about 16 bytes each), unless one prime alone needs
+# more: a batch of primes costs a few numpy calls a pass, and its
+# temporaries stay near a megabyte.
 TABLE_PASS = 2**14
 ROW_BATCH = 2**16
 
@@ -77,14 +86,13 @@ def _passes(q: int, count: int, n: int) -> list:
     return [(slice(k, min(count, k + kstep)), values) for k in range(0, count, kstep)]
 
 
-def _tables(q: int, primes: list[Poly]) -> tuple[np.ndarray, np.ndarray]:
-    """(T, chi) of primes of one degree dp, one row of q^dp residues each:
-    T[k, r] = index of t*r mod primes[k], and chi[k] = chi_{primes[k]}."""
+def _shifts(q: int, primes: list[Poly]) -> np.ndarray:
+    """T of primes of one degree dp, one row of q^dp residues each:
+    T[k, r] = index of t*r mod primes[k]."""
     dp, count = degree(primes[0]), len(primes)
-    size = q**dp
     # residue indices, and the digit sum c + (constant digit) of _grow,
     # stay below q^dp + q
-    dt = np.min_scalar_type(size + q)
+    dt = np.min_scalar_type(q**dp + q)
     # int32 digit arithmetic: every index and digit sum stays below
     # q^dp + 3q^2, far below 2^31 for any sweep _check_cost admits.
     # A residue r = low + top*t^(dp-1) has t*r = t*low - top*(p - t^dp);
@@ -96,50 +104,104 @@ def _tables(q: int, primes: list[Poly]) -> tuple[np.ndarray, np.ndarray]:
     for ks, value_ranges in _passes(q, count, n):
         for tops in value_ranges:
             T[ks, tops] = _index(q, t_low - tops[:, None] * p_low[:, ks])
-    T = T.reshape(count, size)
-    # the tables side by side: prime k's entry r is flat[offset[k] + r]
-    flat = T.ravel()
-    offset = np.arange(count, dtype=np.intp)[:, None] * size
-    # sq[k, h, c] = index of r^2 mod p_k for r = c + t*h, over the h with j
-    # coefficients: r^2 = c^2 + 2c*(t*h) + t*(t*h^2), and r has index
-    # c + q*h. The last level only marks the squares in chi.
-    chi = np.full((count, size), -1, dtype=np.int8)
-    unit = np.zeros((dp, 1, 1, 1), dtype=np.int32)
-    unit[0] = 1
-    sq = np.zeros((count, 1), dtype=dt)
-    for j in range(dp):
-        m = q**j
-        t_h = _digits(q, dp, np.arange(m, dtype=np.int32) * q)[:, None, :, None]
-        last = j == dp - 1
-        nxt = None if last else np.empty((count, m, q), dtype=dt)
-        for ks, value_ranges in _passes(q, count, m):
-            tt = flat[offset[ks] + flat[offset[ks] + sq[ks]]]
-            tt_sq = _digits(q, dp, tt.astype(np.int32))[..., None]
-            for cs in value_ranges:
-                r_sq = _index(q, tt_sq + 2 * cs * t_h + cs * cs * unit)
-                if last:
-                    chi.ravel()[offset[ks, :, None] + r_sq] = 1
-                else:
-                    nxt[ks, :, cs] = r_sq
-        if not last:
-            sq = nxt.reshape(count, m * q)
-    chi[:, 0] = 0
-    return T, chi
+    return T.reshape(count, q**dp)
 
 
-def _grow(q: int, T: np.ndarray, chi: np.ndarray, dmax: int) -> np.ndarray:
-    """Rows to degree dmax of the primes whose (T, chi) are the rows of the
-    given matrices: chi_p of every monic f of degree <= dmax."""
-    count, size = T.shape
-    T, chi = T.ravel(), chi.ravel()
+def _mod(q: int, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # digits of num mod den, den monic of degree k >= 1, over lanes: the
+    # digit arrays have shape (digits, lanes), lowest first; num has more
+    # than k digits. int32: a partial remainder stays below (deg num) q^2.
+    k = len(den) - 1
+    rem = num.astype(np.int32)
+    for i in range(len(rem) - 1, k - 1, -1):
+        rem[i - k : i] -= rem[i] % q * den[:k]
+    return rem[:k] % q
+
+
+def _jacobi(q: int, twist: np.ndarray, inverse: np.ndarray, num, den) -> np.ndarray:
+    """(num/den) over lanes, den monic of one degree k >= 1 (digit arrays
+    as in _mod), by Euclid and reciprocity: with num mod den = u*m, u its
+    lead and m monic, (num/den) = legendre(u)^k (den mod m / m), which is
+    twist[k % 2, u] (den mod m / m)."""
+    out = np.zeros(num.shape[1], dtype=np.int8)
+    todo: dict[int, list] = {}  # {degree of den: [(num mod den, den, sign, lanes)]}
+
+    def push(num, den, sign, lanes):
+        todo.setdefault(len(den) - 1, []).append((_mod(q, num, den), den, sign, lanes))
+
+    push(num, den, np.ones(len(out), dtype=np.int8), np.arange(len(out)))
+    for k in range(len(den) - 1, 0, -1):
+        if k not in todo:
+            continue
+        rem, den, sign, lanes = (np.concatenate(a, axis=-1) for a in zip(*todo.pop(k)))
+        # the degree j of each remainder and its lead u (both 0 when it is 0)
+        j = ((rem != 0) * np.arange(k)[:, None]).max(axis=0)
+        u = rem[j, np.arange(len(j))]
+        sign *= twist[k % 2, u]
+        done = j == 0
+        out[lanes[done]] = sign[done]
+        monic = rem * inverse[u] % q
+        for jj in range(1, k):
+            on = j == jj
+            if on.any():
+                push(den[:, on], monic[: jj + 1, on], sign[on], lanes[on])
+    return out
+
+
+def _sieve_to(fq: Fq, d: int) -> tuple[np.ndarray, np.ndarray]:
+    # (spf, cof) to degree d at least: fq's sieve, grown to d when its bound
+    # allows, else one of this sweep's own (_check_cost prices it)
+    if d > fq._sieve_degree and _sieve_bytes(fq.q, d) <= fqpoly.MAX_SIEVE_BYTES:
+        fq._grow_sieve(d)
+    return (fq._spf, fq._cof) if fq._sieve_degree >= d else _sieve(fq.q, d)
+
+
+def _residue_chars(q: int, twist: np.ndarray, rows: np.ndarray, e: int) -> np.ndarray:
+    """chi[k, s] = chi_p(s) for the residues s mod the primes p of degree e
+    whose rows to degree e - 1 (at least) are rows[k], s indexed base q by
+    its e coefficients: s = u*m, u its lead and m monic, has chi_p(s) =
+    legendre(u)^e row_p[m] = twist[e % 2, u] row_p[m]."""
+    count = len(rows)
+    chi = np.zeros((count, q**e), dtype=np.int8)
+    step = max(1, ROW_BATCH // (count * q ** (e - 1)))
+    for u0 in range(1, q, step):
+        us = np.arange(u0, min(q, u0 + step))
+        lead = twist[e % 2, us, None]
+        digit = us[:, None] * np.arange(q) % q  # u*c mod q
+        # mul[u, x] = index of u*x, coefficient by coefficient, for x < q^k
+        mul = np.zeros((len(us), 1), dtype=np.int64)
+        for k in range(e):
+            if k:
+                mul = (digit[:, :, None] * q ** (k - 1) + mul[:, None, :]).reshape(len(us), -1)
+            # the residues of degree k and lead u are u*(t^k + x)
+            chi[:, us[:, None] * q**k + mul] = lead * rows[:, None, q**k : 2 * q**k]
+    return chi
+
+
+def _grow(q: int, rows: np.ndarray, chi: np.ndarray, primes, dmax: int) -> None:
+    """Fill the blocks e..dmax of rows, e the degree of the primes whose
+    residue characters are the rows of chi: the f of degree e have
+    f mod p = f - p, and the blocks above reduce through T."""
+    count, size = chi.shape
+    e = degree(primes[0])
     # ridx holds flat indices, prime k's residues at k*size + r; the offset
     # is a multiple of q, so the low digit of an index is that of r
-    offset = np.arange(0, count * size, size, dtype=np.min_scalar_type(count * size + q))
-    rows = np.zeros((count, 2 * q**dmax), dtype=np.int8)
-    rows[:, 1] = 1
-    ridx = offset[:, None] + 1  # f = 1 is the residue 1, index 1
-    cs = np.arange(q, dtype=ridx.dtype)
-    for d in range(1, dmax + 1):
+    dt = np.min_scalar_type(count * size + q)
+    offset = np.arange(0, count * size, size, dtype=dt)
+    ridx = offset[:, None]
+    cs = np.arange(q)
+    for j, p_j in enumerate(np.array([p[:e] for p in primes]).T):
+        # the index of f - p, coefficient j of f running fastest so far
+        digit = ((cs - p_j[:, None]) % q * q**j).astype(dt)
+        ridx = (digit[:, :, None] + ridx[:, None, :]).reshape(count, -1)
+    chi = chi.ravel()
+    rows[:, q**e : 2 * q**e] = chi[ridx]
+    if dmax == e:
+        return
+    T = _shifts(q, primes).ravel()
+    cs = cs.astype(ridx.dtype)
+    for d in range(e + 1, dmax + 1):
+        # f = c + t*h is reduced as T[h mod p] with c added to its constant digit
         u = T[ridx]
         low = u % q
         u -= low
@@ -148,6 +210,41 @@ def _grow(q: int, T: np.ndarray, chi: np.ndarray, dmax: int) -> np.ndarray:
         nxt += (u + offset[:, None])[:, :, None]
         ridx = nxt.reshape(count, q**d)
         rows[:, q**d : 2 * q**d] = chi[ridx]
+
+
+def _batch_rows(fq: Fq, primes: list[Poly], dmax: int) -> np.ndarray:
+    """Rows to degree dmax of primes of one degree e: chi_p of every monic
+    f of degree <= dmax, one row of the matrix per prime.
+
+    Below e, (f/p) = (p/f) is completely multiplicative in f: each degree
+    block takes (p/r) at its primes r by ``_jacobi`` and fills the other f
+    from the sieve, row[f] = row[cof f] * row[spf f]. From e on the rows
+    read p's residue characters (``_residue_chars``), through ``_grow``.
+    """
+    q, e, count = fq.q, degree(primes[0]), len(primes)
+    legendre = np.array(fq.legendre, dtype=np.int8)
+    twist = np.stack([legendre * legendre, legendre])  # legendre(u)^k by k % 2
+    rows = np.zeros((count, 2 * q**dmax), dtype=np.int8)
+    rows[:, 1] = 1
+    low = min(dmax, e - 1)
+    if low:
+        spf, cof = _sieve_to(fq, low)
+        inverse = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)], dtype=np.int32)
+        num = np.array(primes, dtype=np.int32).T
+        # passes of at most TABLE_PASS lanes (pairs of a p and an r)
+        step = max(1, TABLE_PASS // count)
+        for d in range(1, low + 1):
+            block = spf[q**d : 2 * q**d]
+            rs = np.flatnonzero(block == 0) + q**d
+            for start in range(0, len(rs), step):
+                r = rs[start : start + step]
+                den = np.tile(_digits(q, d + 1, r.astype(np.int32)), count)
+                sym = _jacobi(q, twist, inverse, np.repeat(num, len(r), axis=1), den)
+                rows[:, r] = sym.reshape(count, len(r))
+            f = np.flatnonzero(block) + q**d
+            rows[:, f] = rows[:, cof[f]] * rows[:, spf[f]]
+    if dmax >= e:
+        _grow(q, rows, _residue_chars(q, twist, rows, e), primes, dmax)
     return rows
 
 
@@ -185,11 +282,13 @@ def _prime_rows(fq: Fq, primes, dmax: int) -> dict:
     """{p: chi_p of every monic f of degree <= dmax (at least), row layout}.
 
     The primes without a cached row that long, missing or shorter, are
-    built in batches of one degree, topped up with the other such primes of
-    that degree when they are few and small enough to cost about one prime.
-    A row is always built from degree 0 by ``_tables`` and ``_grow``: the
-    blocks below dmax are at most 1/(q-1) of its work, and no tables or
-    residue indices are kept.
+    built in batches of one degree by ``_batch_rows``, topped up with the
+    other such primes of that degree when they are few and small enough to
+    cost about one prime. A row is always built from degree 0: the blocks
+    below dmax are at most 1/(q-1) of its work, and no residue characters,
+    tables or residue indices are kept. A prime of degree e read below e
+    needs only its pairs (p, r) with the primes r of degree <= dmax and the
+    sieve to dmax; from e on, also its q^e residues.
     """
     q, n = fq.q, 2 * fq.q**dmax
     cache = _cache(fq)
@@ -202,21 +301,23 @@ def _prime_rows(fq: Fq, primes, dmax: int) -> dict:
         else:
             rows[p] = row
     for e, group in todo.items():
-        # when all primes of degree e (at most q^e / e) fit one pass of
-        # _tables and one batch of _grow, they cost about as many numpy calls
-        # as one: the others without a row that long are built too, if the
-        # cache has room for their rows
-        if q**e * q**e > e * TABLE_PASS or q**e * n > e * ROW_BATCH:
+        # a prime's pass holds its pairs (p, r) with the primes r of degree
+        # <= min(dmax, e - 1), at most q^dmax, or from e on its q^e residues.
+        # When all primes of degree e (at most q^e / e) fit one such pass and
+        # one batch of rows, they cost about as many numpy calls as one: the
+        # others without a row that long are built too, if the cache has
+        # room for their rows
+        if q**e * q ** min(e, dmax) > e * TABLE_PASS or q**e * n > e * ROW_BATCH:
             continue
         short = [p for p in fq._primes_of_degree(e) if len(cache.entries.get(("row", p), ())) < n]
         if cache.nbytes + (len(short) - len(group)) * n <= MAX_CACHE_BYTES:
             todo[e] = short
-    # batches of at most ROW_BATCH row entries bound the temporaries of _grow
+    # batches of at most ROW_BATCH row entries bound their temporaries
     step = max(1, ROW_BATCH // n)
     for group in todo.values():
         for start in range(0, len(group), step):
             batch = group[start : start + step]
-            for p, row in zip(batch, _grow(q, *_tables(q, batch), dmax)):
+            for p, row in zip(batch, _batch_rows(fq, batch, dmax)):
                 # each entry owns its array, so dropping one frees its memory;
                 # a batch of one is its own row
                 rows[p] = row if len(batch) == 1 else row.copy()
@@ -230,8 +331,13 @@ def _check_cost(q: int, prime_degrees, dmax: int, rows: int, what) -> None:
     # the rows asked for, a mask and the last block's residue indices
     estimate = 2 * n * rows + 6 * n
     for dp, count in prime_degrees:
-        # T and the squares (at most 4 bytes an index) and chi; p's row
-        estimate += count * (9 * q**dp + 2 * n)
+        # p's row, and read to dp or beyond, its residue characters, T and
+        # the residue indices of block dp (at most 4 bytes an index)
+        estimate += count * (2 * n + (9 * q**dp if dp <= dmax else 0))
+    # the rows below the largest dp are filled from a sieve to this degree
+    low = min(dmax, max((dp for dp, _ in prime_degrees), default=1) - 1)
+    if low > 0 and _sieve_bytes(q, low) > fqpoly.MAX_SIEVE_BYTES:
+        estimate += _sieve_bytes(q, low)
     if estimate > MAX_SWEEP_BYTES:
         raise ValueError(
             f"{what()} to degree {dmax} needs about {estimate:.1e} bytes, "

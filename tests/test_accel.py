@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from test_fqpoly import poly, poly_pow
 
-from mdslab import accel
-from mdslab.fqpoly import Fq, field
+from mdslab import accel, fqpoly
+from mdslab.fqpoly import Fq, _digits, _index, degree, field
 
 
 def test_backend_name():
@@ -54,6 +54,108 @@ def cached_rows(fq):
 def assert_rows_match_oracle(fq, g, dmax):
     # g's single-modulus row, the one symbol_sums_by_degree sums
     assert_row_matches_oracle(fq, g, accel._row(fq, fq.factor(g)[0], dmax), dmax)
+
+
+def table_rows(q, primes, dmax):
+    """Rows to degree dmax of primes of one degree dp by the table route:
+    T reduces every f mod p, and chi_p marks the squares of all q^dp
+    residues, found digit by digit: r = c + t*h has r^2 = c^2 + 2c*(t*h) +
+    t*(t*h^2). The oracle of the reciprocity rows."""
+    dp, count = degree(primes[0]), len(primes)
+    size = q**dp
+    flat = accel._shifts(q, primes).astype(np.int64).ravel()
+    offset = np.arange(count)[:, None] * size  # prime k's residue r at k*size + r
+    cs = np.arange(q)
+    unit = np.zeros((dp, 1, 1, 1), dtype=np.int64)
+    unit[0] = 1
+    sq = np.zeros((count, 1), dtype=np.int64)  # h^2 mod p over the h with j coefficients
+    for j in range(dp):
+        t_h = _digits(q, dp, np.arange(q**j) * q)[:, None, :, None]
+        tt = flat[offset + flat[offset + sq]]
+        r_sq = _index(q, _digits(q, dp, tt)[..., None] + 2 * cs * t_h + cs * cs * unit)
+        sq = r_sq.reshape(count, -1)  # r = c + t*h has index q*h + c
+    chi = np.full(count * size, -1, dtype=np.int8)
+    chi[(offset + sq).ravel()] = 1
+    chi[offset.ravel()] = 0
+    rows = np.zeros((count, 2 * q**dmax), dtype=np.int8)
+    rows[:, 1] = 1
+    ridx = offset + 1  # f = 1 is the residue 1
+    for d in range(1, dmax + 1):
+        # f = c + t*h is T[h mod p] with c added to its constant digit
+        u = flat[ridx]
+        low = u % q
+        ridx = ((low[:, :, None] + cs) % q + (u - low + offset)[:, :, None]).reshape(count, -1)
+        rows[:, q**d : 2 * q**d] = chi[ridx]
+    return rows
+
+
+def assert_rows_equal_table_route(q, primes, dmaxes):
+    # each dmax in a fresh context, so every row is built to exactly dmax
+    want = {}
+    for e in sorted({degree(p) for p in primes}):
+        group = [p for p in primes if degree(p) == e]
+        for start in range(0, len(group), 64):
+            chunk = group[start : start + 64]
+            want.update(zip(chunk, table_rows(q, chunk, max(dmaxes))))
+    for dmax in dmaxes:
+        rows = accel._prime_rows(Fq(q), primes, dmax)
+        for p in primes:
+            assert np.array_equal(rows[p], want[p][: 2 * q**dmax]), (p, dmax)
+
+
+@pytest.mark.parametrize("q, top", [(5, 5), (13, 3)])
+def test_rows_equal_the_table_route_on_every_small_prime(q, top):
+    fq = Fq(q)
+    primes = [p for e in range(1, top + 1) for p in fq._primes_of_degree(e)]
+    assert_rows_equal_table_route(q, primes, range(top + 1))
+
+
+def test_rows_equal_the_table_route_on_sampled_primes_at_q29():
+    fq = field(29)
+    rng = random.Random(29)
+    primes = rng.sample(fq._primes_of_degree(3), 4) + rng.sample(fq._primes_of_degree(4), 2)
+    assert_rows_equal_table_route(29, primes, range(4))
+
+
+def test_rows_below_the_prime_degree_need_no_table(monkeypatch):
+    # a cubic prime at q=29 read to degree 2: every (p/r) comes by
+    # reciprocity and the sieve, and T is never built
+    def no_table(*args):
+        raise RuntimeError("table built")
+
+    monkeypatch.setattr(accel, "_shifts", no_table)
+    fq = Fq(29)
+    p = fq._primes_of_degree(3)[17]
+    assert_row_matches_oracle(fq, p, accel._prime_rows(fq, [p], 2)[p], 2)
+    sums = accel.symbol_sums_by_degree(Fq(29), ((p, 1),), 2).tolist()
+    assert sums == [sum(fq.residue_symbol(f, p) for f in fq.monic_enum(d)) for d in range(3)]
+    with pytest.raises(RuntimeError, match="table built"):
+        accel._prime_rows(fq, [p], 4)
+
+
+def test_large_prime_read_below_its_degree_is_admitted():
+    # an irreducible octic at q=13 read to degree 2 costs its 2 * 13^2 row
+    # bytes, not tables over 13^8 residues
+    fq = Fq(13)
+    g = (2, 10, 11, 4, 1, 11, 5, 11, 1)
+    assert fq.factor(g)[0] == ((g, 1),)
+    sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 2).tolist()
+    assert sums == [sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d)) for d in range(3)]
+    assert sums == [1, -3, 27]
+
+
+def test_rows_past_the_sieve_bound_use_a_sieve_of_their_own(monkeypatch):
+    # when fqpoly may not grow its sieve to the degrees below the prime,
+    # the sweep sieves for itself, and prices it
+    p = Fq(5)._primes_of_degree(4)[7]
+    fq = Fq(5)
+    fq._grow_sieve(1)
+    monkeypatch.setattr(fqpoly, "MAX_SIEVE_BYTES", fqpoly._sieve_bytes(5, 1))
+    assert_row_matches_oracle(fq, p, accel._prime_rows(fq, [p], 4)[p], 4)
+    assert fq._sieve_degree == 1
+    monkeypatch.setattr(accel, "MAX_SWEEP_BYTES", 20 * 5**4)
+    with pytest.raises(ValueError, match="bytes"):
+        accel.symbol_sums_by_degree(fq, ((p, 1),), 4)
 
 
 def test_symbol_rows_match_scalar_route():
@@ -233,15 +335,31 @@ def test_sums_memo_keys_exponents_by_parity(monkeypatch):
     ]
 
 
+def counting_batches(monkeypatch):
+    # the primes of each _batch_rows call, in order
+    batches = []
+    build = accel._batch_rows
+
+    def counting(fq, primes, dmax):
+        batches.append(len(primes))
+        return build(fq, primes, dmax)
+
+    monkeypatch.setattr(accel, "_batch_rows", counting)
+    return batches
+
+
 @pytest.mark.parametrize("q, top", [(5, 3), (13, 2)])
-def test_batched_prime_rows_match_scalar_route(q, top):
+def test_batched_prime_rows_match_scalar_route(q, top, monkeypatch):
     # several primes of each degree built in one batch, in a fresh context
+    batches = counting_batches(monkeypatch)
     fq = Fq(q)
     for e in range(1, top + 1):
         primes = fq._primes_of_degree(e)[:12]
-        T, chi = accel._tables(q, primes)
+        T = accel._shifts(q, primes)
         assert T.dtype == np.min_scalar_type(q**e + q) and T.shape == (len(primes), q**e)
         rows = accel._prime_rows(fq, primes, 2)
+        # the 12 asked for, topped up with the rest of their degree
+        assert batches[e - 1 :] == [len(fq._primes_of_degree(e))]
         for p in primes:
             row = cached_rows(fq)[p]
             assert row is rows[p] and len(row) == 2 * q**2
@@ -249,18 +367,12 @@ def test_batched_prime_rows_match_scalar_route(q, top):
 
 
 def test_one_prime_brings_the_other_primes_of_a_small_degree(monkeypatch):
-    # the 10 quadratic primes at q=5 fit one pass of _tables and one batch
-    # of _grow, so a sweep asking for one builds them all in one batch; the
-    # 406 at q=29 do not, and neither do the others under a cache bound
-    # without room for their rows
-    batches = []
-    tables = accel._tables
-
-    def counting(q, primes):
-        batches.append(len(primes))
-        return tables(q, primes)
-
-    monkeypatch.setattr(accel, "_tables", counting)
+    # the 10 quadratic primes at q=5 fit one pass and one batch of rows, so
+    # a sweep asking for one builds them all in one batch; so do the 406 at
+    # q=29 read to degree 1 (their pairs with the 29 linear primes), but not
+    # the 8,120 cubic primes at q=29 read to degree 2, nor the others under
+    # a cache bound without room for their rows
+    batches = counting_batches(monkeypatch)
     fq = Fq(5)
     primes = fq._primes_of_degree(2)
     assert_rows_match_oracle(fq, primes[3], 2)
@@ -272,24 +384,21 @@ def test_one_prime_brings_the_other_primes_of_a_small_degree(monkeypatch):
     fq = Fq(29)
     p = fq._primes_of_degree(2)[0]
     assert_rows_match_oracle(fq, p, 1)
-    assert batches[1:] == [1] and list(cached_rows(fq)) == [p]
+    assert batches[1:] == [406] and set(cached_rows(fq)) == set(fq._primes_of_degree(2))
+    p = fq._primes_of_degree(3)[0]
+    assert_rows_match_oracle(fq, p, 2)
+    assert batches[2:] == [1] and list(cached_rows(fq))[-1] == p
+    assert len(cached_rows(fq)) == 406 + 1
     monkeypatch.setattr(accel, "MAX_CACHE_BYTES", 250)  # room for 5 rows
     fq = Fq(5)
     assert_rows_match_oracle(fq, primes[3], 2)
-    assert batches[2:] == [1] and list(cached_rows(fq)) == [primes[3]]
+    assert batches[3:] == [1] and list(cached_rows(fq)) == [primes[3]]
 
 
 def test_short_rows_of_a_small_degree_are_rebuilt_in_one_batch(monkeypatch):
     # one linear prime asked to a larger degree brings every other linear
-    # prime whose row is shorter: one _tables batch rebuilds all five
-    batches = []
-    tables = accel._tables
-
-    def counting(q, primes):
-        batches.append(len(primes))
-        return tables(q, primes)
-
-    monkeypatch.setattr(accel, "_tables", counting)
+    # prime whose row is shorter: one batch rebuilds all five
+    batches = counting_batches(monkeypatch)
     fq = Fq(5)
     t = poly(fq, [0, 1])
     assert list(accel.symbol_sums_by_degree(fq, fq.factor(t)[0], 1)) == [1, 0]
