@@ -118,19 +118,24 @@ def _mod(q: int, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return rem[:k] % q
 
 
-def _jacobi(q: int, twist: np.ndarray, inverse: np.ndarray, num, den) -> np.ndarray:
-    """(num/den) over lanes, den monic of one degree k >= 1 (digit arrays
-    as in _mod), by Euclid and reciprocity: with num mod den = u*m, u its
-    lead and m monic, (num/den) = legendre(u)^k (den mod m / m), which is
-    twist[k % 2, u] (den mod m / m)."""
-    out = np.zeros(num.shape[1], dtype=np.int8)
+def _jacobi(q: int, twist: np.ndarray, inverse: np.ndarray, pairs) -> np.ndarray:
+    """(num/den) over the lanes of each (num, den) of pairs, one after the
+    other, den monic of one degree k >= 1 in each (digit arrays as in
+    _mod), by Euclid and reciprocity: with num mod den = u*m, u its lead
+    and m monic, (num/den) = legendre(u)^k (den mod m / m), which is
+    twist[k % 2, u] (den mod m / m). The pairs share each step of the
+    descent in k."""
     todo: dict[int, list] = {}  # {degree of den: [(num mod den, den, sign, lanes)]}
 
     def push(num, den, sign, lanes):
         todo.setdefault(len(den) - 1, []).append((_mod(q, num, den), den, sign, lanes))
 
-    push(num, den, np.ones(len(out), dtype=np.int8), np.arange(len(out)))
-    for k in range(len(den) - 1, 0, -1):
+    n = 0
+    for num, den in pairs:
+        push(num, den, np.ones(num.shape[1], dtype=np.int8), np.arange(n, n + num.shape[1]))
+        n += num.shape[1]
+    out = np.zeros(n, dtype=np.int8)
+    for k in range(max(todo), 0, -1):
         if k not in todo:
             continue
         rem, den, sign, lanes = (np.concatenate(a, axis=-1) for a in zip(*todo.pop(k)))
@@ -231,17 +236,23 @@ def _batch_rows(fq: Fq, primes: list[Poly], dmax: int) -> np.ndarray:
         spf, cof = _sieve_to(fq, low)
         inverse = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)], dtype=np.int32)
         num = np.array(primes, dtype=np.int32).T
-        # passes of at most TABLE_PASS lanes (pairs of a p and an r)
+        # the primes r of degree 1..low, in passes of at most TABLE_PASS
+        # lanes, one lane per pair (r, p), p fastest
+        blocks = [spf[q**d : 2 * q**d] for d in range(1, low + 1)]
+        rs = np.concatenate([np.flatnonzero(b == 0) + q**d for d, b in enumerate(blocks, 1)])
         step = max(1, TABLE_PASS // count)
-        for d in range(1, low + 1):
-            block = spf[q**d : 2 * q**d]
-            rs = np.flatnonzero(block == 0) + q**d
-            for start in range(0, len(rs), step):
-                r = rs[start : start + step]
-                den = np.tile(_digits(q, d + 1, r.astype(np.int32)), count)
-                sym = _jacobi(q, twist, inverse, np.repeat(num, len(r), axis=1), den)
-                rows[:, r] = sym.reshape(count, len(r))
-            f = np.flatnonzero(block) + q**d
+        for start in range(0, len(rs), step):
+            r = rs[start : start + step]
+            # r of degree d lies in [q^d, 2q^d)
+            cuts = np.searchsorted(r, [q**d for d in range(2, low + 1)])
+            pairs = [
+                (np.tile(num, len(rd)), np.repeat(_digits(q, d + 1, rd), count, axis=1))
+                for d, rd in enumerate(np.split(r.astype(np.int32), cuts), 1)
+                if len(rd)
+            ]
+            rows[:, r] = _jacobi(q, twist, inverse, pairs).reshape(len(r), count).T
+        for d, b in enumerate(blocks, 1):
+            f = np.flatnonzero(b) + q**d
             rows[:, f] = rows[:, cof[f]] * rows[:, spf[f]]
     if dmax >= e:
         _grow(q, rows, _residue_chars(q, twist, rows, e), primes, dmax)
