@@ -153,6 +153,8 @@ def test_rows_past_the_sieve_bound_use_a_sieve_of_their_own(monkeypatch):
     monkeypatch.setattr(fqpoly, "MAX_SIEVE_BYTES", fqpoly._sieve_bytes(5, 1))
     assert_row_matches_oracle(fq, p, accel._prime_rows(fq, [p], 4)[p], 4)
     assert fq._sieve_degree == 1
+    # the row and its temporaries, 10 * 5^4 bytes, fit this bound; the
+    # sweep's own sieve to degree 3 does not
     monkeypatch.setattr(accel, "MAX_SWEEP_BYTES", 20 * 5**4)
     with pytest.raises(ValueError, match="bytes"):
         accel.symbol_sums_by_degree(fq, ((p, 1),), 4)
@@ -336,7 +338,7 @@ def test_sums_memo_keys_exponents_by_parity(monkeypatch):
 
 
 def counting_batches(monkeypatch):
-    # the primes of each _batch_rows call, in order
+    # the number of primes of each _batch_rows call, in order
     batches = []
     build = accel._batch_rows
 
