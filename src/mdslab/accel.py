@@ -32,23 +32,23 @@ calls as one prime. A single prime, as a sweep of one g may ask for, is a
 batch of one.
 
 Composite g. The symbol is multiplicative in the modulus, so g's row is
-the product of the rows of its primes, an even exponent contributing only
-the mask row != 0, and the sums by degree are slice sums, kept per g as
-far as they were swept. A sweep takes g as its factorisation, which every
-caller already holds, so g is neither multiplied out nor factored here.
-``symbol_rows`` returns the rows of every monic g of one degree, building
+the product of the rows of its primes. A sweep sums (f/g) by degree for a
+squarefree g, a primitive character, given by its primes, which every
+caller already holds, so g is neither multiplied out nor factored here;
+the principal character (no prime) has the sums q^d and needs no row.
+``symbol_rows`` returns the rows of every monic g of one degree, squares
+included, an even exponent contributing only the mask row != 0; it builds
 the missing primes of each degree up to it first.
 
 Cache. Each Fq context holds one byte-bounded ``_Cache``: the row of each
-prime, and the sums of each g as far as they were swept, keyed by g's
-primes and the parity of each exponent (which is all (f/g) depends on), so
-one modulus has one entry whichever route asks for it. The residue
-characters and T are dropped once a batch's rows are built, since a row
-read to degree d costs 2q^d bytes where they cost about 5q^(deg p); a row
-asked to a larger degree is rebuilt like a missing one, and a row read
-below deg p needs neither. No row is built from another prime's cached
-row, so an entry may go whenever the bound needs room. Past
-MAX_CACHE_BYTES the oldest entries of either kind go.
+prime, and the sums of each squarefree g as far as they were swept, keyed
+by g's sorted primes, so one modulus has one entry whichever route asks
+for it. The residue characters and T are dropped once a batch's rows are
+built, since a row read to degree d costs 2q^d bytes where they cost about
+5q^(deg p); a row asked to a larger degree is rebuilt like a missing one,
+and a row read below deg p needs neither. No row is built from another
+prime's cached row, so an entry may go whenever the bound needs room.
+Past MAX_CACHE_BYTES the oldest entries of either kind go.
 """
 
 from __future__ import annotations
@@ -156,9 +156,7 @@ def _jacobi(q: int, twist: np.ndarray, inverse: np.ndarray, pairs) -> np.ndarray
 def _sieve_to(fq: Fq, d: int) -> tuple[np.ndarray, np.ndarray]:
     # (spf, cof) to degree d at least: fq's sieve, grown to d when its bound
     # allows, else one of this sweep's own (_check_cost prices it)
-    if d > fq._sieve_degree and _sieve_bytes(fq.q, d) <= fqpoly.MAX_SIEVE_BYTES:
-        fq._grow_sieve(d)
-    return (fq._spf, fq._cof) if fq._sieve_degree >= d else _sieve(fq.q, d)
+    return (fq._spf, fq._cof) if fq._sieve_reaches(d) else _sieve(fq.q, d)
 
 
 def _residue_chars(q: int, twist: np.ndarray, rows: np.ndarray, e: int) -> np.ndarray:
@@ -261,10 +259,10 @@ def _batch_rows(fq: Fq, primes: list[Poly], dmax: int) -> np.ndarray:
 
 class _Cache:
     """accel's entries on one Fq context, one array each: ("row", p) the
-    row of a prime p, ("sums", factors) the swept sums of the modulus with
-    those ((prime, 1 or 2), ...), exponents reduced by parity. nbytes is
-    the bytes they hold; past MAX_CACHE_BYTES the entries stored longest
-    ago go first, whichever kind they are."""
+    row of a prime p, ("sums", primes) the swept sums of the product of
+    those sorted primes. nbytes is the bytes they hold; past
+    MAX_CACHE_BYTES the entries stored longest ago go first, whichever kind
+    they are."""
 
     def __init__(self):
         self.entries: dict[tuple[str, tuple], np.ndarray] = {}  # oldest first
@@ -356,23 +354,15 @@ def _check_cost(q: int, prime_degrees, dmax: int, rows: int, what) -> None:
         )
 
 
-def _multiply(out: np.ndarray, factors, prime_rows: dict) -> None:
-    # out *= the rows of g = prod p^e, which makes a row of ones g's row
-    for p, e in factors:
-        prow = prime_rows[p][: len(out)]
-        if e % 2:
-            out *= prow
-        else:
-            out *= prow != 0  # an even power only kills gcd > 1
-
-
-def _row(fq: Fq, factors, dmax: int) -> np.ndarray:
+def _row(fq: Fq, primes, dmax: int) -> np.ndarray:
     # (f/g) for every monic f of degree <= dmax, in row layout, with g the
-    # product of the p^e of factors
-    degrees = [(degree(p), 1) for p, _ in factors]
-    _check_cost(fq.q, degrees, dmax, 1, lambda: f"symbol sweep of g with factors {factors}")
+    # product of the distinct primes
+    degrees = [(degree(p), 1) for p in primes]
+    _check_cost(fq.q, degrees, dmax, 1, lambda: f"symbol sweep of the primes {primes}")
+    rows = _prime_rows(fq, primes, dmax)
     row = np.ones(2 * fq.q**dmax, dtype=np.int8)
-    _multiply(row, factors, _prime_rows(fq, [p for p, _ in factors], dmax))
+    for p in primes:
+        row *= rows[p][: len(row)]
     return row
 
 
@@ -396,32 +386,37 @@ def symbol_rows(fq: Fq, d: int, dmax: int, start: int = 0, stop: int | None = No
     prime_rows = _prime_rows(fq, primes, dmax)
     rows = np.ones((stop - start, 2 * q**dmax), dtype=np.int8)
     for row, g in zip(rows, itertools.islice(fq.monic_enum(d), start, stop)):
-        _multiply(row, fq.factor(g)[0], prime_rows)
+        for p, e in fq.factor(g)[0]:
+            prow = prime_rows[p][: len(row)]
+            # an even power only kills the f with gcd(f, p) > 1
+            row *= prow if e % 2 else prow != 0
     return rows
 
 
-def symbol_sums_by_degree(fq: Fq, factors, dmax: int) -> np.ndarray:
+def symbol_sums_by_degree(fq: Fq, primes, dmax: int) -> np.ndarray:
     """sums[d] = sum over monic f, deg f = d, of (f/g), for d = 0..dmax.
 
-    g is given by its factorisation ((p, e), ...) into monic primes, as
-    ``fq.factor(g)[0]`` lists it. The sums of each g are kept on fq, as far
-    as they were swept, so a g asked for again to no higher degree is
-    answered without a sweep. (f/g) depends on each e only through its
-    parity, so the entry's key holds e reduced to 1 (odd) or 2 (even).
+    g is the squarefree product of the distinct monic primes given, so
+    (. / g) is a primitive character; with no prime it is the principal
+    character, whose sums q^d need no row. The sums of each g are kept on
+    fq, keyed by its sorted primes, as far as they were swept, so a g
+    asked for again to no higher degree is answered without a sweep.
     """
-    factors = tuple(sorted((p, 2 - e % 2) for p, e in factors))
+    primes = tuple(sorted(primes))
+    if not primes:
+        return np.array([fq.q**d for d in range(dmax + 1)], dtype=np.int64)
     cache = _cache(fq)
-    held = cache.entries.get(("sums", factors))
+    held = cache.entries.get(("sums", primes))
     if held is None or len(held) <= dmax:
         # the private name: perfbench/spans.py times each public call, so
         # one sweep stays one span
-        row = _row(fq, factors, dmax)
+        row = _row(fq, primes, dmax)
         # one reduction over the edges q^0, 2q^0, q, 2q, ..., q^dmax: every
         # other segment is a degree block, the ones between hold no f.
         # int32 cannot overflow: _check_cost keeps the row below 2^30 entries.
         edges = [k * fq.q**d for d in range(dmax + 1) for k in (1, 2)]
         held = np.add.reduceat(row, edges[:-1], dtype=np.int32)[::2].astype(np.int64)
-        cache.put(("sums", factors), held)
+        cache.put(("sums", primes), held)
     return held[: dmax + 1].copy()
 
 

@@ -226,6 +226,13 @@ class Fq:
         self._spf, self._cof = _sieve(self.q, dmax)
         self._sieve_degree = dmax
 
+    def _sieve_reaches(self, dmax: int) -> bool:
+        """Grow the sieve to degree dmax when that sieve is within
+        MAX_SIEVE_BYTES; True when the sieve then reaches dmax."""
+        if dmax > self._sieve_degree and _sieve_bytes(self.q, dmax) <= MAX_SIEVE_BYTES:
+            self._grow_sieve(dmax)
+        return self._sieve_degree >= dmax
+
     def _prime_of_index(self, i: int) -> Poly:
         p = self._prime_at.get(i)
         if p is None:
@@ -278,9 +285,7 @@ class Fq:
         if cached is not None:
             return cached
         monic, unit = self.to_monic(f)
-        n = degree(monic)
-        if n > self._sieve_degree and _sieve_bytes(self.q, n) <= MAX_SIEVE_BYTES:
-            self._grow_sieve(n)
+        self._sieve_reaches(degree(monic))
         rem = monic
         fac: dict[Poly, int] = {}
         d = 0

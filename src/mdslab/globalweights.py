@@ -10,11 +10,15 @@ The one-variable slices of ``l_series_H`` do not sum H over every f
 entries enters H only through p's local weight and p's twists with the
 primes of slots i - 1 and i + 1, so the part of f smooth over those primes
 contributes an Euler product, one factor per prime, and the part coprime to
-them one residue character, summed by the ``accel`` sweep, which is handed
-the character's modulus as the factorisation it is built from. Unless the
-product of slots i - 1 and i + 1 is a square, that character is
-nontrivial, and its complete sums vanish from the degree of its conductor
-on, so the sweep stops there. ``l_series_H`` clears the pole of a slice
+them one quadratic character chi, that of the product of the primes of odd
+exponent in slots i - 1 and i + 1. That product is squarefree, so chi is
+primitive, and the ``accel`` sweep is handed just its primes: every other
+prime p of the fixed entries has chi(p) known, so "f prime to p" is one
+more Euler factor. A nontrivial chi has complete sums that vanish from the
+degree of its modulus on, so the sweep stops there; with no odd prime chi
+is principal, and its sums q^d need no sweep. The modulus divides the
+product of the other slots, so ``slice_batch``, which prices q to their
+degree, also bounds the sweep. ``l_series_H`` clears the pole of a slice
 and runs ``check_reversal`` on it, returning ``{"status", "witness"}``.
 The local-to-global sums of ``global_coeff_sums`` go through the same
 slices: the sum over the slot of largest degree is one slice coefficient,
@@ -186,18 +190,24 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
 
     where s0 is the twist sign at f = 1, w_p(e) the local weight at v_p
     with slot i set to e, a_p = v_p[i-1] + v_p[i+1] (p's exponent in g)
-    and eps_p = prod over the other r in S of (p/r)^{a_r}. With
-    G = prod_{p in S} p^{1 if a_p is odd, else 2}, (f / G) equals (f / g)
-    on the f prime to S and vanishes on the others, so the slice is
+    and eps_p = prod over the other r in S of (p/r)^{a_r}. Let odd be the
+    p in S with a_p odd and chi = (. / prod odd), which equals (. / g) on
+    the f prime to S. chi is primitive, and for p not in odd chi(p) =
+    eps_p, so the sum of chi over the f prime to S is that over the f
+    prime to odd times prod_{p not in odd} (1 - eps_p x^{deg p}). Folded
+    into p's factor, w_p(e) becomes w_p(e) - w_p(e - 1), and the slice is
 
-        s0 prod_{p in S} (sum_e w_p(e) eps_p^e x^{e deg p}) T(x),
+        s0 prod_{p in S} (sum_e w'_p(e) eps_p^e x^{e deg p}) T(x),
 
-    truncated at xbound, with T[m] the sum of (f / G) over the monic f of
-    degree m (the ``accel`` sweep, handed G as those (p, 1 or 2)). When
-    some a_p is odd, (. / G) is a nontrivial character modulo
-    rad G = prod_{p in S} p; the monic f of a degree m >= deg rad G run
-    over every residue class modulo rad G equally often, so T[m] = 0, and
-    T is swept only to deg rad G - 1.
+    truncated at xbound, with w'_p that difference for p not in odd and
+    w_p for p in odd, and T[m] the sum of chi over the monic f of degree m
+    (the ``accel`` sweep, handed the primes of odd). When odd is not
+    empty, chi is nontrivial; the monic f of a degree m >= deg prod odd
+    run over every residue class modulo prod odd equally often, so
+    T[m] = 0, and T is swept only to deg prod odd - 1. With odd empty, chi
+    is principal and T[m] = q^m. prod odd divides g, whose degree is at
+    most that of the other slots, so the sweep costs no more than the q to
+    that degree ``slice_batch`` has priced.
     The brute sum of H over every f, and the sum over every smooth part
     f_s, are the oracles in the tests.
     """
@@ -211,19 +221,20 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
             if r != p:
                 eps *= fq.residue_symbol(p, r)
         dp = degree(p)
-        weights = (
+        weights = [
             local_weight_value(dp, fq.q, vec[:i] + (e,) + vec[i + 1 :], seed)
             for e in range(xbound // dp + 1)
-        )
+        ]
+        if p not in odd:
+            # f_c is prime to p and chi(p) = eps_p: the factor gains (1 - eps_p x^dp)
+            weights = [w - v for w, v in zip(weights, [0] + weights)]
         terms = [(e * dp, w * eps**e) for e, w in enumerate(weights)]
         euler = _times(euler, terms)
     if not any(euler):
         return euler
-    # a nontrivial character's complete sums vanish from deg rad G on
-    swept = min(xbound, sum(map(degree, support)) - 1) if odd else xbound
-    G = [(p, 1 if p in odd else 2) for p in support]
-    sums = accel.symbol_sums_by_degree(fq, G, swept).tolist()
-    sums += [0] * (xbound - swept)
+    # a nontrivial primitive character's complete sums vanish from its degree on
+    swept = min(xbound, sum(map(degree, odd)) - 1) if odd else xbound
+    sums = accel.symbol_sums_by_degree(fq, odd, swept).tolist()
     return _times(euler, enumerate(sums))
 
 

@@ -2,8 +2,8 @@
 
 For squarefree monic g, L(x, chi_g) = sum over monic f of (f/g) x^{deg f}
 is a polynomial of degree deg g - 1. This module computes it by direct
-character summation (``accel.symbol_sums_by_degree`` on g's
-factorisation, so an H slice whose modulus is g reads the same sums),
+character summation (``accel.symbol_sums_by_degree`` on g's primes, so
+an H slice whose character is chi_g reads the same sums),
 checks its functional equation (``check_reversal`` at the integer q,
 after the trivial zero is divided out in integers) and the Riemann
 hypothesis (all inverse roots on |x| = q^{1/2}, up to RH_TOL), and
@@ -52,7 +52,7 @@ def l_poly(fq: Fq, g) -> list[int]:
         raise ValueError("g must have positive degree (use the zeta factor for g = 1)")
     if not fq.is_squarefree(g):
         raise ValueError("g must be squarefree")
-    sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], dg)
+    sums = accel.symbol_sums_by_degree(fq, [p for p, _ in fq.factor(g)[0]], dg)
     if sums[dg] != 0:
         raise AssertionError(f"character sum fails to vanish at degree {dg}")
     return [int(s) for s in sums[:dg]]

@@ -90,9 +90,6 @@ class QLaurent:
     def constant_coeff(self) -> int:
         return self.terms.get(0, 0)
 
-    def coeff(self, quarters: int) -> int:
-        return self.terms.get(quarters, 0)
-
     # -- substitutions -----------------------------------------------------
 
     def subst_q_power(self, num: int) -> "QLaurent":

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from test_fqpoly import poly, poly_pow
+from test_fqpoly import poly
 
 from mdslab import accel, fqpoly
 from mdslab.fqpoly import Fq, _digits, _index, degree, field
@@ -12,14 +12,40 @@ def test_backend_name():
     assert accel.backend_name() == "numpy"
 
 
+def squarefree_primes(fq, g):
+    # the primes of a squarefree g, as the sweep takes them
+    factors = fq.factor(g)[0]
+    assert all(e == 1 for _, e in factors), g
+    return [p for p, _ in factors]
+
+
+def general_row(fq, factors, dmax):
+    """(f/g) for every monic f of degree <= dmax, in row layout, for any
+    monic g given by its factorisation ((p, e), ...): the product of the
+    prime rows, an even power contributing only the mask row != 0. The
+    sweep of a modulus that is not squarefree, as an oracle."""
+    prime_rows = accel._prime_rows(fq, [p for p, _ in factors], dmax)
+    row = np.ones(2 * fq.q**dmax, dtype=np.int8)
+    for p, e in factors:
+        prow = prime_rows[p][: len(row)]
+        row *= prow if e % 2 else prow != 0
+    return row
+
+
+def general_sums(fq, factors, dmax):
+    # sums[d] = sum over monic f of degree d of (f/g), g as in general_row
+    row = general_row(fq, factors, dmax)
+    return [int(row[fq.q**d : 2 * fq.q**d].sum()) for d in range(dmax + 1)]
+
+
 def test_sums_match_scalar_route():
-    # the sweep factors g; the oracle is the Euclid-reciprocity symbol
+    # the sweep takes g's primes; the oracle is the Euclid-reciprocity symbol
     cases = [(5, [0, 1]), (5, [1, 0, 1]), (5, [2, 1, 0, 1])]
     cases += [(13, [0, 1]), (13, [5, 1, 1]), (13, [1, 2, 0, 1])]
     for q, coeffs in cases:
         fq = field(q)
         g = poly(fq, coeffs)
-        sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3)
+        sums = accel.symbol_sums_by_degree(fq, squarefree_primes(fq, g), 3)
         for d in range(4):
             want = sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d))
             assert int(sums[d]) == want, (g, d)
@@ -52,8 +78,14 @@ def cached_rows(fq):
 
 
 def assert_rows_match_oracle(fq, g, dmax):
-    # g's single-modulus row, the one symbol_sums_by_degree sums
-    assert_row_matches_oracle(fq, g, accel._row(fq, fq.factor(g)[0], dmax), dmax)
+    # g's single-modulus row: the one symbol_sums_by_degree sums when g is
+    # squarefree, else general_row's
+    factors = fq.factor(g)[0]
+    if all(e == 1 for _, e in factors):
+        row = accel._row(fq, [p for p, _ in factors], dmax)
+    else:
+        row = general_row(fq, factors, dmax)
+    assert_row_matches_oracle(fq, g, row, dmax)
 
 
 def table_rows(q, primes, dmax):
@@ -127,7 +159,7 @@ def test_rows_below_the_prime_degree_need_no_table(monkeypatch):
     fq = Fq(29)
     p = fq._primes_of_degree(3)[17]
     assert_row_matches_oracle(fq, p, accel._prime_rows(fq, [p], 2)[p], 2)
-    sums = accel.symbol_sums_by_degree(Fq(29), ((p, 1),), 2).tolist()
+    sums = accel.symbol_sums_by_degree(Fq(29), (p,), 2).tolist()
     assert sums == [sum(fq.residue_symbol(f, p) for f in fq.monic_enum(d)) for d in range(3)]
     with pytest.raises(RuntimeError, match="table built"):
         accel._prime_rows(fq, [p], 4)
@@ -139,7 +171,7 @@ def test_large_prime_read_below_its_degree_is_admitted():
     fq = Fq(13)
     g = (2, 10, 11, 4, 1, 11, 5, 11, 1)
     assert fq.factor(g)[0] == ((g, 1),)
-    sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 2).tolist()
+    sums = accel.symbol_sums_by_degree(fq, (g,), 2).tolist()
     assert sums == [sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d)) for d in range(3)]
     assert sums == [1, -3, 27]
 
@@ -157,7 +189,7 @@ def test_rows_past_the_sieve_bound_use_a_sieve_of_their_own(monkeypatch):
     # sweep's own sieve to degree 3 does not
     monkeypatch.setattr(accel, "MAX_SWEEP_BYTES", 20 * 5**4)
     with pytest.raises(ValueError, match="bytes"):
-        accel.symbol_sums_by_degree(fq, ((p, 1),), 4)
+        accel.symbol_sums_by_degree(fq, (p,), 4)
 
 
 def test_symbol_rows_match_scalar_route():
@@ -202,7 +234,7 @@ def test_public_routes_agree():
     # values; the per-degree sums must also equal the sums of the batch rows
     fq = field(13)
     for g in [poly(fq, [0, 1]), poly(fq, [5, 1, 1]), poly(fq, [1, 2, 0, 1])]:
-        sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 2)
+        sums = accel.symbol_sums_by_degree(fq, squarefree_primes(fq, g), 2)
         row = accel.symbol_rows(fq, len(g) - 1, 2)[index_of(fq, g)]
         for d in range(3):
             vals = row[13**d : 2 * 13**d]
@@ -221,10 +253,20 @@ def test_prime_degree_above_sweep_degree():
         assert int(v) == fq.residue_symbol(monic_by_index(fq, 1, idx), g)
 
 
-def test_trivial_modulus():
+def test_trivial_modulus(monkeypatch):
+    # the sums of the principal character are q^d, however far asked for:
+    # no row is built (at q=29 to degree 6 it would hold 2 * 29^6 entries),
+    # nor anything cached
+    def no_sweep(*args):
+        raise RuntimeError("swept")
+
+    monkeypatch.setattr(accel, "_row", no_sweep)
     fq = field(5)
     sums = accel.symbol_sums_by_degree(fq, fq.factor((1,))[0], 3)
     assert list(sums) == [1, 5, 25, 125]
+    fq = Fq(29)
+    assert accel.symbol_sums_by_degree(fq, (), 6).tolist() == [29**d for d in range(7)]
+    assert not accel._cache(fq).entries
 
 
 def test_square_factor_kills_common_divisors():
@@ -240,7 +282,7 @@ def test_row_grows_to_a_larger_degree():
     # one cache entry per prime; asking for a larger degree rebuilds its row
     fq = Fq(13)  # a fresh context: no other test has grown this row
     g = poly(fq, [2, 0, 1])  # irreducible: -2 is not a square mod 13
-    assert list(accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 1)) == [1, -1]
+    assert list(accel.symbol_sums_by_degree(fq, (g,), 1)) == [1, -1]
     assert len(cached_rows(fq)[g]) == 2 * 13
     assert_row_matches_oracle(fq, g, accel.symbol_rows(fq, 2, 3)[index_of(fq, g)], 3)
     assert len(cached_rows(fq)[g]) == 2 * 13**3
@@ -250,7 +292,7 @@ def test_oversized_sweep_is_refused_before_allocating():
     # 29^7 f's would need about 2e11 bytes; the estimate refuses it at once
     fq = field(29)
     with pytest.raises(ValueError, match="bytes"):
-        accel.symbol_sums_by_degree(fq, fq.factor(poly(fq, [0, 1]))[0], 7)
+        accel.symbol_sums_by_degree(fq, (poly(fq, [0, 1]),), 7)
 
 
 def test_cache_drops_oldest_entries_past_its_bound(monkeypatch):
@@ -281,10 +323,10 @@ def test_sums_memo_is_charged_and_drops_oldest_entries_first(monkeypatch):
     monkeypatch.setattr(accel._Cache, "put", recording)
     fq = Fq(5)
     cache = accel._cache(fq)
-    moduli = [g for d in (1, 2) for g in fq.monic_enum(d)]
+    moduli = [g for d in (1, 2) for g in fq.monic_enum(d) if fq.is_squarefree(g)]
     for g in moduli:
         want = [sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d)) for d in range(3)]
-        assert accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 2).tolist() == want, g
+        assert accel.symbol_sums_by_degree(fq, squarefree_primes(fq, g), 2).tolist() == want, g
         held = sum(a.nbytes for a in cache.entries.values())
         assert cache.nbytes == held <= 500
     last = {key: k for k, key in enumerate(stored)}
@@ -293,48 +335,47 @@ def test_sums_memo_is_charged_and_drops_oldest_entries_first(monkeypatch):
     assert 0 < len(kept) < len(by_age)
     assert kept == by_age[len(by_age) - len(kept) :]
     assert {kind for kind, _ in kept} == {"row", "sums"}
-    assert ("sums", fq.factor(moduli[0])[0]) not in kept
-    assert ("sums", fq.factor(moduli[-1])[0]) in kept
+    assert ("sums", tuple(squarefree_primes(fq, moduli[0]))) not in kept
+    assert ("sums", tuple(squarefree_primes(fq, moduli[-1]))) in kept
 
 
 def test_sums_memo_answers_only_the_degrees_it_swept(monkeypatch):
     fq = Fq(13)
     g = poly(fq, [1, 2, 0, 1])
-    sums = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3).tolist()
+    primes = squarefree_primes(fq, g)
+    sums = accel.symbol_sums_by_degree(fq, primes, 3).tolist()
     row = accel._row
 
     def no_sweep(*args):
         raise RuntimeError("swept again")
 
     monkeypatch.setattr(accel, "_row", no_sweep)
-    assert accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 2).tolist() == sums[:3]
+    assert accel.symbol_sums_by_degree(fq, primes, 2).tolist() == sums[:3]
     # a returned array is a copy: changing it leaves the memo alone
-    accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3)[0] += 5
-    assert accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3).tolist() == sums
+    accel.symbol_sums_by_degree(fq, primes, 3)[0] += 5
+    assert accel.symbol_sums_by_degree(fq, primes, 3).tolist() == sums
     with pytest.raises(RuntimeError, match="swept again"):
-        accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 4)
+        accel.symbol_sums_by_degree(fq, primes, 4)
     monkeypatch.setattr(accel, "_row", row)
-    longer = accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 4).tolist()
-    assert longer[:4] == sums and len(accel._cache(fq).entries["sums", fq.factor(g)[0]]) == 5
+    longer = accel.symbol_sums_by_degree(fq, primes, 4).tolist()
+    assert longer[:4] == sums and len(accel._cache(fq).entries["sums", tuple(primes)]) == 5
 
 
-def test_sums_memo_keys_exponents_by_parity(monkeypatch):
-    # (f / t^3 u^4) = (f / t u^2): one entry, swept once, equal to the
-    # oracle of either modulus, in whatever order the factors come
+def test_sums_memo_keys_entries_by_sorted_primes(monkeypatch):
+    # (f / t u) is one entry, keyed by (t, u), swept once and equal to the
+    # oracle, in whatever order the primes come
     fq = Fq(5)
     t, u = poly(fq, [0, 1]), poly(fq, [1, 1])
-    g = fq.mul(poly_pow(fq, t, 3), poly_pow(fq, u, 4))
+    g = fq.mul(t, u)
     want = [sum(fq.residue_symbol(f, g) for f in fq.monic_enum(d)) for d in range(4)]
-    assert accel.symbol_sums_by_degree(fq, fq.factor(g)[0], 3).tolist() == want
+    assert accel.symbol_sums_by_degree(fq, [u, t], 3).tolist() == want
 
     def no_sweep(*args):
         raise RuntimeError("swept again")
 
     monkeypatch.setattr(accel, "_row", no_sweep)
-    assert accel.symbol_sums_by_degree(fq, [(u, 2), (t, 1)], 3).tolist() == want
-    assert [key for key in accel._cache(fq).entries if key[0] == "sums"] == [
-        ("sums", ((t, 1), (u, 2)))
-    ]
+    assert accel.symbol_sums_by_degree(fq, (t, u), 3).tolist() == want
+    assert [key for key in accel._cache(fq).entries if key[0] == "sums"] == [("sums", (t, u))]
 
 
 def counting_batches(monkeypatch):
@@ -403,7 +444,7 @@ def test_short_rows_of_a_small_degree_are_rebuilt_in_one_batch(monkeypatch):
     batches = counting_batches(monkeypatch)
     fq = Fq(5)
     t = poly(fq, [0, 1])
-    assert list(accel.symbol_sums_by_degree(fq, fq.factor(t)[0], 1)) == [1, 0]
+    assert list(accel.symbol_sums_by_degree(fq, (t,), 1)) == [1, 0]
     assert batches == [5] and all(len(r) == 2 * 5 for r in cached_rows(fq).values())
     assert_rows_match_oracle(fq, t, 3)
     assert batches == [5, 5]

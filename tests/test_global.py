@@ -5,6 +5,7 @@ import random
 import pytest
 
 import numpy as np
+from test_accel import general_sums
 from test_fqpoly import poly, poly_pow
 
 from mdslab import accel, globalweights
@@ -18,6 +19,7 @@ from mdslab.globalweights import (
     global_coeff_sum,
     global_coeff_sums,
     l_series_H,
+    slice_batch,
 )
 from mdslab.lfunctions import l_poly
 from mdslab.reducer import local_weight_value, reduce_coeff, tuples_with_sum_at_most
@@ -324,7 +326,7 @@ def test_l_series_H_fails_on_a_nonzero_tail(f5, seed3, monkeypatch, tmp_path):
     # equation, in l_series_H and in the verify check l_series_fe
     sweep = accel.symbol_sums_by_degree
     t, u = poly(f5, [0, 1]), poly(f5, [1, 1])
-    # g = t u, swept to 1 of 3; g = t^2 u, swept to 1 of 2
+    # g = t u, swept to 1 of 3; g = t^2 u, its character that of u, to 0 of 2
     for fixed in ((t, ONE, u, ONE), (t, ONE, f5.mul(t, u), ONE)):
         xbound = min_xbound(fixed, 1)
         assert l_series_H(f5, fixed, 1, xbound, seed3)["status"] == "pass"
@@ -365,7 +367,7 @@ def test_sums_memo_never_serves_filled_zeros(seed3, monkeypatch):
     g = fq.mul(t, u)
     _slice_coeffs(fq, (t, ONE, u, ONE), 1, 3, seed3)
     # degrees 0 and 1 only
-    assert accel._cache(fq).entries["sums", fq.factor(g)[0]].tolist() == [1, -1]
+    assert accel._cache(fq).entries["sums", (t, u)].tolist() == [1, -1]
     row = accel._row
 
     def perturbed(fq, g, dmax):
@@ -452,7 +454,7 @@ def smooth_parts(support, bound):
 def smooth_part_slice(fq, fixed, i, xbound, seed):
     # the oracle for the Euler product: H glued at every S-smooth part f_s,
     # convolved with one full sweep of (f_c / g r^2), r the primes of S
-    # prime to g = f_{i-1} f_{i+1}
+    # prime to g = f_{i-1} f_{i+1}, by the general-modulus route
     n1 = len(fixed)
     support = _prime_support(fq, fixed[:i] + (ONE,) + fixed[i + 1 :])
     r = ONE
@@ -460,7 +462,7 @@ def smooth_part_slice(fq, fixed, i, xbound, seed):
         if not vec[(i - 1) % n1] and not vec[(i + 1) % n1]:
             r = fq.mul(r, p)
     g = fq.mul(fixed[(i - 1) % n1], fixed[(i + 1) % n1])
-    sums = accel.symbol_sums_by_degree(fq, fq.factor(fq.mul(g, fq.mul(r, r)))[0], xbound).tolist()
+    sums = general_sums(fq, fq.factor(fq.mul(g, fq.mul(r, r)))[0], xbound)
     coeffs = [0] * (xbound + 1)
     for e, exps in smooth_parts(support, xbound):
         glued = {
@@ -477,19 +479,33 @@ def smooth_part_slice(fq, fixed, i, xbound, seed):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_euler_product_matches_smooth_parts_on_every_verify_slice(n, monkeypatch, tmp_path):
     # every slice that verify --suite all reaches, from l_series_fe and
-    # local_to_global, against the sum over every smooth part
+    # local_to_global, against the sum over every smooth part; and every
+    # sweep of the run, all from slices, is of a squarefree modulus below
+    # its degree, or of the principal character
     slices = {}
     euler = globalweights._slice_coeffs
+    sweeps = []
+    sweep = accel.symbol_sums_by_degree
 
     def recording(fq, fixed, i, xbound, seed):
         got = euler(fq, fixed, i, xbound, seed)
         slices[fixed, i, xbound] = (fq, seed, got)
         return got
 
+    def recording_sweep(fq, primes, dmax):
+        sweeps.append((fq, tuple(primes), dmax))
+        return sweep(fq, primes, dmax)
+
     monkeypatch.setattr(globalweights, "_slice_coeffs", recording)
+    monkeypatch.setattr(accel, "symbol_sums_by_degree", recording_sweep)
     argv = ["verify", "--n", str(n), "--q", "5", "--suite", "all", "--bound", "4", "--trunc", "6"]
     assert main(argv + ["--out", str(tmp_path / "report")]) == 0
     assert len(slices) > 500
+    assert any(primes for _, primes, _ in sweeps) and any(not primes for _, primes, _ in sweeps)
+    for fq, primes, dmax in sweeps:
+        assert len(set(primes)) == len(primes), primes
+        assert all(fq.factor(p)[0] == ((p, 1),) for p in primes), primes
+        assert not primes or dmax < sum(map(degree, primes)), (primes, dmax)
     for (fixed, i, xbound), (fq, seed, got) in slices.items():
         assert got == smooth_part_slice(fq, fixed, i, xbound, seed), (fixed, i, xbound)
 
@@ -513,19 +529,82 @@ def test_euler_product_matches_smooth_parts_on_random_tuples(q, count, max_deg, 
     assert wide > count // 4 and zero > count // 10, (wide, zero)
 
 
-def test_slice_hands_the_sweep_G_as_factors(seed3, monkeypatch):
-    # _slice_coeffs never multiplies out G: it makes no Fq.mul call, also on
-    # a fresh context whose factorisations and sweeps are all cold
+def test_slice_hands_the_sweep_only_its_odd_primes(seed3, monkeypatch):
+    # _slice_coeffs hands the sweep the primes of odd exponent in
+    # g = f_{i-1} f_{i+1}, read off the neighbours' factorisations: it
+    # never multiplies out g, also on a fresh context whose factorisations
+    # and sweeps are all cold
     cases = random_cases(Fq(5), random.Random(3), 60, 2)
     wants = [smooth_part_slice(Fq(5), fixed, i, 4, seed3) for fixed, i in cases]
+    odds = []
+    for fixed, i in cases:
+        exps = {}
+        for f in (fixed[i - 1], fixed[(i + 1) % 4]):
+            for p, e in Fq(5).factor(f)[0]:
+                exps[p] = exps.get(p, 0) + e
+        odds.append(sorted(p for p, e in exps.items() if e % 2))
+    sweep = accel.symbol_sums_by_degree
+    asked = []
+
+    def recording(fq, primes, dmax):
+        asked.append(sorted(primes))
+        return sweep(fq, primes, dmax)
 
     def boom(*args):
         raise RuntimeError("multiplied out a polynomial")
 
+    monkeypatch.setattr(accel, "symbol_sums_by_degree", recording)
     monkeypatch.setattr(Fq, "mul", boom)
     fq = Fq(5)
-    for (fixed, i), want in zip(cases, wants):
+    for (fixed, i), want, odd in zip(cases, wants, odds):
+        asked.clear()
         assert _slice_coeffs(fq, fixed, i, 4, seed3) == want, (fixed, i)
+        # only a slice whose Euler product vanishes may sweep nothing
+        assert asked == [odd] or not any(want) and not asked, (fixed, i, asked)
+    assert any(odds) and not all(odds)
+
+
+def test_principal_slice_at_a_large_q_matches_the_engine():
+    # the slice of t = (6, 0, 0) at q=29 fixes two ones: its character is
+    # principal, so no row of 29^6 entries is swept
+    seed = run_pipeline(2, 6).seed
+    got = global_coeff_sums(field(29), [(6, 0, 0)], seed)
+    assert got == [reduce_coeff((6, 0, 0), seed).eval_int(29)]
+
+
+@pytest.mark.parametrize("q", [5, 13, 17, 29])
+def test_every_slice_sweep_slice_batch_admits_is_priced_below_the_bound(q):
+    # a slice's odd primes divide the neighbours of its slot, so their
+    # degrees sum to at most that of the other slots, rest; the largest
+    # rest slice_batch admits, at n = 2 (n1 = 3), sweeps distinct primes of
+    # degrees summing to rest to degree rest - 1 at worst: every such set
+    # of degrees is priced below MAX_SWEEP_BYTES
+    fq = Fq(q)
+    rest = max(r for r in range(1, 30) if 3 * q**r <= globalweights.BUDGET)
+    slice_batch(fq, [(rest, rest, 0)])
+    with pytest.raises(ValueError, match="budget"):
+        slice_batch(fq, [(rest + 1, rest + 1, 0)])
+
+    def prime_count(e):
+        # monic primes of degree e: (1/e) sum over d | e of mu(d) q^(e/d)
+        mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0, 10: 1}
+        return sum(mu[d] * q ** (e // d) for d in range(1, e + 1) if e % d == 0) // e
+
+    def degree_sets(total, smallest):
+        # the multisets of prime degrees >= smallest summing to total
+        if total == 0:
+            yield []
+        for e in range(smallest, total + 1):
+            for tail in degree_sets(total - e, e):
+                yield [e] + tail
+
+    checked = 0
+    for degrees in degree_sets(rest, 1):
+        counts = {e: degrees.count(e) for e in set(degrees)}
+        if all(c <= prime_count(e) for e, c in counts.items()):
+            accel._check_cost(q, sorted(counts.items()), rest - 1, 1, lambda: "the sweep")
+            checked += 1
+    assert checked > 1
 
 
 def sums_keys(fq):
@@ -548,12 +627,12 @@ def test_l_poly_and_a_slice_share_one_sums_entry(seed3, monkeypatch):
 
     monkeypatch.setattr(accel, "_row", no_sweep)
     assert _slice_coeffs(fq, fixed, 1, 3, seed3) == want
-    assert sums_keys(fq) == [("sums", fq.factor(g)[0])]
+    assert sums_keys(fq) == [("sums", (t, u, v))]
     monkeypatch.setattr(accel, "_row", row)
     other = Fq(5)
     assert _slice_coeffs(other, fixed, 1, 3, seed3) == want
     l_poly(other, g)  # sweeps one degree further, into the same entry
-    assert sums_keys(other) == [("sums", other.factor(g)[0])]
+    assert sums_keys(other) == [("sums", (t, u, v))]
 
 
 @pytest.mark.parametrize("q, max_deg", [(5, 4), (13, 3)])
@@ -561,7 +640,9 @@ def test_capped_sweep_of_a_non_square_is_the_full_sweep(q, max_deg):
     # for every monic G that is not a square, (. / G) is a nontrivial
     # character modulo rad G, so its sums vanish from deg rad G on: the
     # full sweep to deg G + 1 is the sweep to deg rad G - 1 plus zeros.
-    # Two contexts, so that neither sweep is read from the other's sums.
+    # Both by the general-modulus route, which the public sweep of a
+    # squarefree G matches. Two contexts, so that neither sweep reads rows
+    # the other built.
     full_fq, capped_fq = Fq(q), Fq(q)
     checked = 0
     for d in range(1, max_deg + 1):
@@ -570,9 +651,12 @@ def test_capped_sweep_of_a_non_square_is_the_full_sweep(q, max_deg):
             if all(e % 2 == 0 for _, e in factors):
                 continue
             rad = sum(degree(p) for p, _ in factors)
-            full = accel.symbol_sums_by_degree(full_fq, factors, d + 1).tolist()
-            capped = accel.symbol_sums_by_degree(capped_fq, factors, rad - 1).tolist()
+            full = general_sums(full_fq, factors, d + 1)
+            capped = general_sums(capped_fq, factors, rad - 1)
             assert full == capped + [0] * (d + 2 - rad), G
+            if rad == d:
+                primes = [p for p, _ in factors]
+                assert accel.symbol_sums_by_degree(capped_fq, primes, rad - 1).tolist() == capped
             checked += 1
     assert checked > q**max_deg
 

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from test_accel import general_sums
 from test_fqpoly import is_irreducible, poly
 
 from mdslab import accel, lfunctions
@@ -111,20 +112,20 @@ def test_moment_identity_other_field():
 
 
 def brute_moment_sides(fq, dmax):
-    # the oracle: one character sweep per modulus, f_1 f_3 multiplied out
-    # for each pair (route A) and each f on its own (route B)
+    # the oracle: one general-modulus sweep per modulus, f_1 f_3
+    # multiplied out for each pair (route A) and each f on its own (route B)
     shape = (dmax + 1,) * 3
     side_a = np.zeros(shape, dtype=np.int64)
     for d1 in range(dmax + 1):
         for f1 in fq.monic_enum(d1):
             for d3 in range(dmax + 1 - d1):
                 for f3 in fq.monic_enum(d3):
-                    sums = accel.symbol_sums_by_degree(fq, fq.factor(fq.mul(f1, f3))[0], dmax)
+                    sums = np.array(general_sums(fq, fq.factor(fq.mul(f1, f3))[0], dmax))
                     side_a[d1 + d3] += np.outer(sums, sums)
     side_b = np.zeros(shape, dtype=np.int64)
     for d in range(dmax + 1):
         for f in fq.monic_enum(d):
-            sums = accel.symbol_sums_by_degree(fq, fq.factor(f)[0], dmax)
+            sums = np.array(general_sums(fq, fq.factor(f)[0], dmax))
             side_b[d] += divisor_count(fq, f) * np.outer(sums, sums)
     return side_a, side_b
 
