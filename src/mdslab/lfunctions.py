@@ -58,14 +58,20 @@ def l_poly(fq: Fq, g) -> list[int]:
     return [int(s) for s in sums[:dg]]
 
 
-def _divide_trivial_zero(coeffs: list[int]) -> list[int] | None:
-    """Coefficients of L(x) / (1 - x), or None when x = 1 is not a root.
+def _check_reduced_l(fq: Fq, g, check) -> dict:
+    """``check`` on the coefficients of L(x, chi_g), the trivial zero
+    (1 - x) divided out first when deg g is even; a failure when x = 1 is
+    not a root.
 
     The quotient's coefficients are the prefix sums of L's integer
     coefficients, so they are integers; the remainder is their total, L(1).
     """
-    quo = list(accumulate(coeffs))
-    return None if quo.pop() != 0 else quo
+    coeffs = l_poly(fq, tuple(g))  # deg g coefficients
+    if len(coeffs) % 2 == 0:
+        coeffs = list(accumulate(coeffs))
+        if coeffs.pop() != 0:
+            return {"status": "fail", "witness": "missing trivial zero at x = 1"}
+    return check(coeffs)
 
 
 def check_l_fe(fq: Fq, g) -> dict:
@@ -75,12 +81,9 @@ def check_l_fe(fq: Fq, g) -> dict:
     ``check_reversal``. Even degree: after exact division by the trivial
     zero (1 - x), the quotient of degree dg - 2 has the same reversal.
     """
-    coeffs = l_poly(fq, tuple(g))  # deg g coefficients
-    if len(coeffs) % 2 == 0:
-        coeffs = _divide_trivial_zero(coeffs)
-        if coeffs is None:
-            return {"status": "fail", "witness": "missing trivial zero at x = 1"}
-    return check_reversal(coeffs, len(coeffs) - 1, lambda j: fq.q**j)
+    return _check_reduced_l(
+        fq, g, lambda coeffs: check_reversal(coeffs, len(coeffs) - 1, lambda j: fq.q**j)
+    )
 
 
 def check_rh(fq: Fq, g) -> dict:
@@ -90,11 +93,11 @@ def check_rh(fq: Fq, g) -> dict:
     For even-degree g the trivial zero at x = 1 is divided out exactly
     before the numeric root finding.
     """
-    coeffs = l_poly(fq, tuple(g))
-    if len(coeffs) % 2 == 0:
-        coeffs = _divide_trivial_zero(coeffs)
-        if coeffs is None:
-            return {"status": "fail", "witness": "no trivial zero at x = 1"}
+    return _check_reduced_l(fq, g, lambda coeffs: _check_root_moduli(fq, coeffs))
+
+
+def _check_root_moduli(fq: Fq, coeffs: list[int]) -> dict:
+    """The RH report of the polynomial with these coefficients."""
     report = {"status": "pass"}
     if len(coeffs) <= 1:
         return report

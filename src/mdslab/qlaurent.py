@@ -46,9 +46,6 @@ class QLaurent:
     def __eq__(self, other) -> bool:
         return isinstance(other, QLaurent) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
     def __add__(self, other: "QLaurent") -> "QLaurent":
         out = dict(self.terms)
         for e, c in other.terms.items():

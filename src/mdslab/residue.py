@@ -41,14 +41,12 @@ from .reducer import (
     tuples_with_sum_at_most,
 )
 from .series import (
-    FactorList,
+    Factors,
     MultiSeries,
     expand_diagonal,
     expand_factors,
     factorize_product_form,
-    pairing_completion,
     progressions,
-    split_flat_natural_sharp,
 )
 
 _BETA0 = 0  # q^0
@@ -61,7 +59,7 @@ def n_even_vars(n: int) -> int:
     return (n + 1) // 2 if n % 2 else n // 2 + 1
 
 
-def families(n: int) -> dict[tuple[tuple[int, ...], int], int]:
+def families(n: int) -> Factors:
     """The residue product over the even-indexed variables, as families.
 
     Variable slot j stands for x_{2j}. An entry (w, beta): gamma stands for
@@ -101,8 +99,8 @@ def families(n: int) -> dict[tuple[tuple[int, ...], int], int]:
     return dict(fams)
 
 
-def build_R(n: int, bound: int) -> FactorList:
-    """Factor list of the residue product up to total degree ``bound``:
+def build_R(n: int, bound: int) -> Factors:
+    """The factors of the residue product up to total degree ``bound``:
     the :func:`families` expanded along 2 delta."""
     return progressions(families(n), (2,) * n_even_vars(n), bound)
 
@@ -443,29 +441,38 @@ def reconstruct_R1(n: int, bound: int, pipe: PipelineResult) -> dict:
     R_{0,diag} times their one-variable product: R_{0,diag} is the
     pipeline's R_diag, truncated to ``bound``, times those factors with
     gamma negated. ``pipe`` is a pipeline built to degree at least
-    ``bound``; a shorter one is refused before any work.
+    ``bound``; a shorter one is refused before any work. A trusted factor
+    with 0 < beta < 1 other than 1/2 raises; for n even a beta = 1/2 factor
+    fails the check. The completion reads only the flat factors.
     """
     p = _p_series(pipe.p, bound)
     trust = bound // 2
     # a family lies on the diagonal exactly when its start w does
     fams = {((w[0],), beta): gamma for (w, beta), gamma in families(n).items() if len(set(w)) == 1}
     diag = progressions(fams, (2,), bound)
-    negated = FactorList({key: -gamma for key, gamma in diag.factors.items()})
+    negated = {key: -gamma for key, gamma in diag.items()}
     r0_diag = MultiSeries(1, bound, pipe.r_diag.terms).mul(expand_factors(negated, 1, bound))
-    b = p.mul(r0_diag.inverse())
-    form = factorize_product_form(b)
-    flat, natural, sharp = split_flat_natural_sharp(form.degree_cut(trust))
-    if n % 2 == 0 and len(natural):
+    form = factorize_product_form(p.mul(r0_diag.inverse()))
+    trusted = sorted(item for item in form.items() if sum(item[0][0]) <= trust)
+    # beta <= 0 is flat, 1/2 natural, >= 1 sharp; nothing lies in between
+    anomalies = [(a, b, g) for (a, b), g in trusted if 0 < b < _BETA1 and b != _BETA_HALF]
+    if anomalies:
+        raise ValueError(f"factors with beta strictly between 0 and 1: {anomalies}")
+    natural = [item for item in trusted if item[0][1] == _BETA_HALF]
+    if n % 2 == 0 and natural:
         return {
             "status": "fail",
-            "witness": f"diagonal beta=1/2 factors should not exist: {natural.items()}",
+            "witness": f"diagonal beta=1/2 factors should not exist: {natural}",
         }
-    completed = pairing_completion(flat)
-    expected = diag.degree_cut(trust)
+    completed = {}
+    for (alpha, beta), gamma in trusted:
+        if beta <= 0:  # the flat factor and its beta -> 1 - beta partner
+            completed[(alpha, beta)] = completed[(alpha, _BETA1 - beta)] = gamma
+    expected = {key: gamma for key, gamma in diag.items() if sum(key[0]) <= trust}
     if completed != expected:
         return {
             "status": "fail",
-            "witness": f"reconstructed {sorted(completed.factors.items())} vs "
-            f"direct {sorted(expected.factors.items())}",
+            "witness": f"reconstructed {sorted(completed.items())} vs "
+            f"direct {sorted(expected.items())}",
         }
     return {"status": "pass"}

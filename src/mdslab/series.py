@@ -1,13 +1,15 @@
 """Truncated multivariate power series over Z[q^{±1/4}], and product forms.
 
-A :class:`MultiSeries` is truncated by total degree. A :class:`FactorList`
-is a merged multiset of triples (alpha, beta, gamma) standing for the
-product of (1 - q^beta x^alpha)^(-gamma); beta is stored in quarter units
-like the :class:`~mdslab.qlaurent.QLaurent` exponents. An infinite product
-is given by families, arithmetic progressions of exponents that
-:func:`progressions` lists up to a degree. One engine expands a product
-(:func:`_expand`): it holds the terms of a box [0, B]^k by their flat
-int64 codes and keeps, after each factor, the terms that a test passes.
+A :class:`MultiSeries` is truncated by total degree. A finite product of
+factors is one plain dict (:data:`Factors`), {(alpha, beta): gamma}
+standing for the product of (1 - q^beta x^alpha)^(-gamma), with no gamma
+0; beta is stored in quarter units like the
+:class:`~mdslab.qlaurent.QLaurent` exponents. An infinite product is given
+by families, arithmetic progressions of exponents that
+:func:`progressions` lists up to a degree, merging the ones that meet.
+One engine expands a product (:func:`_expand`): it holds the terms of a
+box [0, B]^k by their flat int64 codes and keeps, after each factor, the
+terms that a test passes.
 :func:`expand_factors` keeps total degree <= B. :func:`expand_diagonal`
 keeps, for its diagonal up to x^D, only the terms of the box [0, D]^k
 that the factors still to come can carry to a point a·δ, δ = (1, ...,
@@ -22,6 +24,7 @@ recurrence engine and checks that the ratio lives on the diagonal.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import groupby
 from math import comb
 
@@ -31,6 +34,9 @@ from .qlaurent import QL_ONE, QL_ZERO, QLaurent
 from .reducer import DiagonalSeed, reduce_coeff, tuples_with_sum_at_most
 
 ExpVec = tuple[int, ...]
+# A finite factor product: (alpha, beta): gamma stands for the factor
+# (1 - q^beta x^alpha)^(-gamma), beta in quarter units; no gamma is 0.
+Factors = dict[tuple[ExpVec, int], int]
 
 
 class MultiSeries:
@@ -106,69 +112,31 @@ class MultiSeries:
         return MultiSeries(self.nvars, self.bound, inv)
 
 
-class FactorList:
-    """Merged multiset of (alpha, beta, gamma): product of (1-q^b x^a)^(-g).
-
-    beta is in quarter units; gamma is a (possibly negative) integer
-    multiplicity; entries with gamma 0 are dropped.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: dict[tuple[ExpVec, int], int] | None = None):
-        self.factors = {k: g for k, g in (factors or {}).items() if g}
-
-    def add(self, alpha: ExpVec, beta_quarters: int, gamma: int) -> None:
-        if all(a == 0 for a in alpha):
-            raise ValueError("zero exponent vector in factor list")
-        key = (tuple(alpha), beta_quarters)
-        g = self.factors.get(key, 0) + gamma
-        if g:
-            self.factors[key] = g
-        else:
-            self.factors.pop(key, None)
-
-    def items(self):
-        return sorted(self.factors.items())
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FactorList) and self.factors == other.factors
-
-    def __repr__(self) -> str:
-        return f"FactorList({len(self.factors)} merged factors)"
-
-    def restrict(self, predicate) -> "FactorList":
-        return FactorList({k: g for k, g in self.factors.items() if predicate(*k)})
-
-    def degree_cut(self, max_degree: int) -> "FactorList":
-        return self.restrict(lambda a, b: sum(a) <= max_degree)
-
-
-def progressions(
-    families: dict[tuple[ExpVec, int], int], step: ExpVec, bound: int
-) -> FactorList:
+def progressions(families: Factors, step: ExpVec, bound: int) -> Factors:
     """The factors of the families up to total degree ``bound``.
 
     A family (w, beta): gamma stands for the factors at w + m*step, m >= 0,
-    each with beta and gamma; ``step`` has positive total degree.
+    each with beta and gamma; ``step`` has positive total degree. Families
+    that meet add their gamma, and a sum 0 drops the factor.
     """
-    fl = FactorList()
+    out: Counter = Counter()
     size = sum(step)
     for (w, beta), gamma in families.items():
         for m in range((bound - sum(w)) // size + 1):
-            fl.add(tuple(a + m * s for a, s in zip(w, step)), beta, gamma)
-    return fl
+            out[(tuple(a + m * s for a, s in zip(w, step)), beta)] += gamma
+    return {key: gamma for key, gamma in out.items() if gamma}
 
 
-def _check_factors(factors, nvars: int) -> None:
-    for (alpha, _beta), _gamma in factors:
+def _check_factors(factors: Factors, nvars: int) -> list:
+    """The factors as sorted items, each exponent checked to have nvars
+    entries, nonnegative and not all zero."""
+    items = sorted(factors.items())
+    for (alpha, _beta), _gamma in items:
         if len(alpha) != nvars:
             raise ValueError("factor arity mismatch")
         if min(alpha) < 0 or not any(alpha):
             raise ValueError(f"factor exponent {alpha} is not nonnegative and nonzero")
+    return items
 
 
 def _power_coeff(gamma: int, k: int) -> int:
@@ -213,21 +181,19 @@ def _last_live_step(factors, nvars: int, max_degree: int) -> np.ndarray:
     return last.ravel()
 
 
-def _expand(fl: FactorList, nvars: int, box: int, keep) -> tuple[np.ndarray, list[QLaurent]]:
+def _expand(factors: list, nvars: int, box: int, keep) -> tuple[np.ndarray, list[QLaurent]]:
     """Terms of the product in the box [0, box]^nvars, as exponent rows and
     their coefficients.
 
-    The factors are taken in ``fl.items()`` order. A term is held by its
-    flat code, row-major in base box + 1; a box whose codes do not fit in
-    int64 is refused. After factor i, a candidate e of the box is kept where
-    keep(i, rows, codes) marks it, rows and codes being the candidates in
-    the box. A term outside the box only grows, as every factor exponent is
+    The factors are the items of :func:`_check_factors`, taken in order. A
+    term is held by its flat code, row-major in base box + 1; a box whose
+    codes do not fit in int64 is refused. After factor i, a candidate e of
+    the box is kept where keep(i, rows, codes) marks it, rows and codes
+    being the candidates in the box. A term outside the box only grows, as every factor exponent is
     nonnegative (checked). So the truncated product is exact when keep
     drops only terms from which the factors still to come reach no term
     that is kept at the end.
     """
-    factors = fl.items()
-    _check_factors(factors, nvars)
     if (box + 1) ** nvars > np.iinfo(np.int64).max:
         raise ValueError(f"the codes of the box [0, {box}]^{nvars} do not fit in int64")
     place = (box + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
@@ -256,13 +222,14 @@ def _expand(fl: FactorList, nvars: int, box: int, keep) -> tuple[np.ndarray, lis
     return exps, coeffs
 
 
-def expand_factors(fl: FactorList, nvars: int, bound: int) -> MultiSeries:
+def expand_factors(factors: Factors, nvars: int, bound: int) -> MultiSeries:
     """Exact expansion of the product, truncated at total degree <= bound."""
-    exps, coeffs = _expand(fl, nvars, bound, lambda i, rows, codes: rows.sum(axis=1) <= bound)
+    items = _check_factors(factors, nvars)
+    exps, coeffs = _expand(items, nvars, bound, lambda i, rows, codes: rows.sum(axis=1) <= bound)
     return MultiSeries(nvars, bound, {tuple(e): c for e, c in zip(exps.tolist(), coeffs)})
 
 
-def expand_diagonal(fl: FactorList, nvars: int, max_degree: int) -> MultiSeries:
+def expand_diagonal(factors: Factors, nvars: int, max_degree: int) -> MultiSeries:
     """One-variable diagonal of the product: the coefficient of
     (x_1 ... x_nvars)^a as x^a, a <= max_degree.
 
@@ -272,14 +239,15 @@ def expand_diagonal(fl: FactorList, nvars: int, max_degree: int) -> MultiSeries:
     L_(i+1) cannot reach the diagonal, so it is dropped exactly. L_(i+1) is
     not downward-closed, so each candidate is tested on its own.
     """
-    last = _last_live_step(fl.items(), nvars, max_degree)
-    exps, coeffs = _expand(fl, nvars, max_degree, lambda i, rows, codes: last[codes] > i)
+    items = _check_factors(factors, nvars)
+    last = _last_live_step(items, nvars, max_degree)
+    exps, coeffs = _expand(items, nvars, max_degree, lambda i, rows, codes: last[codes] > i)
     # the terms left lie in L_len(factors), the diagonal
     diag = {(a,): c for a, c in zip(exps[:, 0].tolist(), coeffs)}
     return MultiSeries(1, max_degree, diag)
 
 
-def factorize_product_form(s: MultiSeries) -> FactorList:
+def factorize_product_form(s: MultiSeries) -> Factors:
     """Unique product form of a series with constant term 1.
 
     Peels factors degree by degree. The residual is s divided by every
@@ -290,49 +258,19 @@ def factorize_product_form(s: MultiSeries) -> FactorList:
     """
     if s.coeff((0,) * s.nvars) != QL_ONE:
         raise ValueError("product form requires constant term 1")
-    found = FactorList()
+    found: Factors = {}
     residual = s
     # the nonzero exponents by degree; the residual is divided after each
     exps = sorted(tuples_with_sum_at_most(s.nvars, s.bound), key=sum)[1:]
     for _, same_degree in groupby(exps, key=sum):
-        inverse = FactorList()
+        inverse: Factors = {}
         for e in same_degree:
-            for beta, gamma in sorted(residual.coeff(e).terms.items()):
-                found.add(e, beta, gamma)
-                inverse.add(e, beta, -gamma)
-        if len(inverse):
+            for beta, gamma in residual.coeff(e).terms.items():
+                found[(e, beta)] = gamma
+                inverse[(e, beta)] = -gamma
+        if inverse:
             residual = residual.mul(expand_factors(inverse, s.nvars, s.bound))
     return found
-
-
-def split_flat_natural_sharp(fl: FactorList) -> tuple[FactorList, FactorList, FactorList]:
-    """Partition factors by beta <= 0 (flat), beta = 1/2 (natural),
-    beta >= 1 (sharp). Anything else is an anomaly."""
-    flat, natural, sharp = FactorList(), FactorList(), FactorList()
-    anomalies = []
-    for (alpha, beta), gamma in fl.items():
-        if beta <= 0:
-            flat.add(alpha, beta, gamma)
-        elif beta == 2:
-            natural.add(alpha, beta, gamma)
-        elif beta >= 4:
-            sharp.add(alpha, beta, gamma)
-        else:
-            anomalies.append((alpha, beta, gamma))
-    if anomalies:
-        raise ValueError(f"factors with beta strictly between 0 and 1: {anomalies}")
-    return flat, natural, sharp
-
-
-def pairing_completion(flat: FactorList) -> FactorList:
-    """Add the beta |-> 1 - beta partner of every factor (all beta <= 0)."""
-    out = FactorList()
-    for (alpha, beta), gamma in flat.items():
-        if beta > 0:
-            raise ValueError("pairing completion expects beta <= 0 input")
-        out.add(alpha, beta, gamma)
-        out.add(alpha, 4 - beta, gamma)
-    return out
 
 
 def check_diagonal_determination(

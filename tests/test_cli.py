@@ -380,3 +380,83 @@ def test_checks_return_status_and_witness_only(monkeypatch):
             assert ("witness" in result) == (result["status"] in ("fail", "boundary")), name
             statuses.add(result["status"])
     assert {"pass", "fail", "unverified special case"} <= statuses
+
+
+def failing_check(argv, tmp_path, name):
+    """The witness of the one failing check ``name`` of a verify run."""
+    code, out = run_cli(argv, tmp_path)
+    assert code == 1
+    [check] = [c for c in json.loads(out.read_text())["checks"] if c["name"] == name]
+    assert check["status"] == "fail", check
+    return check["witness"]
+
+
+def test_unit_tuples_fails_on_a_bumped_coefficient(tmp_path, monkeypatch):
+    from mdslab import cli
+    from mdslab.qlaurent import QL_ONE
+
+    real = cli.reduce_coeff
+    monkeypatch.setattr(cli, "reduce_coeff", lambda t, seed: real(t, seed) + QL_ONE)
+    argv = ["verify", "--n", "2", "--suite", "axioms", "--bound", "2", "--trunc", "2"]
+    assert failing_check(argv, tmp_path, "unit_tuples").startswith("c at (1, 0, 0) = ")
+
+
+def test_residue_h_route_fails_on_a_bumped_sum(tmp_path, monkeypatch):
+    from mdslab import residue
+
+    real = residue.residue_coeff_H_route
+    monkeypatch.setattr(residue, "residue_coeff_H_route", lambda *args: real(*args) + 1)
+    argv = ["verify", "--n", "2", "--suite", "residue", "--bound", "2", "--trunc", "2"]
+    assert failing_check(argv, tmp_path, "residue_h_route") == "avec=(0, 0): 2 != 1"
+
+
+def test_partition_lemmas_fail_on_bumped_counts(tmp_path, monkeypatch):
+    from mdslab import partitions
+
+    real = partitions.partition_class_counts
+
+    def bumped(n, size, bound):
+        return {sums: count + 1 for sums, count in real(n, size, bound).items()}
+
+    monkeypatch.setattr(partitions, "partition_class_counts", bumped)
+    argv = ["verify", "--n", "2", "--suite", "partitions", "--bound", "2", "--trunc", "2"]
+    for name in ("partition_gf", "partition_tuple_gf"):
+        assert failing_check(argv, tmp_path, name) == "sums=(0, 0)"
+
+
+def test_reduction_chains_fail_on_a_bumped_count(tmp_path, monkeypatch):
+    from mdslab import partitions
+
+    real = partitions.count_reduction_chains
+    monkeypatch.setattr(partitions, "count_reduction_chains", lambda *args, **kw: real(*args, **kw) + 1)
+    argv = ["verify", "--n", "3", "--suite", "partitions", "--bound", "2", "--trunc", "2"]
+    assert failing_check(argv, tmp_path, "reduction_chains") == "a=0: [1, 2]"
+
+
+@pytest.mark.parametrize("a, witness", [(1, "odd-degree term at a=1"), (2, "a=2: ")])
+def test_even_series_lowest_terms_fail_on_a_bumped_P(tmp_path, monkeypatch, a, witness):
+    from mdslab import residue
+    from mdslab.qlaurent import QL_ONE
+
+    real = residue.run_pipeline
+
+    def bumped(n, max_degree):
+        pipe = real(n, max_degree)
+        return replace(pipe, p=[c + QL_ONE if b == a else c for b, c in enumerate(pipe.p)])
+
+    monkeypatch.setattr(residue, "run_pipeline", bumped)
+    argv = ["verify", "--n", "2", "--suite", "partitions", "--bound", "2", "--trunc", "2"]
+    assert failing_check(argv, tmp_path, "even_series_lowest_terms").startswith(witness)
+
+
+def test_boundary_checks_fail_only_strict_runs(tmp_path, monkeypatch):
+    boundary = {"status": "boundary", "witness": "at the bound"}
+    monkeypatch.setattr("mdslab.cli.check_dominance", lambda t, seed: boundary)
+    argv = ["verify", "--n", "2", "--suite", "axioms", "--bound", "1", "--trunc", "1"]
+    code, out = run_cli(argv, tmp_path, "lax")
+    assert code == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert {c["status"] for c in checks if c["name"] == "dominance"} == {"boundary"}
+    assert {c["status"] for c in checks if c["name"] != "dominance"} == {"pass"}
+    code, _ = run_cli(argv + ["--strict"], tmp_path, "strict")
+    assert code == 1

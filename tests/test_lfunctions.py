@@ -93,6 +93,14 @@ def test_rh_small_moduli(f5):
                 assert report.get("max_deviation", 0.0) <= 1e-6
 
 
+def test_checks_fail_without_the_trivial_zero(f5, monkeypatch):
+    # an even-degree L whose value at x = 1 is 2, not 0
+    monkeypatch.setattr(lfunctions, "l_poly", lambda fq, g: [1, 1])
+    g = poly(f5, [1, 0, 1])
+    for check in (check_l_fe, check_rh):
+        assert check(f5, g) == {"status": "fail", "witness": "missing trivial zero at x = 1"}
+
+
 def test_divisor_count(f5):
     t = poly(f5, [0, 1])
     assert divisor_count(f5, t) == 2

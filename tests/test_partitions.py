@@ -47,7 +47,7 @@ def p_lowest_term_product_route(n: int, amax: int) -> list[int]:
     each p_a.
     """
     k = n_even_vars(n)
-    fl = build_R(n, amax * k).restrict(lambda alpha, beta: beta == 0)
+    fl = {key: gamma for key, gamma in build_R(n, amax * k).items() if key[1] == 0}
     diag = expand_diagonal(fl, k, amax)
     return [series_int_coeff(diag, (d,)) for d in range(amax + 1)]
 

@@ -8,9 +8,9 @@ imports it from M, or when another module reads an attribute of that name
 (as in ``res.check_fe`` after ``from . import residue as res``). A method
 counts as named when any ``src/`` code outside its own body uses its name,
 as an attribute or as a plain name. The method scan goes by name only, so
-it cannot see a dead method whose name something else uses: ``Fq.add``
-would pass because ``FactorList.add`` is called, ``Fq.pow`` because the
-builtin ``pow`` is.
+it cannot see a dead method whose name something else uses: a dead
+``MultiSeries.mul`` would pass because ``Fq.mul`` is called, ``Fq.pow``
+because the builtin ``pow`` is.
 """
 
 import ast

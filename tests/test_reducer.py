@@ -223,6 +223,15 @@ def test_dominance_exceptions():
     assert check_dominance((1, 0, 0), seed)["status"] == "pass"
 
 
+def test_dominance_flags_a_monomial_at_the_bound():
+    # c at (1, 1, 1) is the diagonal value q^2, of degree exactly (3 + 1)/2
+    report = check_dominance((1, 1, 1), DiagonalSeed([QL_ONE, QLaurent.q_power(8)]))
+    assert report == {
+        "status": "boundary",
+        "witness": "monomial exactly at degree (sum+1)/2 for (1, 1, 1)",
+    }
+
+
 def test_integrality_with_pipeline_seed():
     seed3 = pipeline_seed(3)
     for t in tuples_with_sum_at_most(4, 8):
@@ -342,6 +351,22 @@ def test_diagonal_determination():
     )
     report = check_diagonal_determination(2, s1, s2, 6)
     assert report["status"] == "pass", report
+
+
+def test_diagonal_determination_fails_on_an_off_diagonal_term(monkeypatch):
+    from mdslab import series
+
+    s1 = pipeline_seed(2)
+    s2 = DiagonalSeed([QL_ONE] + [QLaurent.const(k + 2) for k in range(12)], name="probe")
+    real = series.reduce_coeff
+
+    def bumped(t, seed):
+        c = real(t, seed)
+        return c + QL_ONE if seed is s1 and t == (1, 0, 0) else c
+
+    monkeypatch.setattr(series, "reduce_coeff", bumped)
+    report = check_diagonal_determination(2, s1, s2, 6)
+    assert report == {"status": "fail", "witness": "off-diagonal ratio term at (1, 0, 0)"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

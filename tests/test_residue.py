@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import json
@@ -27,7 +28,7 @@ from mdslab.residue import (
     residue_index,
     run_pipeline,
 )
-from mdslab.series import FactorList, MultiSeries, expand_diagonal, expand_factors
+from mdslab.series import MultiSeries, expand_diagonal, expand_factors
 
 
 def test_n_even_vars():
@@ -37,25 +38,25 @@ def test_n_even_vars():
 def test_build_R_smallest_factors_n3():
     fl = build_R(3, 4)
     # odd diagonal (1,1) at beta 0 and 1, plus first windows
-    assert fl.factors[((1, 1), 0)] == 1
-    assert fl.factors[((1, 1), 4)] == 1
-    assert fl.factors[((2, 0), 0)] == 1
-    assert fl.factors[((0, 2), 4)] == 1
+    assert fl[((1, 1), 0)] == 1
+    assert fl[((1, 1), 4)] == 1
+    assert fl[((2, 0), 0)] == 1
+    assert fl[((0, 2), 4)] == 1
     # full cyclic window of length k merges into multiplicity k
-    assert fl.factors[((2, 2), 0)] == 2
+    assert fl[((2, 2), 0)] == 2
 
 
 def test_build_R_smallest_factors_n2():
     fl = build_R(2, 4)
-    assert fl.factors[((2, 2), 0)] == 1  # diagonal, gamma = n/2
-    assert fl.factors[((2, 2), 4)] == 1
-    assert fl.factors[((2, 0), 2)] == 1  # prefix at beta = 1/2
-    assert fl.factors[((0, 2), 2)] == 1  # suffix at beta = 1/2
+    assert fl[((2, 2), 0)] == 1  # diagonal, gamma = n/2
+    assert fl[((2, 2), 4)] == 1
+    assert fl[((2, 0), 2)] == 1  # prefix at beta = 1/2
+    assert fl[((0, 2), 2)] == 1  # suffix at beta = 1/2
     # no interior windows exist for k = 2
-    assert ((2, 0), 0) not in fl.factors
+    assert ((2, 0), 0) not in fl
 
 
-# sha256 of repr(sorted(build_R(n, 24).factors.items())), pinned from the
+# sha256 of repr(sorted(build_R(n, 24).items())), pinned from the
 # per-parity loops that built the product before the family list
 BUILD_R_DIGESTS = {
     2: "d5b53b9e8c4ae4cc1c80598e2fb212c40d6afbf0a9ba261c49daf50dbb3eed67",
@@ -72,7 +73,7 @@ BUILD_R_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(BUILD_R_DIGESTS))
 def test_build_R_matches_pinned_tables(n):
-    table = repr(sorted(build_R(n, 24).factors.items())).encode()
+    table = repr(sorted(build_R(n, 24).items())).encode()
     assert hashlib.sha256(table).hexdigest() == BUILD_R_DIGESTS[n]
 
 
@@ -81,9 +82,9 @@ def test_factor_multiplicity_matches_window():
     for n in (2, 3, 4):
         fl = build_R(n, 8)
         for (alpha, beta), gamma in fl.items():
-            assert build_R(n, sum(alpha)).factors[(alpha, beta)] == gamma
-    assert ((-2, 0), 0) not in build_R(3, 8).factors
-    assert ((0, 0), 0) not in build_R(3, 8).factors
+            assert build_R(n, sum(alpha))[(alpha, beta)] == gamma
+    assert ((-2, 0), 0) not in build_R(3, 8)
+    assert ((0, 0), 0) not in build_R(3, 8)
 
 
 def test_pipeline_seed_values():
@@ -343,7 +344,7 @@ def bounded_permutation_check(n, matrix, removed, bound):
     inverse = [[int(x) for x in row] for row in inverse.tolist()]
     traded = Counter(removed)
     traded.subtract((tuple(-a for a in alpha), beta) for alpha, beta in removed)
-    points = dict.fromkeys(build_R(n, bound).factors)
+    points = dict.fromkeys(build_R(n, bound))
     for alpha, beta in removed:
         points[(alpha, beta)] = None
         points[(residue._apply_linear(inverse, tuple(-a for a in alpha)), beta)] = None
@@ -352,7 +353,7 @@ def bounded_permutation_check(n, matrix, removed, bound):
         for alpha, beta in points
     ]
     top = max((sum(v) for row in rows for v in row[:3] if min(v) >= 0), default=0)
-    F = build_R(n, top).factors
+    F = build_R(n, top)
     for alpha, image, pre, beta in rows:
         if F.get((alpha, beta), 0) != F.get((image, beta), 0) - traded[(image, beta)]:
             return "fail"
@@ -428,14 +429,10 @@ def test_pipeline_diagonal_over_the_diagonal_factors_is_the_off_diagonal_product
     r_diag = run_pipeline(n, 6).r_diag
     for D in (4, 6):
         fl = build_R(n, D * k)
-        off = fl.restrict(lambda alpha, beta: len(set(alpha)) > 1)
-        negated = FactorList(
-            {
-                ((alpha[0],), beta): -gamma
-                for (alpha, beta), gamma in fl.factors.items()
-                if len(set(alpha)) == 1
-            }
-        )
+        off = {(alpha, beta): gamma for (alpha, beta), gamma in fl.items() if len(set(alpha)) > 1}
+        negated = {
+            ((alpha[0],), beta): -gamma for (alpha, beta), gamma in fl.items() if len(set(alpha)) == 1
+        }
         got = MultiSeries(1, D, r_diag.terms).mul(expand_factors(negated, 1, D))
         assert got == expand_diagonal(off, k, D)
 
@@ -450,3 +447,49 @@ def test_reconstruct_R1_reads_a_longer_pipeline_to_its_bound(n, bound):
     report = reconstruct_R1(n, bound, replace(big, p=bumped))
     assert report["status"] == "fail"
     assert reconstruct_R1(n, bound, replace(exact, p=bumped[: bound + 1])) == report
+
+
+def times_diagonal_factor(pipe, beta):
+    """The pipeline with P times (1 - q^beta x)^(-1): the product form that
+    reconstruct_R1 reads gains exactly this factor."""
+    top = len(pipe.p) - 1
+    p = MultiSeries(1, top, {(a,): c for a, c in enumerate(pipe.p)})
+    p = p.mul(expand_factors({((1,), beta): 1}, 1, top))
+    return replace(pipe, p=[p.coeff((a,)) for a in range(top + 1)])
+
+
+@pytest.mark.parametrize(
+    "n, report",
+    [
+        (2, {"status": "fail", "witness": "diagonal beta=1/2 factors should not exist: [(((1,), 2), 1)]"}),
+        (3, {"status": "pass"}),  # n odd reads no beta = 1/2 factor
+    ],
+)
+def test_reconstruct_R1_fails_on_a_diagonal_beta_half_factor_for_n_even(n, report):
+    assert reconstruct_R1(n, 6, times_diagonal_factor(run_pipeline(n, 6), 2)) == report
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reconstruct_R1_completes_each_flat_factor_with_its_partner(n):
+    # a flat factor at beta = -1 is completed by its partner at beta = 2
+    report = reconstruct_R1(n, 6, times_diagonal_factor(run_pipeline(n, 6), -4))
+    assert report["status"] == "fail"
+    got, direct = report["witness"].removeprefix("reconstructed ").split(" vs direct ")
+    want = dict(ast.literal_eval(direct)) | {((1,), -4): 1, ((1,), 8): 1}
+    assert ast.literal_eval(got) == sorted(want.items())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reconstruct_R1_refuses_beta_strictly_between_0_and_1(n):
+    pipe = times_diagonal_factor(run_pipeline(n, 6), 1)
+    with pytest.raises(ValueError, match=r"beta strictly between 0 and 1: \[\(\(1,\), 1, 1\)\]"):
+        reconstruct_R1(n, 6, pipe)
+
+
+def test_euler_substitution_fails_on_a_bumped_local_weight(monkeypatch):
+    seed = run_pipeline(3, 4).seed
+    real = residue.local_weight
+    monkeypatch.setattr(residue, "local_weight", lambda *args: real(*args) + QL_ONE)
+    report = check_euler_substitution(3, 1, 2, seed)
+    assert report["status"] == "fail"
+    assert report["witness"].startswith("avec=(0, 0): local ")

@@ -6,21 +6,16 @@ from hypothesis import given, settings, strategies as st
 from mdslab.qlaurent import QL_ONE, QL_ZERO, QLaurent
 from mdslab.residue import build_R, n_even_vars
 from mdslab.series import (
-    FactorList,
     MultiSeries,
     expand_diagonal,
     expand_factors,
     factorize_product_form,
-    pairing_completion,
     progressions,
-    split_flat_natural_sharp,
 )
 
 
 def geometric(nvars, bound, alpha, beta=0, gamma=1):
-    fl = FactorList()
-    fl.add(alpha, beta, gamma)
-    return expand_factors(fl, nvars, bound)
+    return expand_factors({(alpha, beta): gamma}, nvars, bound)
 
 
 def test_single_factor_expansion():
@@ -51,9 +46,7 @@ def test_inverse_requires_unit_constant():
 
 
 def test_expand_diagonal():
-    fl = FactorList()
-    fl.add((1, 1), 0, 1)
-    fl.add((2, 0), 0, 1)
+    fl = {((1, 1), 0): 1, ((2, 0), 0): 1}
     diag = expand_diagonal(fl, 2, 4)
     # only powers of x0 x1 survive
     assert diag.nvars == 1
@@ -137,27 +130,28 @@ def test_pruned_diagonal_matches_box_expansion(n, D):
     assert [diag.coeff((a,)) for a in range(D + 1)] == box_diagonal_oracle(fl, k, D)
 
 
-def factor_lists(nvars):
+def factor_products(nvars):
     # entries up to 6 put whole factors, or all their powers past the
-    # first, outside the box [0, 4]^nvars; gamma of either sign cancels
-    return st.lists(
+    # first, outside the box [0, 4]^nvars; gamma takes either sign
+    return st.dictionaries(
         st.tuples(
             st.tuples(*[st.integers(0, 6)] * nvars).filter(any),
             st.sampled_from([0, 2, 4]),
-            st.integers(-3, 3).filter(bool),
         ),
-        min_size=0,
+        st.integers(-3, 3).filter(bool),
         max_size=6,
     )
+
+
+def degree_cut(factors, max_degree):
+    return {key: gamma for key, gamma in factors.items() if sum(key[0]) <= max_degree}
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_expansions_match_product_by_mul_on_random_products(nvars, data):
-    fl = FactorList()
-    for alpha, beta, gamma in data.draw(factor_lists(nvars)):
-        fl.add(alpha, beta, gamma)
+    fl = data.draw(factor_products(nvars))
     D = 4
     assert expand_factors(fl, nvars, nvars * D) == product_by_mul(fl, nvars, nvars * D)
     diag = expand_diagonal(fl, nvars, D)
@@ -169,67 +163,50 @@ def test_expansions_match_product_by_mul_on_random_products(nvars, data):
 @settings(max_examples=50, deadline=None)
 def test_factorize_expand_roundtrip(data):
     nvars = data.draw(st.sampled_from([2, 3]))
-    fl = FactorList()
-    for alpha, beta, gamma in data.draw(factor_lists(nvars)):
-        fl.add(alpha, beta, gamma)
+    fl = data.draw(factor_products(nvars))
     bound = 6
     s = expand_factors(fl, nvars, bound)
     refound = factorize_product_form(s)
     # truncation only pins factors up to half the bound
-    assert refound.degree_cut(bound // 2) == fl.degree_cut(bound // 2)
-
-
-def test_split_and_pairing():
-    fl = FactorList()
-    fl.add((1, 0), 0, 1)
-    fl.add((0, 1), 2, 2)
-    fl.add((1, 1), 4, -1)
-    flat, natural, sharp = split_flat_natural_sharp(fl)
-    assert len(flat) == 1 and len(natural) == 1 and len(sharp) == 1
-    done = pairing_completion(flat)
-    assert done.factors == {((1, 0), 0): 1, ((1, 0), 4): 1}
-    with pytest.raises(ValueError):
-        pairing_completion(sharp)
-
-
-def test_split_strict_rejects_odd_beta():
-    fl = FactorList()
-    fl.add((1,), 1, 1)
-    with pytest.raises(ValueError):
-        split_flat_natural_sharp(fl)
+    assert degree_cut(refound, bound // 2) == degree_cut(fl, bound // 2)
 
 
 def test_expansion_refuses_negative_exponents():
-    fl = FactorList({((-1, 2), 0): 1})
-    with pytest.raises(ValueError, match="not nonnegative"):
-        expand_diagonal(fl, 2, 4)
-    with pytest.raises(ValueError, match="not nonnegative"):
-        expand_factors(fl, 2, 4)
+    # a negative entry, or the zero vector, whose factor has no finite expansion
+    for alpha in [(-1, 2), (0, 0)]:
+        fl = {(alpha, 0): 1}
+        with pytest.raises(ValueError, match="not nonnegative"):
+            expand_diagonal(fl, 2, 4)
+        with pytest.raises(ValueError, match="not nonnegative"):
+            expand_factors(fl, 2, 4)
 
 
 def test_expansion_refuses_boxes_past_int64_codes():
-    fl = FactorList({((1,) + (0,) * 39, 0): 1})
+    fl = {((1,) + (0,) * 39, 0): 1}
     # 5^40 codes of the box [0, 4]^40 exceed int64; 5^27 fit
     with pytest.raises(ValueError, match="int64"):
         expand_factors(fl, 40, 4)
-    assert len(expand_factors(FactorList({((1,) + (0,) * 26, 0): 1}), 27, 4).terms) == 5
+    assert len(expand_factors({((1,) + (0,) * 26, 0): 1}, 27, 4).terms) == 5
 
 
-def test_merge_and_cancel():
-    fl = FactorList()
-    fl.add((1, 0), 0, 1)
-    fl.add((1, 0), 0, -1)
-    assert len(fl) == 0
-    with pytest.raises(ValueError):
-        fl.add((0, 0), 0, 1)
+def test_progressions_merge_families_and_drop_gamma_zero():
+    # (2, 1) and (3, 2) lie on both families: gamma 1 - 1 drops them, and
+    # only the first family's start is left
+    fams = {((1, 0), 0): 1, ((2, 1), 0): -1, ((0, 1), 4): 2, ((1, 2), 4): 1}
+    assert progressions(fams, (1, 1), 5) == {
+        ((1, 0), 0): 1,
+        ((0, 1), 4): 2,
+        ((1, 2), 4): 3,
+        ((2, 3), 4): 3,
+    }
 
 
 def test_progressions_list_each_family_to_the_bound():
     fams = {((1, 0), 0): 2, ((0, 2), 4): 1, ((3, 3), 0): 1}
     fl = progressions(fams, (1, 1), 4)
-    assert fl.factors == {((1, 0), 0): 2, ((2, 1), 0): 2, ((0, 2), 4): 1, ((1, 3), 4): 1}
+    assert fl == {((1, 0), 0): 2, ((2, 1), 0): 2, ((0, 2), 4): 1, ((1, 3), 4): 1}
     # the families merge where their progressions meet
-    assert progressions({((1, 1), 0): 1, ((2, 2), 0): 1}, (1, 1), 4).factors == {
+    assert progressions({((1, 1), 0): 1, ((2, 2), 0): 1}, (1, 1), 4) == {
         ((1, 1), 0): 1,
         ((2, 2), 0): 2,
     }
