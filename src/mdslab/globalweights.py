@@ -18,8 +18,12 @@ more Euler factor. A nontrivial chi has complete sums that vanish from the
 degree of its modulus on, so the sweep stops there; with no odd prime chi
 is principal, and its sums q^d need no sweep. The modulus divides the
 product of the other slots, so ``slice_batch``, which prices q to their
-degree, also bounds the sweep. ``l_series_H`` clears the pole of a slice
-and runs ``check_reversal`` on it, returning ``{"status", "witness"}``.
+degree, also bounds the sweep. A prime's Euler factor depends on its slice
+only through deg p, q, its valuation vector, the slot, the number of terms
+and its sign eps_p, so it is built once per such key and kept on the seed
+(``DiagonalSeed._slice_factors``); the character sweep stays per slice.
+``l_series_H`` clears the pole of a slice and runs ``check_reversal`` on
+it, returning ``{"status", "witness"}``.
 The local-to-global sums of ``global_coeff_sums`` go through the same
 slices: the sum over the slot of largest degree is one slice coefficient,
 and every t that shares that slot and the other slots' degrees reads its
@@ -208,6 +212,11 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
     is principal and T[m] = q^m. prod odd divides g, whose degree is at
     most that of the other slots, so the sweep costs no more than the q to
     that degree ``slice_batch`` has priced.
+    p's factor, cut at xbound, is a function of the seed and of
+    (deg p, q, v_p, i, top, eps_p), top = xbound // deg p + 1 its number of
+    terms: whether p is in odd is read off v_p and i. It is built once per
+    key, its weights through ``local_weight_value``, and kept in the seed's
+    ``_slice_factors``; the support, odd, eps_p, s0 and T are per slice.
     The brute sum of H over every f, and the sum over every smooth part
     f_s, are the oracles in the tests.
     """
@@ -215,20 +224,25 @@ def _slice_coeffs(fq: Fq, fixed: tuple, i: int, xbound: int, seed: DiagonalSeed)
     support = _prime_support(fq, fixed[:i] + (ONE,) + fixed[i + 1 :])
     odd = [p for p, vec in support.items() if (vec[i - 1] + vec[(i + 1) % n1]) % 2]
     euler = [_twist_sign(fq, support)] + [0] * xbound
+    factors = seed._slice_factors
     for p, vec in support.items():
         eps = 1
         for r in odd:
             if r != p:
                 eps *= fq.residue_symbol(p, r)
         dp = degree(p)
-        weights = [
-            local_weight_value(dp, fq.q, vec[:i] + (e,) + vec[i + 1 :], seed)
-            for e in range(xbound // dp + 1)
-        ]
-        if p not in odd:
-            # f_c is prime to p and chi(p) = eps_p: the factor gains (1 - eps_p x^dp)
-            weights = [w - v for w, v in zip(weights, [0] + weights)]
-        terms = [(e * dp, w * eps**e) for e, w in enumerate(weights)]
+        top = xbound // dp + 1
+        key = (dp, fq.q, vec, i, top, eps)
+        terms = factors.get(key)
+        if terms is None:
+            weights = [
+                local_weight_value(dp, fq.q, vec[:i] + (e,) + vec[i + 1 :], seed)
+                for e in range(top)
+            ]
+            if p not in odd:
+                # f_c is prime to p and chi(p) = eps_p: the factor gains (1 - eps_p x^dp)
+                weights = [w - v for w, v in zip(weights, [0] + weights)]
+            terms = factors[key] = [(e * dp, w * eps**e) for e, w in enumerate(weights)]
         euler = _times(euler, terms)
     if not any(euler):
         return euler

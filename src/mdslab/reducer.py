@@ -43,9 +43,11 @@ class SeedExhausted(Exception):
 class DiagonalSeed:
     """Values assigned to the diagonal coefficients c_{a,...,a}.
 
-    Each seed owns its reduction memo ``_memo``, keyed by index tuple, so
-    distinct seeds never share cached values, and the memo is freed with
-    its seed.
+    Each seed owns its memos, so distinct seeds never share cached values,
+    and each memo is freed with its seed: the reduction memo ``_memo``,
+    keyed by index tuple; ``_weights``, the local weights at a concrete q;
+    and ``_slice_factors``, the per-prime Euler factors of the H slices in
+    ``globalweights``.
     """
 
     values: list[QLaurent]
@@ -53,6 +55,9 @@ class DiagonalSeed:
     _memo: dict[IndexTuple, QLaurent] = field(default_factory=dict, repr=False)
     # local_weight_value's memo, keyed by (p_deg, q0, t)
     _weights: dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
+    # globalweights._slice_coeffs's per-prime Euler factors, as
+    # [(e deg p, w'(e) eps_p^e)], keyed by (deg p, q, v_p, i, top, eps_p)
+    _slice_factors: dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
     def diagonal(self, a: int) -> QLaurent:
         if a >= len(self.values):

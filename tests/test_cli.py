@@ -293,6 +293,23 @@ def test_fe_reports_at_larger_q_match_pinned_digests(capsys, q, bound):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FE_DIGESTS[q, bound]
 
 
+AXIOMS_DIGESTS = {
+    (2, 17, 5): "f059be76bc2f748c29fd6a673aa7cdf00ce6243b2f438daf7186efd703ba3249",
+    (3, 13, 4): "7230dafccacf97df3bb7dac915ac9f8701e0a3fb211331006b3700c9fd4e21fb",
+}
+
+
+@pytest.mark.parametrize("n, q, bound", sorted(AXIOMS_DIGESTS))
+def test_axioms_reports_at_larger_q_match_pinned_digests(capsys, n, q, bound):
+    # the axioms suite beyond q = 5, --trunc equal to --bound:
+    # local_to_global sums thousands of slices built from a few dozen
+    # distinct Euler factors
+    argv = ["verify", "--n", str(n), "--q", str(q), "--suite", "axioms", "--bound", str(bound), "--trunc", str(bound)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == AXIOMS_DIGESTS[n, q, bound]
+
+
 @pytest.mark.parametrize("suite", ["axioms", "all"])
 def test_over_budget_verify_exits_2_before_the_pipeline(tmp_path, monkeypatch, capsys, suite):
     from mdslab import residue

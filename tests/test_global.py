@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -8,7 +9,7 @@ import numpy as np
 from test_accel import general_sums
 from test_fqpoly import poly, poly_pow
 
-from mdslab import accel, globalweights
+from mdslab import accel, globalweights, reducer
 from mdslab.cli import main
 from mdslab.fqpoly import ONE, Fq, degree, field
 from mdslab.globalweights import (
@@ -22,6 +23,7 @@ from mdslab.globalweights import (
     slice_batch,
 )
 from mdslab.lfunctions import l_poly
+from mdslab.qlaurent import QLaurent
 from mdslab.reducer import local_weight_value, reduce_coeff, tuples_with_sum_at_most
 from mdslab.residue import run_pipeline
 
@@ -479,7 +481,8 @@ def smooth_part_slice(fq, fixed, i, xbound, seed):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_euler_product_matches_smooth_parts_on_every_verify_slice(n, monkeypatch, tmp_path):
     # every slice that verify --suite all reaches, from l_series_fe and
-    # local_to_global, against the sum over every smooth part; and every
+    # local_to_global, against the sum over every smooth part and against
+    # the slice built on an empty factor memo; and every
     # sweep of the run, all from slices, is of a squarefree modulus below
     # its degree, or of the principal character
     slices = {}
@@ -508,6 +511,10 @@ def test_euler_product_matches_smooth_parts_on_every_verify_slice(n, monkeypatch
         assert not primes or dmax < sum(map(degree, primes)), (primes, dmax)
     for (fixed, i, xbound), (fq, seed, got) in slices.items():
         assert got == smooth_part_slice(fq, fixed, i, xbound, seed), (fixed, i, xbound)
+        # read through the factors earlier slices left on the seed, the
+        # slice is the one built on an empty factor memo
+        cold = dataclasses.replace(seed, _slice_factors={})
+        assert got == _slice_coeffs(fq, fixed, i, xbound, cold), (fixed, i, xbound)
 
 
 @pytest.mark.parametrize("q, count, max_deg, xbound", [(5, 150, 3, 6), (13, 40, 2, 4)])
@@ -527,6 +534,59 @@ def test_euler_product_matches_smooth_parts_on_random_tuples(q, count, max_deg, 
             for e in range(xbound // degree(p) + 1)
         )
     assert wide > count // 4 and zero > count // 10, (wide, zero)
+
+
+def test_slice_factors_are_built_once_per_key(monkeypatch, tmp_path):
+    # the slices of one verify-n3 run, on a pipeline built afresh, ask
+    # local_weight_value for one weight per term of each factor they build:
+    # as many weights as the memo holds terms means that no factor was
+    # built twice
+    from mdslab import residue
+
+    pipelines = {}
+    asked = []
+    depth = []
+    weight = globalweights.local_weight_value
+    euler = globalweights._slice_coeffs
+
+    def counting(p_deg, q0, t, seed):
+        if depth:
+            asked.append((p_deg, q0, t))
+        return weight(p_deg, q0, t, seed)
+
+    def entered(*args):
+        depth.append(1)
+        try:
+            return euler(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(residue, "_PIPELINE_CACHE", pipelines)
+    monkeypatch.setattr(globalweights, "local_weight_value", counting)
+    monkeypatch.setattr(globalweights, "_slice_coeffs", entered)
+    argv = ["verify", "--n", "3", "--q", "5", "--suite", "all", "--bound", "4", "--trunc", "6"]
+    assert main(argv + ["--out", str(tmp_path / "report")]) == 0
+    (pipe,) = pipelines.values()
+    memo = pipe.seed._slice_factors
+    assert len(memo) == 98
+    assert len(asked) == sum(map(len, memo.values()))
+
+
+def test_seeds_with_other_weights_share_no_slice_factors(f5, seed3):
+    # a seed whose d_1 is doubled changes the weight at (1, 1, 1, 1): the
+    # slice of (t, 1, t, t) in slot 1 then differs, and each seed's slice
+    # is its own oracle's, whichever seed builds the factors first
+    values = seed3.values
+    other = reducer.DiagonalSeed(
+        [values[0], QLaurent({k: 2 * c for k, c in values[1].terms.items()})] + values[2:],
+        name="d1-doubled",
+    )
+    t = poly(f5, [0, 1])
+    for fixed in ((t, ONE, t, t), (t, ONE, t, fq_sq(f5, t))):
+        slices = [_slice_coeffs(f5, fixed, 1, 4, seed) for seed in (seed3, other)]
+        assert slices[0] != slices[1], fixed
+        for got, seed in zip(slices, (seed3, other)):
+            assert got == smooth_part_slice(f5, fixed, 1, 4, seed), (fixed, seed.name)
 
 
 def test_slice_hands_the_sweep_only_its_odd_primes(seed3, monkeypatch):
