@@ -115,24 +115,27 @@ def _suite_fe(args, pipe):
 
     checks.append(("diagonal_determination", {"D": min(args.bound, 6)}, determination))
 
+    # one pair (f0, f2) per translation orbit: translating both fixes the
+    # slice; "count" stays the number of pairs, the sum of the orbit sizes
     fixed_deg = min(args.trunc, 3)
-    pairs = []
-    for s in range(fixed_deg + 1):
-        for d0 in range(s + 1):
-            for f0 in fq.monic_enum(d0):
-                for f2 in fq.monic_enum(s - d0):
-                    pairs.append((f0, f2))
+    orbits = [
+        orbit
+        for s in range(fixed_deg + 1)
+        for d0 in range(s + 1)
+        for orbit in fq.monic_orbits((d0, s - d0))
+    ]
 
     def l_series_suite():
         one = (1,)
-        for f0, f2 in pairs:
+        for (f0, f2), _ in orbits:
             fixed = (f0, one, f2) + (one,) * (args.n - 2)
             r = l_series_H(fq, fixed, 1, (len(f0) - 1) + (len(f2) - 1) + 1, seed)
             if r["status"] != "pass":
                 return r
         return {"status": "pass"}
 
-    checks.append(("l_series_fe", {"q": args.q, "deg": fixed_deg, "count": len(pairs)}, l_series_suite))
+    count = sum(size for _, size in orbits)
+    checks.append(("l_series_fe", {"q": args.q, "deg": fixed_deg, "count": count}, l_series_suite))
     return checks
 
 

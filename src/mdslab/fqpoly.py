@@ -212,6 +212,32 @@ class Fq:
         for low in itertools.product(range(self.q), repeat=d):
             yield low + (1,)
 
+    def monic_orbits(self, degrees) -> Iterator[tuple[tuple[Poly, ...], int]]:
+        """(representative, orbit size) over the monic tuples of the given
+        degrees, up to the simultaneous translation f -> f(t + b), b in F_q.
+
+        The translation is a ring automorphism fixing F_q, so it keeps
+        degrees, factorisation shapes and every residue symbol: (c/r) =
+        legendre(c)^deg r for a constant c, and legendre(1) = 1. The pivot
+        is the first entry whose degree d is prime to q; shifting by b
+        moves its t^(d-1) coefficient by d*b, so each orbit holds exactly
+        q tuples and exactly one of them has that coefficient 0: it is the
+        representative, with size q. With no pivot (every degree 0 or
+        divisible by q) each tuple is yielded alone, with size 1. The
+        representatives come in the order of the full product of
+        ``monic_enum``, of which they are a subsequence.
+        """
+        degrees = tuple(degrees)
+        pools = [self.monic_enum(d) for d in degrees]
+        size = 1
+        for k, d in enumerate(degrees):
+            if d % self.q:
+                pools[k] = (f for f in pools[k] if f[d - 1] == 0)
+                size = self.q
+                break
+        for fs in itertools.product(*pools):
+            yield fs, size
+
     def _grow_sieve(self, dmax: int) -> None:
         """Rebuild the sieve to degree dmax if it is shorter; the top block
         is most of the work, so nothing of the old sieve is reused."""

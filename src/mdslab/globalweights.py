@@ -28,13 +28,20 @@ The local-to-global sums of ``global_coeff_sums`` go through the same
 slices: the sum over the slot of largest degree is one slice coefficient,
 and every t that shares that slot and the other slots' degrees reads its
 coefficient from one slice.
+The translation sigma_b(f)(t) = f(t + b), b in F_q, applied to every
+entry at once, is a ring automorphism fixing F_q: it keeps degrees,
+factorisation shapes and every residue symbol, (sigma p / sigma r) =
+(p/r). So it fixes H, and it fixes a slice, whose sum over f_i it only
+permutes. The tuples of other entries are therefore summed over the
+translation orbits of ``Fq.monic_orbits``, one slice per orbit times its
+size; the fe suite's slices and the residue H route read the same
+enumerator.
 The brute sums, of H over every f and over every monic tuple, and the
-enumeration of every smooth part stay in the tests as the oracles.
+enumeration of every smooth part and of every tuple stay in the tests
+as the oracles.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import accel
 from .fqpoly import ONE, Fq, degree, is_monic
@@ -139,21 +146,25 @@ def global_coeff_sums(fq: Fq, ts, seed: DiagonalSeed) -> list[int]:
     By the local-to-global principle this equals c_t evaluated at q. The
     sum over the first slot i of largest degree is coefficient t_i of the
     one-variable slice with the other entries fixed (``_slice_coeffs``), so
-    only the other slots are enumerated. The t that share i and the
-    degrees of the other slots read one slice per tuple of other entries,
-    summed to the largest such t_i: a slice to a lower degree is a prefix
-    of it (the Euler product and the sweep are both truncated, and the
-    sweep's cap does not depend on xbound). ``slice_batch`` groups the t
-    and prices the whole batch against ``BUDGET`` before any slice is
-    summed.
+    only the other slots are enumerated, and only up to translation: a
+    translation of the other entries fixes the slice (see the module
+    docstring), so each orbit of ``Fq.monic_orbits`` adds its
+    representative's slice times the orbit size. The t that share i and
+    the degrees of the other slots read one slice per orbit of other
+    entries, summed to the largest such t_i: a slice to a lower degree is
+    a prefix of it (the Euler product and the sweep are both truncated,
+    and the sweep's cap does not depend on xbound). ``slice_batch`` groups
+    the t and prices the whole batch, every tuple of other entries, against
+    ``BUDGET`` before any slice is summed.
     """
     keys, tops = slice_batch(fq, ts)
     sums = {}
     for (i, rest), top in tops.items():
         total = [0] * (top + 1)
-        for others in itertools.product(*map(fq.monic_enum, rest)):
+        for others, size in fq.monic_orbits(rest):
             fixed = others[:i] + (ONE,) + others[i:]
-            total = [a + b for a, b in zip(total, _slice_coeffs(fq, fixed, i, top, seed))]
+            coeffs = _slice_coeffs(fq, fixed, i, top, seed)
+            total = [a + size * b for a, b in zip(total, coeffs)]
         sums[i, rest] = total
     return [sums[key][x] for key, x in keys]
 
@@ -167,6 +178,9 @@ def l_series_H(
     s = deg f_{i-1} + deg f_{i+1} (cyclic). Odd s: L is a polynomial of
     degree s - 1 with the reversal of ``check_reversal``. Even s: the
     cleared numerator (1 - qx) L(x) has degree s and the same reversal.
+    L is fixed when every fixed entry is translated, f -> f(t + b), so a
+    check over the fixed tuples checks one per orbit of
+    ``Fq.monic_orbits``.
     """
     n1 = len(fixed)
     s = degree(fixed[(i - 1) % n1]) + degree(fixed[(i + 1) % n1])

@@ -25,7 +25,6 @@ pass.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -233,13 +232,17 @@ def residue_coeff_H_route(fq: Fq, n: int, avec: tuple[int, ...], seed: DiagonalS
 
     Such tuples are f_j = m s_j^2 with m squarefree of degree e, e = a_j
     (mod 2) for every j, and each arises from exactly one (m, s_0, ...,
-    s_{k-1}). So the enumeration runs over e, then the squarefree monic m
-    of degree e, then the monic s_j of degree (a_j - e)/2; the filtered
-    product of every monic tuple stays in the tests as the oracle. It is
-    refused past ``globalweights.BUDGET``, through the ``enforce_budget``
-    that prices ``global_coeff_sums``. Returns the sum of H over the
-    tuples; times q to the :func:`h_route_exponent` it is the engine
-    coefficient at :func:`residue_index` evaluated at q.
+    s_{k-1}). So the enumeration runs over e, then the tuples (m, s_0,
+    ...) with m of degree e and s_j of degree (a_j - e)/2, m squarefree.
+    Translating m and every s_j at once, f -> f(t + b), translates every
+    entry of the layout (products commute with it) and keeps m squarefree,
+    so it fixes H: the tuples are read one per orbit of
+    ``Fq.monic_orbits``, times the orbit size. The filtered product of
+    every monic tuple stays in the tests as the oracle. It is refused past
+    ``globalweights.BUDGET``, pricing every tuple, through the
+    ``enforce_budget`` that prices ``global_coeff_sums``. Returns the sum
+    of H over the tuples; times q to the :func:`h_route_exponent` it is
+    the engine coefficient at :func:`residue_index` evaluated at q.
     """
     k = len(avec)
     # the degrees e of m: e = a_j mod 2 and e <= a_j for every j
@@ -248,12 +251,10 @@ def residue_coeff_H_route(fq: Fq, n: int, avec: tuple[int, ...], seed: DiagonalS
     enforce_budget(k, sum(fq.q ** (e + sum(a - e for a in avec) // 2) for e in degrees))
     total = 0
     for e in degrees:
-        for m in fq.monic_enum(e):
-            if not fq.is_squarefree(m):
-                continue
-            for ss in itertools.product(*(fq.monic_enum((a - e) // 2) for a in avec)):
+        for (m, *ss), size in fq.monic_orbits([e] + [(a - e) // 2 for a in avec]):
+            if fq.is_squarefree(m):
                 fs = [fq.mul(m, fq.mul(s, s)) for s in ss]
-                total += H_global(fq, tuple(_layout(n, fs, fq.mul)), seed)
+                total += size * H_global(fq, tuple(_layout(n, fs, fq.mul)), seed)
     return total
 
 

@@ -277,25 +277,30 @@ def test_partition_lemma_checks_finish_at_n11():
     assert proc.returncode == 0, proc.stderr
 
 
+# {(q, bound): (trunc, digest)}
 FE_DIGESTS = {
-    (13, 6): "d579220e58b0069155842af41ff9421affc9b4c3b2c730f5d0666ee29ea92a04",
-    (17, 4): "cdb16eb9a998d86336cf42eded7ea1b0b3e4c92af37be04283cba336cbd51333",
+    (13, 6): (6, "d579220e58b0069155842af41ff9421affc9b4c3b2c730f5d0666ee29ea92a04"),
+    (17, 4): (6, "cdb16eb9a998d86336cf42eded7ea1b0b3e4c92af37be04283cba336cbd51333"),
+    (29, 4): (4, "e22e3b991df3e0fff83aa44a1c57edbd1b777de5d4e52565a6c9a1e31b5d3b27"),
 }
 
 
 @pytest.mark.parametrize("q, bound", sorted(FE_DIGESTS))
 def test_fe_reports_at_larger_q_match_pinned_digests(capsys, q, bound):
     # the fe suite at n = 2 beyond q = 5: l_series_fe sweeps slices whose
-    # moduli have primes of degree up to 3
-    argv = ["verify", "--n", "2", "--q", str(q), "--suite", "fe", "--bound", str(bound), "--trunc", "6"]
+    # moduli have primes of degree up to 3, one slice per translation
+    # orbit of its 1 + 2q + 3q^2 + 4q^3 pairs
+    trunc, digest = FE_DIGESTS[q, bound]
+    argv = ["verify", "--n", "2", "--q", str(q), "--suite", "fe", "--bound", str(bound), "--trunc", str(trunc)]
     capsys.readouterr()
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FE_DIGESTS[q, bound]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 AXIOMS_DIGESTS = {
     (2, 17, 5): "f059be76bc2f748c29fd6a673aa7cdf00ce6243b2f438daf7186efd703ba3249",
     (3, 13, 4): "7230dafccacf97df3bb7dac915ac9f8701e0a3fb211331006b3700c9fd4e21fb",
+    (2, 17, 6): "8b9e38637e7cf2a5f007584a0c12c9a907c03a25986375805f1b75d7021c71b1",
 }
 
 

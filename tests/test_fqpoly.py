@@ -186,6 +186,48 @@ def test_monic_enum_counts(f5):
         assert len(set(polys)) == len(polys)
 
 
+def translate(fq, f, b):
+    """f(t + b), by Horner's rule."""
+    out = ZERO
+    for c in reversed(f):
+        out = poly_add(fq, fq.mul(out, poly(fq, [b, 1])), (c,))
+    return out
+
+
+def scale(fq, f, a):
+    """a^(-deg f) f(a t), monic when f is."""
+    d = degree(f)
+    return poly(fq, [c * pow(a, k - d, fq.q) for k, c in enumerate(f)])
+
+
+@pytest.mark.parametrize(
+    "q, degrees",
+    [(5, ()), (5, (0,)), (5, (2,)), (5, (0, 3)), (5, (2, 1)), (5, (1, 0, 2)), (13, (0, 2, 1)),
+     # no pivot: every degree 0 or divisible by q
+     (5, (5,)), (5, (0, 5)), (5, (0, 0))],
+)
+def test_monic_orbits_against_every_tuple(q, degrees):
+    # the orbit sizes add up to q^(sum of degrees); with a pivot, the
+    # translates of every tuple are q distinct tuples, exactly one of them
+    # a representative, of size q; with none, every tuple is yielded alone
+    # with size 1. The representatives come in the order of the full product
+    fq = field(q)
+    orbits = list(fq.monic_orbits(degrees))
+    reps = dict(orbits)
+    full = list(itertools.product(*map(fq.monic_enum, degrees)))
+    assert sum(reps.values()) == len(full) == q ** sum(degrees)
+    assert [fs for fs, _ in orbits] == [fs for fs in full if fs in reps]
+    pivoted = any(d % q for d in degrees)
+    for fs in full:
+        translates = {tuple(translate(fq, f, b) for f in fs) for b in range(q)}
+        if pivoted:
+            assert len(translates) == q, fs
+            (rep,) = translates & reps.keys()
+            assert reps[rep] == q, fs
+        else:
+            assert reps[fs] == 1, fs
+
+
 def test_irreducible_counts(f5):
     # the function field analogue of the prime number theorem, exactly:
     # q^d = sum over e | d of e * (number of irreducibles of degree e)

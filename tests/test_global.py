@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 from test_accel import general_sums
-from test_fqpoly import poly, poly_pow
+from test_fqpoly import poly, poly_pow, scale, translate
 
 from mdslab import accel, globalweights, reducer
 from mdslab.cli import main
@@ -195,26 +195,45 @@ def test_grouped_sums_equal_the_per_t_route(n, q, bound):
     assert global_coeff_sums(fq, ts, seed) == [global_coeff_sum(fq, t, seed) for t in ts]
 
 
+def slice_groups(n1, bound):
+    """{(i, the other slots' degrees): largest t_i} over the t of sum <=
+    bound, i the first slot of largest degree."""
+    tops = {}
+    for t in tuples_with_sum_at_most(n1, bound):
+        i = t.index(max(t))
+        key = (i, t[:i] + t[i + 1 :])
+        tops[key] = max(tops.get(key, 0), t[i])
+    return tops
+
+
 def test_local_to_global_sums_one_slice_per_group(monkeypatch, tmp_path):
     # verify's local_to_global at n = 3, q = 5, bound 4: the t sharing the
     # first slot of largest degree and the other degrees read one slice per
-    # tuple of other entries, swept to their largest t_i
+    # translation orbit of other entries, swept to their largest t_i and
+    # weighted by the orbit size: 131 slices stand for the 639 tuples
     calls = []
+    orbits = []
     euler = globalweights._slice_coeffs
+    monic_orbits = Fq.monic_orbits
 
     def counting(fq, fixed, i, xbound, seed):
         calls.append((fixed, i, xbound))
         return euler(fq, fixed, i, xbound, seed)
 
+    def recording(fq, degrees):
+        for others, size in monic_orbits(fq, degrees):
+            orbits.append((tuple(degrees), size))
+            yield others, size
+
     monkeypatch.setattr(globalweights, "_slice_coeffs", counting)
+    monkeypatch.setattr(Fq, "monic_orbits", recording)
     argv = ["verify", "--n", "3", "--q", "5", "--suite", "axioms", "--bound", "4", "--trunc", "6"]
     assert main(argv + ["--out", str(tmp_path / "report")]) == 0
-    tops = {}
-    for t in tuples_with_sum_at_most(4, 4):
-        i = t.index(max(t))
-        key = (i, t[:i] + t[i + 1 :])
-        tops[key] = max(tops.get(key, 0), t[i])
-    assert len(calls) == len(set(calls)) == sum(5 ** sum(rest) for _, rest in tops) == 639
+    tops = slice_groups(4, 4)
+    assert len(calls) == len(set(calls)) == len(orbits) == 131
+    assert sum(size for _, size in orbits) == sum(5 ** sum(rest) for _, rest in tops) == 639
+    # size 5 exactly when some other slot has a degree prime to 5
+    assert all(size == (5 if any(degrees) else 1) for degrees, size in orbits)
     assert {(i, xbound) for _, i, xbound in calls} == {(i, top) for (i, _), top in tops.items()}
 
 
@@ -478,13 +497,35 @@ def smooth_part_slice(fq, fixed, i, xbound, seed):
     return coeffs
 
 
+def every_verify_slice(fq, n, bound, trunc):
+    """Every (fixed, i, xbound) of verify --suite all over every tuple,
+    with no orbit taken: the tuples of other entries of local_to_global,
+    and the pairs (f0, f2) of l_series_fe."""
+    keys = set()
+    for (i, rest), top in slice_groups(n + 1, bound).items():
+        for others in itertools.product(*map(fq.monic_enum, rest)):
+            keys.add((others[:i] + (ONE,) + others[i:], i, top))
+    for s in range(min(trunc, 3) + 1):
+        for d0 in range(s + 1):
+            for f0 in fq.monic_enum(d0):
+                for f2 in fq.monic_enum(s - d0):
+                    keys.add(((f0, ONE, f2) + (ONE,) * (n - 2), 1, s + 1))
+    return keys
+
+
+# (the distinct slices verify --suite all --bound 4 --trunc 6 builds at
+# q = 5, those of every_verify_slice): one slice per translation orbit
+VERIFY_SLICES = {2: (157, 769), 3: (249, 1225), 4: (468, 2316)}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_euler_product_matches_smooth_parts_on_every_verify_slice(n, monkeypatch, tmp_path):
     # every slice that verify --suite all reaches, from l_series_fe and
     # local_to_global, against the sum over every smooth part and against
-    # the slice built on an empty factor memo; and every
-    # sweep of the run, all from slices, is of a squarefree modulus below
-    # its degree, or of the principal character
+    # the slice built on an empty factor memo; the slice of every tuple of
+    # the full enumeration, each a translate of one of them, equals its
+    # representative's; and every sweep of the run, all from slices, is of
+    # a squarefree modulus below its degree, or of the principal character
     slices = {}
     euler = globalweights._slice_coeffs
     sweeps = []
@@ -503,7 +544,14 @@ def test_euler_product_matches_smooth_parts_on_every_verify_slice(n, monkeypatch
     monkeypatch.setattr(accel, "symbol_sums_by_degree", recording_sweep)
     argv = ["verify", "--n", str(n), "--q", "5", "--suite", "all", "--bound", "4", "--trunc", "6"]
     assert main(argv + ["--out", str(tmp_path / "report")]) == 0
-    assert len(slices) > 500
+    full = every_verify_slice(field(5), n, 4, 6)
+    assert (len(slices), len(full)) == VERIFY_SLICES[n]
+    assert slices.keys() <= full
+    for fixed, i, xbound in full:
+        translates = {tuple(translate(field(5), f, b) for f in fixed) for b in range(5)}
+        (rep,) = [key for key in ((m, i, xbound) for m in translates) if key in slices]
+        fq, seed, got = slices[rep]
+        assert _slice_coeffs(fq, fixed, i, xbound, seed) == got, (fixed, i, xbound)
     assert any(primes for _, primes, _ in sweeps) and any(not primes for _, primes, _ in sweeps)
     for fq, primes, dmax in sweeps:
         assert len(set(primes)) == len(primes), primes
@@ -570,6 +618,21 @@ def test_slice_factors_are_built_once_per_key(monkeypatch, tmp_path):
     memo = pipe.seed._slice_factors
     assert len(memo) == 98
     assert len(asked) == sum(map(len, memo.values()))
+
+
+def test_slice_factors_cut_at_one_xbound_are_not_read_at_another(f5, seed3):
+    # a slice to a small xbound leaves its primes' factors, cut short, on
+    # the seed; the slice of the same primes to a larger xbound, read
+    # through them, must equal the one built on an empty factor memo. A
+    # power of t sits next to slot i, so t's factor has terms past the cut
+    t = poly(f5, [0, 1])
+    t2 = fq_sq(f5, t)
+    for fixed, i in (((ONE, ONE, ONE, t2), 0), ((ONE, ONE, t, f5.mul(t, t2)), 2)):
+        warm = dataclasses.replace(seed3, _slice_factors={})
+        for xbound in (1, 6):
+            cold = dataclasses.replace(seed3, _slice_factors={})
+            want = _slice_coeffs(f5, fixed, i, xbound, cold)
+            assert _slice_coeffs(f5, fixed, i, xbound, warm) == want, (fixed, i, xbound)
 
 
 def test_seeds_with_other_weights_share_no_slice_factors(f5, seed3):
@@ -745,3 +808,32 @@ def test_coprime_twist_identity(f5, seed3):
                     assert H_global(f5, fs, seed3) == want, (fixed, i, f_s, f_c)
                     checked += 1
     assert checked > 10_000
+
+
+@pytest.mark.parametrize("q", [5, 13, 17, 29])
+def test_H_and_slices_are_fixed_by_translations_and_square_scalings(q, seed3):
+    # sigma(f)(t) = a^(-deg f) f(a t + b) on every entry at once: every
+    # translation (a = 1) and every square scaling (b = 0) fixes H and
+    # every slice, while a non-square a moves a slice, so a wrong group
+    # fails the test. The first case is one it moves: its twist sign is
+    # (t / t + 1), which a scaling carries to (t / t + 1/a) = legendre(a)
+    fq = field(q)
+    t, u = poly(fq, [0, 1]), poly(fq, [1, 1])
+    cases = [((t, ONE, ONE, u), 1)] + random_cases(fq, random.Random(q), 8, 2)
+    squares = [a for a in range(1, q) if fq.legendre[a] == 1]
+    fixing = [lambda f, b=b: translate(fq, f, b) for b in range(q)]
+    fixing += [lambda f, a=a: scale(fq, f, a) for a in squares]
+    moving = [lambda f, a=a: scale(fq, f, a) for a in range(1, q) if a not in squares]
+    for fixed, i in cases:
+        xbound = min_xbound(fixed, i)
+        h = H_global(fq, fixed, seed3)
+        got = _slice_coeffs(fq, fixed, i, xbound, seed3)
+        for sigma in fixing:
+            image = tuple(map(sigma, fixed))
+            assert H_global(fq, image, seed3) == h, (fixed, image)
+            assert _slice_coeffs(fq, image, i, xbound, seed3) == got, (fixed, i, image)
+    fixed, i = cases[0]
+    got = _slice_coeffs(fq, fixed, i, 0, seed3)
+    assert got != [0]
+    for sigma in moving:
+        assert _slice_coeffs(fq, tuple(map(sigma, fixed)), i, 0, seed3) == [-got[0]], q
