@@ -118,6 +118,13 @@ def test_global_sum_matches_engine_beyond_brute(n, total, q):
         assert global_coeff_sum(fq, t, seed) == reduce_coeff(t, seed).eval_int(q), t
 
 
+def test_global_sum_over_pivot_free_other_slots(f5, seed2):
+    # at q = 5 the other slots of (5, 5, 0) have degrees 5 and 0, neither
+    # prime to 5, so monic_orbits yields each of their 3,125 tuples alone
+    t = (5, 5, 0)
+    assert global_coeff_sum(f5, t, seed2) == reduce_coeff(t, seed2).eval_int(5)
+
+
 def test_local_to_global_fails_on_a_perturbed_sweep(f5, seed3, monkeypatch, tmp_path):
     # the coprime character sum off by one at a single degree d must break
     # local to global, in global_coeff_sum and in the verify check
