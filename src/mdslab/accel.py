@@ -36,9 +36,9 @@ the product of the rows of its primes. A sweep sums (f/g) by degree for a
 squarefree g, a primitive character, given by its primes, which every
 caller already holds, so g is neither multiplied out nor factored here;
 the principal character (no prime) has the sums q^d and needs no row.
-``symbol_rows`` returns the rows of every monic g of one degree, squares
-included, an even exponent contributing only the mask row != 0; it builds
-the missing primes of each degree up to it first.
+``symbol_rows`` returns the rows of a list of monic g, squares included,
+an even exponent contributing only the mask row != 0; it builds first the
+missing rows of the primes dividing some g, and no other prime.
 
 Cache. Each Fq context holds one byte-bounded ``_Cache``: the row of each
 prime, and the sums of each squarefree g as far as they were swept, keyed
@@ -52,8 +52,6 @@ Past MAX_CACHE_BYTES the oldest entries of either kind go.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -366,27 +364,28 @@ def _row(fq: Fq, primes, dmax: int) -> np.ndarray:
     return row
 
 
-def symbol_rows(fq: Fq, d: int, dmax: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """(f/g) for the monic g of degree d at positions [start, stop) of
-    ``monic_enum`` order (every such g by default), one int8 row each, over
-    every monic f of degree <= dmax.
+def symbol_rows(fq: Fq, gs, dmax: int) -> np.ndarray:
+    """(f/g) for each monic g of the list gs, one int8 row each, over every
+    monic f of degree <= dmax.
 
-    Row k holds (f/g) for the g at position start + k and the f of degree
-    b at [q^b, 2q^b), constant coefficient fastest (the layout above);
-    entry 0 is no f.
+    Row k holds (f/g) for gs[k] and the f of degree b at [q^b, 2q^b),
+    constant coefficient fastest (the layout above); entry 0 is no f. Only
+    the primes dividing some g are built; the cost is priced before any g
+    is factored.
     """
-    q = fq.q
-    stop = q**d if stop is None else min(stop, q**d)
-    # at most q^e / e primes have degree e
-    degrees = [(e, q**e // e) for e in range(1, d + 1)]
+    q, top = fq.q, max((degree(g) for g in gs), default=0)
+    # at most q^e / e primes have degree e, and a g of degree <= top has at
+    # most top // e of them
+    degrees = [(e, min(q**e // e, len(gs) * (top // e))) for e in range(1, top + 1)]
     _check_cost(
-        q, degrees, dmax, stop - start, lambda: f"symbol rows of the monic g of degree {d}"
+        q, degrees, dmax, len(gs), lambda: f"symbol rows of {len(gs)} monic g of degree <= {top}"
     )
-    primes = [p for e in range(1, d + 1) for p in fq._primes_of_degree(e)]
+    factors = [fq.factor(g)[0] for g in gs]
+    primes = dict.fromkeys(p for fac in factors for p, _ in fac)
     prime_rows = _prime_rows(fq, primes, dmax)
-    rows = np.ones((stop - start, 2 * q**dmax), dtype=np.int8)
-    for row, g in zip(rows, itertools.islice(fq.monic_enum(d), start, stop)):
-        for p, e in fq.factor(g)[0]:
+    rows = np.ones((len(gs), 2 * q**dmax), dtype=np.int8)
+    for row, fac in zip(rows, factors):
+        for p, e in fac:
             prow = prime_rows[p][: len(row)]
             # an even power only kills the f with gcd(f, p) > 1
             row *= prow if e % 2 else prow != 0

@@ -11,9 +11,11 @@ verifies the cubic moment identity tying averages of L-values to divisor
 sums. The moment check reads one row of symbols (f/g) per monic modulus g
 from ``accel.symbol_rows``: one route multiplies the rows of f_1 and f_3
 (multiplicativity in the modulus), the other weighs the row sums of each f
-by its divisor count (factorisation).
-The rows of degree above dmax / 2 pair only with lower ones, so they are
-built and reduced in chunks of at most ROW_CHUNK_BYTES. Every check
+by its divisor count (factorisation). Both routes are fixed by the
+translation g -> g(t + b), so f_1 and the other route's f run over the
+representatives of ``Fq.monic_orbits``, weighed by their orbit sizes.
+The rows of degree above dmax / 2 pair only with lower ones, so only the
+representatives' are built, in chunks of at most ROW_CHUNK_BYTES. Every check
 returns ``{"status", "witness"}``; ``check_rh``, the one floating-point
 check, also reports its largest root deviation as ``max_deviation``.
 ``check_l_fe`` and ``check_rh`` are the documented L-function API: no CLI
@@ -30,8 +32,9 @@ from . import accel
 from .fqpoly import Fq, degree
 from .reducer import check_reversal
 
-# Most residue symbols one moment check may evaluate: about 15 s of sweeps
-# (q=17, dmax=3 evaluates 1.4e8 in about 2 s on a 2-vCPU host).
+# Most residue symbols one moment check may evaluate, as check_moment_cost
+# counts them: about 2 s on a 2-vCPU host (q=5, dmax=6 evaluates 7.1e8 in
+# 1.3 s, q=13, dmax=4 2.9e8 in 0.9 s).
 MAX_MOMENT_SYMBOLS = 10**9
 # Most bytes of one chunk of symbol rows of a degree above dmax / 2 in the
 # moment check.
@@ -124,15 +127,19 @@ def divisor_count(fq: Fq, f) -> int:
 def check_moment_cost(q: int, dmax: int) -> None:
     """Raise ValueError, with the estimate, if the moment check is too big.
 
-    The count is of symbol products: route A's Gram matrices stand for
-    (f/f_1)(f/f_3) over every monic f of degree <= dmax and every pair
-    (f_1, f_3) with deg f_1 + deg f_3 <= dmax, and route B sums (f/g) over
-    the same f for every monic g of degree <= dmax, so the count is
-    sum_{d <= dmax} q^d for each such pair and each such g. That is also
-    the number of symbols a sweep of each modulus f_1 f_3 would evaluate.
+    The count is of the symbols and symbol products that the orbit route of
+    ``_moment_sides`` evaluates, each over every monic f of degree <= dmax:
+    one row per monic g of degree <= dmax / 2 and per representative g of
+    each degree above, and route A's Gram entries (f/f_1)(f/f_3) for every
+    representative f_1 of degree d and monic f_3 of degree
+    e <= min(d, dmax - d).
     """
-    moduli = sum((s + 2) * q**s for s in range(dmax + 1))
-    count = moduli * sum(q**d for d in range(dmax + 1))
+    # the representatives of Fq.monic_orbits((d,)): one in q when d has a
+    # pivot (d prime to q), else every monic g of degree d
+    reps = [q ** (d - 1) if d % q else q**d for d in range(dmax + 1)]
+    rows = sum(q**d if 2 * d <= dmax else reps[d] for d in range(dmax + 1))
+    pairs = sum(reps[d] * q**e for d in range(dmax + 1) for e in range(min(d, dmax - d) + 1))
+    count = (rows + pairs) * sum(q**d for d in range(dmax + 1))
     if count > MAX_MOMENT_SYMBOLS:
         raise ValueError(
             f"the moment check at q={q}, dmax={dmax} evaluates {count:.1e} "
@@ -142,19 +149,37 @@ def check_moment_cost(q: int, dmax: int) -> None:
 
 def _moment_sides(fq: Fq, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(side A, side B) of the cubic-moment identity, each indexed by
-    (deg f_1 f_3, deg f_0, deg f_2); see ``moment_identity_check``."""
+    (deg f_1 f_3, deg f_0, deg f_2); see ``moment_identity_check``.
+
+    Every term is fixed by the translation g -> g(t + b), applied to f_1
+    and f_3 together (it permutes the f summed over and keeps each symbol),
+    so f_1 and route B's g run over the representatives of
+    ``Fq.monic_orbits``, each weighed by its orbit size, while f_3 runs
+    over every monic polynomial.
+    """
     q = fq.q
     blocks = [slice(q**b, 2 * q**b) for b in range(dmax + 1)]
     side_a = np.zeros((dmax + 1,) * 3, dtype=np.int64)
     side_b = np.zeros_like(side_a)
-    low = []  # the row matrices of degree <= dmax / 2, paired again later
+    low = []  # the rows of every g of degree <= dmax / 2, paired again later
     for d in range(dmax + 1):
-        sigma = np.array([divisor_count(fq, f) for f in fq.monic_enum(d)], dtype=np.int64)
-        # a degree above dmax / 2 pairs only with the kept low degrees, so
-        # its rows are built and reduced a chunk of g at a time
-        step = q**d if 2 * d <= dmax else max(1, ROW_CHUNK_BYTES // (2 * q**dmax))
-        for start in range(0, q**d, step):
-            rows = accel.symbol_rows(fq, d, dmax, start, start + step)
+        orbits = list(fq.monic_orbits((d,)))
+        reps = [g for (g,), _ in orbits]
+        (size,) = {size for _, size in orbits}  # q, or 1 when d has no pivot
+        if 2 * d <= dmax:
+            every = list(fq.monic_enum(d))
+            low.append(accel.symbol_rows(fq, every, dmax))
+            held = set(reps)
+            chunks = [(reps, low[d][[g in held for g in every]])]
+        else:
+            # a degree above dmax / 2 pairs only with the kept low degrees,
+            # so its rows are built and reduced a chunk of g at a time
+            step = max(1, ROW_CHUNK_BYTES // (2 * q**dmax))
+            chunks = (
+                (reps[k : k + step], accel.symbol_rows(fq, reps[k : k + step], dmax))
+                for k in range(0, len(reps), step)
+            )
+        for gs, rows in chunks:
             # route A: G_b[f_1, f_3] = sum over f of degree b of
             # (f/f_1)(f/f_3), the degree-b sum of (f / f_1 f_3), for
             # deg f_1 = d, deg f_3 = e; side A[d + e][b, b'] gains
@@ -162,19 +187,17 @@ def _moment_sides(fq: Fq, dmax: int) -> tuple[np.ndarray, np.ndarray]:
             # The pairs (e, d) give the transposes, so they count twice
             # when e < d.
             for e in range(min(d, dmax - d) + 1):
-                other = rows if e == d else low[e]
                 gram = np.stack([
-                    np.einsum("ik,jk->ij", rows[:, b], other[:, b], dtype=np.int64).ravel()
+                    np.einsum("ik,jk->ij", rows[:, b], low[e][:, b], dtype=np.int64).ravel()
                     for b in blocks
                 ])
-                side_a[d + e] += (1 if e == d else 2) * (gram @ gram.T)
-            # route B: the sums by degree of each f of degree d, weighted by
-            # its number of monic divisors
+                side_a[d + e] += size * (1 if e == d else 2) * (gram @ gram.T)
+            # route B: the sums by degree of each g, weighted by its number
+            # of monic divisors
+            sigma = np.array([divisor_count(fq, g) for g in gs], dtype=np.int64)
             sums = np.stack([rows[:, b].sum(axis=1, dtype=np.int64) for b in blocks], axis=1)
-            side_b[d] += sums.T @ (sigma[start : start + step, None] * sums)
-            if 2 * d <= dmax:
-                low.append(rows)  # the whole degree, in one chunk
-            del rows, other  # a chunk is freed before the next is built
+            side_b[d] += size * (sums.T @ (sigma[:, None] * sums))
+            del rows  # a chunk is freed before the next is built
     return side_a, side_b
 
 
@@ -192,6 +215,9 @@ def moment_identity_check(fq: Fq, dmax: int) -> dict:
     row matrices per degree block of f, and no f_1 f_3 is multiplied out.
     Route B: sum over monic f of sigma_0(f), from f's factorisation, times
     the outer product of f's own character sums by degree.
+    Each sum runs over translation orbits: f_1 in route A and f in route B
+    over the representatives of ``Fq.monic_orbits``, times the orbit size
+    (see ``_moment_sides``).
     """
     check_moment_cost(fq.q, dmax)
     side_a, side_b = _moment_sides(fq, dmax)

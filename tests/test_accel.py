@@ -194,7 +194,7 @@ def test_rows_past_the_sieve_bound_use_a_sieve_of_their_own(monkeypatch):
 
 def test_symbol_rows_match_scalar_route():
     fq = field(5)
-    rows = accel.symbol_rows(fq, 2, 2)
+    rows = accel.symbol_rows(fq, list(fq.monic_enum(2)), 2)
     assert rows.shape == (25, 2 * 25) and rows.dtype == np.int8
     for row, g in zip(rows, fq.monic_enum(2)):
         assert_row_matches_oracle(fq, g, row, 2)
@@ -202,8 +202,9 @@ def test_symbol_rows_match_scalar_route():
 
 def test_symbol_row_chunks_are_slices_of_all_rows():
     fq = field(5)
-    rows = accel.symbol_rows(fq, 3, 2)
-    chunks = [accel.symbol_rows(fq, 3, 2, start, start + 40) for start in range(0, 125, 40)]
+    gs = list(fq.monic_enum(3))
+    rows = accel.symbol_rows(fq, gs, 2)
+    chunks = [accel.symbol_rows(fq, gs[start : start + 40], 2) for start in range(0, 125, 40)]
     assert [len(c) for c in chunks] == [40, 40, 40, 5]
     assert np.array_equal(np.concatenate(chunks), rows)
 
@@ -213,7 +214,7 @@ def test_every_modulus_up_to_degree_3_matches_scalar_route():
     # degree above the sweep degree, included
     fq = field(5)
     for dg in range(4):
-        rows = accel.symbol_rows(fq, dg, 3)
+        rows = accel.symbol_rows(fq, list(fq.monic_enum(dg)), 3)
         for row, g in zip(rows, fq.monic_enum(dg)):
             assert_row_matches_oracle(fq, g, row, 3)
 
@@ -235,7 +236,7 @@ def test_public_routes_agree():
     fq = field(13)
     for g in [poly(fq, [0, 1]), poly(fq, [5, 1, 1]), poly(fq, [1, 2, 0, 1])]:
         sums = accel.symbol_sums_by_degree(fq, squarefree_primes(fq, g), 2)
-        row = accel.symbol_rows(fq, len(g) - 1, 2)[index_of(fq, g)]
+        row = accel.symbol_rows(fq, list(fq.monic_enum(len(g) - 1)), 2)[index_of(fq, g)]
         for d in range(3):
             vals = row[13**d : 2 * 13**d]
             assert int(sums[d]) == int(vals.sum()), (g, d)
@@ -248,7 +249,7 @@ def test_prime_degree_above_sweep_degree():
     # the prime's residues have more coefficients than the swept f
     fq = field(5)
     g = poly(fq, [2, 0, 0, 1])  # irreducible cubic times nothing else
-    vals = accel.symbol_rows(fq, 3, 1)[index_of(fq, g)][5:10]
+    vals = accel.symbol_rows(fq, list(fq.monic_enum(3)), 1)[index_of(fq, g)][5:10]
     for idx, v in enumerate(vals):
         assert int(v) == fq.residue_symbol(monic_by_index(fq, 1, idx), g)
 
@@ -273,7 +274,7 @@ def test_square_factor_kills_common_divisors():
     fq = field(5)
     t = poly(fq, [0, 1])
     g = fq.mul(fq.mul(t, t), poly(fq, [1, 1]))
-    vals = accel.symbol_rows(fq, 3, 1)[index_of(fq, g)][5:10]
+    vals = accel.symbol_rows(fq, list(fq.monic_enum(3)), 1)[index_of(fq, g)][5:10]
     for idx, v in enumerate(vals):
         assert int(v) == fq.residue_symbol(monic_by_index(fq, 1, idx), g)
 
@@ -284,7 +285,8 @@ def test_row_grows_to_a_larger_degree():
     g = poly(fq, [2, 0, 1])  # irreducible: -2 is not a square mod 13
     assert list(accel.symbol_sums_by_degree(fq, (g,), 1)) == [1, -1]
     assert len(cached_rows(fq)[g]) == 2 * 13
-    assert_row_matches_oracle(fq, g, accel.symbol_rows(fq, 2, 3)[index_of(fq, g)], 3)
+    row = accel.symbol_rows(fq, list(fq.monic_enum(2)), 3)[index_of(fq, g)]
+    assert_row_matches_oracle(fq, g, row, 3)
     assert len(cached_rows(fq)[g]) == 2 * 13**3
 
 
@@ -479,7 +481,7 @@ def test_grown_rows_equal_a_fresh_build():
 
 def test_char_bytes_match_entries_after_a_batch():
     fq = Fq(13)
-    accel.symbol_rows(fq, 2, 2)
+    accel.symbol_rows(fq, list(fq.monic_enum(2)), 2)
     rows = list(cached_rows(fq).values())
     assert len(rows) == 13 + 78  # every prime of degree <= 2
     assert accel._cache(fq).nbytes == sum(a.nbytes for a in rows)
@@ -492,5 +494,5 @@ def test_oversized_symbol_rows_are_refused_before_allocating():
     # tables; the estimate refuses it before any prime is sieved or built
     fq = Fq(29)
     with pytest.raises(ValueError, match="bytes"):
-        accel.symbol_rows(fq, 4, 4)
+        accel.symbol_rows(fq, list(fq.monic_enum(4)), 4)
     assert fq._sieve_degree == 0 and not accel._cache(fq).entries

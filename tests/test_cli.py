@@ -113,7 +113,7 @@ def test_moments_wrong_n(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "q, trunc, estimate", [("5", "6", "3.0e+09"), ("29", "3", "3.2e+09")]
+    "q, trunc, estimate", [("17", "4", "1.9e+09"), ("5", "7", "1.7e+10")]
 )
 def test_oversized_moments_exit_2(q, trunc, estimate, capsys):
     start = time.perf_counter()
@@ -313,6 +313,24 @@ def test_axioms_reports_at_larger_q_match_pinned_digests(capsys, n, q, bound):
     capsys.readouterr()
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == AXIOMS_DIGESTS[n, q, bound]
+
+
+MOMENTS_DIGESTS = {
+    # degree 5 has no translation pivot at q=5: each quintic is its own orbit
+    (5, 5): "91aca1fdf367a06bb27a33cc3ca36e9c99bc6936f909ce1ed4c9337950ca26de",
+    (13, 3): "722c617def22db4f16600df8b938d0ddcf51d25f359549f990ef93309ac3f0f0",
+    (17, 3): "69d6fc92885464a228fa02d0c6bfabfe20c3696b39cc1083fc00b10e2498b933",
+    # priced at 2.9e8 symbols by the orbit route (5.7e9 without orbits)
+    (13, 4): "9ba630833bbe6e010250573b74b6a3d6f77695160a95f26b56a01cb9b1e7ce4e",
+}
+
+
+@pytest.mark.parametrize("q, trunc", sorted(MOMENTS_DIGESTS))
+def test_moments_reports_match_pinned_digests(capsys, q, trunc):
+    argv = ["moments", "--n", "3", "--q", str(q), "--trunc", str(trunc)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MOMENTS_DIGESTS[q, trunc]
 
 
 @pytest.mark.parametrize("suite", ["axioms", "all"])

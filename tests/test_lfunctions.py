@@ -138,6 +138,30 @@ def brute_moment_sides(fq, dmax):
     return side_a, side_b
 
 
+def full_moment_sides(fq, dmax):
+    # the enumeration route with no orbits: the rows of every monic g of
+    # each degree, every g as f_1 and as route B's modulus, weight 1
+    q = fq.q
+    blocks = [slice(q**b, 2 * q**b) for b in range(dmax + 1)]
+    side_a = np.zeros((dmax + 1,) * 3, dtype=np.int64)
+    side_b = np.zeros_like(side_a)
+    rows_of = []
+    for d in range(dmax + 1):
+        gs = list(fq.monic_enum(d))
+        rows = accel.symbol_rows(fq, gs, dmax)
+        rows_of.append(rows)
+        for e in range(min(d, dmax - d) + 1):
+            gram = np.stack([
+                np.einsum("ik,jk->ij", rows[:, b], rows_of[e][:, b], dtype=np.int64).ravel()
+                for b in blocks
+            ])
+            side_a[d + e] += (1 if e == d else 2) * (gram @ gram.T)
+        sigma = np.array([divisor_count(fq, g) for g in gs], dtype=np.int64)
+        sums = np.stack([rows[:, b].sum(axis=1, dtype=np.int64) for b in blocks], axis=1)
+        side_b[d] += sums.T @ (sigma[:, None] * sums)
+    return side_a, side_b
+
+
 @pytest.mark.parametrize("q, dmax", [(5, 1), (5, 2), (5, 3), (13, 1), (13, 2)])
 def test_moment_sides_match_per_pair_oracle(q, dmax):
     fq = field(q)
@@ -147,13 +171,26 @@ def test_moment_sides_match_per_pair_oracle(q, dmax):
     assert np.array_equal(side_b, want_b)
 
 
-@pytest.mark.parametrize("q, dmax, chunk", [(5, 3, 7), (13, 2, 10)])
+@pytest.mark.parametrize("q, dmax", [(5, d) for d in range(6)] + [(13, d) for d in range(4)])
+def test_orbit_moment_sides_match_full_enumeration(q, dmax):
+    # each side on its own: a wrong orbit weight that scales both sides
+    # alike keeps the identity but not these sides (dmax = 0 has no pivot)
+    fq = field(q)
+    side_a, side_b = _moment_sides(fq, dmax)
+    want_a, want_b = full_moment_sides(fq, dmax)
+    assert np.array_equal(side_a, want_a)
+    assert np.array_equal(side_b, want_b)
+
+
+@pytest.mark.parametrize("q, dmax, chunk", [(5, 3, 7), (13, 2, 10), (5, 5, 40)])
 def test_streamed_moment_sides_match_per_pair_oracle(q, dmax, chunk, monkeypatch):
     # chunks of a few rows, the last one short, for every degree above dmax/2
+    # (at q=5, dmax=5 the pivot-free quintics and the quartic representatives)
     monkeypatch.setattr(lfunctions, "ROW_CHUNK_BYTES", chunk * 2 * q**dmax)
     fq = field(q)
     side_a, side_b = _moment_sides(fq, dmax)
-    want_a, want_b = brute_moment_sides(fq, dmax)
+    want = brute_moment_sides if dmax < 5 else full_moment_sides
+    want_a, want_b = want(fq, dmax)
     assert np.array_equal(side_a, want_a)
     assert np.array_equal(side_b, want_b)
 
@@ -164,19 +201,24 @@ WITNESS = re.compile(r"index \(\d+, \d+, \d+\): -?\d+ != -?\d+")
 def test_moment_identity_fails_on_a_flipped_symbol(f5, monkeypatch):
     assert moment_identity_check(f5, 2) == {"status": "pass"}
     rows_of = accel.symbol_rows
+    g = poly(f5, [1, 0, 1])  # (t + 2)(t + 3), the representative of its orbit
+    flips = []
 
-    def flipped(fq, d, dmax, start=0, stop=None):
-        rows = rows_of(fq, d, dmax, start, stop)
-        if d == 2 and start == 0:  # the first chunk of degree 2
-            # g = t(t+1) is row 1; f = t + 2 sits at 5 + 2. Route B weighs
-            # g's row by sigma_0(g) = 4, route A reads it for two of the
+    def flipped(fq, gs, dmax):
+        rows = rows_of(fq, gs, dmax)
+        if g in gs:
+            # f = t + 1 sits at 5 + 1. Route B weighs g's row by its orbit
+            # size times sigma_0(g) = 4, route A reads it for two of the
             # four factorisations only
-            assert rows[1, 7] != 0
-            rows[1, 7] *= -1
+            k = list(gs).index(g)
+            assert rows[k, 6] != 0
+            rows[k, 6] *= -1
+            flips.append(dmax)
         return rows
 
     monkeypatch.setattr(accel, "symbol_rows", flipped)
     report = moment_identity_check(f5, 2)
+    assert flips == [2]
     assert report["status"] == "fail" and WITNESS.fullmatch(report["witness"]), report
 
 
@@ -238,10 +280,11 @@ def test_oversized_l_poly_is_refused():
 
 
 def test_moment_cost_limit():
-    # the symbol counts of q=5 dmax=5 (1.0e8) and q=17 dmax=3 (1.4e8) pass
-    check_moment_cost(5, 5)
-    check_moment_cost(17, 3)
-    with pytest.raises(ValueError, match="3.0e"):
-        check_moment_cost(5, 6)
-    with pytest.raises(ValueError, match="3.2e"):
-        moment_identity_check(field(29), 3)
+    # the orbit route's counts at the largest admitted dmax of each q pass:
+    # q=5 dmax=6 (7.1e8), q=13 dmax=4 (2.9e8), q=17 dmax=3 and q=29 dmax=3
+    for q, dmax in [(5, 6), (13, 4), (17, 3), (29, 3)]:
+        check_moment_cost(q, dmax)
+    with pytest.raises(ValueError, match=r"evaluates 1\.7e\+10 "):
+        check_moment_cost(5, 7)
+    with pytest.raises(ValueError, match=r"evaluates 1\.9e\+09 "):
+        moment_identity_check(field(17), 4)
