@@ -128,7 +128,8 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
     """Derive the axiomatic diagonal seed from the explicit residue product.
 
     R_diag(x) = P(x) * Z_diag(q^{-(n+1)/2} x), so dividing the diagonal of
-    the expanded product by P recovers the diagonal coefficients. Each
+    the expanded product by P (one :meth:`~mdslab.series.MultiSeries.div`)
+    recovers the diagonal coefficients. Each
     recovered coefficient beyond the constant must be divisible by q and
     land in Z[q]; violations abort the pipeline. The diagonal is read from
     the box [0, max_degree]^k of the product. The result carries P and
@@ -143,7 +144,7 @@ def run_pipeline(n: int, max_degree: int) -> PipelineResult:
     k = n_even_vars(n)
     r_diag = expand_diagonal(build_R(n, max_degree * k), k, max_degree)
     p = compute_P(n, max_degree)
-    z_scaled = r_diag.mul(_p_series(p, max_degree).inverse())
+    z_scaled = r_diag.div(_p_series(p, max_degree))
     if z_scaled.coeff((0,)) != QL_ONE:
         raise ValueError("pipeline: constant diagonal term is not 1")
     diag: list[QLaurent] = []
@@ -435,8 +436,9 @@ def check_fe(n: int, key: int | str) -> dict:
 def reconstruct_R1(n: int, bound: int, pipe: PipelineResult) -> dict:
     """Recover the diagonal factors from P and the off-diagonal product.
 
-    (P * R_{0,diag}^{-1})^flat, completed under beta -> 1-beta pairing,
-    must reproduce the diagonal sub-multiset of the explicit product.
+    (P / R_{0,diag})^flat, completed under beta -> 1-beta pairing, must
+    reproduce the diagonal sub-multiset of the explicit product; the
+    quotient is one :meth:`~mdslab.series.MultiSeries.div`.
     Factors are trusted up to degree bound/2 (truncation aliasing guard).
     Each diagonal factor is a power of x_0 x_2 ... alone, so R_diag is
     R_{0,diag} times their one-variable product: R_{0,diag} is the
@@ -446,14 +448,13 @@ def reconstruct_R1(n: int, bound: int, pipe: PipelineResult) -> dict:
     with 0 < beta < 1 other than 1/2 raises; for n even a beta = 1/2 factor
     fails the check. The completion reads only the flat factors.
     """
-    p = _p_series(pipe.p, bound)
     trust = bound // 2
     # a family lies on the diagonal exactly when its start w does
     fams = {((w[0],), beta): gamma for (w, beta), gamma in families(n).items() if len(set(w)) == 1}
     diag = progressions(fams, (2,), bound)
     negated = {key: -gamma for key, gamma in diag.items()}
     r0_diag = MultiSeries(1, bound, pipe.r_diag.terms).mul(expand_factors(negated, 1, bound))
-    form = factorize_product_form(p.mul(r0_diag.inverse()))
+    form = factorize_product_form(_p_series(pipe.p, bound).div(r0_diag))
     trusted = sorted(item for item in form.items() if sum(item[0][0]) <= trust)
     # beta <= 0 is flat, 1/2 natural, >= 1 sharp; nothing lies in between
     anomalies = [(a, b, g) for (a, b), g in trusted if 0 < b < _BETA1 and b != _BETA_HALF]

@@ -15,9 +15,11 @@ keeps, for its diagonal up to x^D, only the terms of the box [0, D]^k
 that the factors still to come can carry to a point a·δ, δ = (1, ...,
 1), a <= D. Every factor exponent is nonnegative, so a dropped term never
 reaches a kept one and both truncated products are exact.
-:meth:`MultiSeries.inverse` and :func:`factorize_product_form` read their
+:meth:`MultiSeries.div` and :func:`factorize_product_form` read their
 exponent vectors from :func:`~mdslab.reducer.tuples_with_sum_at_most`,
-the one enumerator of bounded index vectors.
+the one enumerator of bounded index vectors. ``div`` divides by forward
+substitution over a schedule of coefficient pairs, with no inverse built
+first; :meth:`MultiSeries.inverse` is 1 divided by the series.
 :func:`check_diagonal_determination` divides two series generated by the
 recurrence engine and checks that the ratio lives on the diagonal.
 """
@@ -88,28 +90,43 @@ class MultiSeries:
                     out[e] = prod
         return MultiSeries(self.nvars, self.bound, out)
 
-    def inverse(self) -> "MultiSeries":
-        """Multiplicative inverse up to the bound; constant term must be 1."""
-        const = self.terms.get((0,) * self.nvars, QL_ZERO)
-        if const != QL_ONE:
-            raise ValueError("series inverse requires constant term 1")
-        zero = (0,) * self.nvars
-        inv: dict[ExpVec, QLaurent] = {zero: QL_ONE}
-        # in lexicographic order e - e1 comes before e for every 0 < e1 <= e
+    def div(self, other: "MultiSeries") -> "MultiSeries":
+        """Quotient self / other up to the bound; other's constant term must be 1.
+
+        Forward substitution: r[e] = self[e] - sum other[e1] * r[e - e1]
+        over the pairs of :func:`_div_schedule`. In the lexicographic order
+        of :func:`~mdslab.reducer.tuples_with_sum_at_most`, e - e1 comes
+        before e for every 0 < e1 <= e, so each r[e - e1] is already known.
+        """
+        self._check_compat(other)
+        if other.coeff((0,) * self.nvars) != QL_ONE:
+            raise ValueError("series division requires a divisor with constant term 1")
+        schedule = _div_schedule(other)
+        out: dict[ExpVec, QLaurent] = {}
         for e in tuples_with_sum_at_most(self.nvars, self.bound):
-            if e == zero:
-                continue
-            acc = QL_ZERO
-            for e1, c1 in self.terms.items():
-                if e1 == zero or any(a > b for a, b in zip(e1, e)):
-                    continue
-                rest = tuple(b - a for a, b in zip(e1, e))
-                c2 = inv.get(rest)
-                if c2 is not None:
-                    acc = acc + c1 * c2
+            acc = self.terms.get(e, QL_ZERO)
+            for c1, rest in schedule.get(e, ()):
+                if rest in out:
+                    acc = acc - c1 * out[rest]
             if acc:
-                inv[e] = -acc
-        return MultiSeries(self.nvars, self.bound, inv)
+                out[e] = acc
+        return MultiSeries(self.nvars, self.bound, out)
+
+    def inverse(self) -> "MultiSeries":
+        # perfbench/spans.py wraps this method by name, so it stays as 1 / self
+        return MultiSeries(self.nvars, self.bound, {(0,) * self.nvars: QL_ONE}).div(self)
+
+
+def _div_schedule(divisor: MultiSeries) -> dict[ExpVec, list[tuple[QLaurent, ExpVec]]]:
+    """For each e up to the bound, the pairs (divisor[e1], e - e1) over the
+    nonzero exponents e1 <= e of the divisor's terms, e being e1 + rest
+    with rest read from :func:`~mdslab.reducer.tuples_with_sum_at_most`."""
+    schedule: dict[ExpVec, list[tuple[QLaurent, ExpVec]]] = {}
+    for e1, c1 in divisor.terms.items():
+        if any(e1):
+            for rest in tuples_with_sum_at_most(divisor.nvars, divisor.bound - sum(e1)):
+                schedule.setdefault(tuple(a + b for a, b in zip(e1, rest)), []).append((c1, rest))
+    return schedule
 
 
 def progressions(families: Factors, step: ExpVec, bound: int) -> Factors:
@@ -276,7 +293,11 @@ def factorize_product_form(s: MultiSeries) -> Factors:
 def check_diagonal_determination(
     n: int, seed1: DiagonalSeed, seed2: DiagonalSeed, bound: int
 ) -> dict:
-    """The ratio of two generated series depends only on x_0 x_1 ... x_n."""
+    """The ratio of two generated series depends only on x_0 x_1 ... x_n.
+
+    The ratio is one :meth:`MultiSeries.div` of the series of ``seed1`` by
+    that of ``seed2``, both to total degree ``bound``.
+    """
     nv = n + 1
 
     def series_of(seed: DiagonalSeed) -> MultiSeries:
@@ -286,9 +307,7 @@ def check_diagonal_determination(
         }
         return MultiSeries(nv, bound, terms)
 
-    z1 = series_of(seed1)
-    z2 = series_of(seed2)
-    ratio = z1.mul(z2.inverse())
+    ratio = series_of(seed1).div(series_of(seed2))
     for e, c in sorted(ratio.terms.items()):
         if len(set(e)) > 1 and c:
             return {"status": "fail", "witness": f"off-diagonal ratio term at {e}"}

@@ -1,12 +1,17 @@
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdslab import residue
+from mdslab.cli import main
 from mdslab.qlaurent import QL_ONE, QL_ZERO, QLaurent
-from mdslab.residue import build_R, n_even_vars
+from mdslab.reducer import DiagonalSeed, reduce_coeff, tuples_with_sum_at_most
+from mdslab.residue import build_R, n_even_vars, run_pipeline
 from mdslab.series import (
     MultiSeries,
+    _div_schedule,
     expand_diagonal,
     expand_factors,
     factorize_product_form,
@@ -32,17 +37,145 @@ def test_beta_carries_q_power():
     assert s.coeff((2,)) == QLaurent.q_power(8)
 
 
-def test_mul_inverse_roundtrip():
-    two = geometric(2, 6, (1, 1)).mul(geometric(2, 6, (1, 0), beta=2))
-    three = geometric(3, 6, (1, 1, 0)).mul(geometric(3, 6, (0, 2, 1), beta=2, gamma=-2))
-    for s in (two, three):
-        assert s.mul(s.inverse()) == MultiSeries(s.nvars, 6, {(0,) * s.nvars: QL_ONE})
+def one(nvars, bound):
+    return MultiSeries(nvars, bound, {(0,) * nvars: QL_ONE})
 
 
-def test_inverse_requires_unit_constant():
-    s = MultiSeries(1, 3, {(0,): QLaurent.const(2)})
-    with pytest.raises(ValueError):
-        s.inverse()
+def all_pairs_inverse(s):
+    """Multiplicative inverse up to the bound; constant term must be 1.
+
+    For each exponent e it scans every term e1 of s for e1 <= e: the
+    route that :meth:`MultiSeries.div` replaced, kept as its oracle.
+    """
+    const = s.terms.get((0,) * s.nvars, QL_ZERO)
+    if const != QL_ONE:
+        raise ValueError("series inverse requires constant term 1")
+    zero = (0,) * s.nvars
+    inv = {zero: QL_ONE}
+    # in lexicographic order e - e1 comes before e for every 0 < e1 <= e
+    for e in tuples_with_sum_at_most(s.nvars, s.bound):
+        if e == zero:
+            continue
+        acc = QL_ZERO
+        for e1, c1 in s.terms.items():
+            if e1 == zero or any(a > b for a, b in zip(e1, e)):
+                continue
+            rest = tuple(b - a for a, b in zip(e1, e))
+            c2 = inv.get(rest)
+            if c2 is not None:
+                acc = acc + c1 * c2
+        if acc:
+            inv[e] = -acc
+    return MultiSeries(s.nvars, s.bound, inv)
+
+
+def roundtrip_pairs():
+    """Pairs (a, b) of 2- and 3-variable series, b with constant term 1."""
+    return [
+        (geometric(2, 6, (1, 1)), geometric(2, 6, (1, 0), beta=2)),
+        (geometric(3, 6, (1, 1, 0)), geometric(3, 6, (0, 2, 1), beta=2, gamma=-2)),
+    ]
+
+
+def test_mul_div_roundtrip():
+    for a, b in roundtrip_pairs():
+        s = a.mul(b)
+        assert s.div(b) == a
+        assert s.div(a) == b
+        assert s.div(s) == one(s.nvars, 6)
+
+
+def test_inverse_wrapper_still_inverts():
+    for a, b in roundtrip_pairs():
+        s = a.mul(b)
+        assert s.mul(s.inverse()) == one(s.nvars, 6)
+        assert s.inverse() == all_pairs_inverse(s)
+
+
+def test_div_refuses_non_unit_constant_and_shape_mismatch():
+    s = geometric(1, 3, (1,))
+    for const in (QLaurent.const(2), QL_ZERO, QLaurent.q_power(4)):
+        with pytest.raises(ValueError, match="constant term 1"):
+            s.div(MultiSeries(1, 3, {(0,): const, (1,): QL_ONE}))
+    for other in (one(2, 3), one(1, 4)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            s.div(other)
+
+
+def random_series(rng, nvars, bound, density, unit=False):
+    """Terms at a share ``density`` of the exponents, each a sum of up to
+    three powers q^(j/4), -8 <= j <= 8, with coefficients in [-3, 3];
+    ``unit`` sets the constant term to 1."""
+    terms = {}
+    for e in tuples_with_sum_at_most(nvars, bound):
+        if rng.random() < density:
+            terms[e] = QLaurent({rng.randint(-8, 8): rng.randint(-3, 3) for _ in range(3)})
+    if unit:
+        terms[(0,) * nvars] = QL_ONE
+    return MultiSeries(nvars, bound, terms)
+
+
+# (nvars, bound, divisor density): sparse divisors and dense ones
+DIV_CASES = [(1, 6, 1.0), (2, 6, 0.3), (2, 6, 1.0), (3, 6, 0.2), (3, 5, 1.0), (4, 4, 1.0), (4, 6, 0.05)]
+
+
+@pytest.mark.parametrize("nvars, bound, density", DIV_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_div_matches_mul_by_all_pairs_inverse(nvars, bound, density, seed):
+    rng = random.Random(f"{nvars}-{bound}-{density}-{seed}")
+    a = random_series(rng, nvars, bound, 0.5)
+    b = random_series(rng, nvars, bound, density, unit=True)
+    quotient = a.div(b)
+    assert quotient == a.mul(all_pairs_inverse(b))
+    assert quotient.mul(b) == a
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_div_matches_all_pairs_inverse_on_the_determination_series(n):
+    # the two series of check_diagonal_determination, as the CLI builds them
+    bound = 6
+    probe = DiagonalSeed([QL_ONE] + [QLaurent.const(k + 2) for k in range(12)], name="probe")
+    z1, z2 = (
+        MultiSeries(n + 1, bound, {t: reduce_coeff(t, seed) for t in tuples_with_sum_at_most(n + 1, bound)})
+        for seed in (run_pipeline(n, 8).seed, probe)
+    )
+    assert z1.div(z2) == z1.mul(all_pairs_inverse(z2))
+
+
+def test_div_schedule_of_a_dense_divisor():
+    # each e1 != 0 of degree d pairs with the C(8 - d, 4) rests of degree
+    # <= 4 - d: 4*35 + 10*15 + 20*5 + 35*1 products in place of the
+    # 70 * 70 pair tests of the all-pairs inverse and a full product
+    dense = MultiSeries(4, 4, {e: QLaurent.const(1) for e in tuples_with_sum_at_most(4, 4)})
+    schedule = _div_schedule(dense)
+    assert sum(map(len, schedule.values())) == 425
+    for e, pairs in schedule.items():
+        for c1, rest in pairs:
+            assert c1 == QL_ONE and any(a > b for a, b in zip(e, rest))
+            assert all(a >= b for a, b in zip(e, rest))
+
+
+def test_verify_divides_three_times_and_never_inverts(monkeypatch, capsys):
+    # the verify-n3 workload, with the pipeline built afresh: one division
+    # each in check_diagonal_determination, run_pipeline and reconstruct_R1
+    monkeypatch.setattr(residue, "_PIPELINE_CACHE", {})
+    calls = {"div": 0, "inverse": 0}
+
+    def spy(name):
+        real = getattr(MultiSeries, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(MultiSeries, name, spy(name))
+    argv = ["verify", "--n", "3", "--q", "5", "--suite", "all", "--bound", "4", "--trunc", "6"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == {"div": 3, "inverse": 0}
 
 
 def test_expand_diagonal():
