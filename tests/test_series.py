@@ -132,7 +132,8 @@ def test_div_matches_mul_by_all_pairs_inverse(nvars, bound, density, seed):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_div_matches_all_pairs_inverse_on_the_determination_series(n):
-    # the two series of check_diagonal_determination, as the CLI builds them
+    # the two series of check_diagonal_determination, at the largest bound
+    # the CLI passes it
     bound = 6
     probe = DiagonalSeed([QL_ONE] + [QLaurent.const(k + 2) for k in range(12)], name="probe")
     z1, z2 = (
