@@ -115,8 +115,10 @@ def _suite_fe(args, pipe):
 
     checks.append(("diagonal_determination", {"D": min(args.bound, 6)}, determination))
 
-    # one pair (f0, f2) per translation orbit: translating both fixes the
-    # slice; "count" stays the number of pairs, the sum of the orbit sizes
+    # one pair (f0, f2) per orbit of G, the substitutions
+    # f -> a^(-deg f) f(a t + b), a a nonzero square: moving both fixes the
+    # slice, and an orbit's size is q (q - 1) / 2 over the order of its
+    # stabiliser; "count" stays the number of pairs, the sum of the sizes
     fixed_deg = min(args.trunc, 3)
     orbits = [
         orbit

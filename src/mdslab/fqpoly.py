@@ -154,6 +154,14 @@ class Fq:
         # accel's cache of character rows and swept symbol sums, made and
         # bounded by accel on first use
         self._accel_cache = None
+        # one row per nonzero square a != 1: a^(-w) at w mod q - 1, the
+        # factor by which monic_orbits' scaling by a moves a coefficient of
+        # weight w
+        self._scalings = [
+            tuple(pow(a, -w, q) for w in range(q - 1))
+            for a in range(2, q)
+            if self.legendre[a] == 1
+        ]
 
     def __repr__(self) -> str:
         return f"Fq({self.q})"
@@ -213,30 +221,73 @@ class Fq:
             yield low + (1,)
 
     def monic_orbits(self, degrees) -> Iterator[tuple[tuple[Poly, ...], int]]:
-        """(representative, orbit size) over the monic tuples of the given
-        degrees, up to the simultaneous translation f -> f(t + b), b in F_q.
+        """(representative, orbit size) over the orbits of G on the monic
+        tuples of the given degrees: G = {f -> a^(-deg f) f(a t + b)}, a a
+        nonzero square and b in F_q, applied to every entry at once, a group
+        of order q (q - 1) / 2.
 
-        The translation is a ring automorphism fixing F_q, so it keeps
-        degrees, factorisation shapes and every residue symbol: (c/r) =
-        legendre(c)^deg r for a constant c, and legendre(1) = 1. The pivot
-        is the first entry whose degree d is prime to q; shifting by b
-        moves its t^(d-1) coefficient by d*b, so each orbit holds exactly
-        q tuples and exactly one of them has that coefficient 0: it is the
-        representative, with size q. With no pivot (every degree 0 or
-        divisible by q) each tuple is yielded alone, with size 1. The
-        representatives come in the order of the full product of
-        ``monic_enum``, of which they are a subsequence.
+        Each element of G keeps degrees, factorisation shapes and every
+        residue symbol: t -> a t + b is a ring automorphism fixing F_q, and
+        with sigma(f) = a^(-deg f) f(a t + b), (sigma p / sigma r) =
+        legendre(a)^(deg p deg r) (p/r) = (p/r), as a is a square.
+
+        First the translations: the pivot is the first entry whose degree d
+        is prime to q; f(t + b) moves its t^(d-1) coefficient by d*b, so
+        each translation orbit holds q tuples, exactly one with that
+        coefficient 0, and only those are kept (factor q). With no pivot (every degree 0 or divisible by q)
+        the translations are not used and every tuple is kept (factor 1).
+        Then the square scalings, which keep the pivot coefficient 0: a
+        tuple is kept only if no scaling a != 1 maps it to an earlier tuple
+        of the product order, and its orbit size is the factor times
+        (q - 1) / 2 over the order of its stabiliser among the scalings.
+        So each representative is the first in product order of its orbit's
+        tuples with pivot coefficient 0, and the representatives come in
+        the order of the full product of ``monic_enum``, of which they are
+        a subsequence.
         """
         degrees = tuple(degrees)
+        q = self.q
         pools = [self.monic_enum(d) for d in degrees]
-        size = 1
+        factor = 1
         for k, d in enumerate(degrees):
-            if d % self.q:
+            if d % q:
                 pools[k] = (f for f in pools[k] if f[d - 1] == 0)
-                size = self.q
+                factor = q
                 break
+        # every coefficient below the top in product order, as (entry,
+        # position, weight): scaling by a multiplies it by a^(-weight)
+        slots = [(k, j, (d - j) % (q - 1)) for k, d in enumerate(degrees) for j in range(d)]
+        half = (q - 1) // 2
         for fs in itertools.product(*pools):
-            yield fs, size
+            stabiliser = self._scaling_stabiliser(fs, slots)
+            if stabiliser:
+                yield fs, factor * half // stabiliser
+
+    def _scaling_stabiliser(self, fs: tuple[Poly, ...], slots) -> int:
+        """The order of the stabiliser of fs among the square scalings, or 0
+        when a scaling maps fs to an earlier tuple of the product order.
+
+        The tuples are compared coefficient by coefficient in product order
+        against the scalings a != 1 still tied with fs; a scaling that leaves
+        a coefficient unchanged stays tied, and the ones tied to the end fix
+        fs.
+        """
+        q = self.q
+        tied = self._scalings
+        for k, j, w in slots:
+            c = fs[k][j]
+            if c:
+                still = []
+                for row in tied:
+                    image = c * row[w] % q
+                    if image < c:
+                        return 0
+                    if image == c:
+                        still.append(row)
+                if not still:
+                    return 1
+                tied = still
+        return 1 + len(tied)
 
     def _grow_sieve(self, dmax: int) -> None:
         """Rebuild the sieve to degree dmax if it is shorter; the top block

@@ -28,14 +28,15 @@ The local-to-global sums of ``global_coeff_sums`` go through the same
 slices: the sum over the slot of largest degree is one slice coefficient,
 and every t that shares that slot and the other slots' degrees reads its
 coefficient from one slice.
-The translation sigma_b(f)(t) = f(t + b), b in F_q, applied to every
-entry at once, is a ring automorphism fixing F_q: it keeps degrees,
+The substitution sigma(f)(t) = a^(-deg f) f(a t + b), a a nonzero
+square and b in F_q, applied to every entry at once, keeps degrees,
 factorisation shapes and every residue symbol, (sigma p / sigma r) =
-(p/r). So it fixes H, and it fixes a slice, whose sum over f_i it only
+legendre(a)^(deg p deg r) (p/r) = (p/r). So the group G of these
+substitutions fixes H, and it fixes a slice, whose sum over f_i it only
 permutes. The tuples of other entries are therefore summed over the
-translation orbits of ``Fq.monic_orbits``, one slice per orbit times its
-size; the fe suite's slices and the residue H route read the same
-enumerator.
+orbits of G (``Fq.monic_orbits``), one slice per orbit times its size,
+q (q - 1) / 2 over the order of the representative's stabiliser; the fe
+suite's slices and the residue H route read the same enumerator.
 The brute sums, of H over every f and over every monic tuple, and the
 enumeration of every smooth part and of every tuple stay in the tests
 as the oracles.
@@ -146,9 +147,9 @@ def global_coeff_sums(fq: Fq, ts, seed: DiagonalSeed) -> list[int]:
     By the local-to-global principle this equals c_t evaluated at q. The
     sum over the first slot i of largest degree is coefficient t_i of the
     one-variable slice with the other entries fixed (``_slice_coeffs``), so
-    only the other slots are enumerated, and only up to translation: a
-    translation of the other entries fixes the slice (see the module
-    docstring), so each orbit of ``Fq.monic_orbits`` adds its
+    only the other slots are enumerated, and only up to G: a substitution
+    of G applied to the other entries fixes the slice (see the module
+    docstring), so each orbit of G (``Fq.monic_orbits``) adds its
     representative's slice times the orbit size. The t that share i and
     the degrees of the other slots read one slice per orbit of other
     entries, summed to the largest such t_i: a slice to a lower degree is
@@ -178,9 +179,9 @@ def l_series_H(
     s = deg f_{i-1} + deg f_{i+1} (cyclic). Odd s: L is a polynomial of
     degree s - 1 with the reversal of ``check_reversal``. Even s: the
     cleared numerator (1 - qx) L(x) has degree s and the same reversal.
-    L is fixed when every fixed entry is translated, f -> f(t + b), so a
-    check over the fixed tuples checks one per orbit of
-    ``Fq.monic_orbits``.
+    L is fixed when every fixed entry is moved by one substitution
+    f -> a^(-deg f) f(a t + b) of G, a a nonzero square, so a check over
+    the fixed tuples checks one per orbit of G (``Fq.monic_orbits``).
     """
     n1 = len(fixed)
     s = degree(fixed[(i - 1) % n1]) + degree(fixed[(i + 1) % n1])

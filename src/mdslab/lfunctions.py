@@ -12,8 +12,10 @@ sums. The moment check reads one row of symbols (f/g) per monic modulus g
 from ``accel.symbol_rows``: one route multiplies the rows of f_1 and f_3
 (multiplicativity in the modulus), the other weighs the row sums of each f
 by its divisor count (factorisation). Both routes are fixed by the
-translation g -> g(t + b), so f_1 and the other route's f run over the
-representatives of ``Fq.monic_orbits``, weighed by their orbit sizes.
+substitutions g -> a^(-deg g) g(a t + b), a a nonzero square, so f_1 and
+the other route's f run over the representatives of the orbits of G, the
+group of these substitutions (``Fq.monic_orbits``), each weighed by its
+own orbit size, q (q - 1) / 2 over the order of its stabiliser.
 The rows of degree above dmax / 2 pair only with lower ones, so only the
 representatives' are built, in chunks of at most ROW_CHUNK_BYTES. Every check
 returns ``{"status", "witness"}``; ``check_rh``, the one floating-point
@@ -134,8 +136,10 @@ def check_moment_cost(q: int, dmax: int) -> None:
     representative f_1 of degree d and monic f_3 of degree
     e <= min(d, dmax - d).
     """
-    # the representatives of Fq.monic_orbits((d,)): one in q when d has a
-    # pivot (d prime to q), else every monic g of degree d
+    # an upper bound on the representatives of Fq.monic_orbits((d,)): the
+    # translation representatives, one in q when d has a pivot (d prime to
+    # q), else every monic g of degree d; the square scalings cut them
+    # further, by up to (q - 1) / 2
     reps = [q ** (d - 1) if d % q else q**d for d in range(dmax + 1)]
     rows = sum(q**d if 2 * d <= dmax else reps[d] for d in range(dmax + 1))
     pairs = sum(reps[d] * q**e for d in range(dmax + 1) for e in range(min(d, dmax - d) + 1))
@@ -151,11 +155,12 @@ def _moment_sides(fq: Fq, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(side A, side B) of the cubic-moment identity, each indexed by
     (deg f_1 f_3, deg f_0, deg f_2); see ``moment_identity_check``.
 
-    Every term is fixed by the translation g -> g(t + b), applied to f_1
-    and f_3 together (it permutes the f summed over and keeps each symbol),
-    so f_1 and route B's g run over the representatives of
-    ``Fq.monic_orbits``, each weighed by its orbit size, while f_3 runs
-    over every monic polynomial.
+    Every term is fixed by each substitution g -> a^(-deg g) g(a t + b) of
+    G, a a nonzero square, applied to f_1 and f_3 together (it permutes the
+    f summed over and keeps each symbol), so f_1 and route B's g run over
+    the representatives of the orbits of G (``Fq.monic_orbits``), each
+    weighed by its own orbit size, while f_3 runs over every monic
+    polynomial.
     """
     q = fq.q
     blocks = [slice(q**b, 2 * q**b) for b in range(dmax + 1)]
@@ -165,38 +170,42 @@ def _moment_sides(fq: Fq, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     for d in range(dmax + 1):
         orbits = list(fq.monic_orbits((d,)))
         reps = [g for (g,), _ in orbits]
-        (size,) = {size for _, size in orbits}  # q, or 1 when d has no pivot
+        sizes = np.array([size for _, size in orbits], dtype=np.int64)
         if 2 * d <= dmax:
             every = list(fq.monic_enum(d))
             low.append(accel.symbol_rows(fq, every, dmax))
             held = set(reps)
-            chunks = [(reps, low[d][[g in held for g in every]])]
+            chunks = [(0, low[d][[g in held for g in every]])]
         else:
             # a degree above dmax / 2 pairs only with the kept low degrees,
             # so its rows are built and reduced a chunk of g at a time
             step = max(1, ROW_CHUNK_BYTES // (2 * q**dmax))
             chunks = (
-                (reps[k : k + step], accel.symbol_rows(fq, reps[k : k + step], dmax))
+                (k, accel.symbol_rows(fq, reps[k : k + step], dmax))
                 for k in range(0, len(reps), step)
             )
-        for gs, rows in chunks:
+        for k, rows in chunks:
+            # the representatives from k on, and their orbit sizes
+            gs, w = reps[k : k + len(rows)], sizes[k : k + len(rows)]
             # route A: G_b[f_1, f_3] = sum over f of degree b of
             # (f/f_1)(f/f_3), the degree-b sum of (f / f_1 f_3), for
             # deg f_1 = d, deg f_3 = e; side A[d + e][b, b'] gains
-            # sum G_b * G_b', entry by entry, which the chunks split by f_1.
-            # The pairs (e, d) give the transposes, so they count twice
-            # when e < d.
+            # sum G_b * G_b', entry by entry and weighed by the orbit size of
+            # f_1, which the chunks split by f_1. The pairs (e, d) give the
+            # transposes, so they count twice when e < d.
             for e in range(min(d, dmax - d) + 1):
                 gram = np.stack([
                     np.einsum("ik,jk->ij", rows[:, b], low[e][:, b], dtype=np.int64).ravel()
                     for b in blocks
                 ])
-                side_a[d + e] += size * (1 if e == d else 2) * (gram @ gram.T)
-            # route B: the sums by degree of each g, weighted by its number
-            # of monic divisors
+                # the raveled entries run over f_3 within f_1
+                w_f1 = np.repeat(w, len(low[e]))
+                side_a[d + e] += (1 if e == d else 2) * ((gram * w_f1) @ gram.T)
+            # route B: the sums by degree of each g, weighted by its orbit
+            # size times its number of monic divisors
             sigma = np.array([divisor_count(fq, g) for g in gs], dtype=np.int64)
             sums = np.stack([rows[:, b].sum(axis=1, dtype=np.int64) for b in blocks], axis=1)
-            side_b[d] += size * (sums.T @ (sigma[:, None] * sums))
+            side_b[d] += sums.T @ ((w * sigma)[:, None] * sums)
             del rows  # a chunk is freed before the next is built
     return side_a, side_b
 
@@ -215,9 +224,10 @@ def moment_identity_check(fq: Fq, dmax: int) -> dict:
     row matrices per degree block of f, and no f_1 f_3 is multiplied out.
     Route B: sum over monic f of sigma_0(f), from f's factorisation, times
     the outer product of f's own character sums by degree.
-    Each sum runs over translation orbits: f_1 in route A and f in route B
-    over the representatives of ``Fq.monic_orbits``, times the orbit size
-    (see ``_moment_sides``).
+    Each sum runs over the orbits of G, the substitutions
+    g -> a^(-deg g) g(a t + b) with a a nonzero square: f_1 in route A and f
+    in route B over the representatives of ``Fq.monic_orbits``, times
+    each one's orbit size (see ``_moment_sides``).
     """
     check_moment_cost(fq.q, dmax)
     side_a, side_b = _moment_sides(fq, dmax)

@@ -301,6 +301,8 @@ AXIOMS_DIGESTS = {
     (2, 17, 5): "f059be76bc2f748c29fd6a673aa7cdf00ce6243b2f438daf7186efd703ba3249",
     (3, 13, 4): "7230dafccacf97df3bb7dac915ac9f8701e0a3fb211331006b3700c9fd4e21fb",
     (2, 17, 6): "8b9e38637e7cf2a5f007584a0c12c9a907c03a25986375805f1b75d7021c71b1",
+    (2, 17, 7): "08722303af834fdc32f1b83e14408cf1bbbff23d10b43f77c2b2e0dfba9bc881",
+    (3, 29, 6): "1ee11ecadb46ad1ea2cf1f41c74a7fc97726a0c541f09a683e651ce8bc15b401",
 }
 
 

@@ -200,32 +200,54 @@ def scale(fq, f, a):
     return poly(fq, [c * pow(a, k - d, fq.q) for k, c in enumerate(f)])
 
 
+def orbit(fq, fs):
+    """The orbit of the monic tuple fs under the group of ``monic_orbits``:
+    f -> a^(-deg f) f(a t + b) over the nonzero squares a and every b in
+    F_q when some degree is prime to q, the scalings (b = 0) alone when
+    none is."""
+    squares = [a for a in range(1, fq.q) if fq.legendre[a] == 1]
+    shifts = range(fq.q) if any(degree(f) % fq.q for f in fs) else [0]
+    return {tuple(translate(fq, scale(fq, f, a), b) for f in fs) for a in squares for b in shifts}
+
+
+# the orbit sizes q (q - 1) / 2 / |stabiliser| that occur, where the
+# stabilisers differ: at q = 13 the squares a with a^2 = 1 fix the constant
+# of t^2 + c, those with a^3 = 1 that of t^3 + c
+STABILISED = {(13, (2,)): {13, 39}, (13, (0, 3)): {13, 26, 39, 78}}
+
+
 @pytest.mark.parametrize(
     "q, degrees",
     [(5, ()), (5, (0,)), (5, (2,)), (5, (0, 3)), (5, (2, 1)), (5, (1, 0, 2)), (13, (0, 2, 1)),
      # no pivot: every degree 0 or divisible by q
-     (5, (5,)), (5, (0, 5)), (5, (0, 0))],
+     (5, (5,)), (5, (0, 5)), (5, (0, 0)),
+     *STABILISED],
 )
 def test_monic_orbits_against_every_tuple(q, degrees):
-    # the orbit sizes add up to q^(sum of degrees); with a pivot, the
-    # translates of every tuple are q distinct tuples, exactly one of them
-    # a representative, of size q; with none, every tuple is yielded alone
-    # with size 1. The representatives come in the order of the full product
+    # the brute-force orbits of every representative partition the full
+    # product: every tuple lies in exactly one, each has the yielded size,
+    # and its representative comes first in product order among its tuples
+    # with pivot coefficient 0 (every tuple when there is no pivot). The
+    # representatives come in the order of the full product
     fq = field(q)
     orbits = list(fq.monic_orbits(degrees))
     reps = dict(orbits)
     full = list(itertools.product(*map(fq.monic_enum, degrees)))
+    position = {fs: k for k, fs in enumerate(full)}
     assert sum(reps.values()) == len(full) == q ** sum(degrees)
     assert [fs for fs, _ in orbits] == [fs for fs in full if fs in reps]
-    pivoted = any(d % q for d in degrees)
-    for fs in full:
-        translates = {tuple(translate(fq, f, b) for f in fs) for b in range(q)}
-        if pivoted:
-            assert len(translates) == q, fs
-            (rep,) = translates & reps.keys()
-            assert reps[rep] == q, fs
-        else:
-            assert reps[fs] == 1, fs
+    pivot = next((k for k, d in enumerate(degrees) if d % q), None)
+    owner = {}
+    for rep, size in orbits:
+        members = orbit(fq, rep)
+        assert len(members) == size, rep
+        normal = [fs for fs in members if pivot is None or fs[pivot][-2] == 0]
+        assert min(normal, key=position.get) == rep
+        for fs in members:
+            assert owner.setdefault(fs, rep) == rep, (fs, rep)
+    assert owner.keys() == set(full)
+    if (q, degrees) in STABILISED:
+        assert set(reps.values()) == STABILISED[q, degrees]
 
 
 def test_irreducible_counts(f5):

@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 from test_accel import general_sums
-from test_fqpoly import poly, poly_pow, scale, translate
+from test_fqpoly import orbit, poly, poly_pow, scale, translate
 
 from mdslab import accel, globalweights, reducer
 from mdslab.cli import main
@@ -216,8 +216,9 @@ def slice_groups(n1, bound):
 def test_local_to_global_sums_one_slice_per_group(monkeypatch, tmp_path):
     # verify's local_to_global at n = 3, q = 5, bound 4: the t sharing the
     # first slot of largest degree and the other degrees read one slice per
-    # translation orbit of other entries, swept to their largest t_i and
-    # weighted by the orbit size: 131 slices stand for the 639 tuples
+    # orbit of other entries under translations and square scalings, swept
+    # to their largest t_i and weighted by the orbit size: 95 slices stand
+    # for the 639 tuples
     calls = []
     orbits = []
     euler = globalweights._slice_coeffs
@@ -237,10 +238,13 @@ def test_local_to_global_sums_one_slice_per_group(monkeypatch, tmp_path):
     argv = ["verify", "--n", "3", "--q", "5", "--suite", "axioms", "--bound", "4", "--trunc", "6"]
     assert main(argv + ["--out", str(tmp_path / "report")]) == 0
     tops = slice_groups(4, 4)
-    assert len(calls) == len(set(calls)) == len(orbits) == 131
+    assert len(calls) == len(set(calls)) == len(orbits) == 95
     assert sum(size for _, size in orbits) == sum(5 ** sum(rest) for _, rest in tops) == 639
-    # size 5 exactly when some other slot has a degree prime to 5
-    assert all(size == (5 if any(degrees) else 1) for degrees, size in orbits)
+    # when some other slot has a degree prime to 5: 5 translates times the
+    # squares {1, 4} over the stabiliser, 5 or 10; else the tuple of ones
+    sizes = {size for degrees, size in orbits if any(degrees)}
+    assert sizes == {5, 10}
+    assert all(size == 1 for degrees, size in orbits if not any(degrees))
     assert {(i, xbound) for _, i, xbound in calls} == {(i, top) for (i, _), top in tops.items()}
 
 
@@ -521,8 +525,9 @@ def every_verify_slice(fq, n, bound, trunc):
 
 
 # (the distinct slices verify --suite all --bound 4 --trunc 6 builds at
-# q = 5, those of every_verify_slice): one slice per translation orbit
-VERIFY_SLICES = {2: (157, 769), 3: (249, 1225), 4: (468, 2316)}
+# q = 5, those of every_verify_slice): one slice per orbit of translations
+# and square scalings
+VERIFY_SLICES = {2: (109, 769), 3: (171, 1225), 4: (306, 2316)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -530,8 +535,8 @@ def test_euler_product_matches_smooth_parts_on_every_verify_slice(n, monkeypatch
     # every slice that verify --suite all reaches, from l_series_fe and
     # local_to_global, against the sum over every smooth part and against
     # the slice built on an empty factor memo; the slice of every tuple of
-    # the full enumeration, each a translate of one of them, equals its
-    # representative's; and every sweep of the run, all from slices, is of
+    # the full enumeration, each in the orbit of exactly one of them, equals
+    # its representative's; and every sweep of the run, all from slices, is of
     # a squarefree modulus below its degree, or of the principal character
     slices = {}
     euler = globalweights._slice_coeffs
@@ -555,8 +560,7 @@ def test_euler_product_matches_smooth_parts_on_every_verify_slice(n, monkeypatch
     assert (len(slices), len(full)) == VERIFY_SLICES[n]
     assert slices.keys() <= full
     for fixed, i, xbound in full:
-        translates = {tuple(translate(field(5), f, b) for f in fixed) for b in range(5)}
-        (rep,) = [key for key in ((m, i, xbound) for m in translates) if key in slices]
+        (rep,) = [key for key in ((m, i, xbound) for m in orbit(field(5), fixed)) if key in slices]
         fq, seed, got = slices[rep]
         assert _slice_coeffs(fq, fixed, i, xbound, seed) == got, (fixed, i, xbound)
     assert any(primes for _, primes, _ in sweeps) and any(not primes for _, primes, _ in sweeps)

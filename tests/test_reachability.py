@@ -6,11 +6,12 @@ The scan reads the syntax trees, not the text. A definition in module M
 counts as named when M names it outside its own body, when another module
 imports it from M, or when another module reads an attribute of that name
 (as in ``res.check_fe`` after ``from . import residue as res``). A method
-counts as named when any ``src/`` code outside its own body uses its name,
-as an attribute or as a plain name. The method scan goes by name only, so
-it cannot see a dead method whose name something else uses: a dead
-``MultiSeries.mul`` would pass because ``Fq.mul`` is called, ``Fq.pow``
-because the builtin ``pow`` is.
+counts as named when any ``src/`` code outside its own body reads an
+attribute of its name (``self.m``, ``obj.m``, ``Class.m``); a plain name,
+such as a local variable or the builtin ``pow``, does not count. The
+method scan goes by attribute name only, so it cannot see a dead method
+whose name another class's attribute uses: a dead ``MultiSeries.mul``
+would pass because ``Fq.mul`` is called.
 """
 
 import ast
@@ -80,15 +81,21 @@ def test_scan_flags_a_helper_only_its_test_reaches(tmp_path):
     assert unnamed_definitions(tmp_path) == {("a", "lonely"), ("b", "top")}
 
 
+# The methods that no other src/ code reads, each with the reason it stays.
+ALLOWED_METHODS = {
+    ("series", "MultiSeries.inverse"): "perfbench/spans.py wraps it by name",
+}
+
+
 def unnamed_methods(src: Path) -> set[tuple[str, str]]:
     """(module, "Class.method") for each non-dunder method whose name no
-    ``src/`` code uses outside the method's own body."""
+    ``src/`` code reads as an attribute outside the method's own body."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     uses = [
-        (id(node), node.attr if isinstance(node, ast.Attribute) else node.id)
+        (id(node), node.attr)
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Attribute, ast.Name))
+        if isinstance(node, ast.Attribute)
     ]
     unnamed = set()
     for mod, tree in trees.items():
@@ -107,7 +114,7 @@ def unnamed_methods(src: Path) -> set[tuple[str, str]]:
 
 
 def test_every_method_is_named_by_other_src_code():
-    assert unnamed_methods(SRC) == set()
+    assert unnamed_methods(SRC) == set(ALLOWED_METHODS)
 
 
 def test_method_scan_flags_a_method_only_its_test_reaches(tmp_path):
@@ -121,6 +128,19 @@ def test_method_scan_flags_a_method_only_its_test_reaches(tmp_path):
     (tmp_path / "b.py").write_text("from .a import K\n\ndef top():\n    return K.made()\n")
     # a recursive call inside its own body does not count, a dunder is skipped
     assert unnamed_methods(tmp_path) == {("a", "K.lonely")}
+
+
+def test_method_scan_ignores_a_local_of_the_same_name(tmp_path):
+    # a local variable and an argument named like the method, as the
+    # inverse dict of series.factorize_product_form once named
+    # MultiSeries.inverse, are not uses of it
+    (tmp_path / "a.py").write_text(
+        "class K:\n"
+        "    def inverse(self):\n        return 1\n\n"
+        "def f(inverse):\n    return inverse\n\n"
+        "def g():\n    inverse = {}\n    return inverse\n"
+    )
+    assert unnamed_methods(tmp_path) == {("a", "K.inverse")}
 
 
 def relative_imports(src: Path) -> dict[str, set[str]]:
