@@ -288,8 +288,8 @@ FE_DIGESTS = {
 @pytest.mark.parametrize("q, bound", sorted(FE_DIGESTS))
 def test_fe_reports_at_larger_q_match_pinned_digests(capsys, q, bound):
     # the fe suite at n = 2 beyond q = 5: l_series_fe sweeps slices whose
-    # moduli have primes of degree up to 3, one slice per translation
-    # orbit of its 1 + 2q + 3q^2 + 4q^3 pairs
+    # moduli have primes of degree up to 3, one slice per orbit of
+    # translations and square scalings of its 1 + 2q + 3q^2 + 4q^3 pairs
     trunc, digest = FE_DIGESTS[q, bound]
     argv = ["verify", "--n", "2", "--q", str(q), "--suite", "fe", "--bound", str(bound), "--trunc", str(trunc)]
     capsys.readouterr()
@@ -318,11 +318,13 @@ def test_axioms_reports_at_larger_q_match_pinned_digests(capsys, n, q, bound):
 
 
 MOMENTS_DIGESTS = {
-    # degree 5 has no translation pivot at q=5: each quintic is its own orbit
+    # degree 5 has no translation pivot at q=5: the quintics are summed
+    # over the orbits of the square scalings alone
     (5, 5): "91aca1fdf367a06bb27a33cc3ca36e9c99bc6936f909ce1ed4c9337950ca26de",
     (13, 3): "722c617def22db4f16600df8b938d0ddcf51d25f359549f990ef93309ac3f0f0",
     (17, 3): "69d6fc92885464a228fa02d0c6bfabfe20c3696b39cc1083fc00b10e2498b933",
-    # priced at 2.9e8 symbols by the orbit route (5.7e9 without orbits)
+    # priced at 2.9e8 symbols by the translation representatives (5.7e9
+    # without orbits)
     (13, 4): "9ba630833bbe6e010250573b74b6a3d6f77695160a95f26b56a01cb9b1e7ce4e",
 }
 
