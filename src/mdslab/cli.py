@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
 from . import __version__
+from . import globalweights as gw, lfunctions as lf, partitions as pa, residue as res
 from .fqpoly import SUPPORTED_Q, field
+from .qlaurent import QL_ONE, QLaurent
 from .reducer import (
+    DiagonalSeed,
     check_dominance,
     check_lambda_fe,
     reduce_coeff,
@@ -35,20 +39,13 @@ def _write(out_path: str | None, text: str) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    from .residue import run_pipeline
-
     # an index of sum <= bound reduces to diagonals c_{a,...,a} with a <= bound
-    seed = run_pipeline(args.n, args.bound).seed
-    rows = []
-    for t in tuples_with_sum_at_most(args.n + 1, args.bound):
-        rows.append(list(t) + [reduce_coeff(t, seed).serialize()])
-    header = [f"a_{i}" for i in range(args.n + 1)] + ["coeff"]
-    import io
-
+    seed = res.run_pipeline(args.n, args.bound).seed
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow([f"a_{i}" for i in range(args.n + 1)] + ["coeff"])
+    for t in tuples_with_sum_at_most(args.n + 1, args.bound):
+        writer.writerow(list(t) + [reduce_coeff(t, seed).serialize()])
     _write(args.out, buf.getvalue())
     return 0
 
@@ -57,8 +54,6 @@ def cmd_coeffs(args) -> int:
 
 
 def _suite_axioms(args, pipe):
-    from .globalweights import global_coeff_sums
-
     seed = pipe.seed
     fq = field(args.q)
     checks = []
@@ -78,7 +73,7 @@ def _suite_axioms(args, pipe):
 
     def local_to_global():
         ts = list(tuples_with_sum_at_most(args.n + 1, args.bound))
-        for t, got in zip(ts, global_coeff_sums(fq, ts, seed)):
+        for t, got in zip(ts, gw.global_coeff_sums(fq, ts, seed)):
             want = reduce_coeff(t, seed).eval_int(fq.q)
             if got != want:
                 return {"status": "fail", "witness": f"t={t}: {got} != {want}"}
@@ -89,10 +84,6 @@ def _suite_axioms(args, pipe):
 
 
 def _suite_fe(args, pipe):
-    from .globalweights import l_series_H
-    from .reducer import DiagonalSeed
-    from .qlaurent import QLaurent, QL_ONE
-
     seed = pipe.seed
     fq = field(args.q)
     checks = []
@@ -115,10 +106,9 @@ def _suite_fe(args, pipe):
 
     checks.append(("diagonal_determination", {"D": min(args.bound, 6)}, determination))
 
-    # one pair (f0, f2) per orbit of G, the substitutions
-    # f -> a^(-deg f) f(a t + b), a a nonzero square: moving both fixes the
-    # slice, and an orbit's size is q (q - 1) / 2 over the order of its
-    # stabiliser; "count" stays the number of pairs, the sum of the sizes
+    # one pair (f0, f2) per orbit of the group G of Fq.monic_orbits: moving
+    # both by one element fixes the slice, whose f1 it only permutes;
+    # "count" stays the number of pairs, the sum of the orbit sizes
     fixed_deg = min(args.trunc, 3)
     orbits = [
         orbit
@@ -131,7 +121,7 @@ def _suite_fe(args, pipe):
         one = (1,)
         for (f0, f2), _ in orbits:
             fixed = (f0, one, f2) + (one,) * (args.n - 2)
-            r = l_series_H(fq, fixed, 1, (len(f0) - 1) + (len(f2) - 1) + 1, seed)
+            r = gw.l_series_H(fq, fixed, 1, (len(f0) - 1) + (len(f2) - 1) + 1, seed)
             if r["status"] != "pass":
                 return r
         return {"status": "pass"}
@@ -142,8 +132,6 @@ def _suite_fe(args, pipe):
 
 
 def _suite_residue(args, pipe):
-    from . import residue as res
-
     seed = pipe.seed
     fq = field(args.q)
     n = args.n
@@ -189,8 +177,6 @@ def _suite_residue(args, pipe):
 
 
 def _suite_partitions(args, pipe):
-    from . import partitions as pa
-
     n = args.n
     P = pipe.p
 
@@ -295,17 +281,13 @@ def cmd_verify(args) -> int:
     the run exits 2 with the estimate, before the pipeline is built or a
     report written.
     """
-    from .residue import run_pipeline
-
     if args.suite in ("axioms", "all"):
-        from .globalweights import slice_batch
-
         try:
-            slice_batch(field(args.q), tuples_with_sum_at_most(args.n + 1, args.bound))
+            gw.slice_batch(field(args.q), tuples_with_sum_at_most(args.n + 1, args.bound))
         except ValueError as exc:
             print(f"verify: {exc}", file=sys.stderr)
             return 2
-    pipe = run_pipeline(args.n, args.trunc)
+    pipe = res.run_pipeline(args.n, args.trunc)
     builders = {
         "axioms": _suite_axioms,
         "fe": _suite_fe,
@@ -320,13 +302,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    from .lfunctions import check_moment_cost, moment_identity_check
-
     if args.n != 3:
         print("moments: the identity is specific to n=3", file=sys.stderr)
         return 2
     try:
-        check_moment_cost(args.q, args.trunc)
+        lf.check_moment_cost(args.q, args.trunc)
     except ValueError as exc:
         print(f"moments: {exc}", file=sys.stderr)
         return 2
@@ -334,7 +314,7 @@ def cmd_moments(args) -> int:
     check = (
         "moment_identity",
         {"dmax": args.trunc},
-        lambda: moment_identity_check(fq, args.trunc),
+        lambda: lf.moment_identity_check(fq, args.trunc),
     )
     return _run_and_report(args, [check])
 

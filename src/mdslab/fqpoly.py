@@ -224,70 +224,66 @@ class Fq:
         """(representative, orbit size) over the orbits of G on the monic
         tuples of the given degrees: G = {f -> a^(-deg f) f(a t + b)}, a a
         nonzero square and b in F_q, applied to every entry at once, a group
-        of order q (q - 1) / 2.
+        of order q (q - 1) / 2. Every G-invariant sum of this library (of H,
+        of its one-variable slices, of the cubic-moment terms) reads it, and
+        this is the one place where G and its orbits are argued.
 
-        Each element of G keeps degrees, factorisation shapes and every
-        residue symbol: t -> a t + b is a ring automorphism fixing F_q, and
-        with sigma(f) = a^(-deg f) f(a t + b), (sigma p / sigma r) =
-        legendre(a)^(deg p deg r) (p/r) = (p/r), as a is a square.
+        Invariance: t -> a t + b is a ring automorphism of F_q[t] fixing
+        F_q, so each sigma(f) = a^(-deg f) f(a t + b) keeps degrees and
+        factorisation shapes, and (sigma p / sigma r) = legendre(a)^(deg p
+        deg r) (p/r) = (p/r), as a is a square. So sigma keeps every
+        residue symbol and every weight glued from them.
 
-        First the translations: the pivot is the first entry whose degree d
-        is prime to q; f(t + b) moves its t^(d-1) coefficient by d*b, so
-        each translation orbit holds q tuples, exactly one with that
-        coefficient 0, and only those are kept (factor q). With no pivot (every degree 0 or divisible by q)
-        the translations are not used and every tuple is kept (factor 1).
-        Then the square scalings, which keep the pivot coefficient 0: a
-        tuple is kept only if no scaling a != 1 maps it to an earlier tuple
-        of the product order, and its orbit size is the factor times
-        (q - 1) / 2 over the order of its stabiliser among the scalings.
-        So each representative is the first in product order of its orbit's
-        tuples with pivot coefficient 0, and the representatives come in
-        the order of the full product of ``monic_enum``, of which they are
-        a subsequence.
+        Orbits: the pivot is the first entry whose degree d is prime to q;
+        f(t + b) moves its t^(d-1) coefficient by d*b, so each translation
+        orbit holds q tuples, exactly one with that coefficient 0 (factor
+        q). With no pivot (every degree 0 or divisible by q) the
+        translations are not used (factor 1). The square scalings keep the
+        pivot coefficient 0 and multiply coefficient j of an entry of degree
+        d by a^(-w), w = d - j. The stabiliser of a tuple among them is the
+        squares a with a^(-w) = 1 at the weight w of every nonzero
+        coefficient, and the tuple's orbit size is the factor times
+        (q - 1) / 2 over the order of that stabiliser.
+
+        The walk decides the coefficients in product order (entry by entry,
+        lowest first), taking only 0 at the pivot, and keeps the scalings
+        a != 1 still tied with the prefix, those that fix it. A coefficient
+        that a tied scaling maps lower is skipped with every completion, and
+        the scalings tied at a leaf are the stabiliser's elements a != 1. So
+        each representative is the first in product order of its orbit's
+        tuples with pivot coefficient 0, and they come in the order of the
+        full product of ``monic_enum``.
         """
         degrees = tuple(degrees)
+        if min(degrees, default=0) < 0:
+            raise ValueError("negative degree")
         q = self.q
-        pools = [self.monic_enum(d) for d in degrees]
-        factor = 1
-        for k, d in enumerate(degrees):
-            if d % q:
-                pools[k] = (f for f in pools[k] if f[d - 1] == 0)
-                factor = q
-                break
-        # every coefficient below the top in product order, as (entry,
-        # position, weight): scaling by a multiplies it by a^(-weight)
-        slots = [(k, j, (d - j) % (q - 1)) for k, d in enumerate(degrees) for j in range(d)]
-        half = (q - 1) // 2
-        for fs in itertools.product(*pools):
-            stabiliser = self._scaling_stabiliser(fs, slots)
-            if stabiliser:
-                yield fs, factor * half // stabiliser
+        pivot = next((k for k, d in enumerate(degrees) if d % q), None)
+        size = (1 if pivot is None else q) * (q - 1) // 2
+        # every coefficient below the top in product order, as (weight,
+        # choices): scaling by a multiplies it by a^(-weight)
+        slots = [
+            ((d - j) % (q - 1), (0,) if (k, j) == (pivot, d - 1) else range(q))
+            for k, d in enumerate(degrees)
+            for j in range(d)
+        ]
+        spans = [(s - d, s) for d, s in zip(degrees, itertools.accumulate(degrees))]
 
-    def _scaling_stabiliser(self, fs: tuple[Poly, ...], slots) -> int:
-        """The order of the stabiliser of fs among the square scalings, or 0
-        when a scaling maps fs to an earlier tuple of the product order.
-
-        The tuples are compared coefficient by coefficient in product order
-        against the scalings a != 1 still tied with fs; a scaling that leaves
-        a coefficient unchanged stays tied, and the ones tied to the end fix
-        fs.
-        """
-        q = self.q
-        tied = self._scalings
-        for k, j, w in slots:
-            c = fs[k][j]
-            if c:
-                still = []
+        def walk(low, tied):
+            if len(low) == len(slots):
+                yield tuple([low[i:j] + ONE for i, j in spans]), size // (1 + len(tied))
+                return
+            w, choices = slots[len(low)]
+            # a unit c is fixed by the scalings with a^(-w) = 1, and 0 by all
+            fixed = [row for row in tied if row[w] == 1]
+            for c in choices:
                 for row in tied:
-                    image = c * row[w] % q
-                    if image < c:
-                        return 0
-                    if image == c:
-                        still.append(row)
-                if not still:
-                    return 1
-                tied = still
-        return 1 + len(tied)
+                    if c * row[w] % q < c:
+                        break
+                else:
+                    yield from walk(low + (c,), fixed if c else tied)
+
+        return walk((), self._scalings)
 
     def _grow_sieve(self, dmax: int) -> None:
         """Rebuild the sieve to degree dmax if it is shorter; the top block

@@ -28,15 +28,12 @@ The local-to-global sums of ``global_coeff_sums`` go through the same
 slices: the sum over the slot of largest degree is one slice coefficient,
 and every t that shares that slot and the other slots' degrees reads its
 coefficient from one slice.
-The substitution sigma(f)(t) = a^(-deg f) f(a t + b), a a nonzero
-square and b in F_q, applied to every entry at once, keeps degrees,
-factorisation shapes and every residue symbol, (sigma p / sigma r) =
-legendre(a)^(deg p deg r) (p/r) = (p/r). So the group G of these
-substitutions fixes H, and it fixes a slice, whose sum over f_i it only
-permutes. The tuples of other entries are therefore summed over the
-orbits of G (``Fq.monic_orbits``), one slice per orbit times its size,
-q (q - 1) / 2 over the order of the representative's stabiliser; the fe
-suite's slices and the residue H route read the same enumerator.
+The group G of ``Fq.monic_orbits`` (f -> a^(-deg f) f(a t + b), a a
+nonzero square, on every entry at once; its docstring argues why) keeps
+every residue symbol, so it fixes H, and it fixes a slice, whose sum over
+f_i it only permutes. The tuples of other entries are therefore summed
+one slice per orbit of G times the orbit size; the fe suite's slices and
+the residue H route read the same enumerator.
 The brute sums, of H over every f and over every monic tuple, and the
 enumeration of every smooth part and of every tuple stay in the tests
 as the oracles.
@@ -147,10 +144,10 @@ def global_coeff_sums(fq: Fq, ts, seed: DiagonalSeed) -> list[int]:
     By the local-to-global principle this equals c_t evaluated at q. The
     sum over the first slot i of largest degree is coefficient t_i of the
     one-variable slice with the other entries fixed (``_slice_coeffs``), so
-    only the other slots are enumerated, and only up to G: a substitution
-    of G applied to the other entries fixes the slice (see the module
-    docstring), so each orbit of G (``Fq.monic_orbits``) adds its
-    representative's slice times the orbit size. The t that share i and
+    only the other slots are enumerated, and only up to the group G of
+    ``Fq.monic_orbits``: applied to the other entries it fixes the slice,
+    whose f_i it only permutes, so each orbit adds its representative's
+    slice times the orbit size. The t that share i and
     the degrees of the other slots read one slice per orbit of other
     entries, summed to the largest such t_i: a slice to a lower degree is
     a prefix of it (the Euler product and the sweep are both truncated,
@@ -179,9 +176,9 @@ def l_series_H(
     s = deg f_{i-1} + deg f_{i+1} (cyclic). Odd s: L is a polynomial of
     degree s - 1 with the reversal of ``check_reversal``. Even s: the
     cleared numerator (1 - qx) L(x) has degree s and the same reversal.
-    L is fixed when every fixed entry is moved by one substitution
-    f -> a^(-deg f) f(a t + b) of G, a a nonzero square, so a check over
-    the fixed tuples checks one per orbit of G (``Fq.monic_orbits``).
+    L is fixed when every fixed entry is moved by one element of the
+    group G of ``Fq.monic_orbits``, which fixes H and only permutes the
+    f_i, so a check over the fixed tuples checks one per orbit of G.
     """
     n1 = len(fixed)
     s = degree(fixed[(i - 1) % n1]) + degree(fixed[(i + 1) % n1])

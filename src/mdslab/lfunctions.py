@@ -11,11 +11,10 @@ verifies the cubic moment identity tying averages of L-values to divisor
 sums. The moment check reads one row of symbols (f/g) per monic modulus g
 from ``accel.symbol_rows``: one route multiplies the rows of f_1 and f_3
 (multiplicativity in the modulus), the other weighs the row sums of each f
-by its divisor count (factorisation). Both routes are fixed by the
-substitutions g -> a^(-deg g) g(a t + b), a a nonzero square, so f_1 and
-the other route's f run over the representatives of the orbits of G, the
-group of these substitutions (``Fq.monic_orbits``), each weighed by its
-own orbit size, q (q - 1) / 2 over the order of its stabiliser.
+by its divisor count (factorisation). Both routes are fixed by the group
+G of ``Fq.monic_orbits``, g -> a^(-deg g) g(a t + b) with a a nonzero
+square, which keeps every symbol, so f_1 and the other route's f run over
+its orbit representatives, each weighed by its own orbit size.
 The rows of degree above dmax / 2 pair only with lower ones, so only the
 representatives' are built, in chunks of at most ROW_CHUNK_BYTES. Every check
 returns ``{"status", "witness"}``; ``check_rh``, the one floating-point
@@ -155,12 +154,11 @@ def _moment_sides(fq: Fq, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(side A, side B) of the cubic-moment identity, each indexed by
     (deg f_1 f_3, deg f_0, deg f_2); see ``moment_identity_check``.
 
-    Every term is fixed by each substitution g -> a^(-deg g) g(a t + b) of
-    G, a a nonzero square, applied to f_1 and f_3 together (it permutes the
-    f summed over and keeps each symbol), so f_1 and route B's g run over
-    the representatives of the orbits of G (``Fq.monic_orbits``), each
-    weighed by its own orbit size, while f_3 runs over every monic
-    polynomial.
+    Every term is fixed by each element of the group G of
+    ``Fq.monic_orbits`` applied to f_1 and f_3 together: it keeps each
+    symbol and permutes the f summed over. So f_1 and route B's g run over
+    the orbit representatives, each weighed by its own orbit size, while
+    f_3 runs over every monic polynomial.
     """
     q = fq.q
     blocks = [slice(q**b, 2 * q**b) for b in range(dmax + 1)]
@@ -224,10 +222,9 @@ def moment_identity_check(fq: Fq, dmax: int) -> dict:
     row matrices per degree block of f, and no f_1 f_3 is multiplied out.
     Route B: sum over monic f of sigma_0(f), from f's factorisation, times
     the outer product of f's own character sums by degree.
-    Each sum runs over the orbits of G, the substitutions
-    g -> a^(-deg g) g(a t + b) with a a nonzero square: f_1 in route A and f
-    in route B over the representatives of ``Fq.monic_orbits``, times
-    each one's orbit size (see ``_moment_sides``).
+    Each sum runs over the orbits of the group G of ``Fq.monic_orbits``:
+    f_1 in route A and f in route B over its representatives, times each
+    one's orbit size (see ``_moment_sides``).
     """
     check_moment_cost(fq.q, dmax)
     side_a, side_b = _moment_sides(fq, dmax)

@@ -235,12 +235,10 @@ def residue_coeff_H_route(fq: Fq, n: int, avec: tuple[int, ...], seed: DiagonalS
     (mod 2) for every j, and each arises from exactly one (m, s_0, ...,
     s_{k-1}). So the enumeration runs over e, then the tuples (m, s_0,
     ...) with m of degree e and s_j of degree (a_j - e)/2, m squarefree.
-    Moving m and every s_j at once by one substitution
-    f -> a^(-deg f) f(a t + b) of G, a a nonzero square and b in F_q,
-    moves every entry of the layout alike (products commute with it) and
-    keeps m squarefree, so it fixes H: the tuples are read one per orbit
-    of G (``Fq.monic_orbits``), times the orbit size, which is q (q - 1) / 2
-    over the order of the representative's stabiliser. The filtered product of
+    Moving m and every s_j at once by one element of the group G of
+    ``Fq.monic_orbits`` moves every entry of the layout alike (products
+    commute with it) and keeps m squarefree, so it fixes H: the tuples
+    are read one per orbit of G, times the orbit size. The filtered product of
     every monic tuple stays in the tests as the oracle. It is refused past
     ``globalweights.BUDGET``, pricing every tuple, through the
     ``enforce_budget`` that prices ``global_coeff_sums``. Returns the sum

@@ -221,7 +221,10 @@ STABILISED = {(13, (2,)): {13, 39}, (13, (0, 3)): {13, 26, 39, 78}}
     [(5, ()), (5, (0,)), (5, (2,)), (5, (0, 3)), (5, (2, 1)), (5, (1, 0, 2)), (13, (0, 2, 1)),
      # no pivot: every degree 0 or divisible by q
      (5, (5,)), (5, (0, 5)), (5, (0, 0)),
-     *STABILISED],
+     *STABILISED,
+     # several scalings a != 1 tied at once; at (5, 1) the pivot is the
+     # second entry, after one of degree divisible by q
+     (17, (2, 1)), (29, (2,)), (29, (1, 1)), (5, (5, 1))],
 )
 def test_monic_orbits_against_every_tuple(q, degrees):
     # the brute-force orbits of every representative partition the full
@@ -248,6 +251,12 @@ def test_monic_orbits_against_every_tuple(q, degrees):
     assert owner.keys() == set(full)
     if (q, degrees) in STABILISED:
         assert set(reps.values()) == STABILISED[q, degrees]
+
+
+def test_monic_orbits_refuses_a_negative_degree(f5):
+    # refused before any tuple is yielded, not read as degree 0
+    with pytest.raises(ValueError, match="negative degree"):
+        next(iter(f5.monic_orbits((2, -1))))
 
 
 def test_irreducible_counts(f5):
