@@ -32,13 +32,15 @@ calls as one prime. A single prime, as a sweep of one g may ask for, is a
 batch of one.
 
 Composite g. The symbol is multiplicative in the modulus, so g's row is
-the product of the rows of its primes. A sweep sums (f/g) by degree for a
-squarefree g, a primitive character, given by its primes, which every
-caller already holds, so g is neither multiplied out nor factored here;
-the principal character (no prime) has the sums q^d and needs no row.
-``symbol_rows`` returns the rows of a list of monic g, squares included,
-an even exponent contributing only the mask row != 0; it builds first the
-missing rows of the primes dividing some g, and no other prime.
+the product of the rows of its primes, an even exponent contributing only
+the mask row != 0. Both public routes price their work first and then read
+one private path, which builds the missing rows of the primes dividing
+some g, and no other prime, and multiplies them into one row per g.
+``symbol_rows`` takes a list of monic g, squares included, and factors
+them. A sweep sums (f/g) by degree for a squarefree g, a primitive
+character, given by its primes, which every caller already holds, so g is
+neither multiplied out nor factored; the principal character (no prime)
+has the sums q^d and needs no row.
 
 Cache. Each Fq context holds one byte-bounded ``_Cache``: the row of each
 prime, and the sums of each squarefree g as far as they were swept, keyed
@@ -352,16 +354,19 @@ def _check_cost(q: int, prime_degrees, dmax: int, rows: int, what) -> None:
         )
 
 
-def _row(fq: Fq, primes, dmax: int) -> np.ndarray:
-    # (f/g) for every monic f of degree <= dmax, in row layout, with g the
-    # product of the distinct primes
-    degrees = [(degree(p), 1) for p in primes]
-    _check_cost(fq.q, degrees, dmax, 1, lambda: f"symbol sweep of the primes {primes}")
-    rows = _prime_rows(fq, primes, dmax)
-    row = np.ones(2 * fq.q**dmax, dtype=np.int8)
-    for p in primes:
-        row *= rows[p][: len(row)]
-    return row
+def _modulus_rows(fq: Fq, factorisations, dmax: int) -> np.ndarray:
+    # (f/g) for every monic f of degree <= dmax, in row layout, one row per
+    # monic g given by its factorisation ((p, e), ...): the product of its
+    # primes' rows, an even power contributing only the mask row != 0, as it
+    # only kills the f with gcd(f, p) > 1
+    primes = dict.fromkeys(p for fac in factorisations for p, _ in fac)
+    prime_rows = _prime_rows(fq, primes, dmax)
+    rows = np.ones((len(factorisations), 2 * fq.q**dmax), dtype=np.int8)
+    for row, fac in zip(rows, factorisations):
+        for p, e in fac:
+            prow = prime_rows[p][: len(row)]
+            row *= prow if e % 2 else prow != 0
+    return rows
 
 
 def symbol_rows(fq: Fq, gs, dmax: int) -> np.ndarray:
@@ -369,9 +374,10 @@ def symbol_rows(fq: Fq, gs, dmax: int) -> np.ndarray:
     monic f of degree <= dmax.
 
     Row k holds (f/g) for gs[k] and the f of degree b at [q^b, 2q^b),
-    constant coefficient fastest (the layout above); entry 0 is no f. Only
-    the primes dividing some g are built; the cost is priced before any g
-    is factored.
+    constant coefficient fastest (the layout above); entry 0 is no f. The
+    cost is priced before any g is factored; then the rows of the primes
+    dividing some g, and of no other prime, are built and multiplied into
+    one row per g.
     """
     q, top = fq.q, max((degree(g) for g in gs), default=0)
     # at most q^e / e primes have degree e, and a g of degree <= top has at
@@ -380,16 +386,7 @@ def symbol_rows(fq: Fq, gs, dmax: int) -> np.ndarray:
     _check_cost(
         q, degrees, dmax, len(gs), lambda: f"symbol rows of {len(gs)} monic g of degree <= {top}"
     )
-    factors = [fq.factor(g)[0] for g in gs]
-    primes = dict.fromkeys(p for fac in factors for p, _ in fac)
-    prime_rows = _prime_rows(fq, primes, dmax)
-    rows = np.ones((len(gs), 2 * q**dmax), dtype=np.int8)
-    for row, fac in zip(rows, factors):
-        for p, e in fac:
-            prow = prime_rows[p][: len(row)]
-            # an even power only kills the f with gcd(f, p) > 1
-            row *= prow if e % 2 else prow != 0
-    return rows
+    return _modulus_rows(fq, [fq.factor(g)[0] for g in gs], dmax)
 
 
 def symbol_sums_by_degree(fq: Fq, primes, dmax: int) -> np.ndarray:
@@ -407,9 +404,11 @@ def symbol_sums_by_degree(fq: Fq, primes, dmax: int) -> np.ndarray:
     cache = _cache(fq)
     held = cache.entries.get(("sums", primes))
     if held is None or len(held) <= dmax:
+        degrees = [(degree(p), 1) for p in primes]
+        _check_cost(fq.q, degrees, dmax, 1, lambda: f"symbol sweep of the primes {primes}")
         # the private name: perfbench/spans.py times each public call, so
         # one sweep stays one span
-        row = _row(fq, primes, dmax)
+        row = _modulus_rows(fq, [[(p, 1) for p in primes]], dmax)[0]
         # one reduction over the edges q^0, 2q^0, q, 2q, ..., q^dmax: every
         # other segment is a degree block, the ones between hold no f.
         # int32 cannot overflow: _check_cost keeps the row below 2^30 entries.

@@ -180,10 +180,10 @@ def _suite_partitions(args, pipe):
     n = args.n
     P = pipe.p
 
-    def lemma_routes(product_gf, size, bound):
+    def lemma_routes(size, bound):
         # the brute count of size-tuples of partitions against the product
         # formula, at every vector of class sums of total <= bound
-        gf = product_gf(n, bound)
+        gf = pa.partition_product_gf(n, size, bound)
         counts = pa.partition_class_counts(n, size, bound)
         for sums in tuples_with_sum_at_most(n, bound):
             if counts.get(sums, 0) != pa.series_int_coeff(gf, sums):
@@ -195,12 +195,12 @@ def _suite_partitions(args, pipe):
         (
             "partition_gf",
             {"bound": args.bound},
-            lambda: lemma_routes(pa.partition_product_gf, 1, args.bound),
+            lambda: lemma_routes(1, args.bound),
         ),
         (
             "partition_tuple_gf",
             {"bound": tuple_bound},
-            lambda: lemma_routes(pa.partition_tuple_product_gf, n, tuple_bound),
+            lambda: lemma_routes(n, tuple_bound),
         ),
     ]
 

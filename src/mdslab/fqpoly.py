@@ -144,13 +144,11 @@ class Fq:
         ]
         self._factor_cache: dict[Poly, tuple[tuple[tuple[Poly, int], ...], int]] = {}
         self._symbol_cache: dict[tuple[Poly, Poly], int] = {}
-        # the sieve (see _sieve) to degree _sieve_degree; the primes of each
-        # degree read from it; and one tuple per prime index, shared by the
-        # prime lists and the factorisations
+        # the sieve (see _sieve) to degree _sieve_degree, and the primes of
+        # each degree read from it
         self._sieve_degree = 0
         self._spf, self._cof = _sieve(q, 0)
         self._prime_cache: dict[int, tuple[Poly, ...]] = {}
-        self._prime_at: dict[int, Poly] = {}
         # accel's cache of character rows and swept symbol sums, made and
         # bounded by accel on first use
         self._accel_cache = None
@@ -307,14 +305,11 @@ class Fq:
         return self._sieve_degree >= dmax
 
     def _prime_of_index(self, i: int) -> Poly:
-        p = self._prime_at.get(i)
-        if p is None:
-            coeffs, rest = [], i  # the base-q digits of i, the top one 1
-            while rest >= self.q:
-                rest, c = divmod(rest, self.q)
-                coeffs.append(c)
-            p = self._prime_at[i] = tuple(coeffs) + ONE
-        return p
+        coeffs = []  # the base-q digits of i, the top one 1
+        while i >= self.q:
+            i, c = divmod(i, self.q)
+            coeffs.append(c)
+        return tuple(coeffs) + ONE
 
     def _index_of(self, f: Poly) -> int:
         i = 0
@@ -330,11 +325,8 @@ class Fq:
             self._grow_sieve(d)
             q = self.q
             idx = np.flatnonzero(self._spf[q**d : 2 * q**d] == 0) + q**d
-            at = self._prime_at
-            primes = self._prime_cache[d] = tuple(sorted(
-                at.setdefault(i, tuple(c))
-                for i, c in zip(idx.tolist(), _digits(q, d + 1, idx).T.tolist())
-            ))
+            digits = _digits(q, d + 1, idx).T.tolist()  # top digit 1: p is monic
+            primes = self._prime_cache[d] = tuple(sorted(map(tuple, digits)))
         return primes
 
     # -- factorization -----------------------------------------------------

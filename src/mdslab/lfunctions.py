@@ -15,8 +15,9 @@ by its divisor count (factorisation). Both routes are fixed by the group
 G of ``Fq.monic_orbits``, g -> a^(-deg g) g(a t + b) with a a nonzero
 square, which keeps every symbol, so f_1 and the other route's f run over
 its orbit representatives, each weighed by its own orbit size.
-The rows of degree above dmax / 2 pair only with lower ones, so only the
-representatives' are built, in chunks of at most ROW_CHUNK_BYTES. Every check
+The rows of every g of degree <= dmax / 2 are kept, as they pair as f_3;
+the representatives' rows of every degree are built in chunks of at most
+ROW_CHUNK_BYTES, and each chunk is freed once reduced. Every check
 returns ``{"status", "witness"}``; ``check_rh``, the one floating-point
 check, also reports its largest root deviation as ``max_deviation``.
 ``check_l_fe`` and ``check_rh`` are the documented L-function API: no CLI
@@ -37,8 +38,8 @@ from .reducer import check_reversal
 # counts them: about 2 s on a 2-vCPU host (q=5, dmax=6 evaluates 7.1e8 in
 # 1.3 s, q=13, dmax=4 2.9e8 in 0.9 s).
 MAX_MOMENT_SYMBOLS = 10**9
-# Most bytes of one chunk of symbol rows of a degree above dmax / 2 in the
-# moment check.
+# Most bytes of one chunk of the representatives' symbol rows in the moment
+# check.
 ROW_CHUNK_BYTES = 2**19
 # Largest deviation of a root modulus from q^{-1/2} that check_rh accepts.
 RH_TOL = 1e-6
@@ -130,17 +131,17 @@ def check_moment_cost(q: int, dmax: int) -> None:
 
     The count is of the symbols and symbol products that the orbit route of
     ``_moment_sides`` evaluates, each over every monic f of degree <= dmax:
-    one row per monic g of degree <= dmax / 2 and per representative g of
-    each degree above, and route A's Gram entries (f/f_1)(f/f_3) for every
-    representative f_1 of degree d and monic f_3 of degree
-    e <= min(d, dmax - d).
+    one row per monic g of degree <= dmax / 2 and one more per
+    representative g of every degree, and route A's Gram entries
+    (f/f_1)(f/f_3) for every representative f_1 of degree d and monic f_3 of
+    degree e <= min(d, dmax - d).
     """
     # an upper bound on the representatives of Fq.monic_orbits((d,)): the
     # translation representatives, one in q when d has a pivot (d prime to
     # q), else every monic g of degree d; the square scalings cut them
     # further, by up to (q - 1) / 2
     reps = [q ** (d - 1) if d % q else q**d for d in range(dmax + 1)]
-    rows = sum(q**d if 2 * d <= dmax else reps[d] for d in range(dmax + 1))
+    rows = sum(q**d for d in range(dmax // 2 + 1)) + sum(reps)
     pairs = sum(reps[d] * q**e for d in range(dmax + 1) for e in range(min(d, dmax - d) + 1))
     count = (rows + pairs) * sum(q**d for d in range(dmax + 1))
     if count > MAX_MOMENT_SYMBOLS:
@@ -158,33 +159,27 @@ def _moment_sides(fq: Fq, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     ``Fq.monic_orbits`` applied to f_1 and f_3 together: it keeps each
     symbol and permutes the f summed over. So f_1 and route B's g run over
     the orbit representatives, each weighed by its own orbit size, while
-    f_3 runs over every monic polynomial.
+    f_3 runs over every monic polynomial. One loop over the degrees d keeps
+    the rows of every g of degree d when 2d <= dmax, for the f_3 of later
+    degrees, and builds the representatives' rows of degree d a chunk at a
+    time.
     """
     q = fq.q
     blocks = [slice(q**b, 2 * q**b) for b in range(dmax + 1)]
     side_a = np.zeros((dmax + 1,) * 3, dtype=np.int64)
     side_b = np.zeros_like(side_a)
     low = []  # the rows of every g of degree <= dmax / 2, paired again later
+    step = max(1, ROW_CHUNK_BYTES // (2 * q**dmax))
     for d in range(dmax + 1):
         orbits = list(fq.monic_orbits((d,)))
         reps = [g for (g,), _ in orbits]
         sizes = np.array([size for _, size in orbits], dtype=np.int64)
         if 2 * d <= dmax:
-            every = list(fq.monic_enum(d))
-            low.append(accel.symbol_rows(fq, every, dmax))
-            held = set(reps)
-            chunks = [(0, low[d][[g in held for g in every]])]
-        else:
-            # a degree above dmax / 2 pairs only with the kept low degrees,
-            # so its rows are built and reduced a chunk of g at a time
-            step = max(1, ROW_CHUNK_BYTES // (2 * q**dmax))
-            chunks = (
-                (k, accel.symbol_rows(fq, reps[k : k + step], dmax))
-                for k in range(0, len(reps), step)
-            )
-        for k, rows in chunks:
-            # the representatives from k on, and their orbit sizes
-            gs, w = reps[k : k + len(rows)], sizes[k : k + len(rows)]
+            low.append(accel.symbol_rows(fq, list(fq.monic_enum(d)), dmax))
+        # the representatives' rows are built and reduced a chunk at a time
+        for k in range(0, len(reps), step):
+            gs, w = reps[k : k + step], sizes[k : k + step]
+            rows = accel.symbol_rows(fq, gs, dmax)
             # route A: G_b[f_1, f_3] = sum over f of degree b of
             # (f/f_1)(f/f_3), the degree-b sum of (f / f_1 f_3), for
             # deg f_1 = d, deg f_3 = e; side A[d + e][b, b'] gains

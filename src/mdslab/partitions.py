@@ -63,22 +63,16 @@ def _iter_partitions_upto(total: int):
         yield from _partitions_with_sum(t)
 
 
-def partition_product_gf(n: int, bound: int) -> MultiSeries:
-    """Product-formula route for :func:`partition_class_counts` of size 1.
+def partition_product_gf(n: int, size: int, bound: int) -> MultiSeries:
+    """Product-formula route for :func:`partition_class_counts`.
 
-    One factor per column shape: a column of height mn + j covers every
-    class m times and classes 0..j-1 once more.
+    One factor per column shape: the columns of the i-th partition start
+    at class i, for every offset i < size, and a column of height mn + j
+    covers every class m times and the j classes from i on once more.
     """
-    fams = {(tuple(int(c < j) for c in range(n)), 0): 1 for j in range(1, n + 1)}
-    return expand_factors(progressions(fams, (1,) * n, bound), n, bound)
-
-
-def partition_tuple_product_gf(n: int, bound: int) -> MultiSeries:
-    """Product-formula route for :func:`partition_class_counts` of size n:
-    the same columns, started at every cyclic offset."""
     fams = Counter(
         (tuple(int((c - i) % n < length) for c in range(n)), 0)
-        for i in range(n)
+        for i in range(size)
         for length in range(1, n + 1)
     )
     return expand_factors(progressions(fams, (1,) * n, bound), n, bound)

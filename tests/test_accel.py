@@ -78,13 +78,8 @@ def cached_rows(fq):
 
 
 def assert_rows_match_oracle(fq, g, dmax):
-    # g's single-modulus row: the one symbol_sums_by_degree sums when g is
-    # squarefree, else general_row's
-    factors = fq.factor(g)[0]
-    if all(e == 1 for _, e in factors):
-        row = accel._row(fq, [p for p, _ in factors], dmax)
-    else:
-        row = general_row(fq, factors, dmax)
+    # g's row on the one path that both sweeps read, from g's factorisation
+    row = accel._modulus_rows(fq, [fq.factor(g)[0]], dmax)[0]
     assert_row_matches_oracle(fq, g, row, dmax)
 
 
@@ -261,7 +256,7 @@ def test_trivial_modulus(monkeypatch):
     def no_sweep(*args):
         raise RuntimeError("swept")
 
-    monkeypatch.setattr(accel, "_row", no_sweep)
+    monkeypatch.setattr(accel, "_modulus_rows", no_sweep)
     fq = field(5)
     sums = accel.symbol_sums_by_degree(fq, fq.factor((1,))[0], 3)
     assert list(sums) == [1, 5, 25, 125]
@@ -346,19 +341,19 @@ def test_sums_memo_answers_only_the_degrees_it_swept(monkeypatch):
     g = poly(fq, [1, 2, 0, 1])
     primes = squarefree_primes(fq, g)
     sums = accel.symbol_sums_by_degree(fq, primes, 3).tolist()
-    row = accel._row
+    rows = accel._modulus_rows
 
     def no_sweep(*args):
         raise RuntimeError("swept again")
 
-    monkeypatch.setattr(accel, "_row", no_sweep)
+    monkeypatch.setattr(accel, "_modulus_rows", no_sweep)
     assert accel.symbol_sums_by_degree(fq, primes, 2).tolist() == sums[:3]
     # a returned array is a copy: changing it leaves the memo alone
     accel.symbol_sums_by_degree(fq, primes, 3)[0] += 5
     assert accel.symbol_sums_by_degree(fq, primes, 3).tolist() == sums
     with pytest.raises(RuntimeError, match="swept again"):
         accel.symbol_sums_by_degree(fq, primes, 4)
-    monkeypatch.setattr(accel, "_row", row)
+    monkeypatch.setattr(accel, "_modulus_rows", rows)
     longer = accel.symbol_sums_by_degree(fq, primes, 4).tolist()
     assert longer[:4] == sums and len(accel._cache(fq).entries["sums", tuple(primes)]) == 5
 
@@ -375,7 +370,7 @@ def test_sums_memo_keys_entries_by_sorted_primes(monkeypatch):
     def no_sweep(*args):
         raise RuntimeError("swept again")
 
-    monkeypatch.setattr(accel, "_row", no_sweep)
+    monkeypatch.setattr(accel, "_modulus_rows", no_sweep)
     assert accel.symbol_sums_by_degree(fq, (t, u), 3).tolist() == want
     assert [key for key in accel._cache(fq).entries if key[0] == "sums"] == [("sums", (t, u))]
 

@@ -211,7 +211,7 @@ def test_criterion_10_combinatorics():
     ok = True
     witness = ""
     for n in (2, 3):
-        gf = partition_product_gf(n, 6 * n)
+        gf = partition_product_gf(n, 1, 6 * n)
         counts = partition_class_counts(n, 1, 6 * n)
         for sums in itertools.product(range(7), repeat=n):
             if counts.get(sums, 0) != series_int_coeff(gf, sums):

@@ -170,15 +170,20 @@ def test_negative_degrees_exit_2(argv, option, tmp_path, capsys):
 
 
 def test_raising_check_fails_alone(tmp_path, monkeypatch):
+    from mdslab import partitions
+
     argv = ["verify", "--n", "2", "--suite", "partitions", "--bound", "3", "--trunc", "3"]
     _, out = run_cli(argv, tmp_path, "clean")
     clean = json.loads(out.read_text())["checks"]
+    product_gf = partitions.partition_product_gf
 
-    def boom(*args):
-        raise RuntimeError("boom")
+    def boom(n, size, bound):
+        if size == 1:
+            raise RuntimeError("boom")
+        return product_gf(n, size, bound)
 
-    # partition_gf, the first check of the suite, is the only caller
-    monkeypatch.setattr("mdslab.partitions.partition_product_gf", boom)
+    # partition_gf, the first check of the suite, is the only caller at size 1
+    monkeypatch.setattr(partitions, "partition_product_gf", boom)
     code, out = run_cli(argv, tmp_path, "raised")
     assert code == 1
     checks = json.loads(out.read_text())["checks"]

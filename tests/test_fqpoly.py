@@ -317,9 +317,6 @@ def test_sieve_grown_step_by_step_equals_one_build():
             assert step.factor(f) == once.factor(f)
     assert np.array_equal(step._spf, once._spf) and np.array_equal(step._cof, once._cof)
     assert step._spf.dtype == np.uint16  # the smallest type for 2 * 5^5 indices
-    # factorisations share the prime lists' tuples
-    listed = {id(p) for d in range(1, 6) for p in step._primes_of_degree(d)}
-    assert all(id(p) in listed for fac, _ in step._factor_cache.values() for p, _ in fac)
 
 
 def test_oversized_sieve_is_refused_before_allocating(monkeypatch):

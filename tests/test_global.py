@@ -400,15 +400,15 @@ def test_sums_memo_never_serves_filled_zeros(seed3, monkeypatch):
     _slice_coeffs(fq, (t, ONE, u, ONE), 1, 3, seed3)
     # degrees 0 and 1 only
     assert accel._cache(fq).entries["sums", (t, u)].tolist() == [1, -1]
-    row = accel._row
+    rows = accel._modulus_rows
 
-    def perturbed(fq, g, dmax):
-        out = row(fq, g, dmax).copy()
+    def perturbed(fq, factorisations, dmax):
+        out = rows(fq, factorisations, dmax)
         if dmax >= 2:
-            out[fq.q**2] += 1  # f = t^2, where (t^2 / g) = 0
+            out[:, fq.q**2] += 1  # f = t^2, where (t^2 / g) = 0
         return out
 
-    monkeypatch.setattr(accel, "_row", perturbed)
+    monkeypatch.setattr(accel, "_modulus_rows", perturbed)
     with pytest.raises(AssertionError, match="fails to vanish at degree 2"):
         l_poly(fq, g)
 
@@ -754,15 +754,15 @@ def test_l_poly_and_a_slice_share_one_sums_entry(seed3, monkeypatch):
     g, fixed = fq.mul(t, fq.mul(u, v)), (t, ONE, fq.mul(u, v), ONE)
     want = brute_slice(fq, fixed, 1, 3, seed3)
     l_poly(fq, g)
-    row = accel._row
+    rows = accel._modulus_rows
 
     def no_sweep(*args):
         raise RuntimeError("swept again")
 
-    monkeypatch.setattr(accel, "_row", no_sweep)
+    monkeypatch.setattr(accel, "_modulus_rows", no_sweep)
     assert _slice_coeffs(fq, fixed, 1, 3, seed3) == want
     assert sums_keys(fq) == [("sums", (t, u, v))]
-    monkeypatch.setattr(accel, "_row", row)
+    monkeypatch.setattr(accel, "_modulus_rows", rows)
     other = Fq(5)
     assert _slice_coeffs(other, fixed, 1, 3, seed3) == want
     l_poly(other, g)  # sweeps one degree further, into the same entry

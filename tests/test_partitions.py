@@ -12,7 +12,6 @@ from mdslab.partitions import (
     enumerate_reduction_chains,
     partition_class_counts,
     partition_product_gf,
-    partition_tuple_product_gf,
     series_int_coeff,
 )
 from mdslab.reducer import compute_P, tuples_with_sum_at_most
@@ -20,23 +19,26 @@ from mdslab.residue import build_R, n_even_vars, run_pipeline
 from mdslab.series import expand_diagonal
 
 
-# sha256 of the terms of each product formula for n = 1..5 and bound 0..8,
-# pinned from the per-formula loops that listed the columns before the
-# shared family expansion
+# sha256 of the terms of the product formula at size 1 and at size n, for
+# n = 1..5 and bound 0..8, pinned from the per-formula loops that listed the
+# columns before the shared family expansion
 PRODUCT_GF_DIGESTS = {
-    partition_product_gf: "d07961d28f0aa1519671a7d6b9679ca9510b97d8843f96176c8275fe69381501",
-    partition_tuple_product_gf: "adec1df86c77332af7fdc4e90f193df1429ce9e731e1d992107c195f3d9753c9",
+    "1": "d07961d28f0aa1519671a7d6b9679ca9510b97d8843f96176c8275fe69381501",
+    "n": "adec1df86c77332af7fdc4e90f193df1429ce9e731e1d992107c195f3d9753c9",
 }
 
 
-@pytest.mark.parametrize("gf", list(PRODUCT_GF_DIGESTS), ids=lambda f: f.__name__)
-def test_product_gf_matches_pinned_tables(gf):
+@pytest.mark.parametrize("size", list(PRODUCT_GF_DIGESTS))
+def test_product_gf_matches_pinned_tables(size):
     tables = [
-        sorted((e, sorted(c.terms.items())) for e, c in gf(n, bound).terms.items())
+        sorted(
+            (e, sorted(c.terms.items()))
+            for e, c in partition_product_gf(n, 1 if size == "1" else n, bound).terms.items()
+        )
         for n in range(1, 6)
         for bound in range(9)
     ]
-    assert hashlib.sha256(repr(tables).encode()).hexdigest() == PRODUCT_GF_DIGESTS[gf]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == PRODUCT_GF_DIGESTS[size]
 
 
 def p_lowest_term_product_route(n: int, amax: int) -> list[int]:
@@ -113,14 +115,14 @@ def test_conjugate():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_partition_count_vs_product(n):
-    gf = partition_product_gf(n, 6)
+    gf = partition_product_gf(n, 1, 6)
     for sums in tuples_with_sum_at_most(n, 6):
         assert series_int_coeff(gf, sums) == count_partition_tuples(n, sums), sums
 
 
 @pytest.mark.parametrize("n,total", [(2, 4), (3, 3)])
 def test_partition_ntuple_count_vs_product(n, total):
-    gf = partition_tuple_product_gf(n, total)
+    gf = partition_product_gf(n, n, total)
     for sums in tuples_with_sum_at_most(n, total):
         assert series_int_coeff(gf, sums) == count_partition_ntuples(n, sums), sums
 
@@ -139,6 +141,16 @@ def test_binned_ntuple_counts_match_oracle(n, total):
     assert all(sum(sums) <= total for sums in counts)
     for sums in tuples_with_sum_at_most(n, total):
         assert counts.get(sums, 0) == count_partition_ntuples(n, sums), sums
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_product_gf_matches_binned_counts_at_every_size(n):
+    # between size 1 and size n the columns start at the offsets 0..size-1
+    for size in range(1, n + 1):
+        gf = partition_product_gf(n, size, 4)
+        counts = partition_class_counts(n, size, 4)
+        for sums in tuples_with_sum_at_most(n, 4):
+            assert series_int_coeff(gf, sums) == counts.get(sums, 0), (size, sums)
 
 
 def test_chain_triple_route_n3():
