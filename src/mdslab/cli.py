@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from . import globalweights as gw, lfunctions as lf, partitions as pa, residue as res
@@ -87,15 +88,20 @@ def _suite_fe(args, pipe):
     seed = pipe.seed
     fq = field(args.q)
     checks = []
+    # check_lambda_fe ignores fixed[i], so each slice is checked once and
+    # its result read by every (fixed, i) that names it
+    slices = {}
+
+    def lambda_fe(fixed, i):
+        key = (i, fixed[:i] + fixed[i + 1 :])
+        if key not in slices:
+            slices[key] = check_lambda_fe(fixed, i, seed)
+        return slices[key]
+
     for fixed in tuples_with_sum_at_most(args.n + 1, args.bound):
         for i in range(args.n + 1):
-            checks.append(
-                (
-                    "lambda_fe",
-                    {"fixed": list(fixed), "i": i},
-                    lambda fixed=fixed, i=i: check_lambda_fe(fixed, i, seed),
-                )
-            )
+            params = {"fixed": list(fixed), "i": i}
+            checks.append(("lambda_fe", params, lambda fixed=fixed, i=i: lambda_fe(fixed, i)))
 
     def determination():
         other = DiagonalSeed(
@@ -236,6 +242,23 @@ def _suite_partitions(args, pipe):
     return checks
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the report's values: str-keyed
+    dicts, lists and JSON scalars. Each str and int goes to a C routine, in
+    place of the pure-Python encoder that ``indent`` selects."""
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items())
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _run_and_report(args, checks, strict: bool = False) -> int:
     """Run (name, params, fn) checks in order and write the JSON report.
 
@@ -260,7 +283,7 @@ def _run_and_report(args, checks, strict: bool = False) -> int:
         "meta": {"n": args.n, "q0": args.q, "D": args.trunc, "version": __version__},
         "checks": results,
     }
-    _write(args.out, json.dumps(report, indent=2) + "\n")
+    _write(args.out, _json(report) + "\n")
     if strict:
         failed = any(c["status"] != "pass" for c in results)
     else:

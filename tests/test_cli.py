@@ -509,3 +509,116 @@ def test_boundary_checks_fail_only_strict_runs(tmp_path, monkeypatch):
     assert {c["status"] for c in checks if c["name"] != "dominance"} == {"pass"}
     code, _ = run_cli(argv + ["--strict"], tmp_path, "strict")
     assert code == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("suite", ["axioms", "fe", "residue", "partitions", "all"])
+def test_reports_are_written_as_json_dumps_writes_them(tmp_path, n, suite):
+    # json.dumps(report, indent=2) is the oracle of the report writer
+    from mdslab import cli
+
+    argv = ["verify", "--n", str(n), "--suite", suite, "--bound", "2", "--trunc", "3"]
+    _, out = run_cli(argv, tmp_path)
+    text = out.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert cli._json(report) == json.dumps(report, indent=2)
+
+
+def test_moments_report_is_written_as_json_dumps_writes_it(tmp_path):
+    _, out = run_cli(["moments", "--n", "3", "--trunc", "2"], tmp_path)
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# witnesses that need escapes, and values of every JSON type a report may hold
+WITNESSES = ['say "no"', "back\\slash", "two\nlines", "a\ttab", "ctrl \x01", "β = 1/2", "clef \U0001d11e"]
+ODD_PARAMS = [
+    {},
+    {"empty": [], "none": {}},
+    {"grid": [[0, 1], [], [[2], [-3]]]},
+    {"small": -7, "large": 2**64 + 1, "neg_large": -(2**70)},
+    {"yes": True, "no": False, "nothing": None, "ratio": 0.25},
+]
+
+
+@pytest.mark.parametrize(
+    "value",
+    WITNESSES
+    + ODD_PARAMS
+    + [[], [[]], [WITNESSES, ODD_PARAMS], -1, 0, 2**64, True, False, None, 1.5, -0.0, "", 'é"'],
+)
+def test_writer_equals_json_dumps_on_odd_values(value):
+    from mdslab import cli
+
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_failed_checks_with_odd_witnesses_are_written_as_json_dumps_writes_them(tmp_path):
+    import argparse
+
+    from mdslab import cli
+
+    out = tmp_path / "out"
+    args = argparse.Namespace(n=3, q=5, trunc=2, out=str(out))
+    checks = [
+        ("odd", params, lambda w=w: {"status": "fail", "witness": w})
+        for params, w in zip(ODD_PARAMS * 2, WITNESSES)
+    ]
+    checks.append(("plain", {"t": [0, 1]}, lambda: {"status": "pass"}))
+    assert cli._run_and_report(args, checks) == 1
+    text = out.read_text()
+    report = json.loads(text)
+    assert [c.get("witness") for c in report["checks"]] == WITNESSES + [None]
+    assert text == json.dumps(report, indent=2) + "\n"
+
+
+FE_N3 = ["verify", "--n", "3", "--q", "5", "--suite", "fe", "--bound", "4"]
+
+
+def slice_of(fixed, i):
+    """The (i, others) of the one-variable slice through fixed at slot i."""
+    return i, tuple(fixed[:i]) + tuple(fixed[i + 1 :])
+
+
+def test_fe_suite_checks_each_lambda_fe_slice_once(tmp_path, monkeypatch):
+    # check_lambda_fe(fixed, i) ignores fixed[i]: the 280 entries of the
+    # n = 3, bound 4 suite name 140 slices (i, others)
+    from mdslab import cli
+
+    calls = []
+    real = cli.check_lambda_fe
+
+    def counted(fixed, i, seed):
+        calls.append(slice_of(fixed, i))
+        return real(fixed, i, seed)
+
+    monkeypatch.setattr(cli, "check_lambda_fe", counted)
+    code, out = run_cli(FE_N3, tmp_path)
+    assert code == 0
+    entries = [c for c in json.loads(out.read_text())["checks"] if c["name"] == "lambda_fe"]
+    assert len(entries) == 280
+    assert len(calls) == len(set(calls)) == 140
+    assert {slice_of(c["params"]["fixed"], c["params"]["i"]) for c in entries} == set(calls)
+
+
+@pytest.mark.parametrize("i, others", [(1, (1, 0, 1)), (0, (0, 0, 0)), (3, (2, 0, 1))])
+def test_a_failing_lambda_fe_slice_fails_every_entry_that_names_it(tmp_path, monkeypatch, i, others):
+    from mdslab import cli
+
+    witness = f"stub fails slice {i} of {others}"
+
+    def stub(fixed, j, seed):
+        if slice_of(fixed, j) == (i, others):
+            return {"status": "fail", "witness": witness}
+        return {"status": "pass"}
+
+    monkeypatch.setattr(cli, "check_lambda_fe", stub)
+    code, out = run_cli(FE_N3, tmp_path)
+    assert code == 1
+    failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] != "pass"]
+    assert len(failed) == 4 - sum(others) + 1
+    for c in failed:
+        assert c["name"] == "lambda_fe"
+        assert slice_of(c["params"]["fixed"], c["params"]["i"]) == (i, others)
+        assert c["witness"] == witness

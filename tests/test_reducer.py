@@ -283,6 +283,28 @@ def test_lambda_fe_fails_on_a_bumped_slice(fixed, i):
     assert check_lambda_fe(fixed, i, DiagonalSeed(list(base.values)))["status"] == "pass"
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_lambda_fe_ignores_the_entry_at_its_slot(n):
+    # verify checks each slice once for every fixed that differs only at
+    # slot i; on a seed bumped at the top of the slice the witnesses agree too
+    base = pipeline_seed(n)
+    statuses = set()
+    for fixed in tuples_with_sum_at_most(n + 1, 3):
+        for i in range(n + 1):
+            other = fixed[:i] + (fixed[i] + 1,) + fixed[i + 1 :]
+            s = fixed[i - 1] + fixed[(i + 1) % (n + 1)]
+            top = fixed[:i] + (2 * s + s % 2,) + fixed[i + 1 :]
+            bumped = DiagonalSeed(list(base.values))
+            for a in range(2 * s + 1 + s % 2):
+                reduce_coeff(fixed[:i] + (a,) + fixed[i + 1 :], bumped)
+            bumped._memo[top] += QLaurent.q_power(4)
+            for seed in (base, bumped):
+                report = check_lambda_fe(fixed, i, seed)
+                assert check_lambda_fe(other, i, seed) == report, (fixed, i)
+                statuses.add(report["status"])
+    assert statuses == {"pass", "fail"}
+
+
 # (lift of an int into the ring, q^j in the ring) at q = 5; QLaurent's q is
 # formal, q^j = q^(4j/4)
 REVERSAL_RINGS = {
