@@ -246,16 +246,16 @@ def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for the report's values: str-keyed
     dicts, lists and JSON scalars. Each str and int goes to a C routine, in
     place of the pure-Python encoder that ``indent`` selects."""
-    if isinstance(value, (dict, list, tuple)) and value:
-        inner = indent + "  "
-        if isinstance(value, dict):
-            items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items())
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + indent + "]"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if type(value) is int:
         return int.__repr__(value)
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
     return json.dumps(value)
 
 

@@ -532,7 +532,9 @@ def test_moments_report_is_written_as_json_dumps_writes_it(tmp_path):
 
 
 # witnesses that need escapes, and values of every JSON type a report may hold
-WITNESSES = ['say "no"', "back\\slash", "two\nlines", "a\ttab", "ctrl \x01", "β = 1/2", "clef \U0001d11e"]
+WITNESSES = [
+    'say "no"', "back\\slash", "two\nlines", "a\ttab", "ctrl \x01", "β = 1/2", "clef \U0001d11e"
+]
 ODD_PARAMS = [
     {},
     {"empty": [], "none": {}},
@@ -540,14 +542,11 @@ ODD_PARAMS = [
     {"small": -7, "large": 2**64 + 1, "neg_large": -(2**70)},
     {"yes": True, "no": False, "nothing": None, "ratio": 0.25},
 ]
+NESTED = [[], [[]], (1, [2, (3,)]), [WITNESSES, ODD_PARAMS]]
+SCALARS = [-1, 0, 2**64, True, False, None, 1.5, -0.0, "", 'é"']
 
 
-@pytest.mark.parametrize(
-    "value",
-    WITNESSES
-    + ODD_PARAMS
-    + [[], [[]], [WITNESSES, ODD_PARAMS], -1, 0, 2**64, True, False, None, 1.5, -0.0, "", 'é"'],
-)
+@pytest.mark.parametrize("value", WITNESSES + ODD_PARAMS + NESTED + SCALARS)
 def test_writer_equals_json_dumps_on_odd_values(value):
     from mdslab import cli
 
