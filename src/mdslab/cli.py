@@ -244,8 +244,8 @@ def _suite_partitions(args, pipe):
 
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for the report's values: str-keyed
-    dicts, lists and JSON scalars. Each str and int goes to a C routine, in
-    place of the pure-Python encoder that ``indent`` selects."""
+    dicts, lists or tuples, and JSON scalars. Each str and int goes to a C
+    routine, in place of the pure-Python encoder that ``indent`` selects."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if type(value) is int:
