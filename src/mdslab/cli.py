@@ -26,7 +26,7 @@ from .reducer import (
     reduce_coeff,
     tuples_with_sum_at_most,
 )
-from .series import check_diagonal_determination
+from .series import check_diagonal_determination, enforce_box_limit
 
 SUITES = ("axioms", "fe", "residue", "partitions", "all")
 
@@ -41,6 +41,11 @@ def _write(out_path: str | None, text: str) -> None:
 
 def cmd_coeffs(args) -> int:
     # an index of sum <= bound reduces to diagonals c_{a,...,a} with a <= bound
+    try:
+        enforce_box_limit(res.n_even_vars(args.n), args.bound)
+    except ValueError as exc:
+        print(f"coeffs: {exc}", file=sys.stderr)
+        return 2
     seed = res.run_pipeline(args.n, args.bound).seed
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -299,17 +304,18 @@ def cmd_verify(args) -> int:
     3*trunc + 1, so for n >= 2 the seed is read at a <= trunc. P and the
     product's diagonal R_diag are read to at most max(bound, min(trunc,
     5)), and ``main`` refuses trunc < bound. So the pipeline of degree
-    trunc serves every check. When the axioms suite runs, alone or in
-    ``all``, its local-to-global batch is priced first: over ``BUDGET``
-    the run exits 2 with the estimate, before the pipeline is built or a
-    report written.
+    trunc serves every check. The pipeline's reachability box is priced
+    first, and when the axioms suite runs, alone or in ``all``, its
+    local-to-global batch next: over its limit the run exits 2 with the
+    estimate, before the pipeline is built or a report written.
     """
-    if args.suite in ("axioms", "all"):
-        try:
+    try:
+        enforce_box_limit(res.n_even_vars(args.n), args.trunc)
+        if args.suite in ("axioms", "all"):
             gw.slice_batch(field(args.q), tuples_with_sum_at_most(args.n + 1, args.bound))
-        except ValueError as exc:
-            print(f"verify: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     pipe = res.run_pipeline(args.n, args.trunc)
     builders = {
         "axioms": _suite_axioms,

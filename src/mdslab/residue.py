@@ -261,10 +261,14 @@ def residue_coeff_H_route(fq: Fq, n: int, avec: tuple[int, ...], seed: DiagonalS
 
 def h_route_exponent(n: int, avec: tuple[int, ...]) -> int:
     """The power of q carrying the H-route sum at avec to the engine value:
-    sum(avec) for n odd, sum(avec) - (a_0 + a_n)//2 for n even.
+    sum(avec) for n odd, sum(avec) - (a_0 + a_{k-1})//2 for n even, k =
+    len(avec).
 
-    a_0 + a_n is even for every nonzero coefficient; for mixed-parity
-    indices both sides are zero, so the floor is harmless.
+    For n even, tau of the residue index (the parity invariant of
+    ``reducer``) is a_0 + a_{k-1} + a_0 a_{k-1} mod 2, so under a seed
+    whose odd diagonals vanish the engine coefficient is zero unless a_0
+    and a_{k-1} are both even. Where it is zero both sides are, so the
+    floor is harmless.
     """
     s = sum(avec)
     return s if n % 2 else s - (avec[0] + avec[-1]) // 2

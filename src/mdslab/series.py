@@ -39,6 +39,9 @@ ExpVec = tuple[int, ...]
 # A finite factor product: (alpha, beta): gamma stands for the factor
 # (1 - q^beta x^alpha)^(-gamma), beta in quarter units; no gamma is 0.
 Factors = dict[tuple[ExpVec, int], int]
+# Largest estimated allocation of the reachability array of expand_diagonal,
+# in bytes, sized like accel.MAX_SWEEP_BYTES.
+MAX_BOX_BYTES = 2**30
 
 
 class MultiSeries:
@@ -196,6 +199,22 @@ def _last_live_step(factors, nvars: int, max_degree: int) -> np.ndarray:
         last[pulled & ~live] = i
         live = pulled
     return last.ravel()
+
+
+def enforce_box_limit(nvars: int, max_degree: int) -> None:
+    """Raise ValueError, with the estimate, if the reachability array of
+    :func:`expand_diagonal` over the box [0, max_degree]^nvars is too big.
+
+    :func:`_last_live_step` holds about 8 bytes a cell of the box while it
+    builds the array: the live and pulled masks, their temporaries and the
+    int32 step of each cell.
+    """
+    estimate = 8 * (max_degree + 1) ** nvars
+    if estimate > MAX_BOX_BYTES:
+        raise ValueError(
+            f"the diagonal to degree {max_degree} in {nvars} variables needs "
+            f"about {estimate:.1e} bytes, above the limit {MAX_BOX_BYTES:.1e}"
+        )
 
 
 def _expand(factors: list, nvars: int, box: int, keep) -> tuple[np.ndarray, list[QLaurent]]:

@@ -122,6 +122,31 @@ def test_oversized_moments_exit_2(q, trunc, estimate, capsys):
     assert f"evaluates {estimate} residue symbols" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--n", "40", "--bound", "2"],
+        ["verify", "--n", "40", "--suite", "residue", "--bound", "2", "--trunc", "2"],
+        ["verify", "--n", "40", "--bound", "2", "--trunc", "2"],
+    ],
+)
+def test_oversized_reachability_box_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # the box [0, 2]^21 of n = 40 has 3^21 cells; numpy's allocators in
+    # series raise here, so the array is never asked for
+    from mdslab import series
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reachability array was allocated")
+
+    monkeypatch.setattr(series.np, "zeros", refuse)
+    monkeypatch.setattr(series.np, "full", refuse)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the diagonal to degree 2 in 21 variables needs about 8.4e+10 bytes" in err
+    assert not out.exists()
+
+
 def test_raising_moment_check_fails(tmp_path, monkeypatch):
     def boom(*args):
         raise RuntimeError("boom")

@@ -6,7 +6,13 @@ from mdslab import residue
 from mdslab.fqpoly import ONE, ZERO, Fq, field
 from mdslab.qlaurent import QL_ONE, QLaurent
 from mdslab.reducer import DiagonalSeed, local_weight
-from mdslab.series import MultiSeries, expand_factors, factorize_product_form
+from mdslab.series import (
+    MAX_BOX_BYTES,
+    MultiSeries,
+    enforce_box_limit,
+    expand_factors,
+    factorize_product_form,
+)
 
 
 def pipeline_with_diagonal(n, bumps):
@@ -79,6 +85,11 @@ GUARDS = {
         lambda mp: MultiSeries(1, 2).mul(MultiSeries(2, 2)),
         ValueError,
         "series shape mismatch (nvars/bound)",
+    ),
+    "box-cost": (
+        lambda mp: enforce_box_limit(1, MAX_BOX_BYTES // 8),
+        ValueError,
+        "the diagonal to degree 134217728 in 1 variables needs about 1.1e+09 bytes",
     ),
     "factor-arity": (
         lambda mp: expand_factors({((1,), 0): 1}, 2, 2),

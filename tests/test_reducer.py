@@ -125,6 +125,27 @@ def max_violation_reduce(t, seed, memo):
     return memo[t]
 
 
+def tau(t):
+    """sum_i a_{i-1} a_i mod 2, round the cycle: the parity invariant."""
+    return sum(t[i - 1] * t[i] for i in range(len(t))) % 2
+
+
+def oracle_P(n, max_degree):
+    """P read the old way, as the oracle: the largest-violation reduction of
+    the unrotated index (a, 2a, ...) on the unit seed, with no parity rule.
+    Returns P and the oracle's table."""
+    seed = DiagonalSeed.unit(2 * max_degree + 1)
+    table = {}
+    p = []
+    for a in range(max_degree + 1):
+        c = max_violation_reduce(tuple(a * (1 + i % 2) for i in range(n + 1)), seed, table)
+        p.append(c.shift(-4 * a * (n + 1)) if n % 2 else c.shift(6 * a - 4 * a * (n + 2)))
+    return p, table
+
+
+PROBE = [QL_ONE] + [QLaurent.const(k + 2) for k in range(12)]  # the fe suite's probe seed
+
+
 def unit_seed_of_compute_P(monkeypatch, n, max_degree):
     """Run compute_P(n, max_degree) and return the unit seed it filled."""
     seeds = []
@@ -368,9 +389,7 @@ def test_local_weight_detects_violation():
 
 def test_diagonal_determination():
     s1 = pipeline_seed(2)
-    s2 = DiagonalSeed(
-        [QL_ONE] + [QLaurent.const(k + 2) for k in range(12)], name="probe"
-    )
+    s2 = DiagonalSeed(PROBE, name="probe")
     report = check_diagonal_determination(2, s1, s2, 6)
     assert report["status"] == "pass", report
 
@@ -379,7 +398,7 @@ def test_diagonal_determination_fails_on_an_off_diagonal_term(monkeypatch):
     from mdslab import series
 
     s1 = pipeline_seed(2)
-    s2 = DiagonalSeed([QL_ONE] + [QLaurent.const(k + 2) for k in range(12)], name="probe")
+    s2 = DiagonalSeed(PROBE, name="probe")
     real = series.reduce_coeff
 
     def bumped(t, seed):
@@ -410,9 +429,76 @@ def test_memo_values_hold_no_zero_coefficient(monkeypatch, n):
 
 
 def test_first_violation_memo_size(monkeypatch):
-    # the largest-violation rule filled 137,167 entries here
+    # the largest-violation rule filled 137,167 entries here, this reduction
+    # 20,282
     seed = unit_seed_of_compute_P(monkeypatch, 6, 8)
-    assert len(seed._memo) <= 40_000
+    assert len(seed._memo) <= 20_300
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_dependency_keeps_tau(n):
+    # the lemma of the parity rule: at every violating position, not only
+    # the first, each index that the odd or the even recurrence names (a
+    # negative one too) has the tau of t
+    m = n + 1
+    for t in tuples_with_sum_at_most(m, 8):
+        for i in range(m):
+            ai, s = t[i], t[i - 1] + t[(i + 1) % m]
+            if 2 * ai <= s:
+                continue
+            for b in [s - 1 - ai] if s % 2 else [ai - 1, s - ai, s - ai - 1]:
+                assert tau(t[:i] + (b,) + t[i + 1 :]) == tau(t), (t, i, b)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_oracle_zeroes_every_tau_one_index_at_n_even(n):
+    # with no shortcut, every tau = 1 entry of the unit-seed table (P's
+    # indices to D = 8) and of the pipeline-seed table (sum <= 8) is zero,
+    # and so is every odd coefficient of P
+    p, table = oracle_P(n, 8)
+    assert all(not p[a] for a in range(1, 9, 2))
+    seed, pipe_table = pipeline_seed(n, 2), {}
+    for t in tuples_with_sum_at_most(n + 1, 8):
+        max_violation_reduce(t, seed, pipe_table)
+    for memo in (table, pipe_table):
+        odd = [t for t in memo if tau(t)]
+        assert odd and all(not memo[t] for t in odd)
+
+
+@pytest.mark.parametrize("n, count", [(3, 140), (5, 1008)])
+def test_oracle_zeroes_every_tau_one_index_at_n_odd(n, count):
+    # for n odd no diagonal has tau = 1, so the rule needs no seed condition
+    seed, table = DiagonalSeed(PROBE), {}
+    odd = [t for t in tuples_with_sum_at_most(n + 1, 8) if tau(t)]
+    assert len(odd) == count
+    for t in odd:
+        assert not max_violation_reduce(t, seed, table), t
+        assert not reduce_coeff(t, seed), t
+
+
+def test_tau_one_index_is_read_where_the_seed_has_an_odd_diagonal():
+    # at n = 2 the probe seed's d_1 is nonzero, so the rule covers nothing
+    seed, table = DiagonalSeed(PROBE), {}
+    live = 0
+    for t in tuples_with_sum_at_most(3, 8):
+        c = max_violation_reduce(t, seed, table)
+        assert reduce_coeff(t, seed) == c, t
+        live += bool(tau(t) and c)
+    assert live == 25
+
+
+def test_parity_rule_keeps_seed_exhaustion():
+    # (1, 1, 2) has tau = 1 and its chains reach d_1, which this seed does
+    # not hold: the rule reads only seeds that hold every reachable diagonal
+    short = DiagonalSeed([QL_ONE], name="short")
+    assert tau((1, 1, 2)) == 1
+    with pytest.raises(SeedExhausted):
+        reduce_coeff((1, 1, 2), short)
+
+
+@pytest.mark.parametrize("n, max_degree", [(n, 8) for n in range(2, 7)] + [(7, 6), (8, 6)])
+def test_compute_P_matches_the_oracle_on_the_unrotated_index(n, max_degree):
+    assert compute_P(n, max_degree) == oracle_P(n, max_degree)[0]
 
 
 def test_compute_P_frees_its_unit_seed_by_reference_counting(monkeypatch):
@@ -449,7 +535,7 @@ print(repr(compute_P(10, 6)))
 
 def test_reduction_recursion_fits_a_small_stack():
     # every dependency has a smaller index sum; compute_P(10, 6) nests 72
-    # reductions deep, well inside a recursion limit of 200
+    # reductions deep below the first, well inside a recursion limit of 200
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -476,3 +562,18 @@ def test_random_seed_matches_max_violation_oracle(data):
     oracle = {}
     for t in tuples_with_sum_at_most(n1, 7):
         assert reduce_coeff(t, seed) == max_violation_reduce(t, seed, oracle), t
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_random_seed_gives_one_value_on_rotations_and_reversal(data):
+    # the symmetries of the cyclic diagram, which the rotated read of P
+    # relies on, under seeds that may or may not have an odd diagonal
+    n1 = data.draw(st.integers(3, 6), label="n + 1")
+    seed = DiagonalSeed(data.draw(st.lists(small_laurent, min_size=8, max_size=8)))
+    for t in tuples_with_sum_at_most(n1, 7):
+        c = reduce_coeff(t, seed)
+        for k in range(n1):
+            rotated = t[k:] + t[:k]
+            assert reduce_coeff(rotated, seed) == c, (t, k)
+            assert reduce_coeff(rotated[::-1], seed) == c, (t, k)

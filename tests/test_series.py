@@ -10,8 +10,10 @@ from mdslab.qlaurent import QL_ONE, QL_ZERO, QLaurent
 from mdslab.reducer import DiagonalSeed, reduce_coeff, tuples_with_sum_at_most
 from mdslab.residue import build_R, n_even_vars, run_pipeline
 from mdslab.series import (
+    MAX_BOX_BYTES,
     MultiSeries,
     _div_schedule,
+    enforce_box_limit,
     expand_diagonal,
     expand_factors,
     factorize_product_form,
@@ -344,3 +346,10 @@ def test_progressions_list_each_family_to_the_bound():
         ((1, 1), 0): 1,
         ((2, 2), 0): 2,
     }
+
+
+def test_box_cost_admits_the_limit_and_refuses_one_cell_more():
+    enforce_box_limit(4, 6)  # residue-n6's box, 7^4 = 2,401 cells
+    enforce_box_limit(1, MAX_BOX_BYTES // 8 - 1)  # 8 bytes a cell, at the limit
+    with pytest.raises(ValueError, match="above the limit"):
+        enforce_box_limit(1, MAX_BOX_BYTES // 8)
