@@ -55,7 +55,7 @@ class SeedExhausted(Exception):
     """Reduction reached a diagonal beyond the seed's stored range."""
 
 
-@dataclass
+@dataclass(eq=False)
 class DiagonalSeed:
     """Values assigned to the diagonal coefficients c_{a,...,a}.
 
@@ -65,18 +65,19 @@ class DiagonalSeed:
     and ``_slice_factors``, the per-prime Euler factors of the H slices in
     ``globalweights``. ``_zero_tau`` records, at construction, which tau
     the parities of the a with a nonzero d_a leave zero, for the parity
-    rule of ``reduce_coeff``.
+    rule of ``reduce_coeff``. A seed equals only itself and is hashable,
+    so what its memos hold never enters a comparison.
     """
 
     values: list[QLaurent]
     name: str = "seed"
     _memo: dict[IndexTuple, QLaurent] = field(default_factory=dict, repr=False)
     # local_weight_value's memo, keyed by (p_deg, q0, t)
-    _weights: dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
+    _weights: dict[tuple, int] = field(default_factory=dict, repr=False)
     # globalweights._slice_coeffs's per-prime Euler factors, as
     # [(e deg p, w'(e) eps_p^e)], keyed by (deg p, q, v_p, i, top, eps_p)
-    _slice_factors: dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
-    _zero_tau: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _slice_factors: dict[tuple, list] = field(default_factory=dict, repr=False)
+    _zero_tau: tuple[frozenset[int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         # _zero_tau[m % 2]: the tau of the cycles of length m whose chains

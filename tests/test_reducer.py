@@ -205,6 +205,16 @@ def test_memo_keyed_by_seed_identity():
     assert reduce_coeff(t, s1) != reduce_coeff(t, s2)
 
 
+def test_seeds_with_equal_values_are_distinct_and_hashable():
+    # equality must not read the memos, which fill as a seed reduces
+    s1, s2 = DiagonalSeed.unit(4), DiagonalSeed.unit(4)
+    for _ in range(2):
+        assert s1 != s2 and s1 == s1
+        assert len({s1, s2}) == 2
+        reduce_coeff((2, 1, 0), s1)
+    assert s1._memo and not s2._memo
+
+
 def test_recurrence_closure_everywhere(unit):
     # both recurrences hold at every position, not just the reduction one
     for t in tuples_with_sum_at_most(3, 7):

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from test_fqpoly import squarefree_part
 from mdslab import cli, partitions, reducer, residue, series
 from mdslab.fqpoly import field
 from mdslab.globalweights import H_global
-from mdslab.qlaurent import QL_ONE
+from mdslab.qlaurent import QL_ONE, QLaurent
 from mdslab.reducer import compute_P, reduce_coeff, tuples_with_sum_at_most
 from mdslab.residue import (
     build_R,
@@ -486,10 +487,82 @@ def test_reconstruct_R1_refuses_beta_strictly_between_0_and_1(n):
         reconstruct_R1(n, 6, pipe)
 
 
-def test_euler_substitution_fails_on_a_bumped_local_weight(monkeypatch):
-    seed = run_pipeline(3, 4).seed
-    real = residue.local_weight
-    monkeypatch.setattr(residue, "local_weight", lambda *args: real(*args) + QL_ONE)
-    report = check_euler_substitution(3, 1, 2, seed)
-    assert report["status"] == "fail"
-    assert report["witness"].startswith("avec=(0, 0): local ")
+def verify_residue_failures(n, tmp_path):
+    """The failing checks of a small ``verify --suite residue`` run, by name."""
+    out = tmp_path / f"report-{n}.json"
+    argv = ["verify", "--n", str(n), "--suite", "residue", "--bound", "2", "--trunc", "2"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    failed = {}
+    for check in json.loads(out.read_text())["checks"]:
+        if check["status"] == "fail":
+            failed.setdefault(check["name"], []).append(check["witness"])
+    return failed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residue_h_route_fails_on_a_bumped_local_weight(n, tmp_path, monkeypatch):
+    # local_weight_value, and through it H_global, reads reducer.local_weight;
+    # the Euler substitution cannot see this bump, as H stays a polynomial
+    monkeypatch.setattr(residue, "_PIPELINE_CACHE", {})
+    real = reducer.local_weight
+    monkeypatch.setattr(reducer, "local_weight", lambda *args: real(*args) + QL_ONE)
+    witness = {2: "avec=(0, 2): 150 != 125", 3: "avec=(0, 2): 3875 != 3750"}[n]
+    assert verify_residue_failures(n, tmp_path) == {"residue_h_route": [witness]}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_euler_substitution_fails_on_a_fractional_local_weight(n, tmp_path, monkeypatch):
+    # the pipeline is built first; then c_t as local_weight reads it carries
+    # an extra term q^((4 sum t - 1)/4), which puts q^(1/4) into H
+    monkeypatch.setattr(residue, "_PIPELINE_CACHE", {})
+    run_pipeline(n, 2)
+    real = reducer.reduce_coeff
+    monkeypatch.setattr(
+        reducer, "reduce_coeff", lambda t, seed: real(t, seed) + QLaurent({4 * sum(t) - 1: 1})
+    )
+    zero = residue_index(n, (0,) * n_even_vars(n))
+    witness = f"ValueError: local-to-global violation at {zero}: H = 1 + 1*q^(1/4)"
+    assert verify_residue_failures(n, tmp_path)["euler_substitution"] == [witness] * 2
+
+
+def euler_by_comparison(n, p_deg, bound, seed):
+    """The Euler substitution as a comparison of the local weight with the
+    substituted residue coefficient: the oracle of check_euler_substitution,
+    an identity wherever ``local_weight`` returns."""
+    for avec in tuples_with_sum_at_most(n_even_vars(n), bound):
+        s = sum(avec)
+        h = reducer.local_weight(p_deg, residue_index(n, avec), seed)
+        w_quarters = 4 * s if n % 2 else 4 * s - (avec[0] + avec[-1])
+        lhs = h.subst_q_power(p_deg).shift(-p_deg * w_quarters)
+        rhs = residue.residue_coeff_from_c(n, avec, seed).subst_q_power(-p_deg)
+        if lhs != rhs:
+            witness = f"avec={avec}: local {lhs!r} vs substituted {rhs!r}"
+            return {"status": "fail", "witness": witness}
+    return {"status": "pass"}
+
+
+def reported(check, *args):
+    """A check's result as the report records it: a raised exception is a
+    failure whose witness names it."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return {"status": "fail", "witness": f"{type(exc).__name__}: {exc}"}
+
+
+def test_euler_substitution_matches_the_comparison_on_random_seeds():
+    rng = random.Random(7)
+    statuses = Counter()
+    for _ in range(300):
+        n, p_deg = rng.randint(2, 6), rng.choice((1, 2))
+        # random quarter powers, or zero: some local weights are
+        # polynomials in |p|, some not
+        values = [QL_ONE]
+        for a in range(1, 8):
+            terms = {rng.randint(0, 8 * a): rng.randint(-3, 3) for _ in range(2)}
+            values.append(QLaurent(terms if rng.random() < 0.5 else {}))
+        want = reported(euler_by_comparison, n, p_deg, 3, reducer.DiagonalSeed(values))
+        got = reported(check_euler_substitution, n, p_deg, 3, reducer.DiagonalSeed(values))
+        assert got == want, (n, p_deg, values)
+        statuses[got["status"]] += 1
+    assert min(statuses["pass"], statuses["fail"]) > 50, statuses
