@@ -5,18 +5,15 @@ the bytes the CLI writes to stdout, its exit code, the commit that first
 quoted that report, and the seconds one fresh run took when the table was
 written (2 vCPUs, Python 3.11). Each entry runs in a fresh interpreter on
 this checkout's ``src/``, one at a time. One JSON line per entry is
-printed, with ``result`` one of match, mismatch, timeout or skipped. An
-entry times out after ten times its seconds, and never before a minute.
-The exit code is 1 if any entry is a mismatch, else 0.
+printed, with ``result`` one of match, mismatch or timeout. An entry
+times out after ten times its seconds, and never before a minute. The
+exit code is 1 if any entry is a mismatch, else 0.
 
-Usage: python digests/check_digests.py [--max-seconds S]
-
-``--max-seconds S`` skips the entries whose seconds exceed S.
+Usage: python digests/check_digests.py
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -60,16 +57,10 @@ def run_entry(entry: dict) -> dict:
     return line
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-seconds", type=float, default=None)
-    args = parser.parse_args(argv)
+def main() -> int:
     mismatch = False
     for entry in json.loads(TABLE.read_text()):
-        if args.max_seconds is not None and entry["seconds"] > args.max_seconds:
-            line = {"argv": entry["argv"], "result": "skipped"}
-        else:
-            line = run_entry(entry)
+        line = run_entry(entry)
         mismatch |= line["result"] == "mismatch"
         print(json.dumps(line), flush=True)
     return 1 if mismatch else 0
