@@ -5,6 +5,19 @@ multiples of 1/4) to arbitrary-precision integer coefficients. A single
 quarter grain covers every exponent the construction needs: integer powers
 for n odd, half-integer powers for n even, and the q^{3/4}-type scalings
 appearing in the even-case residue normalization.
+
+A packed form serves the hot loops of ``reducer.compute_P`` and
+``series._expand``. An element whose exponents are all multiples of a
+step g (in quarters) is c = sum_j c_j q^{g(low + j)/4}, j >= 0, and it is
+held as the pair (low, N) with N = sum_j c_j 2^{Bj}: the value at
+q^{g/4} = 2^B of c divided by its lowest power. Evaluation is a ring map,
+so sums, differences and integer multiples act on N exactly, whatever
+the size of the coefficients on the way; multiplying by q^{g k/4} adds k
+to low, and bringing two elements to one low is a left shift of N by B
+bits per step. Only :meth:`QLaurent.unpack` needs a bound: it reads N in
+balanced base 2^B, digits in [-2^{B-1}, 2^{B-1}), so it returns c when
+every |c_j| < 2^{B-1}. The callers choose B from a proven bound on the
+coefficients they decode.
 """
 
 from __future__ import annotations
@@ -37,6 +50,35 @@ class QLaurent:
         out = object.__new__(QLaurent)
         out.terms = terms
         return out
+
+    # -- packed form -------------------------------------------------------
+
+    def pack(self, bits: int, step: int = 4) -> tuple[int, int]:
+        """The packed pair (low, N) of the module docstring, digits of
+        ``bits`` bits, exponents read in units of ``step`` quarters; zero
+        is (0, 0)."""
+        if not self.terms:
+            return 0, 0
+        if any(e % step for e in self.terms):
+            raise ValueError(f"an exponent of {self!r} is not a multiple of {step}/4")
+        low = min(self.terms) // step
+        return low, sum(c << bits * (e // step - low) for e, c in self.terms.items())
+
+    @staticmethod
+    def unpack(low: int, packed: int, bits: int, step: int = 4) -> "QLaurent":
+        """The element sum_j c_j q^{step (low + j)/4} that ``packed`` holds in
+        balanced base 2^bits; exact when every |c_j| < 2^(bits-1)."""
+        terms = {}
+        mask, half, e = (1 << bits) - 1, 1 << (bits - 1), low * step
+        while packed:
+            c = packed & mask
+            if c >= half:
+                c -= 1 << bits
+            if c:
+                terms[e] = c
+            packed = (packed - c) >> bits
+            e += step
+        return QLaurent.from_nonzero(terms)
 
     # -- ring structure ----------------------------------------------------
 

@@ -9,6 +9,25 @@ supplied as a seed. The engine is a plain memoised recursion: every
 dependency of a tuple has a smaller index sum, so the recursion is no deeper
 than the index sum of the tuple asked for.
 
+The walk is written once (``_reduce``) and takes its value arithmetic as
+a small ring: the value of a diagonal, the odd rule and the even rule.
+``reduce_coeff`` walks a seed with ``QLaurent`` values, since its memo
+outlives the call and answers queries of any size. ``compute_P`` knows
+all its roots before the walk, so it walks its unit seed with the packed
+pairs (low, N) of :mod:`mdslab.qlaurent`, where a sum is an addition of
+two ints and q^e c adds e to low, and decodes only its roots. The digit
+width comes from a bound on the unit seed: ||c_t||_1 <= T(sum t), with
+T(S) = 0 for S < 0, T(0) = 1 and T(S) = T(S-1) + T(S-2) + T(S-3), so
+T(1) = 1 and T(2) = 2. The even rule's three dependencies lower the
+index sum by 1 (a_i - 1), by 2 a_i - s >= 2 and by 2 a_i - s + 1 >= 3
+(s even, so 2 a_i - s is even and positive); the odd rule's one
+dependency lowers it by 2 a_i - s + 1 >= 2 (s odd); a power of q keeps
+the norm; a leaf is 0 or 1, and a negative index 0. T is nondecreasing,
+so by induction on the sum the norm of c_t is at most T(S-1) + T(S-2) +
+T(S-3) = T(S). Digits of bits(T(S)) + 2 bits, S the largest root sum,
+decode every memo entry: 55 bits at n = 6, D = 6, where P's largest
+coefficient has 12.
+
 Any position with 2*a_i > a_{i-1} + a_{i+1} would do. The series satisfies
 the recurrence of every position at once (one functional equation each),
 so every choice of position reaches the same value. The first one ends the
@@ -61,11 +80,12 @@ class DiagonalSeed:
 
     Each seed owns its memos, so distinct seeds never share cached values,
     and each memo is freed with its seed: the reduction memo ``_memo``,
-    keyed by index tuple; ``_weights``, the local weights at a concrete q;
-    and ``_slice_factors``, the per-prime Euler factors of the H slices in
-    ``globalweights``. ``_zero_tau`` records, at construction, which tau
-    the parities of the a with a nonzero d_a leave zero, for the parity
-    rule of ``reduce_coeff``. A seed equals only itself and is hashable,
+    keyed by index tuple (``QLaurent`` values, or packed pairs on the unit
+    seed that ``compute_P`` walks); ``_weights``, the local weights at a
+    concrete q; and ``_slice_factors``, the per-prime Euler factors of the
+    H slices in ``globalweights``. ``_zero_tau`` records, at construction,
+    which tau the parities of the a with a nonzero d_a leave zero, for the
+    parity rule of ``reduce_coeff``. A seed equals only itself and is hashable,
     so what its memos hold never enters a comparison.
     """
 
@@ -116,21 +136,41 @@ def reduce_coeff(t: IndexTuple, seed: DiagonalSeed) -> QLaurent:
     ``SeedExhausted``.
     """
     t = tuple(t)
+    c = seed._memo.get(t)
+    if c is not None:
+        return c
+    return _reduce_root(t, seed, _Ring(QL_ZERO, seed.diagonal, _odd_rule, _even_rule))
+
+
+class _Ring:
+    """The value arithmetic of the walk: ``zero``; ``leaf(a)``, the value
+    of the diagonal d_a; ``odd(c, e)``, q^e c; and ``even(c1, c2, c3, e)``,
+    q c1 + q^e (c2 - q c3). The exponents e are whole, since s - 1 in the
+    odd rule and s in the even rule are even."""
+
+    __slots__ = ("zero", "leaf", "odd", "even")
+
+    def __init__(self, zero, leaf, odd, even):
+        self.zero, self.leaf, self.odd, self.even = zero, leaf, odd, even
+
+
+def _reduce_root(t: IndexTuple, seed: DiagonalSeed, ring: _Ring):
+    # c_t in the ring, from the memo, as zero by the parity rule, or reduced
     memo = seed._memo
     c = memo.get(t)
     if c is not None:
         return c
     if min(t) < 0:  # never a memo key
-        return QL_ZERO
+        return ring.zero
     m = len(t)
     tau = (t[-1] * t[0] + sum(map(mul, t, t[1:]))) % 2
     if tau in seed._zero_tau[m % 2] and sum(t) < m * len(seed.values):
-        c = memo[t] = QL_ZERO
+        c = memo[t] = ring.zero
         return c
-    return _reduce(t, seed, memo, [(i, i - 1, (i + 1) % m) for i in range(m)])
+    return _reduce(t, memo, [(i, i - 1, (i + 1) % m) for i in range(m)], ring)
 
 
-def _reduce(cur: IndexTuple, seed: DiagonalSeed, memo: dict, sides: list) -> QLaurent:
+def _reduce(cur: IndexTuple, memo: dict, sides: list, ring: _Ring):
     # c_cur from memo, or reduced and stored there; sides lists (i, i-1, i+1)
     c = memo.get(cur)
     if c is not None:
@@ -141,53 +181,105 @@ def _reduce(cur: IndexTuple, seed: DiagonalSeed, memo: dict, sides: list) -> QLa
             break
     else:
         # 2*a_i <= s everywhere sums to equality on a cycle: cur is constant
-        c = memo[cur] = seed.diagonal(cur[0])
+        c = memo[cur] = ring.leaf(cur[0])
         return c
     ai = cur[i]
     dep = list(cur)  # a dependency differs from cur at position i only
-    # A dependency below zero is zero. A result is a shifted copy built
-    # without QLaurent's filter pass unless two terms meet.
+    zero = ring.zero  # a dependency below zero is zero
     if s % 2:
         # c = q^{a_i-(s-1)/2} c_{s-1-a_i}
-        c = QL_ZERO
+        c = zero
         if ai < s:
             dep[i] = s - 1 - ai
-            c = _reduce(tuple(dep), seed, memo, sides)
-        c = memo[cur] = c.shift(4 * ai - 2 * (s - 1)) if c.terms else QL_ZERO
+            c = _reduce(tuple(dep), memo, sides, ring)
+        c = memo[cur] = ring.odd(c, ai - (s - 1) // 2)
         return c
     # c = q c_{a_i-1} + q^{a_i-s/2} (c_{s-a_i} - q c_{s-a_i-1}), a_i >= 1
     dep[i] = ai - 1
-    c1 = _reduce(tuple(dep), seed, memo, sides)
-    c2 = c3 = QL_ZERO
+    c1 = _reduce(tuple(dep), memo, sides, ring)
+    c2 = c3 = zero
     if ai <= s:
         dep[i] = s - ai
-        c2 = _reduce(tuple(dep), seed, memo, sides)
+        c2 = _reduce(tuple(dep), memo, sides, ring)
         if ai < s:
             dep[i] = s - ai - 1
-            c3 = _reduce(tuple(dep), seed, memo, sides)
-    c = memo[cur] = _even_rule(c1, c2, c3, 4 * ai - 2 * s)
+            c3 = _reduce(tuple(dep), memo, sides, ring)
+    c = memo[cur] = ring.even(c1, c2, c3, ai - s // 2)
     return c
 
 
-def _even_rule(c1: QLaurent, c2: QLaurent, c3: QLaurent, k: int) -> QLaurent:
-    """q c1 + q^{k/4} (c2 - q c3); a coefficient is dropped only where two
+def _odd_rule(c: QLaurent, e: int) -> QLaurent:
+    """q^e c, built without QLaurent's filter pass."""
+    return c.shift(4 * e) if c.terms else QL_ZERO
+
+
+def _even_rule(c1: QLaurent, c2: QLaurent, c3: QLaurent, e: int) -> QLaurent:
+    """q c1 + q^e (c2 - q c3); a coefficient is dropped only where two
     terms meet and cancel."""
     if not c2.terms and not c3.terms:
         return c1.shift(4) if c1.terms else QL_ZERO
-    out = {e + 4: v for e, v in c1.terms.items()}
-    for c, shift, sign in ((c2, k, 1), (c3, k + 4, -1)):
-        for e, v in c.terms.items():
-            e += shift
+    out = {k + 4: v for k, v in c1.terms.items()}
+    for c, shift, sign in ((c2, 4 * e, 1), (c3, 4 * e + 4, -1)):
+        for k, v in c.terms.items():
+            k += shift
             v *= sign
-            if e in out:
-                v += out[e]
+            if k in out:
+                v += out[k]
                 if v:
-                    out[e] = v
+                    out[k] = v
                 else:
-                    del out[e]
+                    del out[k]
             else:
-                out[e] = v
+                out[k] = v
     return QLaurent.from_nonzero(out) if out else QL_ZERO
+
+
+_PACKED_ZERO = (0, 0)
+
+
+def _packed_ring(seed: DiagonalSeed, bits: int) -> _Ring:
+    """The ring of packed pairs (low, N) in whole powers of q, digits of
+    ``bits`` bits (see :mod:`mdslab.qlaurent`); zero is (0, 0), and no
+    nonzero value has N = 0."""
+
+    def odd(c, e):
+        return (c[0] + e, c[1]) if c[1] else _PACKED_ZERO
+
+    def even(c1, c2, c3, e):
+        l1, n1 = c1
+        l2, n2 = c2
+        l3, n3 = c3
+        # first (l2, n2) <- c2 - q c3, shifted by q^e afterwards
+        if n3:
+            l3 += 1
+            if not n2:
+                l2, n2 = l3, -n3
+            elif l2 <= l3:
+                n2 -= n3 << bits * (l3 - l2)
+            else:
+                l2, n2 = l3, (n2 << bits * (l2 - l3)) - n3
+        elif not n2:
+            return (l1 + 1, n1) if n1 else _PACKED_ZERO
+        l2 += e
+        if not n1:
+            return (l2, n2) if n2 else _PACKED_ZERO
+        l1 += 1
+        if l1 <= l2:
+            n = n1 + (n2 << bits * (l2 - l1))
+        else:
+            n, l1 = (n1 << bits * (l1 - l2)) + n2, l2
+        return (l1, n) if n else _PACKED_ZERO
+
+    return _Ring(_PACKED_ZERO, lambda a: seed.diagonal(a).pack(bits), odd, even)
+
+
+def _unit_bits(total: int) -> int:
+    """Digit width B that decodes every c_t of index sum <= ``total`` on
+    the unit seed: T(total).bit_length() + 2, T the bound of compute_P."""
+    t = (0, 0, 1)  # T(-2), T(-1), T(0)
+    for _ in range(total):
+        t = (t[1], t[2], sum(t))
+    return t[2].bit_length() + 2
 
 
 def tuples_with_sum_at_most(n1: int, total: int):
@@ -209,6 +301,10 @@ def compute_P(n: int, max_degree: int) -> list[QLaurent]:
     for n odd p_a = q^{-a(n+1)} c_{a,2a,...,a,2a}; for n even
     p_a = q^{3a/2 - a(n+2)} c_{a,2a,...,2a,a}.
 
+    The unit seed is walked with the packed ring of the module docstring,
+    its digit width fixed by the largest root sum before the walk; its
+    memo holds packed pairs, and only the roots are decoded.
+
     The unit seed's only nonzero diagonal is d_0, so by the parity rule of
     the module docstring every index with tau = 1 is zero. For n even tau
     of the index is a mod 2 (n pairs (a, 2a) and the one pair (a, a)), so
@@ -225,12 +321,15 @@ def compute_P(n: int, max_degree: int) -> list[QLaurent]:
     stands.
     """
     seed = DiagonalSeed.unit(2 * max_degree + 1)
-    out = []
+    roots = []
     for a in range(max_degree + 1):
         t = tuple(a if i % 2 == 0 else 2 * a for i in range(n + 1))
-        if n % 2 == 0:
-            t = t[1:] + t[:1]
-        c = reduce_coeff(t, seed)
+        roots.append(t[1:] + t[:1] if n % 2 == 0 else t)
+    bits = _unit_bits(sum(roots[-1]))
+    ring = _packed_ring(seed, bits)
+    out = []
+    for a, t in enumerate(roots):
+        c = QLaurent.unpack(*_reduce_root(t, seed, ring), bits)
         if n % 2:
             out.append(c.shift(-4 * a * (n + 1)))
         else:

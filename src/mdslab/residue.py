@@ -451,22 +451,24 @@ def reconstruct_R1(n: int, bound: int, pipe: PipelineResult) -> dict:
     reproduce the diagonal sub-multiset of the explicit product; the
     quotient is one :meth:`~mdslab.series.MultiSeries.div`.
     Factors are trusted up to degree bound/2 (truncation aliasing guard).
+    A factor of degree d of a product form depends only on the coefficients
+    up to degree d, so P and R_{0,diag} are read to bound/2 alone.
     Each diagonal factor is a power of x_0 x_2 ... alone, so R_diag is
     R_{0,diag} times their one-variable product: R_{0,diag} is the
-    pipeline's R_diag, truncated to ``bound``, times those factors with
+    pipeline's R_diag, truncated to bound/2, times those factors with
     gamma negated. ``pipe`` is a pipeline built to degree at least
     ``bound``; a shorter one is refused before any work. A trusted factor
     with 0 < beta < 1 other than 1/2 raises; for n even a beta = 1/2 factor
     fails the check. The completion reads only the flat factors.
     """
     trust = bound // 2
+    p = MultiSeries(1, trust, _p_series(pipe.p, bound).terms)
     # a family lies on the diagonal exactly when its start w does
     fams = {((w[0],), beta): gamma for (w, beta), gamma in families(n).items() if len(set(w)) == 1}
-    diag = progressions(fams, (2,), bound)
-    negated = {key: -gamma for key, gamma in diag.items()}
-    r0_diag = MultiSeries(1, bound, pipe.r_diag.terms).mul(expand_factors(negated, 1, bound))
-    form = factorize_product_form(_p_series(pipe.p, bound).div(r0_diag))
-    trusted = sorted(item for item in form.items() if sum(item[0][0]) <= trust)
+    expected = progressions(fams, (2,), trust)
+    negated = {key: -gamma for key, gamma in expected.items()}
+    r0_diag = MultiSeries(1, trust, pipe.r_diag.terms).mul(expand_factors(negated, 1, trust))
+    trusted = sorted(factorize_product_form(p.div(r0_diag)).items())
     # beta <= 0 is flat, 1/2 natural, >= 1 sharp; nothing lies in between
     anomalies = [(a, b, g) for (a, b), g in trusted if 0 < b < _BETA1 and b != _BETA_HALF]
     if anomalies:
@@ -481,7 +483,6 @@ def reconstruct_R1(n: int, bound: int, pipe: PipelineResult) -> dict:
     for (alpha, beta), gamma in trusted:
         if beta <= 0:  # the flat factor and its beta -> 1 - beta partner
             completed[(alpha, beta)] = completed[(alpha, _BETA1 - beta)] = gamma
-    expected = {key: gamma for key, gamma in diag.items() if sum(key[0]) <= trust}
     if completed != expected:
         return {
             "status": "fail",

@@ -9,7 +9,11 @@ by families, arithmetic progressions of exponents that
 :func:`progressions` lists up to a degree, merging the ones that meet.
 One engine expands a product (:func:`_expand`): it holds the terms of a
 box [0, B]^k by their flat int64 codes and keeps, after each factor, the
-terms that a test passes.
+terms that a test passes. It holds each coefficient as one int, the
+value at q^{g/4} = 2^w of the coefficient times a fixed power of q (g the
+gcd of the factors' beta), and decodes every term once, at the end; the
+digit width w comes from a bound on the coefficients that depends only
+on the factors' alpha and gamma (:func:`_coeff_bound`).
 :func:`expand_factors` keeps total degree <= B. :func:`expand_diagonal`
 keeps, for its diagonal up to x^D, only the terms of the box [0, D]^k
 that the factors still to come can carry to a point a·δ, δ = (1, ...,
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import groupby
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -217,7 +221,27 @@ def enforce_box_limit(nvars: int, max_degree: int) -> None:
         )
 
 
-def _expand(factors: list, nvars: int, box: int, keep) -> tuple[np.ndarray, list[QLaurent]]:
+def _coeff_bound(factors: list, degree: int) -> int:
+    """max over m <= degree of [z^m] prod (1 - z^|alpha|)^(-|gamma|).
+
+    It bounds the sum of the absolute q-coefficients of every term of total
+    degree <= ``degree`` of the product: the k-th term of (1 - y)^(-gamma)
+    is at most that of (1 - y)^(-|gamma|) in absolute value, q^beta has
+    norm 1, and setting each x_i to z adds the nonnegative bounds of all
+    the terms of one total degree.
+    """
+    bound = [1] + [0] * degree
+    for (alpha, _beta), gamma in factors:
+        size = sum(alpha)
+        for _ in range(abs(gamma)):
+            for m in range(size, degree + 1):
+                bound[m] += bound[m - size]
+    return max(bound)
+
+
+def _expand(
+    factors: list, nvars: int, box: int, degree: int, keep
+) -> tuple[np.ndarray, list[QLaurent]]:
     """Terms of the product in the box [0, box]^nvars, as exponent rows and
     their coefficients.
 
@@ -229,39 +253,52 @@ def _expand(factors: list, nvars: int, box: int, keep) -> tuple[np.ndarray, list
     nonnegative (checked). So the truncated product is exact when keep
     drops only terms from which the factors still to come reach no term
     that is kept at the end.
+
+    A coefficient is held as one int, the packed N of
+    :mod:`mdslab.qlaurent` under q^{g/4} -> 2^w, g the gcd of the factors'
+    beta: a product of two terms is a product of ints. A factor with
+    beta < 0 is first multiplied by q^{k_max |beta|}, k_max its last power
+    in the box, so that every exponent is a nonnegative multiple of g; the
+    sum of these lifts, negated, is the low of every term, and the terms
+    are decoded once, at the end. Every kept term has total degree <=
+    ``degree``, so :func:`_coeff_bound` bounds its coefficients, and digits
+    of w = bits(bound) + 2 bits decode them.
     """
     if (box + 1) ** nvars > np.iinfo(np.int64).max:
         raise ValueError(f"the codes of the box [0, {box}]^{nvars} do not fit in int64")
     place = (box + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    bits = _coeff_bound(factors, degree).bit_length() + 2
+    g = gcd(*(beta for (_alpha, beta), _gamma in factors)) or 4
+    lift = 0  # in steps of g
     exps = np.zeros((1, nvars), dtype=np.int64)  # the kept terms, as rows
-    coeffs = [QL_ONE]
+    coeffs = [1]
     for i, ((alpha, beta), gamma) in enumerate(factors):
         kmax = _max_power(alpha, gamma, box)
         if not kmax:
             continue  # no term in the box
-        powers = [QL_ONE] + [
-            QLaurent.q_power(k * beta, _power_coeff(gamma, k)) for k in range(1, kmax + 1)
-        ]
+        step, base = beta // g, kmax if beta < 0 else 0
+        lift -= step * base
+        powers = [_power_coeff(gamma, k) << bits * step * (k - base) for k in range(kmax + 1)]
         # cand[k, t] = exps[t] + k * alpha
         cand = exps + np.arange(kmax + 1)[:, None, None] * np.array(alpha)
         ks, ts = np.nonzero(cand.max(axis=2) <= box)
         rows = cand[ks, ts]
         codes = rows @ place
         kept = keep(i, rows, codes)
-        out: dict[int, QLaurent] = {}
+        out: dict[int, int] = {}
         for k, t, f in zip(ks[kept].tolist(), ts[kept].tolist(), codes[kept].tolist()):
-            prod = coeffs[t] * powers[k] if k else coeffs[t]
+            prod = coeffs[t] * powers[k]
             out[f] = out[f] + prod if f in out else prod
         nonzero = {f: c for f, c in out.items() if c}
         coeffs = list(nonzero.values())
         exps = np.array(list(nonzero), dtype=np.int64)[:, None] // place % (box + 1)
-    return exps, coeffs
+    return exps, [QLaurent.unpack(-lift, c, bits, g) for c in coeffs]
 
 
 def expand_factors(factors: Factors, nvars: int, bound: int) -> MultiSeries:
     """Exact expansion of the product, truncated at total degree <= bound."""
     items = _check_factors(factors, nvars)
-    exps, coeffs = _expand(items, nvars, bound, lambda i, rows, codes: rows.sum(axis=1) <= bound)
+    exps, coeffs = _expand(items, nvars, bound, bound, lambda i, rows, codes: rows.sum(axis=1) <= bound)
     return MultiSeries(nvars, bound, {tuple(e): c for e, c in zip(exps.tolist(), coeffs)})
 
 
@@ -277,7 +314,9 @@ def expand_diagonal(factors: Factors, nvars: int, max_degree: int) -> MultiSerie
     """
     items = _check_factors(factors, nvars)
     last = _last_live_step(items, nvars, max_degree)
-    exps, coeffs = _expand(items, nvars, max_degree, lambda i, rows, codes: last[codes] > i)
+    exps, coeffs = _expand(
+        items, nvars, max_degree, nvars * max_degree, lambda i, rows, codes: last[codes] > i
+    )
     # the terms left lie in L_len(factors), the diagonal
     diag = {(a,): c for a, c in zip(exps[:, 0].tolist(), coeffs)}
     return MultiSeries(1, max_degree, diag)

@@ -89,3 +89,54 @@ def test_extremes_and_coeffs():
     assert a.constant_coeff() == 0
     with pytest.raises(ValueError):
         QL_ZERO.min_quarters()
+
+
+def fit_bits(*xs):
+    """The fewest digit bits that decode every coefficient of the xs:
+    each |c| < 2^(bits-1)."""
+    return 1 + max((abs(c).bit_length() for x in xs for c in x.terms.values()), default=0)
+
+
+@pytest.mark.parametrize("step", [1, 2, 4, 6])
+@given(a=elements, extra=st.integers(0, 70))
+@settings(max_examples=60, deadline=None)
+def test_pack_round_trip(step, a, extra):
+    # negative, quarter-power and zero coefficients (QLaurent drops the
+    # zeros, and the zero element packs to (0, 0)), at the fewest bits and
+    # above them
+    a = a.subst_q_power(step)  # every exponent a multiple of step
+    bits = fit_bits(a) + extra
+    low, packed = a.pack(bits, step)
+    assert QLaurent.unpack(low, packed, bits, step) == a
+    if a:
+        assert low * step == a.min_quarters()
+    else:
+        assert (low, packed) == (0, 0)
+
+
+@given(a=elements, b=elements, k=st.integers(-9, 9), m=st.integers(-5, 5))
+@settings(max_examples=100, deadline=None)
+def test_packed_sums_shifts_and_multiples_are_exact(a, b, k, m):
+    # q^{1/4} -> 2^B is a ring map: aligning two lows is a left shift, and
+    # only the decode of the result needs its coefficients below 2^(B-1)
+    bits = fit_bits(a + b, a - b, a * QLaurent.const(m))
+    (la, na), (lb, nb) = a.pack(bits, 1), b.pack(bits, 1)
+    lo = min(la, lb)
+    aligned_a, aligned_b = na << bits * (la - lo), nb << bits * (lb - lo)
+    assert QLaurent.unpack(lo, aligned_a + aligned_b, bits, 1) == a + b
+    assert QLaurent.unpack(lo, aligned_a - aligned_b, bits, 1) == a - b
+    assert QLaurent.unpack(la + k, na, bits, 1) == a.shift(k)
+    assert QLaurent.unpack(la, m * na, bits, 1) == a * QLaurent.const(m)
+
+
+def test_unpack_reads_balanced_digits_below_half_the_base():
+    bits = 5
+    for terms in ({4: -16}, {4: -1, 8: 1}, {4: 15, 8: -15, 16: -16}):
+        assert QLaurent.unpack(*QLaurent(terms).pack(bits), bits) == QLaurent(terms)
+    # 16 = 2^(bits-1) is past the digit range: it reads as -16 carried up
+    assert QLaurent.unpack(*QLaurent({4: 16}).pack(bits), bits) == QLaurent({4: -16, 8: 1})
+
+
+def test_pack_refuses_an_exponent_off_the_step():
+    with pytest.raises(ValueError, match="not a multiple of 4/4"):
+        QLaurent({4: 1, 2: 1}).pack(8)

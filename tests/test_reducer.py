@@ -22,6 +22,7 @@ from mdslab.reducer import (
     reduce_coeff,
     tuples_with_sum_at_most,
 )
+from mdslab.reducer import _unit_bits
 from mdslab.series import check_diagonal_determination
 
 
@@ -159,6 +160,32 @@ def unit_seed_of_compute_P(monkeypatch, n, max_degree):
     compute_P(n, max_degree)
     (seed,) = seeds
     return seed
+
+
+def decoded_memo(seed):
+    """The packed memo of compute_P's unit seed, each entry decoded with
+    the digit width that compute_P chose: the largest index sum in the
+    memo is that of its last root, whose dependencies all lie below it."""
+    bits = _unit_bits(max(map(sum, seed._memo)))
+    return {t: QLaurent.unpack(*c, bits) for t, c in seed._memo.items()}
+
+
+def roots_of_P(n, max_degree):
+    """The indices compute_P reads p_0..p_max_degree at: (a, 2a, ...), and
+    for n even its rotation (2a, a, 2a, ..., a, a)."""
+    roots = []
+    for a in range(max_degree + 1):
+        t = tuple(a * (1 + i % 2) for i in range(n + 1))
+        roots.append(t[1:] + t[:1] if n % 2 == 0 else t)
+    return roots
+
+
+def tribonacci(total):
+    """T(0) = T(1) = 1, T(2) = 2, T(S) = T(S-1) + T(S-2) + T(S-3)."""
+    t = [1, 1, 2]
+    while len(t) <= total:
+        t.append(t[-1] + t[-2] + t[-3])
+    return t[total]
 
 
 @pytest.fixture()
@@ -424,18 +451,47 @@ def test_diagonal_determination_fails_on_an_off_diagonal_term(monkeypatch):
 def test_memo_matches_max_violation_oracle(monkeypatch, n):
     seed = unit_seed_of_compute_P(monkeypatch, n, 8)
     oracle = {}
-    for t, c in seed._memo.items():
+    for t, c in decoded_memo(seed).items():
         assert c == max_violation_reduce(t, seed, oracle), t
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_memo_values_hold_no_zero_coefficient(monkeypatch, n):
-    # reduce_coeff builds shifted values without QLaurent's filter pass
+    # reduce_coeff, walking P's roots on a unit seed of its own with
+    # QLaurent values, fills the keys of compute_P's packed memo with the
+    # decoded values; it builds them without QLaurent's filter pass, and
+    # the packed zero is (0, 0) alone
     seed = unit_seed_of_compute_P(monkeypatch, n, 8)
-    for t, c in seed._memo.items():
+    plain = DiagonalSeed.unit(2 * 8 + 1)
+    for t in roots_of_P(n, 8):
+        reduce_coeff(t, plain)
+    assert plain._memo.keys() == seed._memo.keys()
+    decoded = decoded_memo(seed)
+    for t, c in plain._memo.items():
         assert type(c) is QLaurent, t
         assert 0 not in c.terms.values(), t
-        assert c == QLaurent(dict(c.terms)), t
+        assert c == QLaurent(dict(c.terms)) == decoded[t], t
+        low, packed = seed._memo[t]
+        assert packed or low == 0, t
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_unit_seed_coefficients_obey_the_tribonacci_bound(monkeypatch, n):
+    # the bound that sizes compute_P's digits: ||c_t||_1 <= T(sum t)
+    seed = unit_seed_of_compute_P(monkeypatch, n, 8)
+    for t, c in decoded_memo(seed).items():
+        assert sum(map(abs, c.terms.values())) <= tribonacci(sum(t)), t
+
+
+def test_digit_width_of_compute_P():
+    assert [_unit_bits(s) for s in (0, 1, 2, 3)] == [3, 3, 4, 5]
+    for total in (10, 60, 360):
+        assert _unit_bits(total) == tribonacci(total).bit_length() + 2
+    # compute_P(6, 6) reads its last root at index sum 60: 55-bit digits,
+    # where P's largest coefficient has 12 bits
+    assert sum(roots_of_P(6, 6)[-1]) == 60 and _unit_bits(60) == 55
+    top = max(abs(c) for p in compute_P(6, 6) for c in p.terms.values())
+    assert top.bit_length() == 12
 
 
 def test_first_violation_memo_size(monkeypatch):

@@ -487,6 +487,69 @@ def test_reconstruct_R1_refuses_beta_strictly_between_0_and_1(n):
         reconstruct_R1(n, 6, pipe)
 
 
+def reconstruct_R1_untruncated(n, bound, pipe):
+    """reconstruct_R1 as it was before it truncated to the trusted degree:
+    it factorises P / R_{0,diag} to ``bound`` and drops the factors above
+    bound // 2. The oracle of the truncated route."""
+    trust = bound // 2
+    fams = {
+        ((w[0],), beta): gamma
+        for (w, beta), gamma in residue.families(n).items()
+        if len(set(w)) == 1
+    }
+    diag = series.progressions(fams, (2,), bound)
+    negated = {key: -gamma for key, gamma in diag.items()}
+    r0_diag = MultiSeries(1, bound, pipe.r_diag.terms).mul(expand_factors(negated, 1, bound))
+    form = series.factorize_product_form(residue._p_series(pipe.p, bound).div(r0_diag))
+    trusted = sorted(item for item in form.items() if sum(item[0][0]) <= trust)
+    beta1, half = residue._BETA1, residue._BETA_HALF
+    anomalies = [(a, b, g) for (a, b), g in trusted if 0 < b < beta1 and b != half]
+    if anomalies:
+        raise ValueError(f"factors with beta strictly between 0 and 1: {anomalies}")
+    natural = [item for item in trusted if item[0][1] == half]
+    if n % 2 == 0 and natural:
+        return {
+            "status": "fail",
+            "witness": f"diagonal beta=1/2 factors should not exist: {natural}",
+        }
+    completed = {}
+    for (alpha, beta), gamma in trusted:
+        if beta <= 0:
+            completed[(alpha, beta)] = completed[(alpha, beta1 - beta)] = gamma
+    expected = {key: gamma for key, gamma in diag.items() if sum(key[0]) <= trust}
+    if completed != expected:
+        return {
+            "status": "fail",
+            "witness": f"reconstructed {sorted(completed.items())} vs "
+            f"direct {sorted(expected.items())}",
+        }
+    return {"status": "pass"}
+
+
+def outcome(fn, *args):
+    """The report of fn, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_reconstruct_R1_matches_the_untruncated_route(n):
+    # the pipeline, and P times one diagonal factor: sharp (beta = 1, 2;
+    # the FOUND mutants that pass), natural (beta = 1/2), flat (beta = -1),
+    # or strictly between 0 and 1 (beta = 1/4, refused)
+    pipe = run_pipeline(n, 8)
+    pipes = [pipe] + [times_diagonal_factor(pipe, beta) for beta in (4, 8, 2, -4, 1)]
+    seen = set()
+    for bound in range(4, 9):
+        for p in pipes:
+            want = outcome(reconstruct_R1_untruncated, n, bound, p)
+            assert outcome(reconstruct_R1, n, bound, p) == want, (bound, p.p[:3])
+            seen.add(want if isinstance(want, str) else want["status"])
+    assert {"pass", "fail"} <= seen and any(s.startswith("ValueError") for s in seen)
+
+
 def verify_residue_failures(n, tmp_path):
     """The failing checks of a small ``verify --suite residue`` run, by name."""
     out = tmp_path / f"report-{n}.json"

@@ -1,5 +1,8 @@
 import random
+from collections import Counter
 from math import comb
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,13 @@ from mdslab.residue import build_R, n_even_vars, run_pipeline
 from mdslab.series import (
     MAX_BOX_BYTES,
     MultiSeries,
+    _check_factors,
+    _coeff_bound,
     _div_schedule,
+    _expand as engine_expand,
+    _last_live_step,
+    _max_power,
+    _power_coeff,
     enforce_box_limit,
     expand_diagonal,
     expand_factors,
@@ -305,6 +314,82 @@ def test_factorize_expand_roundtrip(data):
     refound = factorize_product_form(s)
     # truncation only pins factors up to half the bound
     assert degree_cut(refound, bound // 2) == degree_cut(fl, bound // 2)
+
+
+def qlaurent_expand(factors, nvars, box, keep):
+    """The product engine as it was before the packed coefficients: the
+    same candidates and keep test, each coefficient a QLaurent. The oracle
+    of :func:`mdslab.series._expand`."""
+    place = (box + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    exps = np.zeros((1, nvars), dtype=np.int64)
+    coeffs = [QL_ONE]
+    for i, ((alpha, beta), gamma) in enumerate(factors):
+        kmax = _max_power(alpha, gamma, box)
+        if not kmax:
+            continue
+        powers = [QL_ONE] + [
+            QLaurent.q_power(k * beta, _power_coeff(gamma, k)) for k in range(1, kmax + 1)
+        ]
+        cand = exps + np.arange(kmax + 1)[:, None, None] * np.array(alpha)
+        ks, ts = np.nonzero(cand.max(axis=2) <= box)
+        rows = cand[ks, ts]
+        codes = rows @ place
+        kept = keep(i, rows, codes)
+        out = {}
+        for k, t, f in zip(ks[kept].tolist(), ts[kept].tolist(), codes[kept].tolist()):
+            prod = coeffs[t] * powers[k] if k else coeffs[t]
+            out[f] = out[f] + prod if f in out else prod
+        nonzero = {f: c for f, c in out.items() if c}
+        coeffs = list(nonzero.values())
+        exps = np.array(list(nonzero), dtype=np.int64)[:, None] // place % (box + 1)
+    return exps, coeffs
+
+
+def any_beta_products(nvars):
+    # beta negative, zero, odd or even in quarters, gamma of either sign,
+    # some alpha past the box
+    return st.dictionaries(
+        st.tuples(st.tuples(*[st.integers(0, 5)] * nvars).filter(any), st.integers(-7, 7)),
+        st.integers(-4, 4).filter(bool),
+        max_size=7,
+    )
+
+
+def as_terms(exps, coeffs):
+    return dict(zip(map(tuple, exps.tolist()), coeffs))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_expansion_matches_the_qlaurent_engine(nvars, data):
+    items = _check_factors(data.draw(any_beta_products(nvars)), nvars)
+    D = 4
+    last = _last_live_step(items, nvars, D)
+    for box, keep in [
+        (nvars * D, lambda i, rows, codes: rows.sum(axis=1) <= nvars * D),
+        (D, lambda i, rows, codes: last[codes] > i),
+    ]:
+        got = as_terms(*engine_expand(items, nvars, box, nvars * D, keep))
+        assert got == as_terms(*qlaurent_expand(items, nvars, box, keep))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_expansion_coefficients_obey_the_collapsed_bound(nvars, data):
+    # the norm of the coefficient at x^e is at most [z^|e|] of the product
+    # of (1 - z^|alpha|)^(-|gamma|), the bound that sizes the digits
+    fl = data.draw(any_beta_products(nvars))
+    bound = 3 * nvars
+    collapsed = Counter()
+    for (alpha, _beta), gamma in fl.items():
+        collapsed[((sum(alpha),), 0)] += abs(gamma)
+    major = product_by_mul(collapsed, 1, bound)
+    major = [major.coeff((m,)).constant_coeff() for m in range(bound + 1)]
+    for e, c in expand_factors(fl, nvars, bound).terms.items():
+        assert sum(map(abs, c.terms.values())) <= major[sum(e)], e
+    assert _coeff_bound(_check_factors(fl, nvars), bound) == max(major)
 
 
 def test_expansion_refuses_negative_exponents():

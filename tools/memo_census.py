@@ -2,7 +2,8 @@
 
 For each N:D given, a fresh Python process runs ``compute_P(N, D)`` with
 ``DiagonalSeed.unit`` wrapped to keep the seed it builds, and prints one
-JSON line: n, D, the memo's entries, its zero entries, its entries with
+JSON line: n, D, the memo's entries, its zero entries (the memo holds
+packed pairs (low, N), zero where N = 0), its entries with
 tau = 1 (tau(t) = sum_i a_{i-1} a_i mod 2 round the cycle, the parity
 invariant of ``mdslab.reducer``), the seconds ``compute_P`` took and the
 process's peak RSS in MB (``ru_maxrss``).
@@ -45,7 +46,7 @@ def census(n: int, max_degree: int) -> dict:
         "n": n,
         "D": max_degree,
         "entries": len(memo),
-        "zero_entries": sum(not c for c in memo.values()),
+        "zero_entries": sum(not packed for _low, packed in memo.values()),
         "tau_one_entries": sum(sum(t[i - 1] * t[i] for i in range(len(t))) % 2 for t in memo),
         "compute_P_s": round(seconds, 4),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
