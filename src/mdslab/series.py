@@ -298,7 +298,9 @@ def _expand(
 def expand_factors(factors: Factors, nvars: int, bound: int) -> MultiSeries:
     """Exact expansion of the product, truncated at total degree <= bound."""
     items = _check_factors(factors, nvars)
-    exps, coeffs = _expand(items, nvars, bound, bound, lambda i, rows, codes: rows.sum(axis=1) <= bound)
+    exps, coeffs = _expand(
+        items, nvars, bound, bound, lambda i, rows, codes: rows.sum(axis=1) <= bound
+    )
     return MultiSeries(nvars, bound, {tuple(e): c for e, c in zip(exps.tolist(), coeffs)})
 
 

@@ -537,7 +537,7 @@ def outcome(fn, *args):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_reconstruct_R1_matches_the_untruncated_route(n):
     # the pipeline, and P times one diagonal factor: sharp (beta = 1, 2;
-    # the FOUND mutants that pass), natural (beta = 1/2), flat (beta = -1),
+    # mutants that the check passes), natural (beta = 1/2), flat (beta = -1),
     # or strictly between 0 and 1 (beta = 1/4, refused)
     pipe = run_pipeline(n, 8)
     pipes = [pipe] + [times_diagonal_factor(pipe, beta) for beta in (4, 8, 2, -4, 1)]
