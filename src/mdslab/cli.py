@@ -3,7 +3,11 @@
 Subcommands: ``coeffs`` exports the exact coefficients as CSV, ``verify``
 runs a named check suite and writes a JSON report, ``moments`` runs the
 cubic-moment cross-check. Exit code 0 means every check passed, 1 means
-at least one check failed, 2 means the invocation was invalid.
+at least one check failed. Exit code 2 means the invocation was refused
+before any work, with one stderr line ``<command>: <reason>``: ``main``
+runs the checks every command shares, then the command's admission
+function, which holds its usage rules and the prices it can check up
+front. argparse's own usage errors exit 2 as well.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from .reducer import (
 )
 from .series import check_diagonal_determination, enforce_box_limit
 
-SUITES = ("axioms", "fe", "residue", "partitions", "all")
-
 
 def _write(out_path: str | None, text: str) -> None:
     if out_path:
@@ -39,13 +41,12 @@ def _write(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_coeffs(args) -> int:
+def admit_coeffs(args) -> None:
     # an index of sum <= bound reduces to diagonals c_{a,...,a} with a <= bound
-    try:
-        enforce_box_limit(res.n_even_vars(args.n), args.bound)
-    except ValueError as exc:
-        print(f"coeffs: {exc}", file=sys.stderr)
-        return 2
+    enforce_box_limit(res.n_even_vars(args.n), args.bound)
+
+
+def cmd_coeffs(args) -> int:
     seed = res.run_pipeline(args.n, args.bound).seed
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -247,6 +248,14 @@ def _suite_partitions(args, pipe):
     return checks
 
 
+SUITES = {
+    "axioms": _suite_axioms,
+    "fe": _suite_fe,
+    "residue": _suite_residue,
+    "partitions": _suite_partitions,
+}
+
+
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for the report's values: str-keyed
     dicts, lists or tuples, and JSON scalars. Each str and int goes to a C
@@ -296,6 +305,21 @@ def _run_and_report(args, checks, strict: bool = False) -> int:
     return 1 if failed else 0
 
 
+def admit_verify(args) -> None:
+    """Refuse trunc < bound, then price the run before the pipeline is built.
+
+    The pipeline's reachability box is priced first, and when the axioms
+    suite runs, alone or in ``all``, its local-to-global batch next: over
+    its limit either raises with the estimate, and ``main`` exits 2
+    before the pipeline is built or a report written.
+    """
+    if args.trunc < args.bound:
+        raise ValueError("--trunc must be at least --bound")
+    enforce_box_limit(res.n_even_vars(args.n), args.trunc)
+    if args.suite in ("axioms", "all"):
+        gw.slice_batch(field(args.q), tuples_with_sum_at_most(args.n + 1, args.bound))
+
+
 def cmd_verify(args) -> int:
     """Run the chosen suites on one residue pipeline, built to the report's D.
 
@@ -303,42 +327,22 @@ def cmd_verify(args) -> int:
     only when (n+1)*a <= sum(t). No check reduces an index with sum(t) >
     3*trunc + 1, so for n >= 2 the seed is read at a <= trunc. P and the
     product's diagonal R_diag are read to at most max(bound, min(trunc,
-    5)), and ``main`` refuses trunc < bound. So the pipeline of degree
-    trunc serves every check. The pipeline's reachability box is priced
-    first, and when the axioms suite runs, alone or in ``all``, its
-    local-to-global batch next: over its limit the run exits 2 with the
-    estimate, before the pipeline is built or a report written.
+    5)), and ``admit_verify`` refuses trunc < bound. So the pipeline of
+    degree trunc serves every check.
     """
-    try:
-        enforce_box_limit(res.n_even_vars(args.n), args.trunc)
-        if args.suite in ("axioms", "all"):
-            gw.slice_batch(field(args.q), tuples_with_sum_at_most(args.n + 1, args.bound))
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
     pipe = res.run_pipeline(args.n, args.trunc)
-    builders = {
-        "axioms": _suite_axioms,
-        "fe": _suite_fe,
-        "residue": _suite_residue,
-        "partitions": _suite_partitions,
-    }
-    names = list(builders) if args.suite == "all" else [args.suite]
-    checks = []
-    for name in names:
-        checks.extend(builders[name](args, pipe))
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    checks = [check for name in names for check in SUITES[name](args, pipe)]
     return _run_and_report(args, checks, strict=args.strict)
 
 
-def cmd_moments(args) -> int:
+def admit_moments(args) -> None:
     if args.n != 3:
-        print("moments: the identity is specific to n=3", file=sys.stderr)
-        return 2
-    try:
-        lf.check_moment_cost(args.q, args.trunc)
-    except ValueError as exc:
-        print(f"moments: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("the identity is specific to n=3")
+    lf.check_moment_cost(args.q, args.trunc)
+
+
+def cmd_moments(args) -> int:
     fq = field(args.q)
     check = (
         "moment_identity",
@@ -355,8 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify")
     moments = sub.add_parser("moments")
     # each subcommand registers only the options it reads
-    for p, fn in ((coeffs, cmd_coeffs), (verify, cmd_verify), (moments, cmd_moments)):
-        p.set_defaults(fn=fn)
+    for p, fn, admit in (
+        (coeffs, cmd_coeffs, admit_coeffs),
+        (verify, cmd_verify, admit_verify),
+        (moments, cmd_moments, admit_moments),
+    ):
+        p.set_defaults(fn=fn, admit=admit)
         p.add_argument("--n", type=int, default=2)
         p.add_argument("--out", default=None)
     for p in (verify, moments):
@@ -364,25 +372,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=int, default=6, help="truncation D for series checks")
     for p in (coeffs, verify):
         p.add_argument("--bound", type=int, default=4, help="degree bound for tables")
-    verify.add_argument("--suite", choices=SUITES, default="all")
+    verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     verify.add_argument("--strict", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.n < 2:
-        print("n must be at least 2", file=sys.stderr)
-        return 2
-    if "q" in vars(args) and args.q not in SUPPORTED_Q:
-        print(f"unsupported q={args.q}; choose from {sorted(SUPPORTED_Q)}", file=sys.stderr)
-        return 2
-    for name in ("bound", "trunc"):
-        if vars(args).get(name, 0) < 0:
-            print(f"--{name} must be nonnegative", file=sys.stderr)
-            return 2
-    if args.command == "verify" and args.trunc < args.bound:
-        print("--trunc must be at least --bound", file=sys.stderr)
+    # only the admission is guarded: a ValueError that the work itself
+    # raises is no refused invocation, and exits 1 with its traceback
+    try:
+        if args.n < 2:
+            raise ValueError("n must be at least 2")
+        if "q" in vars(args) and args.q not in SUPPORTED_Q:
+            raise ValueError(f"unsupported q={args.q}; choose from {sorted(SUPPORTED_Q)}")
+        for name in ("bound", "trunc"):
+            if vars(args).get(name, 0) < 0:
+                raise ValueError(f"--{name} must be nonnegative")
+        args.admit(args)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     return args.fn(args)
 

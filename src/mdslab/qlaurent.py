@@ -17,7 +17,10 @@ to low, and bringing two elements to one low is a left shift of N by B
 bits per step. Only :meth:`QLaurent.unpack` needs a bound: it reads N in
 balanced base 2^B, digits in [-2^{B-1}, 2^{B-1}), so it returns c when
 every |c_j| < 2^{B-1}. The callers choose B from a proven bound on the
-coefficients they decode.
+coefficients they decode. They also build N themselves, from values
+that are plain ints to begin with: the unit seed's diagonals 0 and 1,
+and the binomial coefficients of the product's factors. So the class
+holds the decoder only.
 """
 
 from __future__ import annotations
@@ -52,17 +55,6 @@ class QLaurent:
         return out
 
     # -- packed form -------------------------------------------------------
-
-    def pack(self, bits: int, step: int = 4) -> tuple[int, int]:
-        """The packed pair (low, N) of the module docstring, digits of
-        ``bits`` bits, exponents read in units of ``step`` quarters; zero
-        is (0, 0)."""
-        if not self.terms:
-            return 0, 0
-        if any(e % step for e in self.terms):
-            raise ValueError(f"an exponent of {self!r} is not a multiple of {step}/4")
-        low = min(self.terms) // step
-        return low, sum(c << bits * (e // step - low) for e, c in self.terms.items())
 
     @staticmethod
     def unpack(low: int, packed: int, bits: int, step: int = 4) -> "QLaurent":

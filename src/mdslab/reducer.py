@@ -155,11 +155,10 @@ class _Ring:
 
 
 def _reduce_root(t: IndexTuple, seed: DiagonalSeed, ring: _Ring):
-    # c_t in the ring, from the memo, as zero by the parity rule, or reduced
+    # c_t in the ring, as zero by the parity rule or reduced; the callers
+    # have read the memo: reduce_coeff before the call, and compute_P's
+    # roots have strictly increasing index sums, so none is in the memo
     memo = seed._memo
-    c = memo.get(t)
-    if c is not None:
-        return c
     if min(t) < 0:  # never a memo key
         return ring.zero
     m = len(t)
@@ -239,8 +238,10 @@ _PACKED_ZERO = (0, 0)
 
 def _packed_ring(seed: DiagonalSeed, bits: int) -> _Ring:
     """The ring of packed pairs (low, N) in whole powers of q, digits of
-    ``bits`` bits (see :mod:`mdslab.qlaurent`); zero is (0, 0), and no
-    nonzero value has N = 0."""
+    ``bits`` bits (see :mod:`mdslab.qlaurent`), on the unit ``seed``; zero
+    is (0, 0), and no nonzero value has N = 0. A leaf is 1 = (0, 1) or 0,
+    the unit seed's only diagonal values, and past the seed's length
+    ``seed.diagonal`` raises ``SeedExhausted``."""
 
     def odd(c, e):
         return (c[0] + e, c[1]) if c[1] else _PACKED_ZERO
@@ -270,7 +271,7 @@ def _packed_ring(seed: DiagonalSeed, bits: int) -> _Ring:
             n, l1 = (n1 << bits * (l1 - l2)) + n2, l2
         return (l1, n) if n else _PACKED_ZERO
 
-    return _Ring(_PACKED_ZERO, lambda a: seed.diagonal(a).pack(bits), odd, even)
+    return _Ring(_PACKED_ZERO, lambda a: (0, 1) if seed.diagonal(a) else _PACKED_ZERO, odd, even)
 
 
 def _unit_bits(total: int) -> int:

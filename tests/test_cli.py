@@ -194,6 +194,54 @@ def test_negative_degrees_exit_2(argv, option, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--n", "1"],
+        ["moments", "--n", "3", "--q", "7"],
+        ["verify", "--n", "3", "--bound", "-1"],
+        ["moments", "--n", "3", "--trunc", "-1"],
+        ["verify", "--n", "3", "--bound", "4", "--trunc", "3"],
+        ["moments", "--n", "2"],
+        ["moments", "--n", "3", "--q", "17", "--trunc", "4"],
+        ["coeffs", "--n", "40", "--bound", "2"],
+        ["verify", "--n", "5", "--suite", "axioms", "--bound", "10", "--trunc", "10"],
+    ],
+)
+def test_every_refusal_is_one_line_naming_the_command_before_any_work(
+    argv, tmp_path, monkeypatch, capsys
+):
+    # one case per kind: n < 2, unsupported q, a negative degree of each
+    # name, trunc < bound, moments away from n = 3, and each command's price
+    from mdslab import cli, lfunctions, residue
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+
+    monkeypatch.setattr(residue, "run_pipeline", unreachable)
+    monkeypatch.setattr(lfunctions, "moment_identity_check", unreachable)
+    monkeypatch.setattr(cli, "_run_and_report", unreachable)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith(f"{argv[0]}: ")
+    assert not out.exists()
+
+
+def test_a_value_error_of_the_work_is_no_refusal(monkeypatch):
+    # only the admission is caught: a fault raised by the work propagates,
+    # and the process exits 1 with its traceback
+    from mdslab import residue
+
+    def fault(*args):
+        raise ValueError("dominance violation")
+
+    monkeypatch.setattr(residue, "run_pipeline", fault)
+    with pytest.raises(ValueError, match="dominance violation"):
+        main(["coeffs", "--n", "2", "--bound", "1"])
+
+
 def test_raising_check_fails_alone(tmp_path, monkeypatch):
     from mdslab import partitions
 
